@@ -5,12 +5,24 @@ Layers are indexed 0..K-1 over the LIF layers; sizes[0] is the input width
 and weight plane k connects sizes[k] -> sizes[k+1].  All neurons of a layer
 share one register file (one decoder per layer).  Stepping is vectorized
 over neurons with raw integer arrays; results are bit-identical to scalar
-per-neuron evaluation and independent of the worker-thread count.
+per-neuron evaluation (`neuron.step_neuron`) and independent of the
+worker-thread count.
+
+Activation is event-driven, as in the hardware: a weight enters a neuron's
+sum only when its pre-synaptic line spikes.  Each cycle gathers the weight
+rows of the active lines and reduces them with
+`fixedpoint.accumulate_raw`, which gives the bits of the sequential adds in
+pre-synaptic index order under both overflow policies.  WRAP is exact as a
+plain sum because wrapping is arithmetic modulo 2**w.  SATURATE is exact
+because each saturating add is a clamp-add map x -> clamp(x + w, lo, hi),
+and these maps compose associatively into maps of the same kind, so the
+ordered sum reduces as a tree.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -21,9 +33,10 @@ from .fixedpoint import (
     OverflowPolicy,
     QFormat,
     QWord,
+    accumulate_raw,
     add_raw,
     encode_raw,
-    fit_raw,
+    fit_raw,  # noqa: F401  (bound here so bench/spans.py can trace it as core.fit_raw)
     mul_raw,
     raw_dtype,
     sub_raw,
@@ -44,6 +57,8 @@ ALL_TO_ALL = Connectivity(ConnectivityKind.ALL_TO_ALL)
 
 def encode_register(value: float, fmt: QFormat, clamp: bool = False) -> int:
     """Quantize a register/weight real; out-of-range is an error unless clamping."""
+    if not math.isfinite(value):
+        raise ValueError(f"value {value} is not a finite real; {fmt} holds finite values only")
     wrapped = encode_raw(value, fmt, OverflowPolicy.WRAP)
     clamped = encode_raw(value, fmt, OverflowPolicy.SATURATE)
     if wrapped != clamped and not clamp:
@@ -188,7 +203,15 @@ class _LayerRegs:
 
 
 class Core:
-    """One core instance: a single logical timeline of spike-clock cycles."""
+    """One core instance: a single logical timeline of spike-clock cycles.
+
+    `threads` > 1 splits each layer's activation by post-synaptic columns
+    into `threads` parts: the calling thread accumulates the first and a
+    pool of `threads` - 1 workers the others, concurrently.  The LIF update
+    then runs once per layer on whole vectors in the calling thread.  The
+    thread count never changes the results.  Release the pool with
+    `close()` or by using the core as a context manager.
+    """
 
     def __init__(self, cfg: CoreConfig, clamp_registers: bool = False, threads: int = 1):
         self.cfg = cfg
@@ -202,13 +225,18 @@ class Core:
             WeightMemory(cfg.fmt, build_mask(conn, cfg.sizes[k], cfg.sizes[k + 1]), layer=k)
             for k, conn in enumerate(cfg.connectivity)
         ]
-        dt = raw_dtype(cfg.fmt)
-        self._vmem = [np.zeros(n, dtype=dt) for n in cfg.sizes[1:]]
-        self._act = [np.zeros(n, dtype=dt) for n in cfg.sizes[1:]]
-        self._refr = [np.zeros(n, dtype=np.int64) for n in cfg.sizes[1:]]
-        self._prev_out = [np.zeros(n, dtype=bool) for n in cfg.sizes[:-1]]
-        self.cycle = 0
-        self._pool = ThreadPoolExecutor(self.threads) if self.threads > 1 else None
+        self.reset_state()
+        self._columns = [
+            [slice(lo, hi) for lo, hi in zip(b[:-1], b[1:]) if lo < hi]
+            for b in (np.linspace(0, n, self.threads + 1, dtype=int) for n in cfg.sizes[1:])
+        ]
+        self._pool = ThreadPoolExecutor(self.threads - 1) if self.threads > 1 else None
+
+    def __enter__(self) -> "Core":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- configuration ------------------------------------------------------
 
@@ -277,32 +305,37 @@ class Core:
     # -- stepping -------------------------------------------------------------
 
     def reset_state(self) -> None:
-        """Between-sample reset: membranes, activations and counters to zero."""
-        for a in (*self._vmem, *self._act):
-            a[:] = 0
-        for a in self._refr:
-            a[:] = 0
-        for a in self._prev_out:
-            a[:] = False
+        """Between-sample reset: membranes, activations and counters to zero.
+
+        Fresh arrays, not in-place zeroing: the latched layer inputs may be
+        rows of the caller's stimulus.
+        """
+        sizes, dt = self.cfg.sizes, raw_dtype(self.fmt)
+        self._vmem = [np.zeros(n, dtype=dt) for n in sizes[1:]]
+        self._act = [np.zeros(n, dtype=dt) for n in sizes[1:]]
+        self._refr = [np.zeros(n, dtype=np.int64) for n in sizes[1:]]
+        self._prev_out = [np.zeros(n, dtype=bool) for n in sizes[:-1]]
         self.cycle = 0
 
-    def _step_layer_slice(self, k: int, spikes_in: np.ndarray, out: np.ndarray,
-                          lo: int, hi: int) -> None:
+    def _activation(self, k: int, spikes_in: np.ndarray) -> np.ndarray:
+        """Ordered sum of the weight rows of this cycle's active inputs."""
+        w = self.planes[k].raw
+        active = np.flatnonzero(spikes_in)
+
+        def part(cols):
+            return accumulate_raw(w[active, cols], self.fmt, self.policy)
+
+        first, *rest = self._columns[k]  # rest is empty on one thread
+        futures = [self._pool.submit(part, cols) for cols in rest]
+        return np.concatenate([part(first), *(f.result() for f in futures)])
+
+    def _step_layer(self, k: int, spikes_in: np.ndarray) -> np.ndarray:
         fmt, policy = self.fmt, self.policy
         r = self._regs[k]
-        w = self.planes[k].raw[:, lo:hi]
-        vmem = self._vmem[k][lo:hi]
-        refr = self._refr[k][lo:hi]
+        vmem, refr = self._vmem[k], self._refr[k]
 
         # 1. activation: weighted sum of this cycle's input spikes.
-        if policy is WRAP:
-            act = fit_raw(spikes_in.astype(w.dtype) @ w, fmt, policy)
-        else:
-            # Saturation is order-sensitive: add in pre-synaptic index order.
-            act = np.zeros(hi - lo, dtype=w.dtype)
-            for i in np.flatnonzero(spikes_in):
-                act = add_raw(act, w[i], fmt, policy)
-        self._act[k][lo:hi] = act
+        act = self._act[k] = self._activation(k, spikes_in)
 
         # 2./3. refractory hold, or membrane update + fire + reset.
         held = refr > 0
@@ -321,25 +354,9 @@ class Core:
         else:  # DEFAULT: one more leak step, no discrete reset
             after = sub_raw(updated, mul_raw(r.decay, updated, fmt, policy), fmt, policy)
 
-        self._vmem[k][lo:hi] = np.where(spikes, after, updated)
-        self._refr[k][lo:hi] = np.where(held, refr - 1, np.where(spikes, r.refractory, 0))
-        out[lo:hi] = spikes
-
-    def _step_layer(self, k: int, spikes_in: np.ndarray) -> np.ndarray:
-        n = self.cfg.sizes[k + 1]
-        out = np.zeros(n, dtype=bool)
-        if self._pool is None or n < 2 * self.threads:
-            self._step_layer_slice(k, spikes_in, out, 0, n)
-            return out
-        bounds = np.linspace(0, n, self.threads + 1, dtype=int)
-        futures = [
-            self._pool.submit(self._step_layer_slice, k, spikes_in, out, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if lo < hi
-        ]
-        for f in futures:
-            f.result()
-        return out
+        self._vmem[k] = np.where(spikes, after, updated)
+        self._refr[k] = np.where(held, refr - 1, np.where(spikes, r.refractory, 0))
+        return spikes
 
     def step_cycle(self, input_spikes) -> list[np.ndarray]:
         """Advance every layer by one spike-clock cycle; returns spike vectors."""
@@ -368,29 +385,7 @@ class Core:
         where traces maps (layer, neuron) -> float64[T] of decoded vmem
         at the end of each cycle.
         """
-        n0 = self.cfg.sizes[0]
-        if hasattr(stream, "to_dense"):
-            dense = stream.to_dense(duration, n0)
-        else:
-            dense = np.asarray(stream, dtype=bool)
-            if dense.ndim != 2 or dense.shape[1] != n0:
-                raise ValueError(f"dense stream must be [T, {n0}], got {dense.shape}")
-            if dense.shape[0] < duration:
-                pad = np.zeros((duration - dense.shape[0], n0), dtype=bool)
-                dense = np.vstack([dense, pad])
-            dense = dense[:duration]
-
-        watched = self._watch_list(watch)
-        self.reset_state()
-        rasters = [np.zeros((duration, n), dtype=bool) for n in self.cfg.sizes[1:]]
-        traces = {key: np.zeros(duration) for key in watched}
-        q = self.fmt.quantum
-        for t in range(duration):
-            outs = self.step_cycle(dense[t])
-            for k, out in enumerate(outs):
-                rasters[k][t] = out
-            for (k, j) in watched:
-                traces[(k, j)][t] = float(self._vmem[k][j]) * q
+        dense, rasters, traces = _run(self, stream, duration, watch, self.fmt.quantum)
         meta = {
             "config": self.cfg.config_hash(),
             "format": str(self.fmt),
@@ -402,16 +397,60 @@ class Core:
         }
         return SpikeRaster(dense, rasters, meta), traces
 
-    def _watch_list(self, watch):
-        if watch is None:
-            return []
-        if watch == "all":
-            return [(k, j) for k in range(self.n_layers) for j in range(self.cfg.sizes[k + 1])]
-        for (k, j) in watch:
-            if not (0 <= k < self.n_layers and 0 <= j < self.cfg.sizes[k + 1]):
-                raise ValueError(f"watched neuron (layer={k}, neuron={j}) out of range")
-        return list(watch)
-
-    def close(self):
+    def close(self) -> None:
+        """Shut the worker pool down; calling it again does nothing."""
         if self._pool is not None:
             self._pool.shutdown()
+
+
+def _dense_stream(stream, duration: int, n0: int) -> np.ndarray:
+    """A sample's stimulus as a dense [duration, n0] bool array.
+
+    `stream` has to_dense, or is a dense [T, n0] array that is cut or
+    zero-padded to `duration` cycles.
+    """
+    if hasattr(stream, "to_dense"):
+        return stream.to_dense(duration, n0)
+    dense = np.asarray(stream, dtype=bool)
+    if dense.ndim != 2 or dense.shape[1] != n0:
+        raise ValueError(f"dense stream must be [T, {n0}], got {dense.shape}")
+    if dense.shape[0] < duration:
+        pad = np.zeros((duration - dense.shape[0], n0), dtype=bool)
+        dense = np.vstack([dense, pad])
+    return dense[:duration]
+
+
+def _watch_list(watch, sizes) -> list[tuple[int, int]]:
+    """Validated (layer, neuron) pairs for `watch`: None, "all" or a list."""
+    if watch is None:
+        return []
+    if watch == "all":
+        return [(k, j) for k in range(len(sizes) - 1) for j in range(sizes[k + 1])]
+    for (k, j) in watch:
+        if not (0 <= k < len(sizes) - 1 and 0 <= j < sizes[k + 1]):
+            raise ValueError(f"watched neuron (layer={k}, neuron={j}) out of range")
+    return list(watch)
+
+
+def _run(core, stream, duration: int, watch, scale: float):
+    """Run loop shared by Core and ReferenceCore.
+
+    Checks the stream and watch list, steps `core` from a fresh state, and
+    returns (dense stimulus, per-layer rasters, traces).  Each watched
+    layer's membranes are recorded as one [T, N] row per cycle; traces
+    maps (layer, neuron) -> float64[T] of those values times `scale`.
+    """
+    sizes = core.cfg.sizes
+    dense = _dense_stream(stream, duration, sizes[0])
+    watched = _watch_list(watch, sizes)
+    core.reset_state()
+    rasters = [np.zeros((duration, n), dtype=bool) for n in sizes[1:]]
+    vmems = {k: np.zeros((duration, sizes[k + 1]), dtype=core._vmem[k].dtype)
+             for k in {k for k, _ in watched}}
+    for t in range(duration):
+        for k, out in enumerate(core.step_cycle(dense[t])):
+            rasters[k][t] = out
+        for k, rows in vmems.items():
+            rows[t] = core._vmem[k]
+    rows = {k: np.ascontiguousarray(v.T, dtype=np.float64) * scale for k, v in vmems.items()}
+    return dense, rasters, {(k, j): rows[k][j] for (k, j) in watched}

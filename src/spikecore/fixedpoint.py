@@ -40,6 +40,7 @@ __all__ = [
     "add_raw",
     "sub_raw",
     "mul_raw",
+    "accumulate_raw",
     "encode_raw",
     "raw_dtype",
 ]
@@ -196,6 +197,37 @@ def sub_raw(a, b, fmt: QFormat, policy: OverflowPolicy = WRAP):
 def mul_raw(a, b, fmt: QFormat, policy: OverflowPolicy = WRAP):
     """Full-width product, then drop q fraction bits (floor) and n high bits."""
     return fit_raw((a * b) >> fmt.q, fmt, policy)
+
+
+def accumulate_raw(rows, fmt: QFormat, policy: OverflowPolicy = WRAP):
+    """Ordered sum of `rows` along axis 0: the fold of `add_raw` from 0.
+
+    `rows` is a raw [R, ...] array (R may be 0); row i is added before row
+    i + 1.  WRAP is arithmetic modulo 2**w, so one plain sum and a final
+    wrap give the fold's bits, even if an int64 sum overflows (2**w
+    divides 2**64).  SATURATE depends on the order, but each add is the map
+    x -> clamp(x + a, l, h), and these maps compose into one of the same
+    kind: (a0, l0, h0) then (a1, l1, h1) is
+    (a0 + a1, clamp(l0 + a1, l1, h1), clamp(h0 + a1, l1, h1)).  So the rows
+    are padded to a power of two with the identity map (0, min, max),
+    composed pairwise in order down a tree, and the result is evaluated at
+    x = 0 as clamp(a, l, h).
+    """
+    if policy is WRAP:
+        return fit_raw(rows.sum(axis=0), fmt, policy)
+    size = 1 << max(len(rows) - 1, 0).bit_length()
+    a = np.zeros((size, *rows.shape[1:]), dtype=rows.dtype)
+    a[:len(rows)] = rows
+    lo = np.full_like(a, fmt.min_raw)
+    hi = np.full_like(a, fmt.max_raw)
+    # lo <= hi holds throughout, so clamp is maximum then minimum (np.clip
+    # costs several times more per call on arrays this small).
+    while len(a) > 1:
+        a1, lo1, hi1 = a[1::2], lo[1::2], hi[1::2]
+        lo = np.minimum(np.maximum(lo[0::2] + a1, lo1), hi1)
+        hi = np.minimum(np.maximum(hi[0::2] + a1, lo1), hi1)
+        a = a[0::2] + a1
+    return np.minimum(np.maximum(a[0], lo[0]), hi[0])
 
 
 def encode_raw(value: float, fmt: QFormat, policy: OverflowPolicy = WRAP) -> int:

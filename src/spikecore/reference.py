@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Core, CoreConfig, SpikeRaster, encode_register
+from .core import Core, CoreConfig, SpikeRaster, _run, encode_register
 from .fixedpoint import QFormat, QWord
 from .neuron import ResetMode
 from .topology import build_mask
@@ -41,9 +41,7 @@ class ReferenceCore:
             for k, conn in enumerate(cfg.connectivity)
         ]
         self.weights = [np.zeros(m.shape) for m in self.masks]
-        self._vmem = [np.zeros(n) for n in cfg.sizes[1:]]
-        self._refr = [np.zeros(n, dtype=np.int64) for n in cfg.sizes[1:]]
-        self._prev_out = [np.zeros(n, dtype=bool) for n in cfg.sizes[:-1]]
+        self.reset_state()
 
     def write_weight(self, layer: int, pre: int, post: int, value: float) -> None:
         if not self.masks[layer][pre, post]:
@@ -51,12 +49,11 @@ class ReferenceCore:
         self.weights[layer][pre, post] = value
 
     def reset_state(self) -> None:
-        for a in self._vmem:
-            a[:] = 0.0
-        for a in self._refr:
-            a[:] = 0
-        for a in self._prev_out:
-            a[:] = False
+        # Fresh arrays: the latched layer inputs may be rows of the caller's stimulus.
+        sizes = self.cfg.sizes
+        self._vmem = [np.zeros(n) for n in sizes[1:]]
+        self._refr = [np.zeros(n, dtype=np.int64) for n in sizes[1:]]
+        self._prev_out = [np.zeros(n, dtype=bool) for n in sizes[:-1]]
 
     def _step_layer(self, k: int, spikes_in: np.ndarray) -> np.ndarray:
         r = self.cfg.registers[k]
@@ -92,28 +89,7 @@ class ReferenceCore:
         return outs
 
     def run_sample(self, stream, duration: int, watch=None):
-        n0 = self.cfg.sizes[0]
-        if hasattr(stream, "to_dense"):
-            dense = stream.to_dense(duration, n0)
-        else:
-            dense = np.asarray(stream, dtype=bool)[:duration]
-            if dense.shape[0] < duration:
-                dense = np.vstack(
-                    [dense, np.zeros((duration - dense.shape[0], n0), dtype=bool)]
-                )
-        if watch == "all":
-            watch = [(k, j) for k in range(self.cfg.n_layers)
-                     for j in range(self.cfg.sizes[k + 1])]
-        watch = watch or []
-        self.reset_state()
-        rasters = [np.zeros((duration, n), dtype=bool) for n in self.cfg.sizes[1:]]
-        traces = {key: np.zeros(duration) for key in watch}
-        for t in range(duration):
-            outs = self.step_cycle(dense[t])
-            for k, out in enumerate(outs):
-                rasters[k][t] = out
-            for (k, j) in watch:
-                traces[(k, j)][t] = self._vmem[k][j]
+        dense, rasters, traces = _run(self, stream, duration, watch, 1.0)
         meta = {
             "config": self.cfg.config_hash(),
             "format": "float64",

@@ -1,0 +1,93 @@
+"""Differential conformance: the vectorized `Core` against the scalar oracle.
+
+Every neuron of a randomly configured core is replayed through
+`neuron.step_neuron`, fed from the core's own upstream raster, and its
+spike and membrane must match the core's on every cycle.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spikecore.core import Core, CoreConfig, RealRegisters
+from spikecore.fixedpoint import OverflowPolicy, QFormat
+from spikecore.neuron import NeuronState, ResetMode, step_neuron
+from spikecore.topology import Connectivity, ConnectivityKind
+
+ALL_TO_ALL = Connectivity(ConnectivityKind.ALL_TO_ALL)
+
+# Q2-Q9 x q0-7, and one format wider than 32 bits (object-dtype payloads),
+# which is drawn about as often as all the narrow ones together.
+FORMATS = (st.sampled_from([QFormat(n, q) for n in range(2, 10) for q in range(8)])
+           | st.just(QFormat(20, 20)))
+
+
+def raw_values(fmt, lo=None, hi=None):
+    """Reals exactly representable in `fmt`, drawn over its raw range."""
+    lo = fmt.min_raw if lo is None else lo
+    hi = fmt.max_raw if hi is None else hi
+    return st.integers(lo, hi).map(lambda raw: raw * fmt.quantum)
+
+
+def registers(fmt):
+    return st.builds(
+        RealRegisters,
+        decay_rate=raw_values(fmt, 0, min(fmt.max_raw, 1 << fmt.q)),
+        growth_rate=raw_values(fmt),
+        v_threshold=raw_values(fmt),
+        reset_mode=st.sampled_from(ResetMode),
+        v_reset=raw_values(fmt),
+        refractory_period=st.integers(0, 3),
+    )
+
+
+@st.composite
+def networks(draw):
+    fmt = draw(FORMATS)
+    n_layers = draw(st.integers(1, 3))
+    sizes = tuple(draw(st.lists(st.integers(1, 6), min_size=n_layers + 1,
+                                max_size=n_layers + 1)))
+    cfg = CoreConfig(
+        fmt, sizes, (ALL_TO_ALL,) * n_layers,
+        tuple(draw(registers(fmt)) for _ in range(n_layers)),
+        policy=draw(st.sampled_from(OverflowPolicy)),
+        layer_latency=draw(st.sampled_from((0, 1))),
+    )
+    # Weights uniform over the full raw range and inputs spiking half the
+    # time, so that SATURATE sums often clamp and then come back.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = [rng.integers(fmt.min_raw, fmt.max_raw, (m, n), endpoint=True)
+               for m, n in zip(sizes[:-1], sizes[1:])]
+    stream = rng.random((draw(st.integers(1, 12)), sizes[0])) < 0.5
+    return cfg, weights, stream, draw(st.sampled_from((1, 2)))
+
+
+def upstream_of(raster, k, latency):
+    """What layer k saw each cycle: the stimulus, or layer k-1's spikes
+    (one cycle late when layer_latency is 1)."""
+    if k == 0:
+        return raster.input_spikes
+    up = raster.layers[k - 1]
+    if latency:
+        up = np.vstack([np.zeros((1, up.shape[1]), dtype=bool), up[:-1]])
+    return up
+
+
+@given(net=networks())
+@settings(max_examples=300, deadline=None)
+def test_core_matches_scalar_oracle_neuron_by_neuron(net):
+    cfg, weights, stream, threads = net
+    with Core(cfg, threads=threads) as core:
+        for plane, w in zip(core.planes, weights):
+            plane.raw[...] = w
+        raster, traces = core.run_sample(stream, len(stream), watch="all")
+    for k in range(cfg.n_layers):
+        regs = core.registers(k)
+        upstream = upstream_of(raster, k, cfg.layer_latency).tolist()
+        for j in range(cfg.sizes[k + 1]):
+            column = core.planes[k].presynaptic_weights(j)
+            state = NeuronState.zero(cfg.fmt)
+            for t, spikes in enumerate(upstream):
+                fired = step_neuron(state, regs, spikes, column, cfg.policy)
+                assert fired == raster.layers[k][t, j], (k, j, t)
+                assert state.vmem.value == traces[(k, j)][t], (k, j, t)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spikecore.core import Core, CoreConfig, RealRegisters
+from spikecore.core import Core, CoreConfig, RealRegisters, encode_register
 from spikecore.fixedpoint import Q5_3, Q9_7, SATURATE, OverflowPolicy
 from spikecore.neuron import ResetMode
 from spikecore.topology import Connectivity, ConnectivityKind
@@ -57,6 +57,16 @@ def test_invalid_dimensions():
         CoreConfig.uniform(Q5_3, [4, 0], baseline_regs())
     with pytest.raises(ValueError):
         CoreConfig.uniform(Q5_3, [4, 4], baseline_regs(), layer_latency=2)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_register_or_weight_names_the_value(value):
+    with pytest.raises(ValueError, match=str(value)):
+        encode_register(value, Q5_3)
+    with pytest.raises(ValueError, match=str(value)):
+        encode_register(value, Q5_3, clamp=True)
+    with pytest.raises(ValueError, match=str(value)):
+        toy_core().write_weight(0, 0, 0, value)
 
 
 def test_register_quantize_out_of_range():
@@ -234,6 +244,22 @@ def test_thread_count_does_not_change_results():
         r, _ = core.run_sample(stim, 25)
         rasters.append(r)
     assert rasters[0].equals(rasters[1])
+
+
+def test_core_context_manager_releases_the_pool():
+    with Core(toy_core().cfg, threads=2) as core:
+        assert core.step_cycle(np.ones(4, dtype=bool))[0].shape == (3,)
+    core.close()  # a second close is harmless
+    with pytest.raises(RuntimeError):  # the workers are gone
+        core.step_cycle(np.ones(4, dtype=bool))
+
+
+def test_next_sample_leaves_the_callers_stimulus_alone():
+    core = toy_core(layer_latency=1)
+    stim = np.ones((5, 4), dtype=bool)
+    raster, _ = core.run_sample(stim, 5)
+    core.run_sample(np.zeros((5, 4), dtype=bool), 5)
+    assert stim.all() and raster.input_spikes.all()
 
 
 def test_saturate_policy_core_runs():

@@ -13,12 +13,14 @@ from spikecore.fixedpoint import (
     Q5_3,
     QFormat,
     QWord,
+    accumulate_raw,
     add,
     add_raw,
     encode,
     mul,
     mul_raw,
     neg,
+    raw_dtype,
     sub,
 )
 
@@ -195,6 +197,42 @@ def test_in_range_arithmetic_matches_reals():
             prod = av * bv
             if prod == (prod * 8) // 1 / 8 and -16 <= prod < 16:
                 assert mul(wa, wb).value == prod
+
+
+# --- ordered accumulation of gathered weight rows ---------------------------
+
+def fold_add_raw(rows, fmt, policy):
+    """The reference order: add_raw row by row, starting from 0."""
+    acc = np.zeros(rows.shape[1:], dtype=rows.dtype)
+    for row in rows:
+        acc = add_raw(acc, row, fmt, policy)
+    return acc
+
+
+@pytest.mark.parametrize("fmt", [Q5_3, QFormat(33, 31)])  # int64 and object payloads
+@pytest.mark.parametrize("policy", [WRAP, SATURATE])
+@pytest.mark.parametrize("n_rows", [0, 1, 2, 3, 5, 8, 13])
+def test_accumulate_raw_equals_sequential_fold(fmt, policy, n_rows):
+    rng = np.random.default_rng(n_rows)
+    rows = rng.integers(fmt.min_raw, fmt.max_raw, (n_rows, 9), endpoint=True)
+    rows = rows.astype(raw_dtype(fmt))
+    got = accumulate_raw(rows, fmt, policy)
+    assert got.dtype == rows.dtype
+    assert np.array_equal(got, fold_add_raw(rows, fmt, policy))
+
+
+def test_accumulate_raw_saturate_depends_on_order():
+    # Q5.3 columns: 15 + 15 saturates at 15.875, then -10 brings it down to
+    # 5.875; the same three weights with -10 first end at the maximum.
+    rows = np.array([[120, -80], [120, 120], [-80, 120]])
+    assert accumulate_raw(rows, Q5_3, SATURATE).tolist() == [47, Q5_3.max_raw]
+    assert fold_add_raw(rows, Q5_3, SATURATE).tolist() == [47, Q5_3.max_raw]
+
+
+def test_accumulate_raw_wraps_like_the_adder():
+    rows = np.array([[120], [120], [-80]])   # 160 wraps to 160 - 256
+    assert accumulate_raw(rows, Q5_3, WRAP).tolist() == [-96]
+    assert accumulate_raw(rows[:0], Q5_3, WRAP).tolist() == [0]
 
 
 # --- wide formats beyond the int64 fast path ---------------------------------

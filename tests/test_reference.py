@@ -48,6 +48,17 @@ def test_constant_drive_matches_closed_form():
     assert np.allclose(traces[(0, 0)], closed, atol=1e-9)
 
 
+@pytest.mark.parametrize("model", [Core, ReferenceCore])
+def test_run_sample_rejects_bad_width_and_watch(model):
+    sim = model(CoreConfig.uniform(Q9_7, [3, 2], regs()))
+    with pytest.raises(ValueError, match=r"\[T, 3\]"):
+        sim.run_sample(np.ones((4, 2), dtype=bool), 4)
+    with pytest.raises(ValueError, match="layer=0, neuron=2"):
+        sim.run_sample(np.ones((4, 3), dtype=bool), 4, watch=[(0, 2)])
+    with pytest.raises(ValueError, match="layer=1, neuron=0"):
+        sim.run_sample(np.ones((4, 3), dtype=bool), 4, watch=[(1, 0)])
+
+
 def test_rmse_identical_traces_is_zero():
     a = np.random.default_rng(0).random((20, 3))
     assert rmse(TracePair(a, a.copy())) == 0.0
