@@ -14,15 +14,16 @@ rows of the active lines and reduces them with
 `fixedpoint.accumulate_raw`, which gives the bits of the sequential adds in
 pre-synaptic index order under both overflow policies.  WRAP is exact as a
 plain sum because wrapping is arithmetic modulo 2**w.  SATURATE is exact
-because each saturating add is a clamp-add map x -> clamp(x + w, lo, hi),
-and these maps compose associatively into maps of the same kind, so the
-ordered sum reduces as a tree.
+because the ordered saturating sum is the discrete two-sided Skorokhod map
+of its prefix sums, which has an exact closed form in prefix sums and
+running minima (Kruk, Lehoczky, Ramanan & Shreve, Ann. Probab. 2007).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -105,7 +106,6 @@ class CoreConfig:
     registers: tuple[RealRegisters, ...]    # one per LIF layer
     policy: OverflowPolicy = WRAP
     layer_latency: int = 0                 # 0: same-cycle cascade, 1: one cycle per layer
-    n_ops_per_neuron: int = 4              # datapath ops per neuron update, for the ops model
     v_unit: float = 1e-3                   # volts per membrane unit
     i_unit: float = 1e-11                  # amps per activation unit
 
@@ -380,8 +380,8 @@ class Core:
         """Feed one sample for `duration` cycles from a fresh state.
 
         `stream` is a SpikeStream-like object (has to_dense) or a dense
-        [T, N0] bool array.  `watch` selects membrane traces: a list of
-        (layer, neuron) pairs, or "all".  Returns (SpikeRaster, traces)
+        [T, N0] bool array.  `watch` selects membrane traces: an iterable
+        of (layer, neuron) pairs, or "all".  Returns (SpikeRaster, traces)
         where traces maps (layer, neuron) -> float64[T] of decoded vmem
         at the end of each cycle.
         """
@@ -421,15 +421,19 @@ def _dense_stream(stream, duration: int, n0: int) -> np.ndarray:
 
 
 def _watch_list(watch, sizes) -> list[tuple[int, int]]:
-    """Validated (layer, neuron) pairs for `watch`: None, "all" or a list."""
+    """Validated (layer, neuron) pairs for `watch`: None, "all" or an iterable."""
     if watch is None:
         return []
-    if watch == "all":
+    if isinstance(watch, str):
+        if watch != "all":
+            raise ValueError(f"watch must be 'all' or (layer, neuron) pairs, got {watch!r}")
         return [(k, j) for k in range(len(sizes) - 1) for j in range(sizes[k + 1])]
-    for (k, j) in watch:
+    # Read once: `watch` may be an iterator.
+    pairs = [(operator.index(k), operator.index(j)) for k, j in watch]
+    for k, j in pairs:
         if not (0 <= k < len(sizes) - 1 and 0 <= j < sizes[k + 1]):
             raise ValueError(f"watched neuron (layer={k}, neuron={j}) out of range")
-    return list(watch)
+    return pairs
 
 
 def _run(core, stream, duration: int, watch, scale: float):

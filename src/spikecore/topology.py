@@ -132,7 +132,3 @@ class WeightMemory:
         """Column for one post neuron, in pre index order (accumulation order)."""
         self._check(0, post)
         return [QWord(self.fmt, int(r)) for r in self.raw[:, post]]
-
-    def column_raw(self, post: int) -> np.ndarray:
-        self._check(0, post)
-        return self.raw[:, post]

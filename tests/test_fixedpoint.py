@@ -211,7 +211,7 @@ def fold_add_raw(rows, fmt, policy):
 
 @pytest.mark.parametrize("fmt", [Q5_3, QFormat(33, 31)])  # int64 and object payloads
 @pytest.mark.parametrize("policy", [WRAP, SATURATE])
-@pytest.mark.parametrize("n_rows", [0, 1, 2, 3, 5, 8, 13])
+@pytest.mark.parametrize("n_rows", [0, 1, 2, 3, 5, 8, 13, 64, 257])
 def test_accumulate_raw_equals_sequential_fold(fmt, policy, n_rows):
     rng = np.random.default_rng(n_rows)
     rows = rng.integers(fmt.min_raw, fmt.max_raw, (n_rows, 9), endpoint=True)
@@ -219,6 +219,32 @@ def test_accumulate_raw_equals_sequential_fold(fmt, policy, n_rows):
     got = accumulate_raw(rows, fmt, policy)
     assert got.dtype == rows.dtype
     assert np.array_equal(got, fold_add_raw(rows, fmt, policy))
+
+
+@st.composite
+def saturating_walks(draw):
+    """Rows whose running sum meets the format's bounds often, once or never.
+
+    Each row is uniform in [-span, span] with span = max_raw >> shift: for a
+    small shift the walk bounces between both bounds, for a shift near
+    log2(sqrt(R)) it reaches one about once, and for a large one never.
+    """
+    fmt = draw(st.sampled_from([QFormat(n, q) for n in range(2, 10) for q in range(8)])
+               | st.just(QFormat(33, 31)))
+    n_rows = draw(st.integers(0, 300))
+    span = max(1, fmt.max_raw >> draw(st.integers(0, fmt.width + 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(-span, span, (n_rows, draw(st.integers(1, 8))), endpoint=True)
+    return fmt, rows.astype(raw_dtype(fmt))
+
+
+@given(walk=saturating_walks())
+@settings(max_examples=300, deadline=None)
+def test_accumulate_raw_saturate_matches_fold_on_long_walks(walk):
+    fmt, rows = walk
+    got = accumulate_raw(rows, fmt, SATURATE)
+    assert got.dtype == rows.dtype
+    assert np.array_equal(got, fold_add_raw(rows, fmt, SATURATE))
 
 
 def test_accumulate_raw_saturate_depends_on_order():
@@ -233,6 +259,14 @@ def test_accumulate_raw_wraps_like_the_adder():
     rows = np.array([[120], [120], [-80]])   # 160 wraps to 160 - 256
     assert accumulate_raw(rows, Q5_3, WRAP).tolist() == [-96]
     assert accumulate_raw(rows[:0], Q5_3, WRAP).tolist() == [0]
+
+
+def test_qformat_derived_values_leave_equality_and_hash_alone():
+    fmt = QFormat(5, 3)
+    before = hash(fmt)
+    assert (fmt.width, fmt.min_raw, fmt.max_raw, fmt.quantum) == (8, -128, 127, 0.125)
+    assert fmt == Q5_3 and hash(fmt) == before == hash(QFormat(5, 3))
+    assert fmt != QFormat(4, 4)
 
 
 # --- wide formats beyond the int64 fast path ---------------------------------

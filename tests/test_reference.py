@@ -59,6 +59,24 @@ def test_run_sample_rejects_bad_width_and_watch(model):
         sim.run_sample(np.ones((4, 3), dtype=bool), 4, watch=[(1, 0)])
 
 
+@pytest.mark.parametrize("model", [Core, ReferenceCore])
+def test_run_sample_reads_a_generator_or_array_watch(model):
+    sim = model(CoreConfig.uniform(Q9_7, [3, 2], regs()))
+    sim.write_weight(0, 0, 1, 1.0)
+    stim = np.ones((4, 3), dtype=bool)
+    _, want = sim.run_sample(stim, 4, watch=[(0, 0), (0, 1)])
+    for watch in (((0, j) for j in range(2)), np.array([[0, 0], [0, 1]])):
+        _, got = sim.run_sample(stim, 4, watch=watch)
+        assert list(got) == [(0, 0), (0, 1)]
+        assert all(np.array_equal(got[key], want[key]) for key in want)
+    with pytest.raises(ValueError, match="layer=0, neuron=2"):
+        sim.run_sample(stim, 4, watch=((0, j) for j in range(3)))
+    with pytest.raises(ValueError, match="'al'"):
+        sim.run_sample(stim, 4, watch="al")
+    with pytest.raises(TypeError):
+        sim.run_sample(stim, 4, watch=[(0, 0.5)])
+
+
 def test_rmse_identical_traces_is_zero():
     a = np.random.default_rng(0).random((20, 3))
     assert rmse(TracePair(a, a.copy())) == 0.0
