@@ -3,10 +3,11 @@ cycle-stepping engine.
 
 Layers are indexed 0..K-1 over the LIF layers; sizes[0] is the input width
 and weight plane k connects sizes[k] -> sizes[k+1].  All neurons of a layer
-share one register file (one decoder per layer).  Stepping is vectorized
-over neurons with raw integer arrays; results are bit-identical to scalar
-per-neuron evaluation (`neuron.step_neuron`) and independent of the
-worker-thread count.
+share one register file (one decoder per layer).  One cycle, two number
+systems: `_Cycle` holds the LIF cycle and the run loop once.  `Core` steps
+it in Qn.q on raw integer arrays, bit-identical to scalar per-neuron
+evaluation (`neuron.step_neuron`) whatever the worker-thread count, and
+`reference.ReferenceCore` in float64, to measure the quantization error.
 
 Activation is event-driven, as in the hardware: a weight enters a neuron's
 sum only when its pre-synaptic line spikes.  Each cycle gathers the weight
@@ -30,6 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fixedpoint import (
+    SATURATE,
     WRAP,
     OverflowPolicy,
     QFormat,
@@ -60,14 +62,13 @@ def encode_register(value: float, fmt: QFormat, clamp: bool = False) -> int:
     """Quantize a register/weight real; out-of-range is an error unless clamping."""
     if not math.isfinite(value):
         raise ValueError(f"value {value} is not a finite real; {fmt} holds finite values only")
-    wrapped = encode_raw(value, fmt, OverflowPolicy.WRAP)
-    clamped = encode_raw(value, fmt, OverflowPolicy.SATURATE)
-    if wrapped != clamped and not clamp:
+    # Truncation toward -inf keeps exactly the reals in [min_value, -min_value).
+    if not clamp and not fmt.min_value <= value < -fmt.min_value:
         raise ValueError(
             f"value {value} not representable in {fmt} (range "
             f"[{fmt.min_value}, {fmt.max_value}])"
         )
-    return clamped
+    return encode_raw(value, fmt, SATURATE)
 
 
 @dataclass(frozen=True)
@@ -141,10 +142,7 @@ class CoreConfig:
 
     @property
     def synapse_count(self) -> int:
-        total = 0
-        for k, conn in enumerate(self.connectivity):
-            total += int(build_mask(conn, self.sizes[k], self.sizes[k + 1]).sum())
-        return total
+        return sum(int(mask.sum()) for mask in _masks(self))
 
     def with_format(self, fmt: QFormat) -> "CoreConfig":
         return replace(self, fmt=fmt)
@@ -188,121 +186,52 @@ class SpikeRaster:
         )
 
 
+def _masks(cfg: CoreConfig) -> list[np.ndarray]:
+    """The connection mask of each weight plane."""
+    return [build_mask(conn, m, n)
+            for conn, m, n in zip(cfg.connectivity, cfg.sizes[:-1], cfg.sizes[1:])]
+
+
 class _LayerRegs:
-    """Raw register file of one layer (decoded views via `registers`)."""
+    """One layer's registers; `number` maps the values of a NeuronRegisters
+    or RealRegisters into the core's number system."""
 
     __slots__ = ("decay", "growth", "vth", "vreset", "mode", "refractory")
 
-    def __init__(self, regs: NeuronRegisters):
-        self.decay = regs.decay_rate.raw
-        self.growth = regs.growth_rate.raw
-        self.vth = regs.v_threshold.raw
-        self.vreset = regs.v_reset.raw if regs.v_reset is not None else 0
+    def __init__(self, regs, number):
+        self.decay = number(regs.decay_rate)
+        self.growth = number(regs.growth_rate)
+        self.vth = number(regs.v_threshold)
+        self.vreset = number(regs.v_reset)
         self.mode = regs.reset_mode
         self.refractory = regs.refractory_period
 
 
-class Core:
-    """One core instance: a single logical timeline of spike-clock cycles.
+class _Cycle:
+    """The LIF cycle in `neuron.py`'s order.  A subclass defines the number
+    system: `_activation(k, spikes)`, `_add`, `_sub` and `_mul`, plus the
+    state dtype, registers, trace scale and `meta` format entries it passes
+    to `__init__`."""
 
-    `threads` > 1 splits each layer's activation by post-synaptic columns
-    into `threads` parts: the calling thread accumulates the first and a
-    pool of `threads` - 1 workers the others, concurrently.  The LIF update
-    then runs once per layer on whole vectors in the calling thread.  The
-    thread count never changes the results.  Release the pool with
-    `close()` or by using the core as a context manager.
-    """
-
-    def __init__(self, cfg: CoreConfig, clamp_registers: bool = False, threads: int = 1):
+    def __init__(self, cfg: CoreConfig, regs: list[_LayerRegs], dtype, scale: float,
+                 number_meta: dict):
         self.cfg = cfg
-        self.fmt = cfg.fmt
-        self.policy = cfg.policy
-        self.threads = max(1, int(threads))
-        self._regs = [
-            _LayerRegs(r.quantize(cfg.fmt, clamp=clamp_registers)) for r in cfg.registers
-        ]
-        self.planes = [
-            WeightMemory(cfg.fmt, build_mask(conn, cfg.sizes[k], cfg.sizes[k + 1]), layer=k)
-            for k, conn in enumerate(cfg.connectivity)
-        ]
+        self._regs = regs
+        self._dtype = dtype
+        self._scale = scale
+        self._number_meta = number_meta
         self.reset_state()
-        self._columns = [
-            [slice(lo, hi) for lo, hi in zip(b[:-1], b[1:]) if lo < hi]
-            for b in (np.linspace(0, n, self.threads + 1, dtype=int) for n in cfg.sizes[1:])
-        ]
-        self._pool = ThreadPoolExecutor(self.threads - 1) if self.threads > 1 else None
-
-    def __enter__(self) -> "Core":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- configuration ------------------------------------------------------
 
     @property
     def n_layers(self) -> int:
         return self.cfg.n_layers
 
-    def registers(self, layer: int) -> NeuronRegisters:
-        r = self._regs[layer]
-        f = self.fmt
-        return NeuronRegisters(QWord(f, r.decay), QWord(f, r.growth), QWord(f, r.vth),
-                               r.mode, QWord(f, r.vreset), r.refractory)
-
-    def write_register(self, layer: int, name: str, value) -> None:
-        """Program one control register; takes effect from the next cycle."""
-        r = self._regs[layer]
-        if name == "reset_mode":
-            r.mode = value if isinstance(value, ResetMode) else ResetMode.from_name(value)
-            return
-        if name == "refractory_period":
-            period = int(value)
-            if period < 0:
-                raise ValueError("refractory_period must be >= 0")
-            r.refractory = period
-            return
-        if name not in ("decay_rate", "growth_rate", "v_threshold", "v_reset"):
-            raise ValueError(f"unknown register {name!r}")
-        raw = value.raw if isinstance(value, QWord) else encode_register(float(value), self.fmt)
-        if name == "decay_rate":
-            if not 0 <= raw * self.fmt.quantum <= 1.0:
-                raise ValueError(f"decay_rate {raw * self.fmt.quantum} outside [0, 1]")
-            r.decay = raw
-        elif name == "growth_rate":
-            r.growth = raw
-        elif name == "v_threshold":
-            r.vth = raw
-        else:
-            r.vreset = raw
-
-    def write_weight(self, layer: int, pre: int, post: int, value) -> None:
-        """Program one synapse; `value` is a signed real or QWord."""
-        if isinstance(value, QWord):
-            raw = value.raw
-            if value.fmt != self.fmt:
-                raise ValueError(f"weight format {value.fmt} != core format {self.fmt}")
-        else:
-            raw = encode_register(float(value), self.fmt)
-        polarity = -1 if raw < 0 else 1
-        mag = QWord(self.fmt, abs(raw)) if raw != self.fmt.min_raw else QWord(self.fmt, raw)
-        if raw == self.fmt.min_raw:
-            polarity = 1  # |min| is not representable; store the wrapped value directly
-        self.planes[layer].write(pre, post, mag, polarity, self.policy)
-
-    def decoded_registers(self) -> list[RealRegisters]:
-        """Register values as the datapath sees them (decoded from the format)."""
-        out = []
-        q = self.fmt.quantum
-        for r in self._regs:
-            out.append(RealRegisters(r.decay * q, r.growth * q, r.vth * q,
-                                     r.mode, r.vreset * q, r.refractory))
-        return out
-
-    def decoded_weights(self) -> list[np.ndarray]:
-        return [p.raw.astype(np.float64) * self.fmt.quantum for p in self.planes]
-
-    # -- stepping -------------------------------------------------------------
+    def _check_synapse(self, layer: int, pre: int, post: int) -> None:
+        sizes = self.cfg.sizes
+        if not (0 <= layer < self.n_layers and 0 <= pre < sizes[layer]
+                and 0 <= post < sizes[layer + 1]):
+            raise IndexError(f"synapse (layer={layer}, pre={pre}, post={post}) outside "
+                             f"the planes of sizes {sizes}")
 
     def reset_state(self) -> None:
         """Between-sample reset: membranes, activations and counters to zero.
@@ -310,27 +239,13 @@ class Core:
         Fresh arrays, not in-place zeroing: the latched layer inputs may be
         rows of the caller's stimulus.
         """
-        sizes, dt = self.cfg.sizes, raw_dtype(self.fmt)
-        self._vmem = [np.zeros(n, dtype=dt) for n in sizes[1:]]
-        self._act = [np.zeros(n, dtype=dt) for n in sizes[1:]]
+        sizes = self.cfg.sizes
+        self._vmem = [np.zeros(n, dtype=self._dtype) for n in sizes[1:]]
+        self._act = [np.zeros(n, dtype=self._dtype) for n in sizes[1:]]
         self._refr = [np.zeros(n, dtype=np.int64) for n in sizes[1:]]
         self._prev_out = [np.zeros(n, dtype=bool) for n in sizes[:-1]]
-        self.cycle = 0
-
-    def _activation(self, k: int, spikes_in: np.ndarray) -> np.ndarray:
-        """Ordered sum of the weight rows of this cycle's active inputs."""
-        w = self.planes[k].raw
-        active = np.flatnonzero(spikes_in)
-
-        def part(cols):
-            return accumulate_raw(w[active, cols], self.fmt, self.policy)
-
-        first, *rest = self._columns[k]  # rest is empty on one thread
-        futures = [self._pool.submit(part, cols) for cols in rest]
-        return np.concatenate([part(first), *(f.result() for f in futures)])
 
     def _step_layer(self, k: int, spikes_in: np.ndarray) -> np.ndarray:
-        fmt, policy = self.fmt, self.policy
         r = self._regs[k]
         vmem, refr = self._vmem[k], self._refr[k]
 
@@ -339,10 +254,9 @@ class Core:
 
         # 2./3. refractory hold, or membrane update + fire + reset.
         held = refr > 0
-        leak = mul_raw(r.decay, vmem, fmt, policy)
-        drive = mul_raw(r.growth, act, fmt, policy)
-        updated = add_raw(sub_raw(vmem, leak, fmt, policy), drive, fmt, policy)
-        updated = np.where(held, vmem, updated)
+        leak = self._mul(r.decay, vmem)
+        drive = self._mul(r.growth, act)
+        updated = np.where(held, vmem, self._add(self._sub(vmem, leak), drive))
         spikes = (~held) & (updated >= r.vth)
 
         if r.mode is ResetMode.TO_CONSTANT:
@@ -350,9 +264,9 @@ class Core:
         elif r.mode is ResetMode.TO_ZERO:
             after = np.zeros_like(updated)
         elif r.mode is ResetMode.BY_SUBTRACTION:
-            after = sub_raw(updated, r.vth, fmt, policy)
+            after = self._sub(updated, r.vth)
         else:  # DEFAULT: one more leak step, no discrete reset
-            after = sub_raw(updated, mul_raw(r.decay, updated, fmt, policy), fmt, policy)
+            after = self._sub(updated, self._mul(r.decay, updated))
 
         self._vmem[k] = np.where(spikes, after, updated)
         self._refr[k] = np.where(held, refr - 1, np.where(spikes, r.refractory, 0))
@@ -373,7 +287,6 @@ class Core:
             feed = out
         if self.cfg.layer_latency == 1:
             self._prev_out = [stim] + outs[:-1]
-        self.cycle += 1
         return outs
 
     def run_sample(self, stream, duration: int, watch=None):
@@ -385,17 +298,149 @@ class Core:
         where traces maps (layer, neuron) -> float64[T] of decoded vmem
         at the end of each cycle.
         """
-        dense, rasters, traces = _run(self, stream, duration, watch, self.fmt.quantum)
+        sizes = self.cfg.sizes
+        dense = _dense_stream(stream, duration, sizes[0])
+        watched = _watch_list(watch, sizes)
+        self.reset_state()
+        rasters = [np.zeros((duration, n), dtype=bool) for n in sizes[1:]]
+        # Each watched layer's membranes, one [T, N] row per cycle.
+        vmems = {k: np.zeros((duration, sizes[k + 1]), dtype=self._dtype)
+                 for k in {k for k, _ in watched}}
+        for t in range(duration):
+            for k, out in enumerate(self.step_cycle(dense[t])):
+                rasters[k][t] = out
+            for k, rows in vmems.items():
+                rows[t] = self._vmem[k]
+        rows = {k: np.ascontiguousarray(v.T, dtype=np.float64) * self._scale
+                for k, v in vmems.items()}
         meta = {
             "config": self.cfg.config_hash(),
-            "format": str(self.fmt),
-            "policy": self.policy.value,
+            **self._number_meta,
             "layer_latency": self.cfg.layer_latency,
-            "sizes": list(self.cfg.sizes),
+            "sizes": list(sizes),
             "v_unit": self.cfg.v_unit,
             "i_unit": self.cfg.i_unit,
         }
-        return SpikeRaster(dense, rasters, meta), traces
+        return SpikeRaster(dense, rasters, meta), {(k, j): rows[k][j] for (k, j) in watched}
+
+
+class Core(_Cycle):
+    """One core instance: a single logical timeline of spike-clock cycles.
+
+    `threads` > 1 splits each layer's activation by post-synaptic columns
+    into `threads` parts: the calling thread accumulates the first and a
+    pool of `threads` - 1 workers the others, concurrently.  The LIF update
+    then runs once per layer on whole vectors in the calling thread.  The
+    thread count never changes the results.  Release the pool with
+    `close()` or by using the core as a context manager.
+    """
+
+    def __init__(self, cfg: CoreConfig, clamp_registers: bool = False, threads: int = 1):
+        self.fmt = cfg.fmt
+        self.policy = cfg.policy
+        self.threads = max(1, int(threads))
+        regs = [_LayerRegs(r.quantize(cfg.fmt, clamp=clamp_registers), operator.attrgetter("raw"))
+                for r in cfg.registers]
+        super().__init__(cfg, regs, raw_dtype(cfg.fmt), cfg.fmt.quantum,
+                         {"format": str(cfg.fmt), "policy": cfg.policy.value})
+        self.planes = [WeightMemory(cfg.fmt, mask, layer=k) for k, mask in enumerate(_masks(cfg))]
+        self._columns = [
+            [slice(lo, hi) for lo, hi in zip(b[:-1], b[1:]) if lo < hi]
+            for b in (np.linspace(0, n, self.threads + 1, dtype=int) for n in cfg.sizes[1:])
+        ]
+        self._pool = ThreadPoolExecutor(self.threads - 1) if self.threads > 1 else None
+
+    def __enter__(self) -> "Core":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    # -- configuration ------------------------------------------------------
+
+    def registers(self, layer: int) -> NeuronRegisters:
+        r = self._regs[layer]
+        f = self.fmt
+        return NeuronRegisters(QWord(f, r.decay), QWord(f, r.growth), QWord(f, r.vth),
+                               r.mode, QWord(f, r.vreset), r.refractory)
+
+    def write_register(self, layer: int, name: str, value) -> None:
+        """Program one control register; takes effect from the next cycle."""
+        if not 0 <= layer < self.n_layers:
+            raise IndexError(f"register {name!r} of layer {layer}: no such layer")
+        r = self._regs[layer]
+        if name == "reset_mode":
+            r.mode = value if isinstance(value, ResetMode) else ResetMode.from_name(value)
+            return
+        if name == "refractory_period":
+            period = int(value)
+            if period < 0:
+                raise ValueError("refractory_period must be >= 0")
+            r.refractory = period
+            return
+        if name not in ("decay_rate", "growth_rate", "v_threshold", "v_reset"):
+            raise ValueError(f"unknown register {name!r}")
+        raw = self._word(name, value).raw
+        if name == "decay_rate":
+            if not 0 <= raw * self.fmt.quantum <= 1.0:
+                raise ValueError(f"decay_rate {raw * self.fmt.quantum} outside [0, 1]")
+            r.decay = raw
+        elif name == "growth_rate":
+            r.growth = raw
+        elif name == "v_threshold":
+            r.vth = raw
+        else:
+            r.vreset = raw
+
+    def write_weight(self, layer: int, pre: int, post: int, value) -> None:
+        """Program one synapse; `value` is a signed real or QWord."""
+        self._check_synapse(layer, pre, post)
+        # The signed payload is the stored entry: polarity +1.
+        self.planes[layer].write(pre, post, self._word("weight", value), 1, self.policy)
+
+    def _word(self, what: str, value) -> QWord:
+        """A real or a QWord of the core's format, as a QWord."""
+        if not isinstance(value, QWord):
+            return QWord(self.fmt, encode_register(float(value), self.fmt))
+        if value.fmt != self.fmt:
+            raise ValueError(f"{what} format {value.fmt} != core format {self.fmt}")
+        return value
+
+    def decoded_registers(self) -> list[RealRegisters]:
+        """Register values as the datapath sees them (decoded from the format)."""
+        out = []
+        q = self.fmt.quantum
+        for r in self._regs:
+            out.append(RealRegisters(r.decay * q, r.growth * q, r.vth * q,
+                                     r.mode, r.vreset * q, r.refractory))
+        return out
+
+    def decoded_weights(self) -> list[np.ndarray]:
+        return [p.raw.astype(np.float64) * self.fmt.quantum for p in self.planes]
+
+    # -- number system ----------------------------------------------------------
+
+    def _activation(self, k: int, spikes_in: np.ndarray) -> np.ndarray:
+        """Ordered sum of the weight rows of this cycle's active inputs."""
+        w = self.planes[k].raw
+        active = np.flatnonzero(spikes_in)
+
+        def part(cols):
+            return accumulate_raw(w[active, cols], self.fmt, self.policy)
+
+        first, *rest = self._columns[k]  # rest is empty on one thread
+        futures = [self._pool.submit(part, cols) for cols in rest]
+        return np.concatenate([part(first), *(f.result() for f in futures)])
+
+    # Looked up in this module per call, so a tracer on `core.add_raw` sees each.
+    def _add(self, a, b):
+        return add_raw(a, b, self.fmt, self.policy)
+
+    def _sub(self, a, b):
+        return sub_raw(a, b, self.fmt, self.policy)
+
+    def _mul(self, a, b):
+        return mul_raw(a, b, self.fmt, self.policy)
 
     def close(self) -> None:
         """Shut the worker pool down; calling it again does nothing."""
@@ -435,26 +480,3 @@ def _watch_list(watch, sizes) -> list[tuple[int, int]]:
             raise ValueError(f"watched neuron (layer={k}, neuron={j}) out of range")
     return pairs
 
-
-def _run(core, stream, duration: int, watch, scale: float):
-    """Run loop shared by Core and ReferenceCore.
-
-    Checks the stream and watch list, steps `core` from a fresh state, and
-    returns (dense stimulus, per-layer rasters, traces).  Each watched
-    layer's membranes are recorded as one [T, N] row per cycle; traces
-    maps (layer, neuron) -> float64[T] of those values times `scale`.
-    """
-    sizes = core.cfg.sizes
-    dense = _dense_stream(stream, duration, sizes[0])
-    watched = _watch_list(watch, sizes)
-    core.reset_state()
-    rasters = [np.zeros((duration, n), dtype=bool) for n in sizes[1:]]
-    vmems = {k: np.zeros((duration, sizes[k + 1]), dtype=core._vmem[k].dtype)
-             for k in {k for k, _ in watched}}
-    for t in range(duration):
-        for k, out in enumerate(core.step_cycle(dense[t])):
-            rasters[k][t] = out
-        for k, rows in vmems.items():
-            rows[t] = core._vmem[k]
-    rows = {k: np.ascontiguousarray(v.T, dtype=np.float64) * scale for k, v in vmems.items()}
-    return dense, rasters, {(k, j): rows[k][j] for (k, j) in watched}

@@ -1,24 +1,23 @@
 """Double-precision reference model and quantization-error comparison.
 
-The reference core runs the same forward-Euler membrane recurrence, the
-same per-cycle ordering and the same reset/refractory logic as the
-quantized core, but in float64 with no wrapping or truncation.  Pairing a
-quantized run with a reference run that uses the format's *decoded*
-register and weight values isolates the datapath quantization error, which
-is what the RMSE sweep measures.
+`ReferenceCore` is the float64 twin of `core.Core`: it runs the same LIF
+cycle (`core._Cycle`) and supplies only its number system, float64 with no
+wrapping or truncation.  Pairing a quantized run with a reference run that
+uses the format's *decoded* register and weight values isolates the
+datapath quantization error, which is what the RMSE sweep measures.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Core, CoreConfig, SpikeRaster, _run, encode_register
+from .core import Core, CoreConfig, _Cycle, _LayerRegs, _masks, encode_register
 from .fixedpoint import QFormat, QWord
-from .neuron import ResetMode
-from .topology import build_mask
+from .topology import build_mask  # noqa: F401  (bound here so bench/spans.py can trace it)
 
 __all__ = [
     "ReferenceCore",
@@ -31,74 +30,27 @@ __all__ = [
 ]
 
 
-class ReferenceCore:
+class ReferenceCore(_Cycle):
     """Float64 twin of Core; registers and weights are plain reals."""
 
     def __init__(self, cfg: CoreConfig):
-        self.cfg = cfg
-        self.masks = [
-            build_mask(conn, cfg.sizes[k], cfg.sizes[k + 1])
-            for k, conn in enumerate(cfg.connectivity)
-        ]
+        self.masks = _masks(cfg)
         self.weights = [np.zeros(m.shape) for m in self.masks]
-        self.reset_state()
+        super().__init__(cfg, [_LayerRegs(r, float) for r in cfg.registers], np.float64, 1.0,
+                         {"format": "float64"})
 
     def write_weight(self, layer: int, pre: int, post: int, value: float) -> None:
+        self._check_synapse(layer, pre, post)
         if not self.masks[layer][pre, post]:
             raise ValueError(f"synapse (layer={layer}, pre={pre}, post={post}) is masked out")
         self.weights[layer][pre, post] = value
 
-    def reset_state(self) -> None:
-        # Fresh arrays: the latched layer inputs may be rows of the caller's stimulus.
-        sizes = self.cfg.sizes
-        self._vmem = [np.zeros(n) for n in sizes[1:]]
-        self._refr = [np.zeros(n, dtype=np.int64) for n in sizes[1:]]
-        self._prev_out = [np.zeros(n, dtype=bool) for n in sizes[:-1]]
+    def _activation(self, k: int, spikes_in: np.ndarray) -> np.ndarray:
+        return spikes_in.astype(np.float64) @ self.weights[k]
 
-    def _step_layer(self, k: int, spikes_in: np.ndarray) -> np.ndarray:
-        r = self.cfg.registers[k]
-        vmem, refr = self._vmem[k], self._refr[k]
-        act = spikes_in.astype(np.float64) @ self.weights[k]
-        held = refr > 0
-        updated = np.where(held, vmem, vmem - r.decay_rate * vmem + r.growth_rate * act)
-        spikes = (~held) & (updated >= r.v_threshold)
-        if r.reset_mode is ResetMode.TO_CONSTANT:
-            after = np.full_like(updated, r.v_reset)
-        elif r.reset_mode is ResetMode.TO_ZERO:
-            after = np.zeros_like(updated)
-        elif r.reset_mode is ResetMode.BY_SUBTRACTION:
-            after = updated - r.v_threshold
-        else:  # DEFAULT
-            after = updated - r.decay_rate * updated
-        self._vmem[k] = np.where(spikes, after, updated)
-        self._refr[k] = np.where(held, refr - 1, np.where(spikes, r.refractory_period, 0))
-        return spikes
-
-    def step_cycle(self, input_spikes) -> list[np.ndarray]:
-        stim = np.asarray(input_spikes, dtype=bool)
-        outs = []
-        feed = stim
-        for k in range(self.cfg.n_layers):
-            if self.cfg.layer_latency == 1 and k > 0:
-                feed = self._prev_out[k]
-            out = self._step_layer(k, feed)
-            outs.append(out)
-            feed = out
-        if self.cfg.layer_latency == 1:
-            self._prev_out = [stim] + outs[:-1]
-        return outs
-
-    def run_sample(self, stream, duration: int, watch=None):
-        dense, rasters, traces = _run(self, stream, duration, watch, 1.0)
-        meta = {
-            "config": self.cfg.config_hash(),
-            "format": "float64",
-            "layer_latency": self.cfg.layer_latency,
-            "sizes": list(self.cfg.sizes),
-            "v_unit": self.cfg.v_unit,
-            "i_unit": self.cfg.i_unit,
-        }
-        return SpikeRaster(dense, rasters, meta), traces
+    _add = staticmethod(operator.add)
+    _sub = staticmethod(operator.sub)
+    _mul = staticmethod(operator.mul)
 
 
 @dataclass

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from spikecore.core import Core, CoreConfig, RealRegisters, encode_register
-from spikecore.fixedpoint import Q5_3, Q9_7, SATURATE, OverflowPolicy
+from spikecore.fixedpoint import (
+    Q3_1, Q5_3, Q9_7, Q17_15, SATURATE, OverflowPolicy, QFormat, encode,
+)
 from spikecore.neuron import ResetMode
 from spikecore.topology import Connectivity, ConnectivityKind
 
@@ -75,6 +77,44 @@ def test_register_quantize_out_of_range():
     # clamping maps it onto the format maximum instead
     q = baseline_regs(v_threshold=20.0).quantize(Q5_3, clamp=True)
     assert q.v_threshold.value == 15.875
+
+
+@pytest.mark.parametrize("fmt", [Q3_1, Q5_3, Q9_7, Q17_15, QFormat(2, 0), QFormat(20, 20)])
+def test_encode_register_range_boundaries(fmt):
+    half = fmt.quantum / 2
+    assert encode_register(fmt.min_value, fmt) == fmt.min_raw
+    assert encode_register(fmt.max_value + half, fmt) == fmt.max_raw  # truncates into range
+    for value, clamped in ((fmt.min_value - half, fmt.min_raw), (-fmt.min_value, fmt.max_raw)):
+        with pytest.raises(ValueError, match="not representable"):
+            encode_register(value, fmt)
+        assert encode_register(value, fmt, clamp=True) == clamped
+
+
+def test_write_weight_stores_the_signed_payload():
+    core = Core(CoreConfig.uniform(Q5_3, [2, 2], baseline_regs()))
+    for pre, post, value in ((0, 0, Q5_3.min_value), (0, 1, -0.125), (1, 0, Q5_3.max_value)):
+        core.write_weight(0, pre, post, value)
+    core.write_weight(0, 1, 1, encode(-3.5, Q5_3))
+    assert core.planes[0].raw.tolist() == [[Q5_3.min_raw, -1], [Q5_3.max_raw, -28]]
+    with pytest.raises(ValueError, match="weight format Q9.7 != core format Q5.3"):
+        core.write_weight(0, 0, 0, encode(1.0, Q9_7))
+
+
+def test_write_register_rejects_a_word_of_another_format():
+    core = Core(CoreConfig.uniform(Q5_3, [1, 1], baseline_regs()))
+    with pytest.raises(ValueError, match="v_threshold format Q17.15 != core format Q5.3"):
+        core.write_register(0, "v_threshold", encode(1.0, Q17_15))
+    assert core.registers(0).v_threshold.value == 10.0
+    core.write_register(0, "v_threshold", encode(1.0, Q5_3))
+    assert core.registers(0).v_threshold.value == 1.0
+
+
+def test_write_register_rejects_a_layer_out_of_range():
+    core = toy_core()
+    for layer in (-1, 2):
+        with pytest.raises(IndexError, match=f"layer {layer}"):
+            core.write_register(layer, "v_threshold", 1.0)
+    assert [r.v_threshold for r in core.decoded_registers()] == [10.0, 10.0]
 
 
 # --- stepping ----------------------------------------------------------------

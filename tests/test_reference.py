@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikecore.core import Core, CoreConfig, RealRegisters
-from spikecore.fixedpoint import Q3_1, Q5_3, Q9_7, Q17_15
+from spikecore.fixedpoint import Q3_1, Q5_3, Q9_7, Q17_15, OverflowPolicy
 from spikecore.neuron import ResetMode
 from spikecore.reference import (
     FormatComparison,
@@ -16,6 +18,7 @@ from spikecore.reference import (
 from spikecore.topology import Connectivity, ConnectivityKind
 
 ONE = Connectivity(ConnectivityKind.ONE_TO_ONE)
+ALL = Connectivity(ConnectivityKind.ALL_TO_ALL)
 
 
 def regs(**kw):
@@ -57,6 +60,18 @@ def test_run_sample_rejects_bad_width_and_watch(model):
         sim.run_sample(np.ones((4, 3), dtype=bool), 4, watch=[(0, 2)])
     with pytest.raises(ValueError, match="layer=1, neuron=0"):
         sim.run_sample(np.ones((4, 3), dtype=bool), 4, watch=[(1, 0)])
+    with pytest.raises(ValueError, match=r"input width \(2,\)"):
+        sim.step_cycle(np.ones(2, dtype=bool))
+
+
+@pytest.mark.parametrize("model", [Core, ReferenceCore])
+def test_write_weight_rejects_an_address_outside_the_planes(model):
+    sim = model(CoreConfig.uniform(Q9_7, [3, 2], regs()))
+    for layer, pre, post in ((0, -1, -2), (0, 3, 0), (0, 0, 2), (-1, 0, 0), (1, 0, 0)):
+        with pytest.raises(IndexError, match=rf"layer={layer}, pre={pre}, post={post}\b"):
+            sim.write_weight(layer, pre, post, 1.5)
+    weights = sim.decoded_weights() if model is Core else sim.weights
+    assert not np.any(weights[0])
 
 
 @pytest.mark.parametrize("model", [Core, ReferenceCore])
@@ -164,3 +179,49 @@ def test_spike_disagreements_sit_in_the_noise_band():
     info = ", ".join(f"{c.fmt}: {c.spike_mismatches} mismatched cells" for c in res)
     print(f"spike disagreement summary: {info}")
     assert all(isinstance(c, FormatComparison) for c in res)
+
+
+def eighths(lo, hi):
+    return st.integers(lo, hi).map(lambda i: i / 8)
+
+
+@st.composite
+def exact_networks(draw):
+    """Q17.15 networks whose every datapath value lies on the 1/8 grid and far
+    inside the format: decay 0 or 1, growth 1, weights, thresholds and
+    v_reset in eighths.  There the quantized datapath rounds nothing."""
+    n_layers = draw(st.integers(1, 3))
+    sizes = tuple(draw(st.lists(st.integers(1, 6), min_size=n_layers + 1,
+                                max_size=n_layers + 1)))
+    layer_regs = st.builds(
+        RealRegisters,
+        decay_rate=st.sampled_from((0.0, 1.0)),
+        growth_rate=st.just(1.0),
+        v_threshold=eighths(-16, 48),
+        reset_mode=st.sampled_from(ResetMode),
+        v_reset=eighths(-32, 32),
+        refractory_period=st.integers(0, 3),
+    )
+    cfg = CoreConfig(Q17_15, sizes, (ALL,) * n_layers,
+                     tuple(draw(layer_regs) for _ in range(n_layers)),
+                     policy=draw(st.sampled_from(OverflowPolicy)),
+                     layer_latency=draw(st.sampled_from((0, 1))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = [rng.integers(-64, 64, (m, n), endpoint=True) / 8
+               for m, n in zip(sizes[:-1], sizes[1:])]
+    stream = rng.random((draw(st.integers(1, 20)), sizes[0])) < 0.5
+    return cfg, weights, stream
+
+
+@given(net=exact_networks())
+@settings(max_examples=200, deadline=None)
+def test_reference_equals_core_where_the_core_is_exact(net):
+    cfg, weights, stream = net
+    core = Core(cfg)
+    for k, w in enumerate(weights):
+        for (i, j), value in np.ndenumerate(w):
+            core.write_weight(k, i, j, value)
+    raster_q, traces_q = core.run_sample(stream, len(stream), watch="all")
+    raster_r, traces_r = matched_reference(core).run_sample(stream, len(stream), watch="all")
+    assert raster_q.equals(raster_r)
+    assert all(np.array_equal(traces_q[key], traces_r[key]) for key in traces_q)
