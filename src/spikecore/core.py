@@ -18,6 +18,19 @@ plain sum because wrapping is arithmetic modulo 2**w.  SATURATE is exact
 because the ordered saturating sum is the discrete two-sided Skorokhod map
 of its prefix sums, which has an exact closed form in prefix sums and
 running minima (Kruk, Lehoczky, Ramanan & Shreve, Ann. Probab. 2007).
+
+The membrane update under WRAP reduces modulo 2**w only where the hardware
+latches or compares a value: the updated membrane before the threshold
+compare, and the reset value before it is stored.  In between, adds,
+subtracts and multiplies run on unreduced integers.  That gives the bits
+of wrapping after every operation, because reduction modulo 2**w commutes
+with + and -, and because every multiply operand is already reduced (a
+register, the stored membrane, or the activation, which `accumulate_raw`
+reduces), so that `(a * b) >> q` has the low w bits of the hardware's
+truncated product.  An int64 overflow of an intermediate is harmless: 2**w
+divides 2**64, so int64 arithmetic keeps every bit below position 64, and
+the bits q..q+w-1 of a product are exact.  SATURATE clamps after every
+operation.
 """
 
 from __future__ import annotations
@@ -39,7 +52,7 @@ from .fixedpoint import (
     accumulate_raw,
     add_raw,
     encode_raw,
-    fit_raw,  # noqa: F401  (bound here so bench/spans.py can trace it as core.fit_raw)
+    fit_raw,
     mul_raw,
     raw_dtype,
     sub_raw,
@@ -209,9 +222,11 @@ class _LayerRegs:
 
 class _Cycle:
     """The LIF cycle in `neuron.py`'s order.  A subclass defines the number
-    system: `_activation(k, spikes)`, `_add`, `_sub` and `_mul`, plus the
-    state dtype, registers, trace scale and `meta` format entries it passes
-    to `__init__`."""
+    system: `_activation(k, spikes)`; `_add`, `_sub` and `_mul`; and
+    `_fit(x)`, which brings a value into the state's range where the cycle
+    latches or compares it (the updated membrane, the reset value).  It
+    also passes the state dtype, registers, trace scale and `meta` format
+    entries to `__init__`."""
 
     def __init__(self, cfg: CoreConfig, regs: list[_LayerRegs], dtype, scale: float,
                  number_meta: dict):
@@ -253,23 +268,31 @@ class _Cycle:
         act = self._act[k] = self._activation(k, spikes_in)
 
         # 2./3. refractory hold, or membrane update + fire + reset.
-        held = refr > 0
         leak = self._mul(r.decay, vmem)
         drive = self._mul(r.growth, act)
-        updated = np.where(held, vmem, self._add(self._sub(vmem, leak), drive))
-        spikes = (~held) & (updated >= r.vth)
+        updated = self._fit(self._add(self._sub(vmem, leak), drive))
+        # With no period and no neuron held the hold is a no-op; a period
+        # written to 0 still counts down the neurons held under the old one.
+        refractory = r.refractory > 0 or refr.any()
+        if refractory:
+            held = refr > 0
+            updated = np.where(held, vmem, updated)
+            spikes = (~held) & (updated >= r.vth)
+        else:
+            spikes = updated >= r.vth
 
         if r.mode is ResetMode.TO_CONSTANT:
-            after = np.full_like(updated, r.vreset)
+            after = r.vreset
         elif r.mode is ResetMode.TO_ZERO:
-            after = np.zeros_like(updated)
+            after = 0
         elif r.mode is ResetMode.BY_SUBTRACTION:
-            after = self._sub(updated, r.vth)
+            after = self._fit(self._sub(updated, r.vth))
         else:  # DEFAULT: one more leak step, no discrete reset
-            after = self._sub(updated, self._mul(r.decay, updated))
+            after = self._fit(self._sub(updated, self._mul(r.decay, updated)))
 
         self._vmem[k] = np.where(spikes, after, updated)
-        self._refr[k] = np.where(held, refr - 1, np.where(spikes, r.refractory, 0))
+        if refractory:
+            self._refr[k] = np.where(held, refr - 1, np.where(spikes, r.refractory, 0))
         return spikes
 
     def step_cycle(self, input_spikes) -> list[np.ndarray]:
@@ -358,7 +381,12 @@ class Core(_Cycle):
 
     # -- configuration ------------------------------------------------------
 
+    def _check_layer(self, layer: int, what: str) -> None:
+        if not 0 <= layer < self.n_layers:
+            raise IndexError(f"{what} of layer {layer}: no such layer")
+
     def registers(self, layer: int) -> NeuronRegisters:
+        self._check_layer(layer, "registers")
         r = self._regs[layer]
         f = self.fmt
         return NeuronRegisters(QWord(f, r.decay), QWord(f, r.growth), QWord(f, r.vth),
@@ -366,8 +394,7 @@ class Core(_Cycle):
 
     def write_register(self, layer: int, name: str, value) -> None:
         """Program one control register; takes effect from the next cycle."""
-        if not 0 <= layer < self.n_layers:
-            raise IndexError(f"register {name!r} of layer {layer}: no such layer")
+        self._check_layer(layer, f"register {name!r}")
         r = self._regs[layer]
         if name == "reset_mode":
             r.mode = value if isinstance(value, ResetMode) else ResetMode.from_name(value)
@@ -423,24 +450,34 @@ class Core(_Cycle):
     def _activation(self, k: int, spikes_in: np.ndarray) -> np.ndarray:
         """Ordered sum of the weight rows of this cycle's active inputs."""
         w = self.planes[k].raw
-        active = np.flatnonzero(spikes_in)
+        active = spikes_in.nonzero()[0]
+        if self._pool is None:
+            return accumulate_raw(w[active], self.fmt, self.policy)
 
         def part(cols):
             return accumulate_raw(w[active, cols], self.fmt, self.policy)
 
-        first, *rest = self._columns[k]  # rest is empty on one thread
+        first, *rest = self._columns[k]
         futures = [self._pool.submit(part, cols) for cols in rest]
         return np.concatenate([part(first), *(f.result() for f in futures)])
 
-    # Looked up in this module per call, so a tracer on `core.add_raw` sees each.
+    # Under WRAP the ops run unreduced and `_fit` wraps (see the module
+    # docstring); under SATURATE each op clamps and `_fit` is the identity.
+    # The raw helpers are looked up in this module per call, so a tracer on
+    # `core.add_raw` or `core.fit_raw` sees each.
     def _add(self, a, b):
-        return add_raw(a, b, self.fmt, self.policy)
+        return a + b if self.policy is WRAP else add_raw(a, b, self.fmt, self.policy)
 
     def _sub(self, a, b):
-        return sub_raw(a, b, self.fmt, self.policy)
+        return a - b if self.policy is WRAP else sub_raw(a, b, self.fmt, self.policy)
 
     def _mul(self, a, b):
+        if self.policy is WRAP:
+            return (a * b) >> self.fmt.q
         return mul_raw(a, b, self.fmt, self.policy)
+
+    def _fit(self, x):
+        return fit_raw(x, self.fmt, WRAP) if self.policy is WRAP else x
 
     def close(self) -> None:
         """Shut the worker pool down; calling it again does nothing."""

@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import Core, CoreConfig, _Cycle, _LayerRegs, _masks, encode_register
 from .fixedpoint import QFormat, QWord
+from .topology import MaskedSynapseError, SynapseAddress
 from .topology import build_mask  # noqa: F401  (bound here so bench/spans.py can trace it)
 
 __all__ = [
@@ -42,7 +43,7 @@ class ReferenceCore(_Cycle):
     def write_weight(self, layer: int, pre: int, post: int, value: float) -> None:
         self._check_synapse(layer, pre, post)
         if not self.masks[layer][pre, post]:
-            raise ValueError(f"synapse (layer={layer}, pre={pre}, post={post}) is masked out")
+            raise MaskedSynapseError(SynapseAddress(layer, pre, post))
         self.weights[layer][pre, post] = value
 
     def _activation(self, k: int, spikes_in: np.ndarray) -> np.ndarray:
@@ -51,6 +52,10 @@ class ReferenceCore(_Cycle):
     _add = staticmethod(operator.add)
     _sub = staticmethod(operator.sub)
     _mul = staticmethod(operator.mul)
+
+    @staticmethod
+    def _fit(x):
+        return x
 
 
 @dataclass

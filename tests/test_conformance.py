@@ -2,24 +2,29 @@
 
 Every neuron of a randomly configured core is replayed through
 `neuron.step_neuron`, fed from the core's own upstream raster, and its
-spike and membrane must match the core's on every cycle.
+spike and membrane must match the core's on every cycle, also when
+registers are rewritten between cycles.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikecore.core import Core, CoreConfig, RealRegisters
-from spikecore.fixedpoint import OverflowPolicy, QFormat
+from spikecore.core import Core, CoreConfig, RealRegisters, SpikeRaster
+from spikecore.fixedpoint import OverflowPolicy, QFormat, QWord
 from spikecore.neuron import NeuronState, ResetMode, step_neuron
 from spikecore.topology import Connectivity, ConnectivityKind
 
 ALL_TO_ALL = Connectivity(ConnectivityKind.ALL_TO_ALL)
 
-# Q2-Q9 x q0-7, and one format wider than 32 bits (object-dtype payloads),
-# which is drawn about as often as all the narrow ones together.
+# Q2-Q9 x q0-7; Q17.15, the widest int64 format, whose unreduced WRAP
+# products reach 2**62; and one format wider than 32 bits (object-dtype
+# payloads).  Each of the two single formats is drawn about as often as
+# all the narrow ones together.
 FORMATS = (st.sampled_from([QFormat(n, q) for n in range(2, 10) for q in range(8)])
-           | st.just(QFormat(20, 20)))
+           | st.just(QFormat(17, 15)) | st.just(QFormat(20, 20)))
 
 
 def raw_values(fmt, lo=None, hi=None):
@@ -91,3 +96,54 @@ def test_core_matches_scalar_oracle_neuron_by_neuron(net):
                 fired = step_neuron(state, regs, spikes, column, cfg.policy)
                 assert fired == raster.layers[k][t, j], (k, j, t)
                 assert state.vmem.value == traces[(k, j)][t], (k, j, t)
+
+
+@st.composite
+def register_writes(draw, fmt, n_layers, duration):
+    """(cycle, layer, register, value) writes, in the order they are made."""
+    values = {
+        "refractory_period": st.integers(0, 3),
+        "v_threshold": st.integers(fmt.min_raw, fmt.max_raw).map(lambda raw: QWord(fmt, raw)),
+        "reset_mode": st.sampled_from(ResetMode),
+    }
+    writes = []
+    for _ in range(draw(st.integers(0, 8))):
+        name = draw(st.sampled_from(sorted(values)))
+        writes.append((draw(st.integers(0, duration - 1)), draw(st.integers(0, n_layers - 1)),
+                       name, draw(values[name])))
+    # A stable sort keeps the drawn order of the writes made before one cycle.
+    return sorted(writes, key=lambda w: w[0])
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_register_writes_between_cycles_match_the_scalar_oracle(data):
+    # Refractory periods, thresholds and reset modes written between
+    # cycles, a period of 0 included while neurons are held, take effect
+    # in the core exactly as in the oracle given the same schedule.
+    cfg, weights, stream, threads = data.draw(networks())
+    writes = data.draw(register_writes(cfg.fmt, cfg.n_layers, len(stream)))
+    with Core(cfg, threads=threads) as core:
+        for plane, w in zip(core.planes, weights):
+            plane.raw[...] = w
+        regs = [core.registers(k) for k in range(cfg.n_layers)]
+        outs, vmems = [], []
+        for t, stim in enumerate(stream):
+            for _, k, name, value in (w for w in writes if w[0] == t):
+                core.write_register(k, name, value)
+            outs.append(core.step_cycle(stim))
+            vmems.append([v.tolist() for v in core._vmem])
+    raster = SpikeRaster(stream, [np.array([out[k] for out in outs])
+                                  for k in range(cfg.n_layers)])
+    for k in range(cfg.n_layers):
+        upstream = upstream_of(raster, k, cfg.layer_latency).tolist()
+        for j in range(cfg.sizes[k + 1]):
+            column = core.planes[k].presynaptic_weights(j)
+            state, r = NeuronState.zero(cfg.fmt), regs[k]
+            for t, spikes in enumerate(upstream):
+                for _, layer, name, value in (w for w in writes if w[0] == t):
+                    if layer == k:
+                        r = replace(r, **{name: value})
+                fired = step_neuron(state, r, spikes, column, cfg.policy)
+                assert fired == raster.layers[k][t, j], (k, j, t)
+                assert state.vmem.raw == vmems[t][k][j], (k, j, t)

@@ -117,6 +117,16 @@ def test_write_register_rejects_a_layer_out_of_range():
     assert [r.v_threshold for r in core.decoded_registers()] == [10.0, 10.0]
 
 
+def test_registers_rejects_a_layer_out_of_range():
+    # A negative layer used to alias: registers(-1) read the last layer.
+    core = Core(CoreConfig.uniform(Q9_7, [3, 2, 2], baseline_regs()))
+    core.write_register(1, "v_threshold", 2.0)
+    for layer in (-1, -2, 2):
+        with pytest.raises(IndexError, match=f"registers of layer {layer}: no such layer"):
+            core.registers(layer)
+    assert core.registers(1).v_threshold.value == 2.0
+
+
 # --- stepping ----------------------------------------------------------------
 
 def test_zero_input_zero_state_stays_silent():

@@ -15,7 +15,9 @@ from spikecore.reference import (
     rmse,
     stack_traces,
 )
-from spikecore.topology import Connectivity, ConnectivityKind
+from spikecore.topology import (
+    Connectivity, ConnectivityKind, MaskedSynapseError, SynapseAddress,
+)
 
 ONE = Connectivity(ConnectivityKind.ONE_TO_ONE)
 ALL = Connectivity(ConnectivityKind.ALL_TO_ALL)
@@ -72,6 +74,16 @@ def test_write_weight_rejects_an_address_outside_the_planes(model):
             sim.write_weight(layer, pre, post, 1.5)
     weights = sim.decoded_weights() if model is Core else sim.weights
     assert not np.any(weights[0])
+
+
+@pytest.mark.parametrize("model", [Core, ReferenceCore])
+def test_write_weight_to_a_masked_synapse_raises_masked_synapse_error(model):
+    sim = model(CoreConfig.uniform(Q9_7, [2, 2], regs(), connectivity=ONE))
+    with pytest.raises(MaskedSynapseError, match=r"layer=0, pre=0, post=1\b") as err:
+        sim.write_weight(0, 0, 1, 1.0)
+    assert err.value.addr == SynapseAddress(0, 0, 1)
+    assert isinstance(err.value, ValueError)
+    sim.write_weight(0, 1, 1, 1.0)
 
 
 @pytest.mark.parametrize("model", [Core, ReferenceCore])
