@@ -14,23 +14,31 @@ sum only when its pre-synaptic line spikes.  Each cycle gathers the weight
 rows of the active lines and reduces them with
 `fixedpoint.accumulate_raw`, which gives the bits of the sequential adds in
 pre-synaptic index order under both overflow policies.  WRAP is exact as a
-plain sum because wrapping is arithmetic modulo 2**w.  SATURATE is exact
-because the ordered saturating sum is the discrete two-sided Skorokhod map
-of its prefix sums, which has an exact closed form in prefix sums and
-running minima (Kruk, Lehoczky, Ramanan & Shreve, Ann. Probab. 2007).
+plain sum because wrapping is arithmetic modulo 2**w.  SATURATE takes the
+plain sum too when a certificate shows that no prefix sum can leave the
+range, and otherwise the discrete two-sided Skorokhod map of the prefix
+sums, which has an exact closed form in prefix sums and running minima
+(Kruk, Lehoczky, Ramanan & Shreve, Ann. Probab. 2007).
 
-The membrane update under WRAP reduces modulo 2**w only where the hardware
-latches or compares a value: the updated membrane before the threshold
-compare, and the reset value before it is stored.  In between, adds,
-subtracts and multiplies run on unreduced integers.  That gives the bits
-of wrapping after every operation, because reduction modulo 2**w commutes
-with + and -, and because every multiply operand is already reduced (a
-register, the stored membrane, or the activation, which `accumulate_raw`
-reduces), so that `(a * b) >> q` has the low w bits of the hardware's
-truncated product.  An int64 overflow of an intermediate is harmless: 2**w
-divides 2**64, so int64 arithmetic keeps every bit below position 64, and
-the bits q..q+w-1 of a product are exact.  SATURATE clamps after every
-operation.
+The leak step v - d*v is computed as `v - ((d * v) >> q)` under both
+policies, with no clamp or wrap: the decay register holds a raw d in
+[0, 2**q] (decay_rate in [0, 1]), so floor(d*v / 2**q) lies between
+min(v, 0) and max(v, 0), and neither the product nor the difference can
+leave the range of v.  The hardware's clamp or wrap after each of the two
+operations would change no bit.
+
+The rest of the membrane update under WRAP reduces modulo 2**w only where
+the hardware latches or compares a value: the updated membrane before the
+threshold compare, and the BY_SUBTRACTION reset value before it is stored.
+In between, adds, subtracts and multiplies run on unreduced integers.
+That gives the bits of wrapping after every operation, because reduction
+modulo 2**w commutes with + and -, and because every multiply operand is
+already reduced (a register, the stored membrane, or the activation, which
+`accumulate_raw` reduces), so that `(a * b) >> q` has the low w bits of
+the hardware's truncated product.  An int64 overflow of an intermediate is
+harmless: 2**w divides 2**64, so int64 arithmetic keeps every bit below
+position 64, and the bits q..q+w-1 of a product are exact.  SATURATE
+clamps after every other operation.
 """
 
 from __future__ import annotations
@@ -84,6 +92,27 @@ def encode_register(value: float, fmt: QFormat, clamp: bool = False) -> int:
     return encode_raw(value, fmt, SATURATE)
 
 
+def _reset_mode(value) -> ResetMode:
+    """A ResetMode, or the mode that a name such as "zero" selects."""
+    if isinstance(value, str):
+        return ResetMode.from_name(value)
+    if not isinstance(value, ResetMode):
+        raise ValueError(f"reset_mode {value!r} is neither a ResetMode nor a mode name")
+    return value
+
+
+def _refractory_period(value) -> int:
+    """A period in cycles: an integral value >= 0, as an int."""
+    try:
+        period = int(value)
+        integral = period == value
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral or period < 0:
+        raise ValueError(f"refractory_period {value!r} is not a whole number of cycles >= 0")
+    return period
+
+
 @dataclass(frozen=True)
 class RealRegisters:
     """Real-valued register file, as carried by config files."""
@@ -98,8 +127,8 @@ class RealRegisters:
     def __post_init__(self):
         if not 0.0 <= self.decay_rate <= 1.0:
             raise ValueError(f"decay_rate {self.decay_rate} outside [0, 1]")
-        if self.refractory_period < 0:
-            raise ValueError("refractory_period must be >= 0")
+        object.__setattr__(self, "reset_mode", _reset_mode(self.reset_mode))
+        object.__setattr__(self, "refractory_period", _refractory_period(self.refractory_period))
 
     def quantize(self, fmt: QFormat, clamp: bool = False) -> NeuronRegisters:
         return NeuronRegisters(
@@ -222,11 +251,12 @@ class _LayerRegs:
 
 class _Cycle:
     """The LIF cycle in `neuron.py`'s order.  A subclass defines the number
-    system: `_activation(k, spikes)`; `_add`, `_sub` and `_mul`; and
-    `_fit(x)`, which brings a value into the state's range where the cycle
-    latches or compares it (the updated membrane, the reset value).  It
-    also passes the state dtype, registers, trace scale and `meta` format
-    entries to `__init__`."""
+    system: `_activation(k, spikes)`; `_add`, `_sub` and `_mul`;
+    `_leak(d, v)`, the leak step v - d*v; and `_fit(x)`, which brings a
+    value into the state's range where the cycle latches or compares it
+    (the updated membrane, the reset value).  It also passes the state
+    dtype, registers, trace scale and `meta` format entries to
+    `__init__`."""
 
     def __init__(self, cfg: CoreConfig, regs: list[_LayerRegs], dtype, scale: float,
                  number_meta: dict):
@@ -268,9 +298,8 @@ class _Cycle:
         act = self._act[k] = self._activation(k, spikes_in)
 
         # 2./3. refractory hold, or membrane update + fire + reset.
-        leak = self._mul(r.decay, vmem)
         drive = self._mul(r.growth, act)
-        updated = self._fit(self._add(self._sub(vmem, leak), drive))
+        updated = self._fit(self._add(self._leak(r.decay, vmem), drive))
         # With no period and no neuron held the hold is a no-op; a period
         # written to 0 still counts down the neurons held under the old one.
         refractory = r.refractory > 0 or refr.any()
@@ -288,7 +317,7 @@ class _Cycle:
         elif r.mode is ResetMode.BY_SUBTRACTION:
             after = self._fit(self._sub(updated, r.vth))
         else:  # DEFAULT: one more leak step, no discrete reset
-            after = self._fit(self._sub(updated, self._mul(r.decay, updated)))
+            after = self._leak(r.decay, updated)
 
         self._vmem[k] = np.where(spikes, after, updated)
         if refractory:
@@ -397,20 +426,19 @@ class Core(_Cycle):
         self._check_layer(layer, f"register {name!r}")
         r = self._regs[layer]
         if name == "reset_mode":
-            r.mode = value if isinstance(value, ResetMode) else ResetMode.from_name(value)
+            r.mode = _reset_mode(value)
             return
         if name == "refractory_period":
-            period = int(value)
-            if period < 0:
-                raise ValueError("refractory_period must be >= 0")
-            r.refractory = period
+            r.refractory = _refractory_period(value)
             return
         if name not in ("decay_rate", "growth_rate", "v_threshold", "v_reset"):
             raise ValueError(f"unknown register {name!r}")
         raw = self._word(name, value).raw
         if name == "decay_rate":
-            if not 0 <= raw * self.fmt.quantum <= 1.0:
-                raise ValueError(f"decay_rate {raw * self.fmt.quantum} outside [0, 1]")
+            # In integers: for q > 52, raw * quantum rounds 1 + quantum to 1.0.
+            if not 0 <= raw <= 1 << self.fmt.q:
+                raise ValueError(f"decay_rate raw {raw} outside [0, 2**{self.fmt.q}] "
+                                 f"(a rate in [0, 1])")
             r.decay = raw
         elif name == "growth_rate":
             r.growth = raw
@@ -463,6 +491,7 @@ class Core(_Cycle):
 
     # Under WRAP the ops run unreduced and `_fit` wraps (see the module
     # docstring); under SATURATE each op clamps and `_fit` is the identity.
+    # `_leak` never leaves the range, so it clamps under neither policy.
     # The raw helpers are looked up in this module per call, so a tracer on
     # `core.add_raw` or `core.fit_raw` sees each.
     def _add(self, a, b):
@@ -475,6 +504,9 @@ class Core(_Cycle):
         if self.policy is WRAP:
             return (a * b) >> self.fmt.q
         return mul_raw(a, b, self.fmt, self.policy)
+
+    def _leak(self, d, v):
+        return v - ((d * v) >> self.fmt.q)
 
     def _fit(self, x):
         return fit_raw(x, self.fmt, WRAP) if self.policy is WRAP else x

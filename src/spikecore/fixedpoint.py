@@ -208,19 +208,28 @@ def accumulate_raw(rows, fmt: QFormat, policy: OverflowPolicy = WRAP):
     `rows` is a raw [R, ...] array (R may be 0); row i is added before row
     i + 1.  WRAP is arithmetic modulo 2**w, so one plain sum and a final
     wrap give the fold's bits, even if an int64 sum overflows (2**w
-    divides 2**64).  SATURATE, x <- clamp(x + row, lo, hi) from x = 0, is
-    the discrete two-sided Skorokhod map on [lo, hi] of the prefix sums
-    c_1..c_R.  Its closed form ("An explicit formula for the Skorokhod map
-    on [0, a]", Kruk, Lehoczky, Ramanan & Shreve, Ann. Probab. 35(5), 2007)
-    is, with m_s = min(c_s..c_R),
+    divides 2**64).
+
+    SATURATE, x <- clamp(x + row, lo, hi) from x = 0, first tries a
+    certificate.  With s the plain sum of a column and a the sum of its
+    absolute values, (s + a) / 2 is the sum of its positive terms and
+    (s - a) / 2 that of its negative terms, and every prefix sum lies
+    between the two.  If s + a <= 2 * hi and s - a >= 2 * lo in every
+    column, no add clamps and the fold is s (for R = 0, s is zeros).
+    Otherwise the fold is the discrete two-sided Skorokhod map on [lo, hi]
+    of the prefix sums c_1..c_R.  Its closed form ("An explicit formula
+    for the Skorokhod map on [0, a]", Kruk, Lehoczky, Ramanan & Shreve,
+    Ann. Probab. 35(5), 2007) is, with m_s = min(c_s..c_R),
         x_R = c_R - max(min(m_1 - lo, 0), max_s min(c_s - hi, m_s - lo)).
-    Every term is an exact integer: |c| <= R * 2**31 in int64 for widths
-    <= 32, Python ints (object dtype) beyond.
+    Every term is an exact integer: |c|, a <= R * 2**31 in int64 for
+    widths <= 32, Python ints (object dtype) beyond.
     """
+    s = rows.sum(axis=0)
     if policy is WRAP:
-        return fit_raw(rows.sum(axis=0), fmt, policy)
-    if len(rows) == 0:
-        return np.zeros(rows.shape[1:], dtype=rows.dtype)
+        return fit_raw(s, fmt, policy)
+    a = np.abs(rows).sum(axis=0)
+    if (s + a <= 2 * fmt.max_raw).all() and (s - a >= 2 * fmt.min_raw).all():
+        return s
     c = np.cumsum(rows, axis=0)
     m = np.minimum.accumulate(c[::-1], axis=0)[::-1]
     upper = np.minimum(c - fmt.max_raw, m - fmt.min_raw).max(axis=0)

@@ -54,6 +54,10 @@ class ReferenceCore(_Cycle):
     _mul = staticmethod(operator.mul)
 
     @staticmethod
+    def _leak(d, v):
+        return v - d * v
+
+    @staticmethod
     def _fit(x):
         return x
 

@@ -3,9 +3,9 @@ import pytest
 
 from spikecore.core import Core, CoreConfig, RealRegisters, encode_register
 from spikecore.fixedpoint import (
-    Q3_1, Q5_3, Q9_7, Q17_15, SATURATE, OverflowPolicy, QFormat, encode,
+    Q3_1, Q5_3, Q9_7, Q17_15, SATURATE, OverflowPolicy, QFormat, QWord, encode,
 )
-from spikecore.neuron import ResetMode
+from spikecore.neuron import NeuronState, ResetMode, step_neuron
 from spikecore.topology import Connectivity, ConnectivityKind
 
 GAUSS1 = Connectivity(ConnectivityKind.GAUSSIAN, 1)
@@ -172,6 +172,78 @@ def test_unknown_register_and_bad_values():
         core.write_register(0, "decay_rate", 1.5)
     with pytest.raises(ValueError):
         core.write_register(0, "refractory_period", -1)
+
+
+def test_refractory_period_must_be_a_whole_number_of_cycles():
+    # 2.7 used to be stored as 2, and 1.5 turned the counters into float64.
+    core = toy_core()
+    for value in (2.7, 1.5, -1, float("nan"), "3"):
+        with pytest.raises(ValueError, match="refractory_period"):
+            core.write_register(0, "refractory_period", value)
+        with pytest.raises(ValueError, match="refractory_period"):
+            baseline_regs(refractory_period=value)
+    assert core.registers(0).refractory_period == 0
+    core.write_register(0, "refractory_period", 3.0)
+    assert type(core.registers(0).refractory_period) is int
+    assert type(baseline_regs(refractory_period=np.int64(2)).refractory_period) is int
+
+
+def test_reset_mode_write_takes_a_mode_or_its_name():
+    # An int used to raise AttributeError from ResetMode.from_name.
+    core = toy_core()
+    for value in (3, None, 1.0):
+        with pytest.raises(ValueError, match="reset_mode"):
+            core.write_register(0, "reset_mode", value)
+        with pytest.raises(ValueError, match="reset_mode"):
+            baseline_regs(reset_mode=value)
+    with pytest.raises(ValueError, match="unknown reset mode"):
+        core.write_register(0, "reset_mode", "sideways")
+    assert core.registers(0).reset_mode is ResetMode.BY_SUBTRACTION
+    core.write_register(0, "reset_mode", "zero")
+    assert core.registers(0).reset_mode is ResetMode.TO_ZERO
+    assert baseline_regs(reset_mode="default").reset_mode is ResetMode.DEFAULT
+
+
+@pytest.mark.parametrize("fmt", [Q5_3, QFormat(2, 62)])
+def test_decay_rate_write_stays_in_zero_to_one(fmt):
+    # The leak step is exact without clamps only for a raw decay in [0, 2**q].
+    # In Q2.62 the raw 2**62 + 1 decodes to the float 1.0 and used to pass.
+    core = Core(CoreConfig.uniform(fmt, [1, 1], baseline_regs(v_threshold=1.0), policy=SATURATE))
+    one = 1 << fmt.q
+    rejected = [QWord(fmt, -1), QWord(fmt, one + 1)]
+    if 1.0 + fmt.quantum > 1.0:  # a float64 real only for q <= 52
+        rejected += [-fmt.quantum, 1.0 + fmt.quantum]
+    for value in rejected:
+        with pytest.raises(ValueError, match="decay_rate"):
+            core.write_register(0, "decay_rate", value)
+    for value in (0.0, fmt.quantum, 1.0, QWord(fmt, one)):
+        core.write_register(0, "decay_rate", value)
+    assert core.registers(0).decay_rate.raw == one
+
+
+@pytest.mark.parametrize("decay", [0.0, Q5_3.quantum, 1.0])
+@pytest.mark.parametrize("mode", [ResetMode.DEFAULT, ResetMode.BY_SUBTRACTION])
+def test_saturating_leak_at_the_range_ends_matches_the_oracle(decay, mode):
+    # One Q5.3 neuron whose two input lines weigh max_value and min_value,
+    # so that the membrane sits at max_raw (where it fires and, in DEFAULT,
+    # leaks once more) and at min_raw, and leaks from both ends.
+    regs = RealRegisters(decay, 1.0, Q5_3.max_value, mode)
+    core = Core(CoreConfig.uniform(Q5_3, [2, 1], regs, policy=SATURATE))
+    core.write_weight(0, 0, 0, Q5_3.max_value)
+    core.write_weight(0, 1, 0, Q5_3.min_value)
+    pattern = [[1, 0]] * 3 + [[0, 0]] * 2 + [[0, 1]] * 4 + [[0, 0]] * 3 + [[1, 1]] * 2
+    stimulus = np.array(pattern * 2, dtype=bool)
+    state, oracle = NeuronState.zero(Q5_3), core.registers(0)
+    column = core.planes[0].presynaptic_weights(0)
+    vmem, spikes_out = [], 0
+    for spikes in stimulus:
+        fired = core.step_cycle(spikes)[0][0]
+        assert step_neuron(state, oracle, spikes.tolist(), column, SATURATE) == fired
+        assert state.vmem.raw == core._vmem[0][0]
+        vmem.append(state.vmem.raw)
+        spikes_out += fired
+    # With the threshold at max_value, a spike means the membrane got there.
+    assert spikes_out >= 2 and vmem.count(Q5_3.min_raw) >= 4
 
 
 def drive_counts(core, cycles=40):

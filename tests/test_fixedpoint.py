@@ -255,6 +255,35 @@ def test_accumulate_raw_saturate_depends_on_order():
     assert fold_add_raw(rows, Q5_3, SATURATE).tolist() == [47, Q5_3.max_raw]
 
 
+# Q5.3 columns at the edge of the no-clamp certificate: the positive terms
+# sum to exactly max_raw (certified) or max_raw + 1 (clamps mid-sum), the
+# same mirrored, and columns whose total is in range although a prefix sum
+# is not.
+@pytest.mark.parametrize("column, expected", [
+    ([100, 27, -50], 77),        # positive part 127: certified, the plain sum
+    ([100, 28, -50], 77),        # 128 clamps to 127 before -50; the sum is 78
+    ([-100, -28, 50], -78),      # negative part -128: certified
+    ([-100, -29, 50], -78),      # -129 clamps to -128 before +50; the sum is -79
+    ([100, 100, -100], 27),      # the total 100 is in range, the fold is not 100
+    ([-100, -100, 100], -28),
+])
+def test_accumulate_raw_saturate_certificate_boundaries(column, expected):
+    rows = np.array(column, dtype=np.int64)[:, None]
+    assert fold_add_raw(rows, Q5_3, SATURATE).tolist() == [expected]
+    assert accumulate_raw(rows, Q5_3, SATURATE).tolist() == [expected]
+    # Beside a column that can clamp, the call takes the closed form.
+    pair = np.hstack([rows, np.array([[120], [120], [-80]])])
+    assert accumulate_raw(pair, Q5_3, SATURATE).tolist() == [expected, 47]
+
+
+@pytest.mark.parametrize("fmt", [Q5_3, QFormat(33, 31)])
+def test_accumulate_raw_saturate_of_no_rows_is_zero(fmt):
+    rows = np.zeros((0, 3), dtype=raw_dtype(fmt))
+    got = accumulate_raw(rows, fmt, SATURATE)
+    assert got.dtype == rows.dtype and got.shape == (3,)
+    assert got.tolist() == [0, 0, 0]
+
+
 def test_accumulate_raw_wraps_like_the_adder():
     rows = np.array([[120], [120], [-80]])   # 160 wraps to 160 - 256
     assert accumulate_raw(rows, Q5_3, WRAP).tolist() == [-96]

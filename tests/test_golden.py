@@ -1,4 +1,4 @@
-"""Frozen golden traces: two 64-16-4 Q5.3 cores replayed bit for bit.
+"""Frozen golden traces: three 64-16-4 cores replayed bit for bit.
 
 Each file under `golden/` holds the weights and a 40-cycle stimulus of one
 core configured below and, per cycle, its spike raster (one bit string per
@@ -13,13 +13,20 @@ space-separated line per layer).
   the format's range and wrap, so the file pins the bits of a datapath that
   discards the high bits after every operation, independently of where the
   vectorized core reduces modulo 2**w.
+- `saturate_q97_64_16_4.json` (SATURATE, Q9.7, the paper's format): weights
+  of +-4.0, except that four input lines carry +-96 to +-160.  Most
+  activation sums cannot clamp, so `accumulate_raw` certifies them and
+  takes the plain sum; in those with two or more heavy lines a column can
+  leave the range part way and come back.  Layer 0 resets by one more
+  leak step (DEFAULT), and membranes saturate at the lower bound.
 
 Regenerate (only on purpose: the point of the files is that they do not
-move) with `PYTHONPATH=src python tests/test_golden.py {saturate,wrap}`.
+move) with `PYTHONPATH=src python tests/test_golden.py {saturate,wrap,saturate_q97}`.
 """
 
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +34,8 @@ import numpy as np
 
 from spikecore.core import Core, CoreConfig, RealRegisters
 from spikecore.fixedpoint import (
-    Q5_3, SATURATE, WRAP, OverflowPolicy, QWord, add_raw, mul_raw, saturate_raw, wrap_raw,
+    Q5_3, Q9_7, SATURATE, WRAP, OverflowPolicy, QFormat, QWord, add_raw, mul_raw, saturate_raw,
+    wrap_raw,
 )
 from spikecore.neuron import ResetMode
 from spikecore.topology import Connectivity, ConnectivityKind
@@ -36,35 +44,71 @@ SIZES = (64, 16, 4)
 CYCLES = 40
 
 
+def uniform_draw(rng):
+    """Raw weights uniform in +-64 (+-8.0 in Q5.3), every input line at rate 0.3."""
+    weights = [rng.integers(-64, 64, (m, n), endpoint=True)
+               for m, n in zip(SIZES[:-1], SIZES[1:])]
+    return weights, rng.random((CYCLES, SIZES[0])) < 0.3
+
+
+HEAVY = 4  # input lines of the Q9.7 file with large weights
+
+
+def heavy_lines_draw(rng):
+    """Q9.7 raw weights within +-4.0, except that input lines 0..HEAVY-1
+    carry +-96 to +-160 (two of them can clamp a sum) and spike at rate
+    0.25 instead of 0.3."""
+    weights = [rng.integers(-512, 512, (m, n), endpoint=True)
+               for m, n in zip(SIZES[:-1], SIZES[1:])]
+    heavy = rng.integers(96 << 7, 160 << 7, (HEAVY, SIZES[1]), endpoint=True)
+    weights[0][:HEAVY] = heavy * rng.choice([-1, 1], heavy.shape)
+    rates = np.full(SIZES[0], 0.3)
+    rates[:HEAVY] = 0.25
+    return weights, rng.random((CYCLES, SIZES[0])) < rates
+
+
 @dataclass(frozen=True)
 class Case:
     name: str
+    fmt: QFormat
     policy: OverflowPolicy
     registers: tuple[RealRegisters, ...]
     seed: int
+    draw: Callable = uniform_draw  # rng -> (raw weights, stimulus), to record
 
     @property
     def path(self) -> Path:
-        return Path(__file__).parent / "golden" / f"{self.name}_q53_64_16_4.json"
+        fmt = f"q{self.fmt.n}{self.fmt.q}"
+        return Path(__file__).parent / "golden" / f"{self.name}_{fmt}_64_16_4.json"
 
     def config(self) -> CoreConfig:
-        return CoreConfig(Q5_3, SIZES, (Connectivity(ConnectivityKind.ALL_TO_ALL),) * 2,
+        return CoreConfig(self.fmt, SIZES, (Connectivity(ConnectivityKind.ALL_TO_ALL),) * 2,
                           self.registers, policy=self.policy)
 
 
-SATURATING = Case("saturate", SATURATE, (
+SATURATING = Case("saturate", Q5_3, SATURATE, (
     RealRegisters(decay_rate=0.25, growth_rate=1.0, v_threshold=6.0,
                   reset_mode=ResetMode.BY_SUBTRACTION, refractory_period=1),
     RealRegisters(decay_rate=0.125, growth_rate=0.5, v_threshold=3.0,
                   reset_mode=ResetMode.TO_CONSTANT, v_reset=-2.0),
 ), seed=20240402)
 
-WRAPPING = Case("wrap", WRAP, (
+WRAPPING = Case("wrap", Q5_3, WRAP, (
     RealRegisters(decay_rate=0.25, growth_rate=1.0, v_threshold=6.0,
                   reset_mode=ResetMode.BY_SUBTRACTION, refractory_period=2),
     RealRegisters(decay_rate=0.125, growth_rate=0.75, v_threshold=3.0,
                   reset_mode=ResetMode.DEFAULT),
 ), seed=20240403)
+
+SATURATING_Q97 = Case("saturate", Q9_7, SATURATE, (
+    RealRegisters(decay_rate=0.25, growth_rate=1.0, v_threshold=8.0,
+                  reset_mode=ResetMode.DEFAULT, refractory_period=1),
+    RealRegisters(decay_rate=0.125, growth_rate=0.5, v_threshold=4.0,
+                  reset_mode=ResetMode.BY_SUBTRACTION),
+), seed=20240404, draw=heavy_lines_draw)
+
+# The names that regenerate each file on the command line.
+CASES = {"saturate": SATURATING, "wrap": WRAPPING, "saturate_q97": SATURATING_Q97}
 
 
 def bits(row) -> str:
@@ -75,8 +119,8 @@ def unbits(text: str) -> list[bool]:
     return [c == "1" for c in text]
 
 
-def literal(value: float) -> str:
-    return QWord(Q5_3, round(value / Q5_3.quantum)).to_literal()
+def literal(value: float, fmt: QFormat) -> str:
+    return QWord(fmt, round(value / fmt.quantum)).to_literal()
 
 
 def replay(case: Case, weights, stimulus):
@@ -89,7 +133,7 @@ def replay(case: Case, weights, stimulus):
     for t in range(len(stimulus)):
         cycles.append({
             "spikes": [bits(layer[t]) for layer in raster.layers],
-            "vmem": [" ".join(literal(traces[(k, j)][t]) for j in range(n))
+            "vmem": [" ".join(literal(traces[(k, j)][t], case.fmt) for j in range(n))
                      for k, n in enumerate(SIZES[1:])],
         })
     return cycles
@@ -106,7 +150,7 @@ def load(case: Case):
 def check_replay(case: Case):
     data, weights, stimulus = load(case)
     assert (data["format"], data["policy"], tuple(data["sizes"])) == (
-        "Q5.3", case.policy.value, SIZES)
+        str(case.fmt), case.policy.value, SIZES)
     got = replay(case, weights, stimulus)
     assert len(got) == len(data["cycles"]) == CYCLES
     for t, (g, want) in enumerate(zip(got, data["cycles"])):
@@ -119,6 +163,10 @@ def test_golden_trace_replays_bit_for_bit():
 
 def test_wrap_golden_trace_replays_bit_for_bit():
     check_replay(WRAPPING)
+
+
+def test_q97_saturate_golden_trace_replays_bit_for_bit():
+    check_replay(SATURATING_Q97)
 
 
 def test_golden_sums_clamp_mid_sum():
@@ -134,6 +182,30 @@ def test_golden_sums_clamp_mid_sum():
             acc = add_raw(acc, r, Q5_3, SATURATE)
         differs += int(np.sum(acc != saturate_raw(active.sum(axis=0), Q5_3)))
     assert differs > 100
+
+
+def test_q97_golden_sums_mostly_certify_and_some_clamp_mid_sum():
+    # A certified call is one where no column's positive terms sum past
+    # max_raw nor its negative terms past min_raw: no prefix sum can clamp.
+    # The file should take both paths of the saturating accumulation.
+    data, weights, stimulus = load(SATURATING_Q97)
+    fmt = SATURATING_Q97.fmt
+    layer0 = np.array([unbits(c["spikes"][0]) for c in data["cycles"]])
+    certified = fallback = clamped_mid_sum = 0
+    for w, upstream in zip(weights, (stimulus, layer0)):
+        for row in upstream:
+            active = w[np.flatnonzero(row)]
+            positive, negative = np.maximum(active, 0).sum(0), np.minimum(active, 0).sum(0)
+            if (positive <= fmt.max_raw).all() and (negative >= fmt.min_raw).all():
+                certified += 1
+                continue
+            fallback += 1
+            acc = np.zeros(w.shape[1], dtype=np.int64)
+            for r in active:
+                acc = add_raw(acc, r, fmt, SATURATE)
+            clamped_mid_sum += int(np.sum(acc != saturate_raw(active.sum(axis=0), fmt)))
+    assert (certified, fallback) == (75, 5)
+    assert clamped_mid_sum > 10
 
 
 def test_wrap_golden_activations_and_membranes_wrap():
@@ -163,16 +235,13 @@ def test_wrap_golden_activations_and_membranes_wrap():
 
 
 def record(case: Case) -> dict:
-    rng = np.random.default_rng(case.seed)
-    weights = [rng.integers(-64, 64, (m, n), endpoint=True)  # +-8.0 in Q5.3
-               for m, n in zip(SIZES[:-1], SIZES[1:])]
-    stimulus = rng.random((CYCLES, SIZES[0])) < 0.3
+    weights, stimulus = case.draw(np.random.default_rng(case.seed))
     return {
-        "format": str(Q5_3),
+        "format": str(case.fmt),
         "policy": case.policy.value,
         "sizes": list(SIZES),
         "seed": case.seed,
-        "weights": [[" ".join(QWord(Q5_3, int(x)).to_literal() for x in row) for row in w]
+        "weights": [[" ".join(QWord(case.fmt, int(x)).to_literal() for x in row) for row in w]
                     for w in weights],
         "stimulus": [bits(row) for row in stimulus],
         "cycles": replay(case, weights, stimulus),
@@ -180,8 +249,8 @@ def record(case: Case) -> dict:
 
 
 if __name__ == "__main__":
-    for case in (SATURATING, WRAPPING):
-        if case.name in sys.argv[1:]:
-            case.path.parent.mkdir(exist_ok=True)
-            case.path.write_text(json.dumps(record(case), indent=1) + "\n")
-            print(f"wrote {case.path}")
+    for name in sys.argv[1:]:
+        case = CASES[name]
+        case.path.parent.mkdir(exist_ok=True)
+        case.path.write_text(json.dumps(record(case), indent=1) + "\n")
+        print(f"wrote {case.path}")
