@@ -47,7 +47,7 @@ import hashlib
 import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -65,7 +65,7 @@ from .fixedpoint import (
     raw_dtype,
     sub_raw,
 )
-from .neuron import NeuronRegisters, ResetMode
+from .neuron import NeuronRegisters, ResetMode, refractory_cycles
 from .topology import Connectivity, ConnectivityKind, WeightMemory, build_mask
 
 __all__ = [
@@ -92,27 +92,6 @@ def encode_register(value: float, fmt: QFormat, clamp: bool = False) -> int:
     return encode_raw(value, fmt, SATURATE)
 
 
-def _reset_mode(value) -> ResetMode:
-    """A ResetMode, or the mode that a name such as "zero" selects."""
-    if isinstance(value, str):
-        return ResetMode.from_name(value)
-    if not isinstance(value, ResetMode):
-        raise ValueError(f"reset_mode {value!r} is neither a ResetMode nor a mode name")
-    return value
-
-
-def _refractory_period(value) -> int:
-    """A period in cycles: an integral value >= 0, as an int."""
-    try:
-        period = int(value)
-        integral = period == value
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    if not integral or period < 0:
-        raise ValueError(f"refractory_period {value!r} is not a whole number of cycles >= 0")
-    return period
-
-
 @dataclass(frozen=True)
 class RealRegisters:
     """Real-valued register file, as carried by config files."""
@@ -127,8 +106,11 @@ class RealRegisters:
     def __post_init__(self):
         if not 0.0 <= self.decay_rate <= 1.0:
             raise ValueError(f"decay_rate {self.decay_rate} outside [0, 1]")
-        object.__setattr__(self, "reset_mode", _reset_mode(self.reset_mode))
-        object.__setattr__(self, "refractory_period", _refractory_period(self.refractory_period))
+        for name in ("growth_rate", "v_threshold", "v_reset"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} {getattr(self, name)} is not a finite real")
+        object.__setattr__(self, "reset_mode", ResetMode.from_name(self.reset_mode))
+        object.__setattr__(self, "refractory_period", refractory_cycles(self.refractory_period))
 
     def quantize(self, fmt: QFormat, clamp: bool = False) -> NeuronRegisters:
         return NeuronRegisters(
@@ -149,8 +131,6 @@ class CoreConfig:
     registers: tuple[RealRegisters, ...]    # one per LIF layer
     policy: OverflowPolicy = WRAP
     layer_latency: int = 0                 # 0: same-cycle cascade, 1: one cycle per layer
-    v_unit: float = 1e-3                   # volts per membrane unit
-    i_unit: float = 1e-11                  # amps per activation unit
 
     def __post_init__(self):
         if len(self.sizes) < 2:
@@ -212,10 +192,6 @@ class SpikeRaster:
     def n_cycles(self) -> int:
         return self.input_spikes.shape[0]
 
-    def spike_counts(self, layer: int = -1) -> np.ndarray:
-        """Per-neuron spike totals for one LIF layer."""
-        return self.layers[layer].sum(axis=0)
-
     def total_spikes(self) -> int:
         """Spikes emitted by LIF neurons (the stimulus is not counted)."""
         return int(sum(a.sum() for a in self.layers))
@@ -230,8 +206,13 @@ class SpikeRaster:
 
 def _masks(cfg: CoreConfig) -> list[np.ndarray]:
     """The connection mask of each weight plane."""
-    return [build_mask(conn, m, n)
-            for conn, m, n in zip(cfg.connectivity, cfg.sizes[:-1], cfg.sizes[1:])]
+    masks = []
+    for k, (conn, m, n) in enumerate(zip(cfg.connectivity, cfg.sizes[:-1], cfg.sizes[1:])):
+        try:
+            masks.append(build_mask(conn, m, n))
+        except ValueError as err:
+            raise ValueError(f"layer {k}: {err}") from err
+    return masks
 
 
 class _LayerRegs:
@@ -344,8 +325,8 @@ class _Cycle:
     def run_sample(self, stream, duration: int, watch=None):
         """Feed one sample for `duration` cycles from a fresh state.
 
-        `stream` is a SpikeStream-like object (has to_dense) or a dense
-        [T, N0] bool array.  `watch` selects membrane traces: an iterable
+        `stream` is a dense [T, N0] bool array, cut or zero-padded to
+        `duration` cycles.  `watch` selects membrane traces: an iterable
         of (layer, neuron) pairs, or "all".  Returns (SpikeRaster, traces)
         where traces maps (layer, neuron) -> float64[T] of decoded vmem
         at the end of each cycle.
@@ -370,8 +351,6 @@ class _Cycle:
             **self._number_meta,
             "layer_latency": self.cfg.layer_latency,
             "sizes": list(sizes),
-            "v_unit": self.cfg.v_unit,
-            "i_unit": self.cfg.i_unit,
         }
         return SpikeRaster(dense, rasters, meta), {(k, j): rows[k][j] for (k, j) in watched}
 
@@ -422,36 +401,22 @@ class Core(_Cycle):
                                r.mode, QWord(f, r.vreset), r.refractory)
 
     def write_register(self, layer: int, name: str, value) -> None:
-        """Program one control register; takes effect from the next cycle."""
+        """Program one control register; takes effect from the next cycle.
+
+        The new register file is checked by `NeuronRegisters`, as a whole.
+        """
         self._check_layer(layer, f"register {name!r}")
-        r = self._regs[layer]
-        if name == "reset_mode":
-            r.mode = _reset_mode(value)
-            return
-        if name == "refractory_period":
-            r.refractory = _refractory_period(value)
-            return
-        if name not in ("decay_rate", "growth_rate", "v_threshold", "v_reset"):
+        regs = self.registers(layer)
+        if name not in {f.name for f in fields(regs)}:
             raise ValueError(f"unknown register {name!r}")
-        raw = self._word(name, value).raw
-        if name == "decay_rate":
-            # In integers: for q > 52, raw * quantum rounds 1 + quantum to 1.0.
-            if not 0 <= raw <= 1 << self.fmt.q:
-                raise ValueError(f"decay_rate raw {raw} outside [0, 2**{self.fmt.q}] "
-                                 f"(a rate in [0, 1])")
-            r.decay = raw
-        elif name == "growth_rate":
-            r.growth = raw
-        elif name == "v_threshold":
-            r.vth = raw
-        else:
-            r.vreset = raw
+        if isinstance(getattr(regs, name), QWord):
+            value = self._word(name, value)
+        self._regs[layer] = _LayerRegs(replace(regs, **{name: value}), operator.attrgetter("raw"))
 
     def write_weight(self, layer: int, pre: int, post: int, value) -> None:
         """Program one synapse; `value` is a signed real or QWord."""
         self._check_synapse(layer, pre, post)
-        # The signed payload is the stored entry: polarity +1.
-        self.planes[layer].write(pre, post, self._word("weight", value), 1, self.policy)
+        self.planes[layer].write(pre, post, self._word("weight", value))
 
     def _word(self, what: str, value) -> QWord:
         """A real or a QWord of the core's format, as a QWord."""
@@ -520,11 +485,9 @@ class Core(_Cycle):
 def _dense_stream(stream, duration: int, n0: int) -> np.ndarray:
     """A sample's stimulus as a dense [duration, n0] bool array.
 
-    `stream` has to_dense, or is a dense [T, n0] array that is cut or
-    zero-padded to `duration` cycles.
+    `stream` is a dense [T, n0] array that is cut or zero-padded to
+    `duration` cycles.
     """
-    if hasattr(stream, "to_dense"):
-        return stream.to_dense(duration, n0)
     dense = np.asarray(stream, dtype=bool)
     if dense.ndim != 2 or dense.shape[1] != n0:
         raise ValueError(f"dense stream must be [T, {n0}], got {dense.shape}")

@@ -1,4 +1,10 @@
-"""Quantized leaky integrate-and-fire neuron.
+"""Quantized leaky integrate-and-fire neuron, and the rules of its register file.
+
+`NeuronRegisters` is the one place that decides what a valid register file
+is: the decay raw range, the reset-mode coercion (`ResetMode.from_name`)
+and the refractory-period check (`refractory_cycles`).  `core.Core`
+programs its registers through it, and `core.RealRegisters` reuses the two
+helpers.
 
 One simulation timestep is one spike-clock cycle.  The per-cycle order is
 fixed for bit-exact reproducibility:
@@ -25,6 +31,7 @@ from .fixedpoint import WRAP, OverflowPolicy, QFormat, QWord, add, mul, sub
 
 __all__ = [
     "ResetMode",
+    "refractory_cycles",
     "NeuronRegisters",
     "NeuronState",
     "accumulate_activation",
@@ -42,12 +49,29 @@ class ResetMode(enum.Enum):
     DEFAULT = "default"
 
     @classmethod
-    def from_name(cls, name: str) -> "ResetMode":
+    def from_name(cls, name) -> "ResetMode":
+        """A ResetMode, or the mode that a name such as "zero" selects."""
+        if isinstance(name, cls):
+            return name
+        if not isinstance(name, str):
+            raise ValueError(f"reset_mode {name!r} is neither a ResetMode nor a mode name")
         try:
             return cls(name.strip().lower())
         except ValueError:
             names = ", ".join(m.value for m in cls)
             raise ValueError(f"unknown reset mode {name!r} (expected one of: {names})")
+
+
+def refractory_cycles(value) -> int:
+    """A refractory period in cycles: an integral value >= 0, as an int."""
+    try:
+        period = int(value)
+        integral = period == value
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral or period < 0:
+        raise ValueError(f"refractory_period {value!r} is not a whole number of cycles >= 0")
+    return period
 
 
 @dataclass(frozen=True)
@@ -69,10 +93,12 @@ class NeuronRegisters:
         for w in others:
             if w.fmt != fmt:
                 raise ValueError(f"register format mismatch: {w.fmt} vs {fmt}")
-        if not 0.0 <= self.decay_rate.value <= 1.0:
-            raise ValueError(f"decay_rate {self.decay_rate.value} outside [0, 1]")
-        if self.refractory_period < 0:
-            raise ValueError("refractory_period must be >= 0")
+        # In integers: for q > 52, raw * quantum rounds 1 + quantum to 1.0.
+        if not 0 <= self.decay_rate.raw <= 1 << fmt.q:
+            raise ValueError(f"decay_rate raw {self.decay_rate.raw} outside [0, 2**{fmt.q}] "
+                             f"(a rate in [0, 1])")
+        object.__setattr__(self, "reset_mode", ResetMode.from_name(self.reset_mode))
+        object.__setattr__(self, "refractory_period", refractory_cycles(self.refractory_period))
         if self.reset_mode is ResetMode.TO_CONSTANT and self.v_reset is None:
             raise ValueError("reset mode 'constant' needs v_reset")
 

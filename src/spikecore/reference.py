@@ -42,6 +42,9 @@ class ReferenceCore(_Cycle):
 
     def write_weight(self, layer: int, pre: int, post: int, value: float) -> None:
         self._check_synapse(layer, pre, post)
+        if not math.isfinite(value):
+            raise ValueError(f"weight {value} of synapse (layer={layer}, pre={pre}, "
+                             f"post={post}) is not a finite real")
         if not self.masks[layer][pre, post]:
             raise MaskedSynapseError(SynapseAddress(layer, pre, post))
         self.weights[layer][pre, post] = value

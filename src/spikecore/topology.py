@@ -1,9 +1,9 @@
-"""Layer connectivity masks, synaptic polarity, and addressable weight memory.
+"""Layer connectivity masks and addressable weight memory.
 
 A weight plane connects M pre-synaptic lines to N post-synaptic neurons.
-The stored entry folds the connection mask, the excitatory/inhibitory
-polarity (+1/-1) and the weight magnitude into one signed fixed-point
-number; masked-out positions are structurally zero and reject writes.
+A stored weight is one signed word of the plane's format: its sign is the
+synapse's polarity (excitatory >= 0, inhibitory < 0) and its magnitude the
+strength.  Masked-out positions are structurally zero and reject writes.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fixedpoint import WRAP, OverflowPolicy, QFormat, QWord, fit_raw, raw_dtype
+from .fixedpoint import QFormat, QWord, raw_dtype
+from .fixedpoint import fit_raw  # noqa: F401  (bound here so bench/spans.py can trace it)
 
 __all__ = [
     "ConnectivityKind",
@@ -117,16 +118,14 @@ class WeightMemory:
             )
         return addr
 
-    def write(self, pre: int, post: int, magnitude: QWord, polarity: int,
-              policy: OverflowPolicy = WRAP) -> None:
+    def write(self, pre: int, post: int, weight: QWord) -> None:
+        """Store one signed weight; its sign is the synapse's polarity."""
         addr = self._check(pre, post)
-        if polarity not in (-1, 1):
-            raise ValueError(f"polarity must be +1 or -1, got {polarity}")
-        if magnitude.fmt != self.fmt:
-            raise ValueError(f"weight format {magnitude.fmt} != memory format {self.fmt}")
+        if weight.fmt != self.fmt:
+            raise ValueError(f"weight format {weight.fmt} != memory format {self.fmt}")
         if not self.mask[pre, post]:
             raise MaskedSynapseError(addr)
-        self.raw[pre, post] = fit_raw(polarity * magnitude.raw, self.fmt, policy)
+        self.raw[pre, post] = weight.raw
 
     def presynaptic_weights(self, post: int) -> list[QWord]:
         """Column for one post neuron, in pre index order (accumulation order)."""

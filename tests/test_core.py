@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,14 @@ def test_non_finite_register_or_weight_names_the_value(value):
         encode_register(value, Q5_3, clamp=True)
     with pytest.raises(ValueError, match=str(value)):
         toy_core().write_weight(0, 0, 0, value)
+
+
+@pytest.mark.parametrize("name", ["decay_rate", "growth_rate", "v_threshold", "v_reset"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_real_registers_reject_a_non_finite_value(name, value):
+    # The float twin runs RealRegisters as they are: a NaN used to pass.
+    with pytest.raises(ValueError, match=name):
+        baseline_regs(**{name: value})
 
 
 def test_register_quantize_out_of_range():
@@ -202,6 +212,30 @@ def test_reset_mode_write_takes_a_mode_or_its_name():
     core.write_register(0, "reset_mode", "zero")
     assert core.registers(0).reset_mode is ResetMode.TO_ZERO
     assert baseline_regs(reset_mode="default").reset_mode is ResetMode.DEFAULT
+
+
+@pytest.mark.parametrize("name, value", [
+    ("refractory_period", 2.7),
+    ("refractory_period", -1),
+    ("refractory_period", float("nan")),
+    ("refractory_period", "3"),
+    ("reset_mode", 3),
+    ("reset_mode", None),
+    ("decay_rate", QWord(Q5_3, -1)),
+    ("decay_rate", QWord(Q5_3, (1 << Q5_3.q) + 1)),
+    ("decay_rate", QWord(QFormat(2, 62), (1 << 62) + 1)),
+])
+def test_core_and_oracle_reject_a_bad_register_alike(name, value):
+    # One set of rules: a register write is checked by NeuronRegisters.
+    fmt = value.fmt if isinstance(value, QWord) else Q5_3
+    core = Core(CoreConfig.uniform(fmt, [1, 1], baseline_regs(v_threshold=1.0)))
+    before = core.registers(0)
+    with pytest.raises(ValueError, match=name) as from_core:
+        core.write_register(0, name, value)
+    with pytest.raises(ValueError) as from_oracle:
+        replace(before, **{name: value})
+    assert str(from_core.value) == str(from_oracle.value)
+    assert core.registers(0) == before
 
 
 @pytest.mark.parametrize("fmt", [Q5_3, QFormat(2, 62)])

@@ -34,6 +34,33 @@ def state(fmt=Q5_3, vmem=0.0, act=0.0, refr=0):
     return NeuronState(encode(vmem, fmt), encode(act, fmt), refr)
 
 
+# --- register rules ------------------------------------------------------------
+
+def test_registers_reject_a_fractional_refractory_period():
+    # 1.5 used to be accepted, and the counter stepped 1.5 -> 0.5 -> -0.5.
+    with pytest.raises(ValueError, match="refractory_period"):
+        regs(refractory=1.5)
+    assert type(regs(refractory=np.int64(2)).refractory_period) is int
+
+
+def test_registers_check_the_decay_raw_in_integers():
+    # In Q2.62 the raw 2**62 + 1 decodes to the float 1.0 and used to pass.
+    fmt = QFormat(2, 62)
+    zero = QWord(fmt, 0)
+    with pytest.raises(ValueError, match="decay_rate"):
+        NeuronRegisters(QWord(fmt, (1 << 62) + 1), zero, zero)
+    assert NeuronRegisters(QWord(fmt, 1 << 62), zero, zero).decay_rate.raw == 1 << 62
+
+
+def test_reset_mode_from_name_takes_a_mode_or_its_name():
+    # An int used to raise AttributeError.
+    with pytest.raises(ValueError, match="reset_mode"):
+        ResetMode.from_name(3)
+    assert ResetMode.from_name(ResetMode.TO_ZERO) is ResetMode.TO_ZERO
+    assert ResetMode.from_name(" Zero") is ResetMode.TO_ZERO
+    assert regs(mode="default").reset_mode is ResetMode.DEFAULT
+
+
 # --- activation accumulation ---------------------------------------------------
 
 def test_no_spikes_no_activation():

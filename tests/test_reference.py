@@ -86,6 +86,21 @@ def test_write_weight_to_a_masked_synapse_raises_masked_synapse_error(model):
     sim.write_weight(0, 1, 1, 1.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_reference_write_weight_rejects_a_non_finite_value(value):
+    ref = ReferenceCore(CoreConfig.uniform(Q9_7, [2, 2], regs()))
+    with pytest.raises(ValueError, match=r"layer=0, pre=1, post=0\b"):
+        ref.write_weight(0, 1, 0, value)
+    assert not np.any(ref.weights[0])
+
+
+@pytest.mark.parametrize("build", [Core, ReferenceCore, lambda cfg: cfg.synapse_count])
+def test_a_mask_error_names_the_layer(build):
+    cfg = CoreConfig(Q9_7, (4, 4, 3), (ALL, ONE), (regs(),) * 2)
+    with pytest.raises(ValueError, match="^layer 1: one-to-one needs square dimensions, got 4x3$"):
+        build(cfg)
+
+
 @pytest.mark.parametrize("model", [Core, ReferenceCore])
 def test_run_sample_reads_a_generator_or_array_watch(model):
     sim = model(CoreConfig.uniform(Q9_7, [3, 2], regs()))

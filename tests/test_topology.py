@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spikecore.fixedpoint import Q5_3, encode
+from spikecore.fixedpoint import Q5_3, Q9_7, QWord, encode
 from spikecore.topology import (
     Connectivity,
     ConnectivityKind,
@@ -82,27 +82,27 @@ def make_mem(conn=ALL, m=3, n=3):
 
 def test_write_excitatory():
     mem = make_mem()
-    mem.write(0, 1, encode(1.5, Q5_3), +1)
+    mem.write(0, 1, encode(1.5, Q5_3))
     assert mem.presynaptic_weights(1)[0].value == 1.5
 
 
-def test_write_inhibitory_folds_sign():
+def test_write_inhibitory_reads_back_negative():
     mem = make_mem()
-    mem.write(0, 1, encode(1.5, Q5_3), -1)
+    mem.write(0, 1, encode(-1.5, Q5_3))
     assert mem.presynaptic_weights(1)[0].value == -1.5
 
 
 def test_write_to_masked_synapse_rejected():
     mem = WeightMemory(Q5_3, build_mask(gauss(1), 4, 4))
     with pytest.raises(MaskedSynapseError):
-        mem.write(0, 2, encode(1.0, Q5_3), +1)
+        mem.write(0, 2, encode(1.0, Q5_3))
     assert mem.raw[0, 2] == 0
 
 
 def test_write_out_of_range_address():
     mem = make_mem()
     with pytest.raises(IndexError):
-        mem.write(3, 0, encode(1.0, Q5_3), +1)
+        mem.write(3, 0, encode(1.0, Q5_3))
     with pytest.raises(IndexError):
         mem.presynaptic_weights(5)
 
@@ -110,7 +110,7 @@ def test_write_out_of_range_address():
 def test_column_readback_in_pre_order():
     mem = make_mem()
     for pre, v in enumerate([1.0, -2.0, 0.5]):
-        mem.write(pre, 2, encode(abs(v), Q5_3), +1 if v > 0 else -1)
+        mem.write(pre, 2, encode(v, Q5_3))
     assert [w.value for w in mem.presynaptic_weights(2)] == [1.0, -2.0, 0.5]
 
 
@@ -125,20 +125,31 @@ def test_random_writes_last_write_wins():
     log = []
     for _ in range(200):
         pre, post = int(rng.integers(4)), int(rng.integers(4))
-        mag = float(rng.integers(0, 16)) / 8.0
-        pol = int(rng.choice([-1, 1]))
-        mem.write(pre, post, encode(mag, Q5_3), pol)
-        log.append((pre, post, mag, pol))
+        v = float(rng.integers(-16, 16)) / 8.0
+        mem.write(pre, post, encode(v, Q5_3))
+        log.append((pre, post, v))
     # Replay oracle: a plain dict keyed by address.
     want = {}
-    for pre, post, mag, pol in log:
-        want[(pre, post)] = pol * mag
+    for pre, post, v in log:
+        want[(pre, post)] = v
     for (pre, post), v in want.items():
         assert mem.presynaptic_weights(post)[pre].value == v
 
 
 def test_sign_matches_polarity_and_magnitude_survives():
+    # The word is stored as is, the range ends included: min_raw has no
+    # positive counterpart in the format, so nothing may negate it.
     mem = make_mem()
-    mem.write(1, 1, encode(2.5, Q5_3), -1)
-    w = mem.presynaptic_weights(1)[1]
-    assert w.value == -2.5 and abs(w.value) == 2.5
+    mem.write(1, 1, encode(-2.5, Q5_3))
+    mem.write(0, 1, QWord(Q5_3, Q5_3.min_raw))
+    mem.write(2, 1, QWord(Q5_3, Q5_3.max_raw))
+    w = mem.presynaptic_weights(1)
+    assert w[1].value == -2.5 and abs(w[1].value) == 2.5
+    assert [w[0].raw, w[2].raw] == [Q5_3.min_raw, Q5_3.max_raw]
+
+
+def test_write_rejects_a_word_of_another_format():
+    mem = make_mem()
+    with pytest.raises(ValueError, match="memory format"):
+        mem.write(0, 0, encode(1.0, Q9_7))
+    assert mem.raw[0, 0] == 0
