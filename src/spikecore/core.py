@@ -27,27 +27,29 @@ min(v, 0) and max(v, 0), and neither the product nor the difference can
 leave the range of v.  The hardware's clamp or wrap after each of the two
 operations would change no bit.
 
-The rest of the membrane update under WRAP reduces modulo 2**w only where
-the hardware latches or compares a value: the updated membrane before the
-threshold compare, and the BY_SUBTRACTION reset value before it is stored.
-In between, adds, subtracts and multiplies run on unreduced integers.
-That gives the bits of wrapping after every operation, because reduction
+The rest of the membrane update adds and subtracts in place and fits
+(`_fit`) only where the hardware latches or compares a value: the updated
+membrane before the threshold compare, and the BY_SUBTRACTION reset value
+before it is stored.  Under WRAP the fit reduces modulo 2**w, and in
+between, adds, subtracts and multiplies run on unreduced integers.  That
+gives the bits of wrapping after every operation, because reduction
 modulo 2**w commutes with + and -, and because every multiply operand is
 already reduced (a register, the stored membrane, or the activation, which
 `accumulate_raw` reduces), so that `(a * b) >> q` has the low w bits of
 the hardware's truncated product.  An int64 overflow of an intermediate is
 harmless: 2**w divides 2**64, so int64 arithmetic keeps every bit below
 position 64, and the bits q..q+w-1 of a product are exact.  SATURATE
-clamps after every other operation.
+clamps the product in `_mul` and each latched sum in `_fit`; the leak
+needs no clamp, and each sum is one add or subtract of in-range values,
+so the fit clamps exactly where the hardware's adder does.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -58,13 +60,12 @@ from .fixedpoint import (
     QFormat,
     QWord,
     accumulate_raw,
-    add_raw,
     encode_raw,
     fit_raw,
     mul_raw,
     raw_dtype,
-    sub_raw,
 )
+from .fixedpoint import add_raw, sub_raw  # noqa: F401  (bound for bench/spans.py to trace)
 from .neuron import NeuronRegisters, ResetMode, refractory_cycles
 from .topology import Connectivity, ConnectivityKind, WeightMemory, build_mask
 
@@ -145,6 +146,7 @@ class CoreConfig:
             )
         if self.layer_latency not in (0, 1):
             raise ValueError("layer_latency must be 0 or 1")
+        object.__setattr__(self, "policy", OverflowPolicy.from_name(self.policy))
 
     @classmethod
     def uniform(cls, fmt: QFormat, sizes, registers: RealRegisters,
@@ -169,16 +171,6 @@ class CoreConfig:
     def with_format(self, fmt: QFormat) -> "CoreConfig":
         return replace(self, fmt=fmt)
 
-    def config_hash(self) -> str:
-        parts = [str(self.fmt), self.policy.value, str(self.layer_latency),
-                 ",".join(map(str, self.sizes))]
-        for conn, regs in zip(self.connectivity, self.registers):
-            parts.append(
-                f"{conn}|{regs.decay_rate!r}|{regs.growth_rate!r}|{regs.v_threshold!r}"
-                f"|{regs.reset_mode.value}|{regs.v_reset!r}|{regs.refractory_period}"
-            )
-        return hashlib.sha256(";".join(parts).encode()).hexdigest()[:12]
-
 
 @dataclass
 class SpikeRaster:
@@ -186,11 +178,6 @@ class SpikeRaster:
 
     input_spikes: np.ndarray            # [T, N0] bool
     layers: list[np.ndarray]            # K arrays, [T, Nk] bool
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def n_cycles(self) -> int:
-        return self.input_spikes.shape[0]
 
     def total_spikes(self) -> int:
         """Spikes emitted by LIF neurons (the stimulus is not counted)."""
@@ -231,21 +218,19 @@ class _LayerRegs:
 
 
 class _Cycle:
-    """The LIF cycle in `neuron.py`'s order.  A subclass defines the number
-    system: `_activation(k, spikes)`; `_add`, `_sub` and `_mul`;
-    `_leak(d, v)`, the leak step v - d*v; and `_fit(x)`, which brings a
-    value into the state's range where the cycle latches or compares it
-    (the updated membrane, the reset value).  It also passes the state
-    dtype, registers, trace scale and `meta` format entries to
-    `__init__`."""
+    """The LIF cycle in `neuron.py`'s order.  Adds and subtracts are plain
+    `+` and `-`; a subclass defines the number system in four hooks:
+    `_activation(k, spikes)`, the weighted sum of the input spikes;
+    `_mul(a, b)`; `_leak(d, v)`, the leak step v - d*v; and `_fit(x)`,
+    which brings a sum into the state's range where the cycle latches or
+    compares it (the updated membrane, the reset value).  It also passes
+    the state dtype, registers and trace scale to `__init__`."""
 
-    def __init__(self, cfg: CoreConfig, regs: list[_LayerRegs], dtype, scale: float,
-                 number_meta: dict):
+    def __init__(self, cfg: CoreConfig, regs: list[_LayerRegs], dtype, scale: float):
         self.cfg = cfg
         self._regs = regs
         self._dtype = dtype
         self._scale = scale
-        self._number_meta = number_meta
         self.reset_state()
 
     @property
@@ -280,7 +265,7 @@ class _Cycle:
 
         # 2./3. refractory hold, or membrane update + fire + reset.
         drive = self._mul(r.growth, act)
-        updated = self._fit(self._add(self._leak(r.decay, vmem), drive))
+        updated = self._fit(self._leak(r.decay, vmem) + drive)
         # With no period and no neuron held the hold is a no-op; a period
         # written to 0 still counts down the neurons held under the old one.
         refractory = r.refractory > 0 or refr.any()
@@ -296,7 +281,7 @@ class _Cycle:
         elif r.mode is ResetMode.TO_ZERO:
             after = 0
         elif r.mode is ResetMode.BY_SUBTRACTION:
-            after = self._fit(self._sub(updated, r.vth))
+            after = self._fit(updated - r.vth)
         else:  # DEFAULT: one more leak step, no discrete reset
             after = self._leak(r.decay, updated)
 
@@ -346,13 +331,7 @@ class _Cycle:
                 rows[t] = self._vmem[k]
         rows = {k: np.ascontiguousarray(v.T, dtype=np.float64) * self._scale
                 for k, v in vmems.items()}
-        meta = {
-            "config": self.cfg.config_hash(),
-            **self._number_meta,
-            "layer_latency": self.cfg.layer_latency,
-            "sizes": list(sizes),
-        }
-        return SpikeRaster(dense, rasters, meta), {(k, j): rows[k][j] for (k, j) in watched}
+        return SpikeRaster(dense, rasters), {(k, j): rows[k][j] for (k, j) in watched}
 
 
 class Core(_Cycle):
@@ -372,8 +351,7 @@ class Core(_Cycle):
         self.threads = max(1, int(threads))
         regs = [_LayerRegs(r.quantize(cfg.fmt, clamp=clamp_registers), operator.attrgetter("raw"))
                 for r in cfg.registers]
-        super().__init__(cfg, regs, raw_dtype(cfg.fmt), cfg.fmt.quantum,
-                         {"format": str(cfg.fmt), "policy": cfg.policy.value})
+        super().__init__(cfg, regs, raw_dtype(cfg.fmt), cfg.fmt.quantum)
         self.planes = [WeightMemory(cfg.fmt, mask, layer=k) for k, mask in enumerate(_masks(cfg))]
         self._columns = [
             [slice(lo, hi) for lo, hi in zip(b[:-1], b[1:]) if lo < hi]
@@ -454,17 +432,11 @@ class Core(_Cycle):
         futures = [self._pool.submit(part, cols) for cols in rest]
         return np.concatenate([part(first), *(f.result() for f in futures)])
 
-    # Under WRAP the ops run unreduced and `_fit` wraps (see the module
-    # docstring); under SATURATE each op clamps and `_fit` is the identity.
-    # `_leak` never leaves the range, so it clamps under neither policy.
-    # The raw helpers are looked up in this module per call, so a tracer on
-    # `core.add_raw` or `core.fit_raw` sees each.
-    def _add(self, a, b):
-        return a + b if self.policy is WRAP else add_raw(a, b, self.fmt, self.policy)
-
-    def _sub(self, a, b):
-        return a - b if self.policy is WRAP else sub_raw(a, b, self.fmt, self.policy)
-
+    # Under WRAP the product runs unreduced and `_fit` wraps (see the module
+    # docstring); under SATURATE the product clamps before the add, and
+    # `_fit` clamps the sum.  `_leak` never leaves the range, so it clamps
+    # under neither policy.  The raw helpers are looked up in this module
+    # per call, so a tracer on `core.mul_raw` or `core.fit_raw` sees each.
     def _mul(self, a, b):
         if self.policy is WRAP:
             return (a * b) >> self.fmt.q
@@ -474,7 +446,7 @@ class Core(_Cycle):
         return v - ((d * v) >> self.fmt.q)
 
     def _fit(self, x):
-        return fit_raw(x, self.fmt, WRAP) if self.policy is WRAP else x
+        return fit_raw(x, self.fmt, self.policy)
 
     def close(self) -> None:
         """Shut the worker pool down; calling it again does nothing."""

@@ -52,7 +52,12 @@ class OverflowPolicy(enum.Enum):
     SATURATE = "saturate"
 
     @classmethod
-    def from_name(cls, name: str) -> "OverflowPolicy":
+    def from_name(cls, name) -> "OverflowPolicy":
+        """An OverflowPolicy, or the policy that a name such as "wrap" selects."""
+        if isinstance(name, cls):
+            return name
+        if not isinstance(name, str):
+            raise ValueError(f"policy {name!r} is neither an OverflowPolicy nor a policy name")
         try:
             return cls(name.strip().lower())
         except ValueError:
@@ -133,7 +138,12 @@ class QWord:
     raw: int
 
     def __post_init__(self):
-        raw = int(self.raw)
+        try:
+            raw = int(self.raw)
+        except (OverflowError, ValueError):  # inf or nan
+            raw = None
+        if raw != self.raw:
+            raise ValueError(f"raw {self.raw!r} of {self.fmt} is not an integer")
         object.__setattr__(self, "raw", raw)
         if not (self.fmt.min_raw <= raw <= self.fmt.max_raw):
             raise ValueError(f"raw {raw} does not fit in {self.fmt}")

@@ -37,8 +37,7 @@ class ReferenceCore(_Cycle):
     def __init__(self, cfg: CoreConfig):
         self.masks = _masks(cfg)
         self.weights = [np.zeros(m.shape) for m in self.masks]
-        super().__init__(cfg, [_LayerRegs(r, float) for r in cfg.registers], np.float64, 1.0,
-                         {"format": "float64"})
+        super().__init__(cfg, [_LayerRegs(r, float) for r in cfg.registers], np.float64, 1.0)
 
     def write_weight(self, layer: int, pre: int, post: int, value: float) -> None:
         self._check_synapse(layer, pre, post)
@@ -52,8 +51,6 @@ class ReferenceCore(_Cycle):
     def _activation(self, k: int, spikes_in: np.ndarray) -> np.ndarray:
         return spikes_in.astype(np.float64) @ self.weights[k]
 
-    _add = staticmethod(operator.add)
-    _sub = staticmethod(operator.sub)
     _mul = staticmethod(operator.mul)
 
     @staticmethod

@@ -38,17 +38,16 @@ class Connectivity:
     radius: int = 1  # index distance for GAUSSIAN; ignored otherwise
 
     def __post_init__(self):
+        """`kind` is a ConnectivityKind or its name, such as "one"."""
+        if not isinstance(self.kind, ConnectivityKind):
+            kinds = {k.value: k for k in ConnectivityKind}
+            name = self.kind.strip().lower() if isinstance(self.kind, str) else None
+            if name not in kinds:
+                raise ValueError(f"unknown connectivity {self.kind!r} "
+                                 f"(expected one of: {', '.join(kinds)})")
+            object.__setattr__(self, "kind", kinds[name])
         if self.kind is ConnectivityKind.GAUSSIAN and self.radius < 0:
             raise ValueError("gaussian radius must be >= 0")
-
-    @classmethod
-    def parse(cls, text: str, radius: int = 1) -> "Connectivity":
-        try:
-            kind = ConnectivityKind(text.strip().lower())
-        except ValueError:
-            names = ", ".join(k.value for k in ConnectivityKind)
-            raise ValueError(f"unknown connectivity {text!r} (expected one of: {names})")
-        return cls(kind, radius)
 
     def __str__(self) -> str:
         if self.kind is ConnectivityKind.GAUSSIAN:

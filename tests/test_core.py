@@ -54,6 +54,21 @@ def test_minimal_core():
     assert core.step_cycle([0]) == [np.zeros(1, dtype=bool)]
 
 
+def test_policy_takes_a_member_or_its_name():
+    def vmem(policy):
+        core = Core(CoreConfig.uniform(Q5_3, [2, 1], baseline_regs(), policy=policy))
+        core.write_weight(0, 0, 0, 12.0)
+        core.write_weight(0, 1, 0, 12.0)
+        return core.run_sample(np.ones((1, 2), dtype=bool), 1, watch="all")[1][(0, 0)][0]
+
+    # 12 + 12 wraps to -8 in Q5.3; saturated to 15.875, it fires and drops by 10.
+    assert vmem(" Wrap") == vmem(OverflowPolicy.WRAP) == -8.0
+    assert vmem("saturate") == vmem(SATURATE) == 5.875
+    for bad in (3, "wrapp", None):
+        with pytest.raises(ValueError, match="policy"):
+            CoreConfig.uniform(Q5_3, [2, 1], baseline_regs(), policy=bad)
+
+
 def test_invalid_dimensions():
     with pytest.raises(ValueError):
         CoreConfig.uniform(Q5_3, [4], baseline_regs())
@@ -439,11 +454,3 @@ def test_traces_record_post_reset_value():
     raster, traces = core.run_sample(stim, 3, watch=[(0, 0)])
     assert raster.layers[0].all()
     assert np.array_equal(traces[(0, 0)], [0.0, 0.0, 0.0])
-
-
-def test_config_hash_tracks_content():
-    a = CoreConfig.uniform(Q5_3, [4, 3], baseline_regs())
-    b = CoreConfig.uniform(Q5_3, [4, 3], baseline_regs(v_threshold=9.0))
-    assert a.config_hash() == CoreConfig.uniform(Q5_3, [4, 3], baseline_regs()).config_hash()
-    assert a.config_hash() != b.config_hash()
-    assert a.config_hash() != a.with_format(Q9_7).config_hash()

@@ -298,6 +298,15 @@ def test_qformat_derived_values_leave_equality_and_hash_alone():
     assert fmt != QFormat(4, 4)
 
 
+def test_qword_rejects_a_fractional_raw():
+    for raw in (1.5, np.float64(-0.25), float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=rf"raw .*{raw}.* of Q5\.3 is not an integer"):
+            QWord(Q5_3, raw)
+    for raw in (3, np.int64(3), 3.0, np.float64(3.0)):
+        word = QWord(Q5_3, raw)
+        assert word.raw == 3 and type(word.raw) is int
+
+
 # --- wide formats beyond the int64 fast path ---------------------------------
 
 def test_wide_format_scalars():

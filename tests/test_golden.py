@@ -1,9 +1,10 @@
-"""Frozen golden traces: three 64-16-4 cores replayed bit for bit.
+"""Frozen golden traces: four cores replayed bit for bit.
 
 Each file under `golden/` holds the weights and a 40-cycle stimulus of one
 core configured below and, per cycle, its spike raster (one bit string per
 layer) and every membrane as a `QWord.to_literal` hex string (one
-space-separated line per layer).
+space-separated line per layer).  The first three are 64-16-4 cores with
+the same-cycle cascade.
 
 - `saturate_q53_64_16_4.json` (SATURATE): the weights are large enough that
   activation sums clamp part way and then come back, so the file pins the
@@ -19,9 +20,16 @@ space-separated line per layer).
   takes the plain sum; in those with two or more heavy lines a column can
   leave the range part way and come back.  Layer 0 resets by one more
   leak step (DEFAULT), and membranes saturate at the lower bound.
+- `saturate_q1715_64_16_8_4.json` (SATURATE, Q17.15, three layers,
+  `layer_latency=1`): each layer sees the previous cycle's spikes of the
+  one before.  Weights of +-4.0, except that four input lines and every
+  weight of the two deeper planes carry tens of thousands, so activation
+  sums reach the bounds in every layer, membrane updates clamp at both,
+  and products of a register and an activation pass 2**31.
 
 Regenerate (only on purpose: the point of the files is that they do not
-move) with `PYTHONPATH=src python tests/test_golden.py {saturate,wrap,saturate_q97}`.
+move) with
+`PYTHONPATH=src python tests/test_golden.py {saturate,wrap,saturate_q97,saturate_q1715}`.
 """
 
 import json
@@ -34,8 +42,8 @@ import numpy as np
 
 from spikecore.core import Core, CoreConfig, RealRegisters
 from spikecore.fixedpoint import (
-    Q5_3, Q9_7, SATURATE, WRAP, OverflowPolicy, QFormat, QWord, add_raw, mul_raw, saturate_raw,
-    wrap_raw,
+    Q5_3, Q9_7, Q17_15, SATURATE, WRAP, OverflowPolicy, QFormat, QWord, add_raw, mul_raw,
+    saturate_raw, wrap_raw,
 )
 from spikecore.neuron import ResetMode
 from spikecore.topology import Connectivity, ConnectivityKind
@@ -44,27 +52,45 @@ SIZES = (64, 16, 4)
 CYCLES = 40
 
 
-def uniform_draw(rng):
+def uniform_draw(rng, sizes):
     """Raw weights uniform in +-64 (+-8.0 in Q5.3), every input line at rate 0.3."""
     weights = [rng.integers(-64, 64, (m, n), endpoint=True)
-               for m, n in zip(SIZES[:-1], SIZES[1:])]
-    return weights, rng.random((CYCLES, SIZES[0])) < 0.3
+               for m, n in zip(sizes[:-1], sizes[1:])]
+    return weights, rng.random((CYCLES, sizes[0])) < 0.3
 
 
-HEAVY = 4  # input lines of the Q9.7 file with large weights
+HEAVY = 4  # input lines with large weights in the Q9.7 and Q17.15 files
 
 
-def heavy_lines_draw(rng):
+def heavy_lines_draw(rng, sizes):
     """Q9.7 raw weights within +-4.0, except that input lines 0..HEAVY-1
     carry +-96 to +-160 (two of them can clamp a sum) and spike at rate
     0.25 instead of 0.3."""
     weights = [rng.integers(-512, 512, (m, n), endpoint=True)
-               for m, n in zip(SIZES[:-1], SIZES[1:])]
-    heavy = rng.integers(96 << 7, 160 << 7, (HEAVY, SIZES[1]), endpoint=True)
+               for m, n in zip(sizes[:-1], sizes[1:])]
+    heavy = rng.integers(96 << 7, 160 << 7, (HEAVY, sizes[1]), endpoint=True)
     weights[0][:HEAVY] = heavy * rng.choice([-1, 1], heavy.shape)
-    rates = np.full(SIZES[0], 0.3)
+    rates = np.full(sizes[0], 0.3)
     rates[:HEAVY] = 0.25
-    return weights, rng.random((CYCLES, SIZES[0])) < rates
+    return weights, rng.random((CYCLES, sizes[0])) < rates
+
+
+def heavy_deep_draw(rng, sizes):
+    """Q17.15 raw weights within +-4.0, except that input lines
+    0..HEAVY-1 carry +-40000 to +-60000 and every weight of the deeper
+    planes +-20000 to +-60000 (two of them can clamp a sum); input rates
+    as in `heavy_lines_draw`."""
+    one = 1 << 15
+    weights = [rng.integers(-4 * one, 4 * one, (m, n), endpoint=True)
+               for m, n in zip(sizes[:-1], sizes[1:])]
+    heavy = rng.integers(40000 * one, 60000 * one, (HEAVY, sizes[1]), endpoint=True)
+    weights[0][:HEAVY] = heavy * rng.choice([-1, 1], heavy.shape)
+    for k in range(1, len(weights)):
+        deep = rng.integers(20000 * one, 60000 * one, weights[k].shape, endpoint=True)
+        weights[k] = deep * rng.choice([-1, 1], deep.shape)
+    rates = np.full(sizes[0], 0.3)
+    rates[:HEAVY] = 0.25
+    return weights, rng.random((CYCLES, sizes[0])) < rates
 
 
 @dataclass(frozen=True)
@@ -74,16 +100,20 @@ class Case:
     policy: OverflowPolicy
     registers: tuple[RealRegisters, ...]
     seed: int
-    draw: Callable = uniform_draw  # rng -> (raw weights, stimulus), to record
+    draw: Callable = uniform_draw  # (rng, sizes) -> (raw weights, stimulus), to record
+    sizes: tuple[int, ...] = SIZES
+    layer_latency: int = 0
 
     @property
     def path(self) -> Path:
         fmt = f"q{self.fmt.n}{self.fmt.q}"
-        return Path(__file__).parent / "golden" / f"{self.name}_{fmt}_64_16_4.json"
+        sizes = "_".join(map(str, self.sizes))
+        return Path(__file__).parent / "golden" / f"{self.name}_{fmt}_{sizes}.json"
 
     def config(self) -> CoreConfig:
-        return CoreConfig(self.fmt, SIZES, (Connectivity(ConnectivityKind.ALL_TO_ALL),) * 2,
-                          self.registers, policy=self.policy)
+        conn = (Connectivity(ConnectivityKind.ALL_TO_ALL),) * len(self.registers)
+        return CoreConfig(self.fmt, self.sizes, conn, self.registers, policy=self.policy,
+                          layer_latency=self.layer_latency)
 
 
 SATURATING = Case("saturate", Q5_3, SATURATE, (
@@ -107,8 +137,18 @@ SATURATING_Q97 = Case("saturate", Q9_7, SATURATE, (
                   reset_mode=ResetMode.BY_SUBTRACTION),
 ), seed=20240404, draw=heavy_lines_draw)
 
+SATURATING_Q1715 = Case("saturate", Q17_15, SATURATE, (
+    RealRegisters(decay_rate=0.25, growth_rate=1.0, v_threshold=8.0,
+                  reset_mode=ResetMode.BY_SUBTRACTION, refractory_period=1),
+    RealRegisters(decay_rate=0.125, growth_rate=0.5, v_threshold=4.0,
+                  reset_mode=ResetMode.DEFAULT),
+    RealRegisters(decay_rate=0.5, growth_rate=1.0, v_threshold=16.0,
+                  reset_mode=ResetMode.TO_CONSTANT, v_reset=-4.0),
+), seed=20240405, draw=heavy_deep_draw, sizes=(64, 16, 8, 4), layer_latency=1)
+
 # The names that regenerate each file on the command line.
-CASES = {"saturate": SATURATING, "wrap": WRAPPING, "saturate_q97": SATURATING_Q97}
+CASES = {"saturate": SATURATING, "wrap": WRAPPING, "saturate_q97": SATURATING_Q97,
+         "saturate_q1715": SATURATING_Q1715}
 
 
 def bits(row) -> str:
@@ -134,7 +174,7 @@ def replay(case: Case, weights, stimulus):
         cycles.append({
             "spikes": [bits(layer[t]) for layer in raster.layers],
             "vmem": [" ".join(literal(traces[(k, j)][t], case.fmt) for j in range(n))
-                     for k, n in enumerate(SIZES[1:])],
+                     for k, n in enumerate(case.sizes[1:])],
         })
     return cycles
 
@@ -150,7 +190,9 @@ def load(case: Case):
 def check_replay(case: Case):
     data, weights, stimulus = load(case)
     assert (data["format"], data["policy"], tuple(data["sizes"])) == (
-        str(case.fmt), case.policy.value, SIZES)
+        str(case.fmt), case.policy.value, case.sizes)
+    # The 64-16-4 files predate the key; they run the same-cycle cascade.
+    assert data.get("layer_latency", 0) == case.layer_latency
     got = replay(case, weights, stimulus)
     assert len(got) == len(data["cycles"]) == CYCLES
     for t, (g, want) in enumerate(zip(got, data["cycles"])):
@@ -167,6 +209,10 @@ def test_wrap_golden_trace_replays_bit_for_bit():
 
 def test_q97_saturate_golden_trace_replays_bit_for_bit():
     check_replay(SATURATING_Q97)
+
+
+def test_q1715_three_layer_latency1_golden_trace_replays_bit_for_bit():
+    check_replay(SATURATING_Q1715)
 
 
 def test_golden_sums_clamp_mid_sum():
@@ -234,12 +280,51 @@ def test_wrap_golden_activations_and_membranes_wrap():
     assert membrane_wraps > 50
 
 
+def test_q1715_golden_sums_and_membranes_hit_the_bounds():
+    # Per layer: ordered activation sums that end on a bound of Q17.15,
+    # and membrane updates vmem - leak + drive of neurons not held whose
+    # exact value lies above or below the range and is clamped.  With
+    # layer_latency=1, layer k > 0 reads layer k-1's spikes of the cycle
+    # before, and nothing in cycle 0.
+    case = SATURATING_Q1715
+    data, weights, stimulus = load(case)
+    fmt, sizes = case.fmt, case.sizes
+    lo, hi = fmt.min_raw, fmt.max_raw
+    spikes = [np.array([unbits(c["spikes"][k]) for c in data["cycles"]])
+              for k in range(len(weights))]
+    vmem = [np.array([[QWord.from_literal(x).raw for x in c["vmem"][k].split()]
+                      for c in data["cycles"]]) for k in range(len(weights))]
+    at_bound, above, below = [], [], []
+    for k, (w, regs) in enumerate(zip(weights, case.registers)):
+        upstream = stimulus if k == 0 else np.vstack(
+            [np.zeros((1, sizes[k]), dtype=bool), spikes[k - 1][:-1]])
+        decay, growth = (round(x / fmt.quantum) for x in (regs.decay_rate, regs.growth_rate))
+        prev = np.zeros(w.shape[1], dtype=np.int64)
+        counts = [0, 0, 0]
+        for t, row in enumerate(upstream):
+            act = np.zeros(w.shape[1], dtype=np.int64)
+            for r in w[np.flatnonzero(row)]:
+                act = add_raw(act, r, fmt, SATURATE)
+            update = prev - ((decay * prev) >> fmt.q) + mul_raw(growth, act, fmt, SATURATE)
+            held = spikes[k][max(t - regs.refractory_period, 0):t].any(axis=0)
+            counts[0] += int(np.sum((act == lo) | (act == hi)))
+            counts[1] += int(np.sum(~held & (update > hi)))
+            counts[2] += int(np.sum(~held & (update < lo)))
+            prev = vmem[k][t]
+        for out, n in zip((at_bound, above, below), counts):
+            out.append(n)
+    assert at_bound == [7, 94, 42]
+    assert above == [59, 17, 0]
+    assert below == [66, 18, 76]
+
+
 def record(case: Case) -> dict:
-    weights, stimulus = case.draw(np.random.default_rng(case.seed))
+    weights, stimulus = case.draw(np.random.default_rng(case.seed), case.sizes)
     return {
         "format": str(case.fmt),
         "policy": case.policy.value,
-        "sizes": list(SIZES),
+        "sizes": list(case.sizes),
+        "layer_latency": case.layer_latency,
         "seed": case.seed,
         "weights": [[" ".join(QWord(case.fmt, int(x)).to_literal() for x in row) for row in w]
                     for w in weights],

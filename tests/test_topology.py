@@ -26,6 +26,15 @@ def test_one_to_one_is_identity():
     assert np.array_equal(build_mask(ONE, 3, 3), np.eye(3, dtype=bool))
 
 
+def test_connectivity_takes_a_kind_or_its_name():
+    assert np.array_equal(build_mask(Connectivity("one"), 3, 3), np.eye(3, dtype=bool))
+    assert Connectivity(" All ") == ALL
+    assert Connectivity("gaussian", 2) == gauss(2)
+    for bad in ("ring", 3, None):
+        with pytest.raises(ValueError, match="all, one, gaussian"):
+            Connectivity(bad)
+
+
 def test_one_to_one_rejects_rectangular():
     with pytest.raises(ValueError):
         build_mask(ONE, 3, 4)
