@@ -64,9 +64,10 @@ from .fixedpoint import (
     fit_raw,
     mul_raw,
     raw_dtype,
+    whole_number,
 )
 from .fixedpoint import add_raw, sub_raw  # noqa: F401  (bound for bench/spans.py to trace)
-from .neuron import NeuronRegisters, ResetMode, refractory_cycles
+from .neuron import NeuronRegisters, ResetMode
 from .topology import Connectivity, ConnectivityKind, WeightMemory, build_mask
 
 __all__ = [
@@ -78,6 +79,7 @@ __all__ = [
 ]
 
 ALL_TO_ALL = Connectivity(ConnectivityKind.ALL_TO_ALL)
+_RAW = operator.attrgetter("raw")  # a Core's number system: the raw payload of a QWord
 
 
 def encode_register(value: float, fmt: QFormat, clamp: bool = False) -> int:
@@ -111,7 +113,8 @@ class RealRegisters:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} {getattr(self, name)} is not a finite real")
         object.__setattr__(self, "reset_mode", ResetMode.from_name(self.reset_mode))
-        object.__setattr__(self, "refractory_period", refractory_cycles(self.refractory_period))
+        object.__setattr__(self, "refractory_period",
+                           whole_number(self.refractory_period, "refractory_period"))
 
     def quantize(self, fmt: QFormat, clamp: bool = False) -> NeuronRegisters:
         return NeuronRegisters(
@@ -168,9 +171,6 @@ class CoreConfig:
     def synapse_count(self) -> int:
         return sum(int(mask.sum()) for mask in _masks(self))
 
-    def with_format(self, fmt: QFormat) -> "CoreConfig":
-        return replace(self, fmt=fmt)
-
 
 @dataclass
 class SpikeRaster:
@@ -203,12 +203,14 @@ def _masks(cfg: CoreConfig) -> list[np.ndarray]:
 
 
 class _LayerRegs:
-    """One layer's registers; `number` maps the values of a NeuronRegisters
-    or RealRegisters into the core's number system."""
+    """One layer's register file, a NeuronRegisters or RealRegisters, as it
+    was validated (`file`) and with its values mapped by `number` into the
+    core's number system."""
 
-    __slots__ = ("decay", "growth", "vth", "vreset", "mode", "refractory")
+    __slots__ = ("file", "decay", "growth", "vth", "vreset", "mode", "refractory")
 
     def __init__(self, regs, number):
+        self.file = regs
         self.decay = number(regs.decay_rate)
         self.growth = number(regs.growth_rate)
         self.vth = number(regs.v_threshold)
@@ -252,7 +254,6 @@ class _Cycle:
         """
         sizes = self.cfg.sizes
         self._vmem = [np.zeros(n, dtype=self._dtype) for n in sizes[1:]]
-        self._act = [np.zeros(n, dtype=self._dtype) for n in sizes[1:]]
         self._refr = [np.zeros(n, dtype=np.int64) for n in sizes[1:]]
         self._prev_out = [np.zeros(n, dtype=bool) for n in sizes[:-1]]
 
@@ -261,7 +262,7 @@ class _Cycle:
         vmem, refr = self._vmem[k], self._refr[k]
 
         # 1. activation: weighted sum of this cycle's input spikes.
-        act = self._act[k] = self._activation(k, spikes_in)
+        act = self._activation(k, spikes_in)
 
         # 2./3. refractory hold, or membrane update + fire + reset.
         drive = self._mul(r.growth, act)
@@ -349,8 +350,7 @@ class Core(_Cycle):
         self.fmt = cfg.fmt
         self.policy = cfg.policy
         self.threads = max(1, int(threads))
-        regs = [_LayerRegs(r.quantize(cfg.fmt, clamp=clamp_registers), operator.attrgetter("raw"))
-                for r in cfg.registers]
+        regs = [_LayerRegs(r.quantize(cfg.fmt, clamp=clamp_registers), _RAW) for r in cfg.registers]
         super().__init__(cfg, regs, raw_dtype(cfg.fmt), cfg.fmt.quantum)
         self.planes = [WeightMemory(cfg.fmt, mask, layer=k) for k, mask in enumerate(_masks(cfg))]
         self._columns = [
@@ -373,10 +373,7 @@ class Core(_Cycle):
 
     def registers(self, layer: int) -> NeuronRegisters:
         self._check_layer(layer, "registers")
-        r = self._regs[layer]
-        f = self.fmt
-        return NeuronRegisters(QWord(f, r.decay), QWord(f, r.growth), QWord(f, r.vth),
-                               r.mode, QWord(f, r.vreset), r.refractory)
+        return self._regs[layer].file
 
     def write_register(self, layer: int, name: str, value) -> None:
         """Program one control register; takes effect from the next cycle.
@@ -389,7 +386,7 @@ class Core(_Cycle):
             raise ValueError(f"unknown register {name!r}")
         if isinstance(getattr(regs, name), QWord):
             value = self._word(name, value)
-        self._regs[layer] = _LayerRegs(replace(regs, **{name: value}), operator.attrgetter("raw"))
+        self._regs[layer] = _LayerRegs(replace(regs, **{name: value}), _RAW)
 
     def write_weight(self, layer: int, pre: int, post: int, value) -> None:
         """Program one synapse; `value` is a signed real or QWord."""
@@ -406,12 +403,9 @@ class Core(_Cycle):
 
     def decoded_registers(self) -> list[RealRegisters]:
         """Register values as the datapath sees them (decoded from the format)."""
-        out = []
-        q = self.fmt.quantum
-        for r in self._regs:
-            out.append(RealRegisters(r.decay * q, r.growth * q, r.vth * q,
-                                     r.mode, r.vreset * q, r.refractory))
-        return out
+        return [RealRegisters(f.decay_rate.value, f.growth_rate.value, f.v_threshold.value,
+                              f.reset_mode, f.v_reset.value, f.refractory_period)
+                for f in (r.file for r in self._regs)]
 
     def decoded_weights(self) -> list[np.ndarray]:
         return [p.raw.astype(np.float64) * self.fmt.quantum for p in self.planes]

@@ -27,6 +27,8 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
+    "NamedEnum",
+    "whole_number",
     "OverflowPolicy",
     "QFormat",
     "QWord",
@@ -34,7 +36,6 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "neg",
     "wrap_raw",
     "saturate_raw",
     "fit_raw",
@@ -47,28 +48,45 @@ __all__ = [
 ]
 
 
-class OverflowPolicy(enum.Enum):
-    WRAP = "wrap"
-    SATURATE = "saturate"
+class NamedEnum(enum.Enum):
+    """An enum whose config values are its members or their names."""
 
     @classmethod
-    def from_name(cls, name) -> "OverflowPolicy":
-        """An OverflowPolicy, or the policy that a name such as "wrap" selects."""
+    def from_name(cls, name):
+        """A member, or the member that its name selects (after strip and lower-case)."""
         if isinstance(name, cls):
             return name
-        if not isinstance(name, str):
-            raise ValueError(f"policy {name!r} is neither an OverflowPolicy nor a policy name")
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown overflow policy {name!r} (expected 'wrap' or 'saturate')")
+        members = {m.value: m for m in cls}
+        key = name.strip().lower() if isinstance(name, str) else None
+        if key in members:
+            return members[key]
+        # The field a config names it by: ResetMode is reset_mode.
+        field = re.sub(r"(?<=[a-z])(?=[A-Z])", "_", cls.__name__).lower()
+        raise ValueError(f"unknown {field.replace('_', ' ')} {name!r}: {field} must be one of: "
+                         f"{', '.join(members)}")
+
+
+def whole_number(value, name: str) -> int:
+    """An integral value >= 0, such as a count of cycles, as an int."""
+    try:
+        whole = int(value)
+        integral = whole == value
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral or whole < 0:
+        raise ValueError(f"{name} {value!r} is not a whole number >= 0")
+    return whole
+
+
+class OverflowPolicy(NamedEnum):
+    WRAP = "wrap"
+    SATURATE = "saturate"
 
 
 WRAP = OverflowPolicy.WRAP
 SATURATE = OverflowPolicy.SATURATE
 
 _LITERAL_RE = re.compile(r"^Q(\d+)\.(\d+):(0[xX][0-9a-fA-F]+)$")
-_FORMAT_RE = re.compile(r"^Q(\d+)\.(\d+)$")
 
 
 @dataclass(frozen=True)
@@ -79,10 +97,10 @@ class QFormat:
     q: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n", whole_number(self.n, "n"))
+        object.__setattr__(self, "q", whole_number(self.q, "q"))
         if self.n < 2:
             raise ValueError(f"Q{self.n}.{self.q}: need n >= 2 (sign plus at least one integer bit)")
-        if self.q < 0:
-            raise ValueError(f"Q{self.n}.{self.q}: need q >= 0")
         if self.n + self.q > 64:
             raise ValueError(f"Q{self.n}.{self.q}: total width {self.n + self.q} exceeds 64")
 
@@ -114,13 +132,6 @@ class QFormat:
 
     def __str__(self) -> str:
         return f"Q{self.n}.{self.q}"
-
-    @classmethod
-    def parse(cls, text: str) -> "QFormat":
-        m = _FORMAT_RE.match(text.strip())
-        if not m:
-            raise ValueError(f"bad Q-format literal {text!r} (expected 'Qn.q')")
-        return cls(int(m.group(1)), int(m.group(2)))
 
 
 # Formats that come up throughout the tests and demos.
@@ -277,8 +288,3 @@ def sub(a: QWord, b: QWord, policy: OverflowPolicy = WRAP) -> QWord:
 def mul(a: QWord, b: QWord, policy: OverflowPolicy = WRAP) -> QWord:
     _check_formats(a, b)
     return QWord(a.fmt, int(mul_raw(a.raw, b.raw, a.fmt, policy)))
-
-
-def neg(a: QWord, policy: OverflowPolicy = WRAP) -> QWord:
-    # -min_raw does not fit; wrap maps it back onto itself like the hardware.
-    return QWord(a.fmt, int(fit_raw(-a.raw, a.fmt, policy)))

@@ -1,10 +1,11 @@
 """Quantized leaky integrate-and-fire neuron, and the rules of its register file.
 
 `NeuronRegisters` is the one place that decides what a valid register file
-is: the decay raw range, the reset-mode coercion (`ResetMode.from_name`)
-and the refractory-period check (`refractory_cycles`).  `core.Core`
-programs its registers through it, and `core.RealRegisters` reuses the two
-helpers.
+is: the decay raw range, the reset mode as a member or its name, and the
+refractory period as a whole number of cycles (the shared parsers
+`fixedpoint.NamedEnum.from_name` and `fixedpoint.whole_number`).
+`core.Core` programs its registers through it, and `core.RealRegisters`
+uses the same two parsers.
 
 One simulation timestep is one spike-clock cycle.  The per-cycle order is
 fixed for bit-exact reproducibility:
@@ -24,14 +25,13 @@ spikes are always at least refractory_period + 1 cycles apart.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
-from .fixedpoint import WRAP, OverflowPolicy, QFormat, QWord, add, mul, sub
+from .fixedpoint import (WRAP, NamedEnum, OverflowPolicy, QFormat, QWord, add, mul, sub,
+                         whole_number)
 
 __all__ = [
     "ResetMode",
-    "refractory_cycles",
     "NeuronRegisters",
     "NeuronState",
     "accumulate_activation",
@@ -42,36 +42,11 @@ __all__ = [
 ]
 
 
-class ResetMode(enum.Enum):
+class ResetMode(NamedEnum):
     TO_CONSTANT = "constant"
     TO_ZERO = "zero"
     BY_SUBTRACTION = "subtract"
     DEFAULT = "default"
-
-    @classmethod
-    def from_name(cls, name) -> "ResetMode":
-        """A ResetMode, or the mode that a name such as "zero" selects."""
-        if isinstance(name, cls):
-            return name
-        if not isinstance(name, str):
-            raise ValueError(f"reset_mode {name!r} is neither a ResetMode nor a mode name")
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            names = ", ".join(m.value for m in cls)
-            raise ValueError(f"unknown reset mode {name!r} (expected one of: {names})")
-
-
-def refractory_cycles(value) -> int:
-    """A refractory period in cycles: an integral value >= 0, as an int."""
-    try:
-        period = int(value)
-        integral = period == value
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    if not integral or period < 0:
-        raise ValueError(f"refractory_period {value!r} is not a whole number of cycles >= 0")
-    return period
 
 
 @dataclass(frozen=True)
@@ -98,13 +73,10 @@ class NeuronRegisters:
             raise ValueError(f"decay_rate raw {self.decay_rate.raw} outside [0, 2**{fmt.q}] "
                              f"(a rate in [0, 1])")
         object.__setattr__(self, "reset_mode", ResetMode.from_name(self.reset_mode))
-        object.__setattr__(self, "refractory_period", refractory_cycles(self.refractory_period))
+        object.__setattr__(self, "refractory_period",
+                           whole_number(self.refractory_period, "refractory_period"))
         if self.reset_mode is ResetMode.TO_CONSTANT and self.v_reset is None:
             raise ValueError("reset mode 'constant' needs v_reset")
-
-    @property
-    def fmt(self) -> QFormat:
-        return self.decay_rate.fmt
 
 
 @dataclass

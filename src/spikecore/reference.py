@@ -116,8 +116,7 @@ def format_sweep(cfg: CoreConfig, weight_writes, stream, duration: int,
     """
     results = []
     for fmt in formats:
-        qcfg = cfg.with_format(fmt)
-        core = Core(qcfg, clamp_registers=True)
+        core = Core(replace(cfg, fmt=fmt), clamp_registers=True)
         for (layer, pre, post, value) in weight_writes:
             # weight loads saturate rather than alias when out of range
             core.write_weight(layer, pre, post, QWord(fmt, encode_register(value, fmt, clamp=True)))

@@ -8,12 +8,11 @@ strength.  Masked-out positions are structurally zero and reject writes.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fixedpoint import QFormat, QWord, raw_dtype
+from .fixedpoint import NamedEnum, QFormat, QWord, raw_dtype, whole_number
 from .fixedpoint import fit_raw  # noqa: F401  (bound here so bench/spans.py can trace it)
 
 __all__ = [
@@ -26,7 +25,7 @@ __all__ = [
 ]
 
 
-class ConnectivityKind(enum.Enum):
+class ConnectivityKind(NamedEnum):
     ALL_TO_ALL = "all"
     ONE_TO_ONE = "one"
     GAUSSIAN = "gaussian"
@@ -39,15 +38,9 @@ class Connectivity:
 
     def __post_init__(self):
         """`kind` is a ConnectivityKind or its name, such as "one"."""
-        if not isinstance(self.kind, ConnectivityKind):
-            kinds = {k.value: k for k in ConnectivityKind}
-            name = self.kind.strip().lower() if isinstance(self.kind, str) else None
-            if name not in kinds:
-                raise ValueError(f"unknown connectivity {self.kind!r} "
-                                 f"(expected one of: {', '.join(kinds)})")
-            object.__setattr__(self, "kind", kinds[name])
-        if self.kind is ConnectivityKind.GAUSSIAN and self.radius < 0:
-            raise ValueError("gaussian radius must be >= 0")
+        object.__setattr__(self, "kind", ConnectivityKind.from_name(self.kind))
+        if self.kind is ConnectivityKind.GAUSSIAN:
+            object.__setattr__(self, "radius", whole_number(self.radius, "radius"))
 
     def __str__(self) -> str:
         if self.kind is ConnectivityKind.GAUSSIAN:

@@ -152,6 +152,19 @@ def test_registers_rejects_a_layer_out_of_range():
     assert core.registers(1).v_threshold.value == 2.0
 
 
+def test_registers_returns_the_stored_file(monkeypatch):
+    # It used to build a new NeuronRegisters, and four QWords, per call.
+    core = toy_core()
+    first = core.registers(0)
+    monkeypatch.setattr(QWord, "__post_init__", lambda self: pytest.fail("QWord built"))
+    assert core.registers(0) is first and core.registers(1) is core.registers(1)
+    monkeypatch.undo()
+    core.write_register(0, "v_threshold", 2.0)
+    assert core.registers(0) is core.registers(0) is not first
+    assert core.registers(0) == replace(first, v_threshold=encode(2.0, Q9_7))
+    assert core.decoded_registers()[0].v_threshold == 2.0
+
+
 # --- stepping ----------------------------------------------------------------
 
 def test_zero_input_zero_state_stays_silent():
@@ -441,7 +454,8 @@ def test_saturate_policy_core_runs():
             core.write_weight(0, i, j, 15.875)
     outs = core.step_cycle([1, 1, 1, 1])
     # saturating accumulation pins act at the maximum instead of wrapping
-    assert all(int(a) == Q5_3.max_raw for a in core._act[0])
+    act = core._activation(0, np.ones(4, dtype=bool))
+    assert all(int(a) == Q5_3.max_raw for a in act)
     assert outs[0].all()
 
 

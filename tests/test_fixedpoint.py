@@ -19,7 +19,6 @@ from spikecore.fixedpoint import (
     encode,
     mul,
     mul_raw,
-    neg,
     raw_dtype,
     sub,
 )
@@ -80,6 +79,14 @@ def test_format_validation():
         QFormat(5, -1)
     with pytest.raises(ValueError):
         QFormat(40, 33)
+    # A fractional or non-numeric width used to construct and then raise
+    # TypeError on the first max_raw.
+    for n, q, name in ((5, 3.5, "q"), (5.5, 3, "n"), ("5", 3, "n"), (5, float("nan"), "q")):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            QFormat(n, q)
+    whole = QFormat(5.0, 3.0)
+    assert (type(whole.n), type(whole.q)) == (int, int)
+    assert whole == Q5_3 and hash(whole) == hash(Q5_3) and whole.max_raw == 127
 
 
 # --- add / sub / mul spec cases ----------------------------------------------
@@ -116,12 +123,6 @@ def test_mul_overflow_wraps_to_zero():
     # product raw 2048, >>3 = 256, low 8 bits = 0
     assert mul(encode(8.0, Q5_3), encode(4.0, Q5_3)).value == 0.0
     assert oracle_mul(64, 32, 8, 3, saturate=False) == 0
-
-
-def test_neg_of_min_wraps_onto_itself():
-    m = QWord(Q5_3, Q5_3.min_raw)
-    assert neg(m).raw == Q5_3.min_raw
-    assert neg(m, SATURATE).raw == Q5_3.max_raw
 
 
 # --- exhaustive 8-bit sweep vs oracle ----------------------------------------

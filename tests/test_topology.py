@@ -46,6 +46,16 @@ def test_gaussian_radius1_is_tridiagonal():
     assert np.array_equal(mask, want)
 
 
+def test_gaussian_radius_must_be_a_whole_number():
+    # 1.5 used to build the radius-1 band, nan an all-zero mask, and "2"
+    # raised TypeError from the distance compare.
+    for bad in (1.5, float("nan"), "2", -1):
+        with pytest.raises(ValueError, match="radius"):
+            gauss(bad)
+    assert gauss(2.0) == gauss(2) and type(gauss(2.0).radius) is int
+    assert str(gauss(np.int64(3))) == "gaussian(r=3)"
+
+
 def brute_force_ones(kind, m, n, r):
     """Count mask entries straight from the index-distance definitions."""
     count = 0
