@@ -46,7 +46,6 @@ so the fit clamps exactly where the hardware's adder does.
 
 from __future__ import annotations
 
-import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -61,6 +60,7 @@ from .fixedpoint import (
     QWord,
     accumulate_raw,
     encode_raw,
+    finite_real,
     fit_raw,
     mul_raw,
     raw_dtype,
@@ -79,17 +79,16 @@ __all__ = [
 ]
 
 ALL_TO_ALL = Connectivity(ConnectivityKind.ALL_TO_ALL)
-_RAW = operator.attrgetter("raw")  # a Core's number system: the raw payload of a QWord
+_WORDS = ("decay_rate", "growth_rate", "v_threshold", "v_reset")  # the word registers
 
 
-def encode_register(value: float, fmt: QFormat, clamp: bool = False) -> int:
-    """Quantize a register/weight real; out-of-range is an error unless clamping."""
-    if not math.isfinite(value):
-        raise ValueError(f"value {value} is not a finite real; {fmt} holds finite values only")
+def encode_register(value: float, fmt: QFormat, clamp: bool = False, name: str = "value") -> int:
+    """Quantize the real `name`, a register or weight; out-of-range raises unless clamping."""
+    finite_real(value, name)
     # Truncation toward -inf keeps exactly the reals in [min_value, -min_value).
     if not clamp and not fmt.min_value <= value < -fmt.min_value:
         raise ValueError(
-            f"value {value} not representable in {fmt} (range "
+            f"{name} {value} not representable in {fmt} (range "
             f"[{fmt.min_value}, {fmt.max_value}])"
         )
     return encode_raw(value, fmt, SATURATE)
@@ -107,24 +106,19 @@ class RealRegisters:
     refractory_period: int = 0
 
     def __post_init__(self):
+        for name in _WORDS:
+            finite_real(getattr(self, name), name)
         if not 0.0 <= self.decay_rate <= 1.0:
             raise ValueError(f"decay_rate {self.decay_rate} outside [0, 1]")
-        for name in ("growth_rate", "v_threshold", "v_reset"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} {getattr(self, name)} is not a finite real")
         object.__setattr__(self, "reset_mode", ResetMode.from_name(self.reset_mode))
         object.__setattr__(self, "refractory_period",
                            whole_number(self.refractory_period, "refractory_period"))
 
     def quantize(self, fmt: QFormat, clamp: bool = False) -> NeuronRegisters:
-        return NeuronRegisters(
-            decay_rate=QWord(fmt, encode_register(self.decay_rate, fmt, clamp)),
-            growth_rate=QWord(fmt, encode_register(self.growth_rate, fmt, clamp)),
-            v_threshold=QWord(fmt, encode_register(self.v_threshold, fmt, clamp)),
-            reset_mode=self.reset_mode,
-            v_reset=QWord(fmt, encode_register(self.v_reset, fmt, clamp)),
-            refractory_period=self.refractory_period,
-        )
+        words = {name: QWord(fmt, encode_register(getattr(self, name), fmt, clamp, name))
+                 for name in _WORDS}
+        return NeuronRegisters(reset_mode=self.reset_mode,
+                               refractory_period=self.refractory_period, **words)
 
 
 @dataclass(frozen=True)
@@ -137,9 +131,11 @@ class CoreConfig:
     layer_latency: int = 0                 # 0: same-cycle cascade, 1: one cycle per layer
 
     def __post_init__(self):
+        object.__setattr__(self, "sizes", tuple(whole_number(n, f"sizes[{i}]")
+                                                for i, n in enumerate(self.sizes)))
         if len(self.sizes) < 2:
             raise ValueError("need an input width and at least one LIF layer")
-        if any(n < 1 for n in self.sizes):
+        if 0 in self.sizes:
             raise ValueError("layer sizes must be >= 1")
         k = len(self.sizes) - 1
         if len(self.connectivity) != k or len(self.registers) != k:
@@ -202,33 +198,19 @@ def _masks(cfg: CoreConfig) -> list[np.ndarray]:
     return masks
 
 
-class _LayerRegs:
-    """One layer's register file, a NeuronRegisters or RealRegisters, as it
-    was validated (`file`) and with its values mapped by `number` into the
-    core's number system."""
-
-    __slots__ = ("file", "decay", "growth", "vth", "vreset", "mode", "refractory")
-
-    def __init__(self, regs, number):
-        self.file = regs
-        self.decay = number(regs.decay_rate)
-        self.growth = number(regs.growth_rate)
-        self.vth = number(regs.v_threshold)
-        self.vreset = number(regs.v_reset)
-        self.mode = regs.reset_mode
-        self.refractory = regs.refractory_period
-
-
 class _Cycle:
     """The LIF cycle in `neuron.py`'s order.  Adds and subtracts are plain
-    `+` and `-`; a subclass defines the number system in four hooks:
+    `+` and `-`; a subclass defines the number system in five hooks:
+    `_number(word)`, a word register's value in this number system;
     `_activation(k, spikes)`, the weighted sum of the input spikes;
     `_mul(a, b)`; `_leak(d, v)`, the leak step v - d*v; and `_fit(x)`,
     which brings a sum into the state's range where the cycle latches or
-    compares it (the updated membrane, the reset value).  It also passes
-    the state dtype, registers and trace scale to `__init__`."""
+    compares it (the updated membrane, the reset value).  `__init__` takes
+    the config, one validated register file per layer (`NeuronRegisters`
+    or `RealRegisters`), which the cycle reads as it stands, the state
+    dtype and the trace scale."""
 
-    def __init__(self, cfg: CoreConfig, regs: list[_LayerRegs], dtype, scale: float):
+    def __init__(self, cfg: CoreConfig, regs, dtype, scale: float):
         self.cfg = cfg
         self._regs = regs
         self._dtype = dtype
@@ -247,48 +229,50 @@ class _Cycle:
                              f"the planes of sizes {sizes}")
 
     def reset_state(self) -> None:
-        """Between-sample reset: membranes, activations and counters to zero.
+        """Between-sample reset: membranes, refractory counters and the
+        latched outputs of layers 0..K-2 to zero.
 
-        Fresh arrays, not in-place zeroing: the latched layer inputs may be
-        rows of the caller's stimulus.
+        Fresh arrays, not in-place zeroing: the latched outputs are the
+        spike vectors that `step_cycle` returned to its caller.
         """
         sizes = self.cfg.sizes
         self._vmem = [np.zeros(n, dtype=self._dtype) for n in sizes[1:]]
         self._refr = [np.zeros(n, dtype=np.int64) for n in sizes[1:]]
-        self._prev_out = [np.zeros(n, dtype=bool) for n in sizes[:-1]]
+        self._prev_out = [np.zeros(n, dtype=bool) for n in sizes[1:-1]]
 
     def _step_layer(self, k: int, spikes_in: np.ndarray) -> np.ndarray:
-        r = self._regs[k]
+        r, number = self._regs[k], self._number
+        decay, vth, mode = number(r.decay_rate), number(r.v_threshold), r.reset_mode
         vmem, refr = self._vmem[k], self._refr[k]
 
         # 1. activation: weighted sum of this cycle's input spikes.
         act = self._activation(k, spikes_in)
 
         # 2./3. refractory hold, or membrane update + fire + reset.
-        drive = self._mul(r.growth, act)
-        updated = self._fit(self._leak(r.decay, vmem) + drive)
+        drive = self._mul(number(r.growth_rate), act)
+        updated = self._fit(self._leak(decay, vmem) + drive)
         # With no period and no neuron held the hold is a no-op; a period
         # written to 0 still counts down the neurons held under the old one.
-        refractory = r.refractory > 0 or refr.any()
+        refractory = r.refractory_period > 0 or refr.any()
         if refractory:
             held = refr > 0
             updated = np.where(held, vmem, updated)
-            spikes = (~held) & (updated >= r.vth)
+            spikes = (~held) & (updated >= vth)
         else:
-            spikes = updated >= r.vth
+            spikes = updated >= vth
 
-        if r.mode is ResetMode.TO_CONSTANT:
-            after = r.vreset
-        elif r.mode is ResetMode.TO_ZERO:
+        if mode is ResetMode.TO_CONSTANT:
+            after = number(r.v_reset)
+        elif mode is ResetMode.TO_ZERO:
             after = 0
-        elif r.mode is ResetMode.BY_SUBTRACTION:
-            after = self._fit(updated - r.vth)
+        elif mode is ResetMode.BY_SUBTRACTION:
+            after = self._fit(updated - vth)
         else:  # DEFAULT: one more leak step, no discrete reset
-            after = self._leak(r.decay, updated)
+            after = self._leak(decay, updated)
 
         self._vmem[k] = np.where(spikes, after, updated)
         if refractory:
-            self._refr[k] = np.where(held, refr - 1, np.where(spikes, r.refractory, 0))
+            self._refr[k] = np.where(held, refr - 1, np.where(spikes, r.refractory_period, 0))
         return spikes
 
     def step_cycle(self, input_spikes) -> list[np.ndarray]:
@@ -300,12 +284,12 @@ class _Cycle:
         feed = stim
         for k in range(self.n_layers):
             if self.cfg.layer_latency == 1 and k > 0:
-                feed = self._prev_out[k]  # previous cycle's output of layer k-1
+                feed = self._prev_out[k - 1]  # previous cycle's output of layer k-1
             out = self._step_layer(k, feed)
             outs.append(out)
             feed = out
         if self.cfg.layer_latency == 1:
-            self._prev_out = [stim] + outs[:-1]
+            self._prev_out = outs[:-1]
         return outs
 
     def run_sample(self, stream, duration: int, watch=None):
@@ -349,15 +333,15 @@ class Core(_Cycle):
     def __init__(self, cfg: CoreConfig, clamp_registers: bool = False, threads: int = 1):
         self.fmt = cfg.fmt
         self.policy = cfg.policy
-        self.threads = max(1, int(threads))
-        regs = [_LayerRegs(r.quantize(cfg.fmt, clamp=clamp_registers), _RAW) for r in cfg.registers]
+        threads = max(1, int(threads))
+        regs = [r.quantize(cfg.fmt, clamp=clamp_registers) for r in cfg.registers]
         super().__init__(cfg, regs, raw_dtype(cfg.fmt), cfg.fmt.quantum)
         self.planes = [WeightMemory(cfg.fmt, mask, layer=k) for k, mask in enumerate(_masks(cfg))]
         self._columns = [
             [slice(lo, hi) for lo, hi in zip(b[:-1], b[1:]) if lo < hi]
-            for b in (np.linspace(0, n, self.threads + 1, dtype=int) for n in cfg.sizes[1:])
+            for b in (np.linspace(0, n, threads + 1, dtype=int) for n in cfg.sizes[1:])
         ]
-        self._pool = ThreadPoolExecutor(self.threads - 1) if self.threads > 1 else None
+        self._pool = ThreadPoolExecutor(threads - 1) if threads > 1 else None
 
     def __enter__(self) -> "Core":
         return self
@@ -373,7 +357,7 @@ class Core(_Cycle):
 
     def registers(self, layer: int) -> NeuronRegisters:
         self._check_layer(layer, "registers")
-        return self._regs[layer].file
+        return self._regs[layer]
 
     def write_register(self, layer: int, name: str, value) -> None:
         """Program one control register; takes effect from the next cycle.
@@ -381,12 +365,12 @@ class Core(_Cycle):
         The new register file is checked by `NeuronRegisters`, as a whole.
         """
         self._check_layer(layer, f"register {name!r}")
-        regs = self.registers(layer)
+        regs = self._regs[layer]
         if name not in {f.name for f in fields(regs)}:
             raise ValueError(f"unknown register {name!r}")
-        if isinstance(getattr(regs, name), QWord):
+        if name in _WORDS:
             value = self._word(name, value)
-        self._regs[layer] = _LayerRegs(replace(regs, **{name: value}), _RAW)
+        self._regs[layer] = replace(regs, **{name: value})
 
     def write_weight(self, layer: int, pre: int, post: int, value) -> None:
         """Program one synapse; `value` is a signed real or QWord."""
@@ -396,7 +380,7 @@ class Core(_Cycle):
     def _word(self, what: str, value) -> QWord:
         """A real or a QWord of the core's format, as a QWord."""
         if not isinstance(value, QWord):
-            return QWord(self.fmt, encode_register(float(value), self.fmt))
+            return QWord(self.fmt, encode_register(value, self.fmt, name=what))
         if value.fmt != self.fmt:
             raise ValueError(f"{what} format {value.fmt} != core format {self.fmt}")
         return value
@@ -405,12 +389,14 @@ class Core(_Cycle):
         """Register values as the datapath sees them (decoded from the format)."""
         return [RealRegisters(f.decay_rate.value, f.growth_rate.value, f.v_threshold.value,
                               f.reset_mode, f.v_reset.value, f.refractory_period)
-                for f in (r.file for r in self._regs)]
+                for f in self._regs]
 
     def decoded_weights(self) -> list[np.ndarray]:
         return [p.raw.astype(np.float64) * self.fmt.quantum for p in self.planes]
 
     # -- number system ----------------------------------------------------------
+
+    _number = staticmethod(operator.attrgetter("raw"))  # a register word's raw payload
 
     def _activation(self, k: int, spikes_in: np.ndarray) -> np.ndarray:
         """Ordered sum of the weight rows of this cycle's active inputs."""

@@ -29,6 +29,7 @@ import numpy as np
 __all__ = [
     "NamedEnum",
     "whole_number",
+    "finite_real",
     "OverflowPolicy",
     "QFormat",
     "QWord",
@@ -76,6 +77,16 @@ def whole_number(value, name: str) -> int:
     if not integral or whole < 0:
         raise ValueError(f"{name} {value!r} is not a whole number >= 0")
     return whole
+
+
+def finite_real(value, name: str):
+    """`value` if it is a finite real, else a ValueError naming it; an int stays exact."""
+    try:
+        if math.isfinite(value):
+            return value
+    except (TypeError, OverflowError):  # None, a string, an int past float range
+        pass
+    raise ValueError(f"{name} {value!r} is not a finite real")
 
 
 class OverflowPolicy(NamedEnum):

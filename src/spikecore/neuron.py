@@ -62,11 +62,8 @@ class NeuronRegisters:
 
     def __post_init__(self):
         fmt = self.decay_rate.fmt
-        others = [self.growth_rate, self.v_threshold]
-        if self.v_reset is not None:
-            others.append(self.v_reset)
-        for w in others:
-            if w.fmt != fmt:
+        for w in (self.growth_rate, self.v_threshold, self.v_reset):
+            if w is not None and w.fmt != fmt:
                 raise ValueError(f"register format mismatch: {w.fmt} vs {fmt}")
         # In integers: for q > 52, raw * quantum rounds 1 + quantum to 1.0.
         if not 0 <= self.decay_rate.raw <= 1 << fmt.q:

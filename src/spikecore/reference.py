@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Core, CoreConfig, _Cycle, _LayerRegs, _masks, encode_register
-from .fixedpoint import QFormat, QWord
+from .core import Core, CoreConfig, _Cycle, _masks, encode_register
+from .fixedpoint import QFormat, QWord, finite_real
 from .topology import MaskedSynapseError, SynapseAddress
 from .topology import build_mask  # noqa: F401  (bound here so bench/spans.py can trace it)
 
@@ -37,13 +37,11 @@ class ReferenceCore(_Cycle):
     def __init__(self, cfg: CoreConfig):
         self.masks = _masks(cfg)
         self.weights = [np.zeros(m.shape) for m in self.masks]
-        super().__init__(cfg, [_LayerRegs(r, float) for r in cfg.registers], np.float64, 1.0)
+        super().__init__(cfg, cfg.registers, np.float64, 1.0)
 
     def write_weight(self, layer: int, pre: int, post: int, value: float) -> None:
         self._check_synapse(layer, pre, post)
-        if not math.isfinite(value):
-            raise ValueError(f"weight {value} of synapse (layer={layer}, pre={pre}, "
-                             f"post={post}) is not a finite real")
+        finite_real(value, f"weight of synapse (layer={layer}, pre={pre}, post={post})")
         if not self.masks[layer][pre, post]:
             raise MaskedSynapseError(SynapseAddress(layer, pre, post))
         self.weights[layer][pre, post] = value
@@ -51,6 +49,7 @@ class ReferenceCore(_Cycle):
     def _activation(self, k: int, spikes_in: np.ndarray) -> np.ndarray:
         return spikes_in.astype(np.float64) @ self.weights[k]
 
+    _number = staticmethod(float)
     _mul = staticmethod(operator.mul)
 
     @staticmethod

@@ -76,9 +76,18 @@ def test_invalid_dimensions():
         CoreConfig.uniform(Q5_3, [4, 0], baseline_regs())
     with pytest.raises(ValueError):
         CoreConfig.uniform(Q5_3, [4, 4], baseline_regs(), layer_latency=2)
+    with pytest.raises(ValueError, match="1 LIF layers need 1 connectivity and register"):
+        CoreConfig(Q5_3, (4, 4), (GAUSS1, GAUSS1), (baseline_regs(),))
+    # A fractional or string size used to pass, and Core then raised TypeError.
+    for sizes, index in (((2, 2.5), 1), (("2", 2), 0), ((2, float("nan")), 1), ((2, -1), 1)):
+        with pytest.raises(ValueError, match=rf"sizes\[{index}\] .* is not a whole number"):
+            CoreConfig.uniform(Q5_3, sizes, baseline_regs())
+    cfg = CoreConfig.uniform(Q5_3, (2.0, np.int64(2)), baseline_regs())
+    assert cfg.sizes == (2, 2) and all(type(n) is int for n in cfg.sizes)
+    assert Core(cfg).planes[0].raw.shape == (2, 2)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), None, "abc", "1.0"])
 def test_non_finite_register_or_weight_names_the_value(value):
     with pytest.raises(ValueError, match=str(value)):
         encode_register(value, Q5_3)
@@ -89,7 +98,7 @@ def test_non_finite_register_or_weight_names_the_value(value):
 
 
 @pytest.mark.parametrize("name", ["decay_rate", "growth_rate", "v_threshold", "v_reset"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), None, "0.5"])
 def test_real_registers_reject_a_non_finite_value(name, value):
     # The float twin runs RealRegisters as they are: a NaN used to pass.
     with pytest.raises(ValueError, match=name):
@@ -163,6 +172,37 @@ def test_registers_returns_the_stored_file(monkeypatch):
     assert core.registers(0) is core.registers(0) is not first
     assert core.registers(0) == replace(first, v_threshold=encode(2.0, Q9_7))
     assert core.decoded_registers()[0].v_threshold == 2.0
+
+
+@pytest.mark.parametrize("value", [None, "abc", "0.5"])
+def test_a_register_value_that_is_not_a_real_names_the_register(value):
+    # None and "abc" used to raise TypeError or "could not convert string
+    # to float" from float(), and "0.5" was accepted.
+    core = Core(CoreConfig.uniform(Q5_3, [2, 2], baseline_regs()))
+    before = core.registers(0)
+    for name in ("decay_rate", "growth_rate", "v_threshold", "v_reset"):
+        with pytest.raises(ValueError, match=f"^{name} .* is not a finite real$"):
+            core.write_register(0, name, value)
+    assert core.registers(0) is before
+
+
+def test_an_out_of_range_register_or_weight_names_it():
+    core = Core(CoreConfig.uniform(Q5_3, [2, 2], baseline_regs()))
+    with pytest.raises(ValueError, match=r"^v_threshold 20.0 not representable in Q5\.3"):
+        core.write_register(0, "v_threshold", 20.0)
+    with pytest.raises(ValueError, match=r"^weight -17.0 not representable in Q5\.3"):
+        core.write_weight(0, 1, 1, -17.0)
+    with pytest.raises(ValueError, match=r"^growth_rate 20.0 not representable in Q5\.3"):
+        baseline_regs(growth_rate=20.0).quantize(Q5_3)
+
+
+def test_an_int_register_or_weight_stays_exact():
+    # float() used to round 2**55 + 1 to 2**55 before quantizing.
+    fmt, big = QFormat(60, 4), 2**55 + 1
+    core = Core(CoreConfig.uniform(fmt, [1, 1], baseline_regs()))
+    core.write_register(0, "v_threshold", big)
+    core.write_weight(0, 0, 0, big)
+    assert core.registers(0).v_threshold.raw == core.planes[0].raw[0, 0] == big << fmt.q
 
 
 # --- stepping ----------------------------------------------------------------

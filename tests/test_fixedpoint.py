@@ -306,6 +306,9 @@ def test_qword_rejects_a_fractional_raw():
     for raw in (3, np.int64(3), 3.0, np.float64(3.0)):
         word = QWord(Q5_3, raw)
         assert word.raw == 3 and type(word.raw) is int
+    for raw in (128, -129, 1 << 70):
+        with pytest.raises(ValueError, match=rf"raw {raw} does not fit in Q5\.3"):
+            QWord(Q5_3, raw)
 
 
 # --- wide formats beyond the int64 fast path ---------------------------------

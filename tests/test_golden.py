@@ -1,4 +1,4 @@
-"""Frozen golden traces: four cores replayed bit for bit.
+"""Frozen golden traces: five cores replayed bit for bit.
 
 Each file under `golden/` holds the weights and a 40-cycle stimulus of one
 core configured below and, per cycle, its spike raster (one bit string per
@@ -26,10 +26,16 @@ the same-cycle cascade.
   weight of the two deeper planes carry tens of thousands, so activation
   sums reach the bounds in every layer, membrane updates clamp at both,
   and products of a register and an activation pass 2**31.
+- `wrap_q97_64_16_8_4.json` (WRAP, Q9.7, three layers, `layer_latency=1`):
+  input lines drawn as for the Q9.7 SATURATE file, and every weight of
+  the two deeper planes +-64 to +-160, so activation sums and membranes
+  wrap in every layer.  Layer 0 resets to zero with a refractory period,
+  layer 1 to a negative constant, layer 2 by subtraction.
 
-Regenerate (only on purpose: the point of the files is that they do not
-move) with
-`PYTHONPATH=src python tests/test_golden.py {saturate,wrap,saturate_q97,saturate_q1715}`.
+`record` replays every neuron through `neuron.step_neuron` and writes no
+file on a mismatch; all five files pass.  Regenerate (only on purpose:
+the point of the files is that they do not move) with `PYTHONPATH=src
+python tests/test_golden.py {saturate,wrap,saturate_q97,saturate_q1715,wrap_q97}`.
 """
 
 import json
@@ -45,7 +51,7 @@ from spikecore.fixedpoint import (
     Q5_3, Q9_7, Q17_15, SATURATE, WRAP, OverflowPolicy, QFormat, QWord, add_raw, mul_raw,
     saturate_raw, wrap_raw,
 )
-from spikecore.neuron import ResetMode
+from spikecore.neuron import NeuronState, ResetMode, step_neuron
 from spikecore.topology import Connectivity, ConnectivityKind
 
 SIZES = (64, 16, 4)
@@ -91,6 +97,16 @@ def heavy_deep_draw(rng, sizes):
     rates = np.full(sizes[0], 0.3)
     rates[:HEAVY] = 0.25
     return weights, rng.random((CYCLES, sizes[0])) < rates
+
+
+def heavy_wraps_draw(rng, sizes):
+    """As `heavy_lines_draw`, and every weight of the deeper planes +-64 to
+    +-160, so that two same-sign spikes can wrap a Q9.7 sum."""
+    weights, stimulus = heavy_lines_draw(rng, sizes)
+    for k in range(1, len(weights)):
+        deep = rng.integers(64 << 7, 160 << 7, weights[k].shape, endpoint=True)
+        weights[k] = deep * rng.choice([-1, 1], deep.shape)
+    return weights, stimulus
 
 
 @dataclass(frozen=True)
@@ -146,9 +162,18 @@ SATURATING_Q1715 = Case("saturate", Q17_15, SATURATE, (
                   reset_mode=ResetMode.TO_CONSTANT, v_reset=-4.0),
 ), seed=20240405, draw=heavy_deep_draw, sizes=(64, 16, 8, 4), layer_latency=1)
 
+WRAPPING_Q97 = Case("wrap", Q9_7, WRAP, (
+    RealRegisters(decay_rate=0.25, growth_rate=1.0, v_threshold=8.0,
+                  reset_mode=ResetMode.TO_ZERO, refractory_period=2),
+    RealRegisters(decay_rate=0.125, growth_rate=0.75, v_threshold=4.0,
+                  reset_mode=ResetMode.TO_CONSTANT, v_reset=-6.0),
+    RealRegisters(decay_rate=0.5, growth_rate=1.0, v_threshold=16.0,
+                  reset_mode=ResetMode.BY_SUBTRACTION),
+), seed=20240406, draw=heavy_wraps_draw, sizes=(64, 16, 8, 4), layer_latency=1)
+
 # The names that regenerate each file on the command line.
 CASES = {"saturate": SATURATING, "wrap": WRAPPING, "saturate_q97": SATURATING_Q97,
-         "saturate_q1715": SATURATING_Q1715}
+         "saturate_q1715": SATURATING_Q1715, "wrap_q97": WRAPPING_Q97}
 
 
 def bits(row) -> str:
@@ -177,6 +202,45 @@ def replay(case: Case, weights, stimulus):
                      for k, n in enumerate(case.sizes[1:])],
         })
     return cycles
+
+
+def upstream(case: Case, stimulus, spikes, k: int):
+    """What layer k saw each cycle: the stimulus, or layer k-1's spikes
+    (one cycle late, and nothing in cycle 0, at layer_latency=1)."""
+    if k == 0:
+        return stimulus
+    if case.layer_latency == 0:
+        return spikes[k - 1]
+    return np.vstack([np.zeros((1, case.sizes[k]), dtype=bool), spikes[k - 1][:-1]])
+
+
+def decode(case: Case, cycles):
+    """Per layer, the [T, N] spikes and raw membranes of recorded cycles."""
+    n = len(case.registers)
+    spikes = [np.array([unbits(c["spikes"][k]) for c in cycles]) for k in range(n)]
+    vmem = [np.array([[QWord.from_literal(x).raw for x in c["vmem"][k].split()]
+                      for c in cycles]) for k in range(n)]
+    return spikes, vmem
+
+
+def oracle_mismatches(case: Case, weights, stimulus, cycles) -> list[tuple[int, int, int]]:
+    """Each neuron replayed through `neuron.step_neuron`, fed from the
+    recorded upstream spikes: the first (layer, neuron, cycle) per neuron
+    whose spike or membrane differs from `cycles`."""
+    spikes, vmem = decode(case, cycles)
+    bad = []
+    for k, (w, real) in enumerate(zip(weights, case.registers)):
+        regs = real.quantize(case.fmt)
+        rows = upstream(case, stimulus, spikes, k).tolist()
+        for j in range(w.shape[1]):
+            column = [QWord(case.fmt, int(x)) for x in w[:, j]]
+            state = NeuronState.zero(case.fmt)
+            for t, row in enumerate(rows):
+                fired = step_neuron(state, regs, row, column, case.policy)
+                if fired != spikes[k][t, j] or state.vmem.raw != vmem[k][t, j]:
+                    bad.append((k, j, t))
+                    break
+    return bad
 
 
 def load(case: Case):
@@ -213,6 +277,10 @@ def test_q97_saturate_golden_trace_replays_bit_for_bit():
 
 def test_q1715_three_layer_latency1_golden_trace_replays_bit_for_bit():
     check_replay(SATURATING_Q1715)
+
+
+def test_q97_wrap_three_layer_latency1_golden_trace_replays_bit_for_bit():
+    check_replay(WRAPPING_Q97)
 
 
 def test_golden_sums_clamp_mid_sum():
@@ -318,8 +386,49 @@ def test_q1715_golden_sums_and_membranes_hit_the_bounds():
     assert below == [66, 18, 76]
 
 
+def test_q97_wrap_golden_wraps_in_every_layer_and_every_reset_fires():
+    # Per layer: activation sums, and membrane updates vmem - leak + drive
+    # of neurons not held, whose exact integer value leaves the Q9.7 range
+    # and wraps.  Each layer spikes, and a spike leaves its reset value.
+    case = WRAPPING_Q97
+    data, weights, stimulus = load(case)
+    fmt = case.fmt
+    lo, hi = fmt.min_raw, fmt.max_raw
+    spikes, vmem = decode(case, data["cycles"])
+    act_wraps, membrane_wraps = [], []
+    for k, (w, regs) in enumerate(zip(weights, case.registers)):
+        decay, growth = (round(x / fmt.quantum) for x in (regs.decay_rate, regs.growth_rate))
+        prev = np.zeros(w.shape[1], dtype=np.int64)
+        acts = updates = 0
+        for t, row in enumerate(upstream(case, stimulus, spikes, k)):
+            total = w[np.flatnonzero(row)].sum(axis=0)
+            acts += int(np.sum((total < lo) | (total > hi)))
+            update = prev - mul_raw(decay, prev, fmt) + mul_raw(growth, wrap_raw(total, fmt), fmt)
+            held = spikes[k][max(t - regs.refractory_period, 0):t].any(axis=0)
+            updates += int(np.sum(~held & ((update < lo) | (update > hi))))
+            prev = vmem[k][t]
+        act_wraps.append(acts)
+        membrane_wraps.append(updates)
+    assert act_wraps == [6, 59, 28]
+    assert membrane_wraps == [21, 24, 9]
+    modes = [r.reset_mode for r in case.registers]
+    assert modes == [ResetMode.TO_ZERO, ResetMode.TO_CONSTANT, ResetMode.BY_SUBTRACTION]
+    assert all(s.any() for s in spikes)
+    assert (vmem[0][spikes[0]] == 0).all()
+    assert (vmem[1][spikes[1]] == round(case.registers[1].v_reset / fmt.quantum)).all()
+
+
+def test_q97_wrap_golden_matches_the_scalar_oracle():
+    data, weights, stimulus = load(WRAPPING_Q97)
+    assert oracle_mismatches(WRAPPING_Q97, weights, stimulus, data["cycles"]) == []
+
+
 def record(case: Case) -> dict:
     weights, stimulus = case.draw(np.random.default_rng(case.seed), case.sizes)
+    cycles = replay(case, weights, stimulus)
+    bad = oracle_mismatches(case, weights, stimulus, cycles)
+    if bad:
+        raise AssertionError(f"{case.path.name}: core and scalar oracle differ at {bad[:5]}")
     return {
         "format": str(case.fmt),
         "policy": case.policy.value,
@@ -329,7 +438,7 @@ def record(case: Case) -> dict:
         "weights": [[" ".join(QWord(case.fmt, int(x)).to_literal() for x in row) for row in w]
                     for w in weights],
         "stimulus": [bits(row) for row in stimulus],
-        "cycles": replay(case, weights, stimulus),
+        "cycles": cycles,
     }
 
 

@@ -52,6 +52,17 @@ def test_registers_check_the_decay_raw_in_integers():
     assert NeuronRegisters(QWord(fmt, 1 << 62), zero, zero).decay_rate.raw == 1 << 62
 
 
+def test_registers_need_one_format_and_a_v_reset_to_reset_to():
+    zero = QWord(Q5_3, 0)
+    with pytest.raises(ValueError, match="register format mismatch: Q9.7 vs Q5.3"):
+        NeuronRegisters(zero, zero, zero, v_reset=QWord(Q9_7, 0))
+    with pytest.raises(ValueError, match="register format mismatch: Q9.7 vs Q5.3"):
+        NeuronRegisters(zero, QWord(Q9_7, 0), zero)
+    with pytest.raises(ValueError, match="reset mode 'constant' needs v_reset"):
+        NeuronRegisters(zero, zero, zero, ResetMode.TO_CONSTANT)
+    assert NeuronRegisters(zero, zero, zero, ResetMode.TO_ZERO).v_reset is None
+
+
 def test_reset_mode_from_name_takes_a_mode_or_its_name():
     # An int used to raise AttributeError.
     with pytest.raises(ValueError, match="reset_mode"):

@@ -86,7 +86,7 @@ def test_write_weight_to_a_masked_synapse_raises_masked_synapse_error(model):
     sim.write_weight(0, 1, 1, 1.0)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), None, "1.0"])
 def test_reference_write_weight_rejects_a_non_finite_value(value):
     ref = ReferenceCore(CoreConfig.uniform(Q9_7, [2, 2], regs()))
     with pytest.raises(ValueError, match=r"layer=0, pre=1, post=0\b"):
@@ -99,6 +99,20 @@ def test_a_mask_error_names_the_layer(build):
     cfg = CoreConfig(Q9_7, (4, 4, 3), (ALL, ONE), (regs(),) * 2)
     with pytest.raises(ValueError, match="^layer 1: one-to-one needs square dimensions, got 4x3$"):
         build(cfg)
+
+
+@pytest.mark.parametrize("model", [Core, ReferenceCore])
+def test_run_sample_cuts_or_zero_pads_the_stream(model):
+    sim = model(CoreConfig.uniform(Q9_7, [3, 2], regs(v_threshold=1.0)))
+    sim.write_weight(0, 0, 1, 1.0)
+    stim = np.ones((4, 3), dtype=bool)
+    padded = np.vstack([stim, np.zeros((3, 3), dtype=bool)])
+    for duration, want in ((7, padded), (2, stim[:2])):
+        raster, traces = sim.run_sample(stim, duration, watch="all")
+        assert np.array_equal(raster.input_spikes, want)
+        full, full_traces = sim.run_sample(want, duration, watch="all")
+        assert raster.equals(full)
+        assert all(np.array_equal(traces[key], full_traces[key]) for key in full_traces)
 
 
 @pytest.mark.parametrize("model", [Core, ReferenceCore])
