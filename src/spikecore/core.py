@@ -53,7 +53,6 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .fixedpoint import (
-    SATURATE,
     WRAP,
     OverflowPolicy,
     QFormat,
@@ -82,16 +81,20 @@ ALL_TO_ALL = Connectivity(ConnectivityKind.ALL_TO_ALL)
 _WORDS = ("decay_rate", "growth_rate", "v_threshold", "v_reset")  # the word registers
 
 
-def encode_register(value: float, fmt: QFormat, clamp: bool = False, name: str = "value") -> int:
-    """Quantize the real `name`, a register or weight; out-of-range raises unless clamping."""
+def encode_register(value, fmt: QFormat, name: str = "value") -> QWord:
+    """The word of `name`, a register or weight: a QWord of `fmt` as it is, or
+    a finite real in range truncated toward -inf.  Anything else raises; a
+    caller that loads a wider config into `fmt` clamps it first (`format_sweep`)."""
+    if isinstance(value, QWord):
+        if value.fmt != fmt:
+            raise ValueError(f"{name} format {value.fmt} != core format {fmt}")
+        return value
     finite_real(value, name)
     # Truncation toward -inf keeps exactly the reals in [min_value, -min_value).
-    if not clamp and not fmt.min_value <= value < -fmt.min_value:
-        raise ValueError(
-            f"{name} {value} not representable in {fmt} (range "
-            f"[{fmt.min_value}, {fmt.max_value}])"
-        )
-    return encode_raw(value, fmt, SATURATE)
+    if not fmt.min_value <= value < -fmt.min_value:
+        raise ValueError(f"{name} {value} not representable in {fmt} "
+                         f"(range [{fmt.min_value}, {fmt.max_value}])")
+    return QWord(fmt, encode_raw(value, fmt))
 
 
 @dataclass(frozen=True)
@@ -114,9 +117,8 @@ class RealRegisters:
         object.__setattr__(self, "refractory_period",
                            whole_number(self.refractory_period, "refractory_period"))
 
-    def quantize(self, fmt: QFormat, clamp: bool = False) -> NeuronRegisters:
-        words = {name: QWord(fmt, encode_register(getattr(self, name), fmt, clamp, name))
-                 for name in _WORDS}
+    def quantize(self, fmt: QFormat) -> NeuronRegisters:
+        words = {name: encode_register(getattr(self, name), fmt, name) for name in _WORDS}
         return NeuronRegisters(reset_mode=self.reset_mode,
                                refractory_period=self.refractory_period, **words)
 
@@ -131,6 +133,8 @@ class CoreConfig:
     layer_latency: int = 0                 # 0: same-cycle cascade, 1: one cycle per layer
 
     def __post_init__(self):
+        if not isinstance(self.fmt, QFormat):
+            raise ValueError(f"fmt {self.fmt!r} is not a QFormat")
         object.__setattr__(self, "sizes", tuple(whole_number(n, f"sizes[{i}]")
                                                 for i, n in enumerate(self.sizes)))
         if len(self.sizes) < 2:
@@ -139,10 +143,12 @@ class CoreConfig:
             raise ValueError("layer sizes must be >= 1")
         k = len(self.sizes) - 1
         if len(self.connectivity) != k or len(self.registers) != k:
-            raise ValueError(
-                f"{k} LIF layers need {k} connectivity and register entries, got "
-                f"{len(self.connectivity)} and {len(self.registers)}"
-            )
+            raise ValueError(f"{k} LIF layers need {k} connectivity and register entries, "
+                             f"got {len(self.connectivity)} and {len(self.registers)}")
+        for field, kind in (("connectivity", Connectivity), ("registers", RealRegisters)):
+            for i, entry in enumerate(getattr(self, field)):
+                if not isinstance(entry, kind):
+                    raise ValueError(f"layer {i}: {field}[{i}] {entry!r} is not a {kind.__name__}")
         if self.layer_latency not in (0, 1):
             raise ValueError("layer_latency must be 0 or 1")
         object.__setattr__(self, "policy", OverflowPolicy.from_name(self.policy))
@@ -302,6 +308,7 @@ class _Cycle:
         at the end of each cycle.
         """
         sizes = self.cfg.sizes
+        duration = whole_number(duration, "duration")
         dense = _dense_stream(stream, duration, sizes[0])
         watched = _watch_list(watch, sizes)
         self.reset_state()
@@ -330,11 +337,11 @@ class Core(_Cycle):
     `close()` or by using the core as a context manager.
     """
 
-    def __init__(self, cfg: CoreConfig, clamp_registers: bool = False, threads: int = 1):
+    def __init__(self, cfg: CoreConfig, threads: int = 1):
         self.fmt = cfg.fmt
         self.policy = cfg.policy
         threads = max(1, int(threads))
-        regs = [r.quantize(cfg.fmt, clamp=clamp_registers) for r in cfg.registers]
+        regs = [r.quantize(cfg.fmt) for r in cfg.registers]
         super().__init__(cfg, regs, raw_dtype(cfg.fmt), cfg.fmt.quantum)
         self.planes = [WeightMemory(cfg.fmt, mask, layer=k) for k, mask in enumerate(_masks(cfg))]
         self._columns = [
@@ -369,21 +376,13 @@ class Core(_Cycle):
         if name not in {f.name for f in fields(regs)}:
             raise ValueError(f"unknown register {name!r}")
         if name in _WORDS:
-            value = self._word(name, value)
+            value = encode_register(value, self.fmt, name)
         self._regs[layer] = replace(regs, **{name: value})
 
     def write_weight(self, layer: int, pre: int, post: int, value) -> None:
         """Program one synapse; `value` is a signed real or QWord."""
         self._check_synapse(layer, pre, post)
-        self.planes[layer].write(pre, post, self._word("weight", value))
-
-    def _word(self, what: str, value) -> QWord:
-        """A real or a QWord of the core's format, as a QWord."""
-        if not isinstance(value, QWord):
-            return QWord(self.fmt, encode_register(value, self.fmt, name=what))
-        if value.fmt != self.fmt:
-            raise ValueError(f"{what} format {value.fmt} != core format {self.fmt}")
-        return value
+        self.planes[layer].write(pre, post, encode_register(value, self.fmt, "weight"))
 
     def decoded_registers(self) -> list[RealRegisters]:
         """Register values as the datapath sees them (decoded from the format)."""
@@ -435,7 +434,7 @@ class Core(_Cycle):
 
 
 def _dense_stream(stream, duration: int, n0: int) -> np.ndarray:
-    """A sample's stimulus as a dense [duration, n0] bool array.
+    """A sample's stimulus as a dense [duration, n0] bool array of its own.
 
     `stream` is a dense [T, n0] array that is cut or zero-padded to
     `duration` cycles.
@@ -443,10 +442,9 @@ def _dense_stream(stream, duration: int, n0: int) -> np.ndarray:
     dense = np.asarray(stream, dtype=bool)
     if dense.ndim != 2 or dense.shape[1] != n0:
         raise ValueError(f"dense stream must be [T, {n0}], got {dense.shape}")
-    if dense.shape[0] < duration:
-        pad = np.zeros((duration - dense.shape[0], n0), dtype=bool)
-        dense = np.vstack([dense, pad])
-    return dense[:duration]
+    out = np.zeros((duration, n0), dtype=bool)
+    out[:len(dense)] = dense[:duration]
+    return out
 
 
 def _watch_list(watch, sizes) -> list[tuple[int, int]]:

@@ -9,7 +9,8 @@ then the high n bits per the overflow policy.
 
 Overflow handling is WRAP by default (high bits discarded, like the
 datapath of a fixed-width hardware adder); SATURATE clamps to the format
-range and is opt-in.
+range and is opt-in.  Neither applies to a real that becomes a word: that
+is `core.encode_register`, which raises out of range.
 
 The raw helpers (`wrap_raw`, `mul_raw`, ...) accept plain ints or numpy
 integer arrays and apply the same semantics elementwise; the vectorized
@@ -33,7 +34,6 @@ __all__ = [
     "OverflowPolicy",
     "QFormat",
     "QWord",
-    "encode",
     "add",
     "sub",
     "mul",
@@ -269,17 +269,14 @@ def accumulate_raw(rows, fmt: QFormat, policy: OverflowPolicy = WRAP):
     return c[-1] - np.maximum(lower, upper)
 
 
-def encode_raw(value: float, fmt: QFormat, policy: OverflowPolicy = WRAP) -> int:
-    """Quantize a real to a raw payload: truncate toward -inf, then fit."""
-    return int(fit_raw(math.floor(value * (1 << fmt.q)), fmt, policy))
+def encode_raw(value: float, fmt: QFormat) -> int:
+    """A real's raw payload, truncated toward -inf.  It fits only for a real
+    in [min_value, -min_value): the caller checks that (`encode_register`)."""
+    return math.floor(value * (1 << fmt.q))
 
 
 # ---------------------------------------------------------------------------
 # Scalar QWord operations.
-
-def encode(value: float, fmt: QFormat, policy: OverflowPolicy = WRAP) -> QWord:
-    return QWord(fmt, encode_raw(value, fmt, policy))
-
 
 def _check_formats(a: QWord, b: QWord):
     if a.fmt != b.fmt:

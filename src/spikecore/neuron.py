@@ -4,8 +4,8 @@
 is: the decay raw range, the reset mode as a member or its name, and the
 refractory period as a whole number of cycles (the shared parsers
 `fixedpoint.NamedEnum.from_name` and `fixedpoint.whole_number`).
-`core.Core` programs its registers through it, and `core.RealRegisters`
-uses the same two parsers.
+`core.Core` programs its registers through it, each word made by
+`core.encode_register`, and `core.RealRegisters` uses the same two parsers.
 
 One simulation timestep is one spike-clock cycle.  The per-cycle order is
 fixed for bit-exact reproducibility:

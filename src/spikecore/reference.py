@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Core, CoreConfig, _Cycle, _masks, encode_register
-from .fixedpoint import QFormat, QWord, finite_real
+from .core import _WORDS, Core, CoreConfig, _Cycle, _masks
+from .fixedpoint import QFormat, finite_real
 from .topology import MaskedSynapseError, SynapseAddress
 from .topology import build_mask  # noqa: F401  (bound here so bench/spans.py can trace it)
 
@@ -109,16 +109,21 @@ def format_sweep(cfg: CoreConfig, weight_writes, stream, duration: int,
     """Run one stream through each format and score it against its matched
     float reference.
 
-    Register values are clamped into each format's range on load (a config
-    written for a wide format may exceed a narrow one; clamping mirrors a
-    saturating register load).  Weights are quantized by truncation.
+    A config written for a wide format may exceed a narrow one, so the
+    word registers and the weights are clamped here into [min_value,
+    max_value] of each format before `core.encode_register` truncates
+    them.  For a finite real, clamping and then truncating gives the word
+    that truncating and then saturating gives: a saturating load, not an
+    alias.
     """
     results = []
     for fmt in formats:
-        core = Core(replace(cfg, fmt=fmt), clamp_registers=True)
+        lo, hi = fmt.min_value, fmt.max_value
+        regs = tuple(replace(r, **{n: min(max(getattr(r, n), lo), hi) for n in _WORDS})
+                     for r in cfg.registers)
+        core = Core(replace(cfg, fmt=fmt, registers=regs))
         for (layer, pre, post, value) in weight_writes:
-            # weight loads saturate rather than alias when out of range
-            core.write_weight(layer, pre, post, QWord(fmt, encode_register(value, fmt, clamp=True)))
+            core.write_weight(layer, pre, post, min(max(finite_real(value, "weight"), lo), hi))
         raster_q, traces_q = core.run_sample(stream, duration, watch="all")
         ref = matched_reference(core)
         raster_r, traces_r = ref.run_sample(stream, duration, watch="all")

@@ -5,7 +5,7 @@ import pytest
 
 from spikecore.core import Core, CoreConfig, RealRegisters, encode_register
 from spikecore.fixedpoint import (
-    Q3_1, Q5_3, Q9_7, Q17_15, SATURATE, OverflowPolicy, QFormat, QWord, encode,
+    Q3_1, Q5_3, Q9_7, Q17_15, SATURATE, OverflowPolicy, QFormat, QWord,
 )
 from spikecore.neuron import NeuronState, ResetMode, step_neuron
 from spikecore.topology import Connectivity, ConnectivityKind
@@ -87,12 +87,25 @@ def test_invalid_dimensions():
     assert Core(cfg).planes[0].raw.shape == (2, 2)
 
 
+def test_config_entries_of_the_wrong_type_name_the_field_and_layer():
+    # Each used to be accepted: "all" and a dict failed with AttributeError
+    # once a core was built, and NeuronRegisters built a ReferenceCore that
+    # raised TypeError on its first cycle.
+    good = baseline_regs()
+    with pytest.raises(ValueError, match="^fmt 'Q5.3' is not a QFormat$"):
+        CoreConfig.uniform("Q5.3", (2, 2), good)
+    for conn in ("all", {"kind": "all_to_all"}):
+        with pytest.raises(ValueError, match=r"^layer 1: connectivity\[1\] .* not a Connectivity"):
+            CoreConfig(Q5_3, (2, 2, 2), (ONE, conn), (good, good))
+    for regs in (good.quantize(Q5_3), good.__dict__):
+        with pytest.raises(ValueError, match=r"^layer 0: registers\[0\] .* not a RealRegisters$"):
+            CoreConfig.uniform(Q5_3, (2, 2), regs)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), None, "abc", "1.0"])
 def test_non_finite_register_or_weight_names_the_value(value):
     with pytest.raises(ValueError, match=str(value)):
         encode_register(value, Q5_3)
-    with pytest.raises(ValueError, match=str(value)):
-        encode_register(value, Q5_3, clamp=True)
     with pytest.raises(ValueError, match=str(value)):
         toy_core().write_weight(0, 0, 0, value)
 
@@ -108,38 +121,41 @@ def test_real_registers_reject_a_non_finite_value(name, value):
 def test_register_quantize_out_of_range():
     with pytest.raises(ValueError):
         baseline_regs(v_threshold=20.0).quantize(Q5_3)
-    # clamping maps it onto the format maximum instead
-    q = baseline_regs(v_threshold=20.0).quantize(Q5_3, clamp=True)
-    assert q.v_threshold.value == 15.875
 
 
 @pytest.mark.parametrize("fmt", [Q3_1, Q5_3, Q9_7, Q17_15, QFormat(2, 0), QFormat(20, 20)])
 def test_encode_register_range_boundaries(fmt):
     half = fmt.quantum / 2
-    assert encode_register(fmt.min_value, fmt) == fmt.min_raw
-    assert encode_register(fmt.max_value + half, fmt) == fmt.max_raw  # truncates into range
-    for value, clamped in ((fmt.min_value - half, fmt.min_raw), (-fmt.min_value, fmt.max_raw)):
+    assert encode_register(fmt.min_value, fmt).raw == fmt.min_raw
+    assert encode_register(fmt.max_value + half, fmt).raw == fmt.max_raw  # truncates into range
+    for value in (fmt.min_value - half, -fmt.min_value):
         with pytest.raises(ValueError, match="not representable"):
             encode_register(value, fmt)
-        assert encode_register(value, fmt, clamp=True) == clamped
+
+
+def test_encode_register_takes_a_word_of_its_format_as_it_is():
+    word = QWord(Q5_3, -3)
+    assert encode_register(word, Q5_3) is word
+    with pytest.raises(ValueError, match="^v_reset format Q5.3 != core format Q9.7$"):
+        encode_register(word, Q9_7, "v_reset")
 
 
 def test_write_weight_stores_the_signed_payload():
     core = Core(CoreConfig.uniform(Q5_3, [2, 2], baseline_regs()))
     for pre, post, value in ((0, 0, Q5_3.min_value), (0, 1, -0.125), (1, 0, Q5_3.max_value)):
         core.write_weight(0, pre, post, value)
-    core.write_weight(0, 1, 1, encode(-3.5, Q5_3))
+    core.write_weight(0, 1, 1, encode_register(-3.5, Q5_3))
     assert core.planes[0].raw.tolist() == [[Q5_3.min_raw, -1], [Q5_3.max_raw, -28]]
     with pytest.raises(ValueError, match="weight format Q9.7 != core format Q5.3"):
-        core.write_weight(0, 0, 0, encode(1.0, Q9_7))
+        core.write_weight(0, 0, 0, encode_register(1.0, Q9_7))
 
 
 def test_write_register_rejects_a_word_of_another_format():
     core = Core(CoreConfig.uniform(Q5_3, [1, 1], baseline_regs()))
     with pytest.raises(ValueError, match="v_threshold format Q17.15 != core format Q5.3"):
-        core.write_register(0, "v_threshold", encode(1.0, Q17_15))
+        core.write_register(0, "v_threshold", encode_register(1.0, Q17_15))
     assert core.registers(0).v_threshold.value == 10.0
-    core.write_register(0, "v_threshold", encode(1.0, Q5_3))
+    core.write_register(0, "v_threshold", encode_register(1.0, Q5_3))
     assert core.registers(0).v_threshold.value == 1.0
 
 
@@ -170,7 +186,7 @@ def test_registers_returns_the_stored_file(monkeypatch):
     monkeypatch.undo()
     core.write_register(0, "v_threshold", 2.0)
     assert core.registers(0) is core.registers(0) is not first
-    assert core.registers(0) == replace(first, v_threshold=encode(2.0, Q9_7))
+    assert core.registers(0) == replace(first, v_threshold=encode_register(2.0, Q9_7))
     assert core.decoded_registers()[0].v_threshold == 2.0
 
 

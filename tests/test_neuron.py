@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikecore.fixedpoint import Q5_3, Q9_7, WRAP, QFormat, QWord, encode
+from spikecore.core import encode_register
+from spikecore.fixedpoint import Q5_3, Q9_7, WRAP, QFormat, QWord
 from spikecore.neuron import (
     NeuronRegisters,
     NeuronState,
@@ -21,17 +22,17 @@ from spikecore.neuron import (
 def regs(fmt=Q5_3, decay=0.25, growth=1.0, vth=10.0, mode=ResetMode.BY_SUBTRACTION,
          vreset=0.0, refractory=0):
     return NeuronRegisters(
-        decay_rate=encode(decay, fmt),
-        growth_rate=encode(growth, fmt),
-        v_threshold=encode(vth, fmt),
+        decay_rate=encode_register(decay, fmt),
+        growth_rate=encode_register(growth, fmt),
+        v_threshold=encode_register(vth, fmt),
         reset_mode=mode,
-        v_reset=encode(vreset, fmt),
+        v_reset=encode_register(vreset, fmt),
         refractory_period=refractory,
     )
 
 
 def state(fmt=Q5_3, vmem=0.0, act=0.0, refr=0):
-    return NeuronState(encode(vmem, fmt), encode(act, fmt), refr)
+    return NeuronState(encode_register(vmem, fmt), encode_register(act, fmt), refr)
 
 
 # --- register rules ------------------------------------------------------------
@@ -76,19 +77,19 @@ def test_reset_mode_from_name_takes_a_mode_or_its_name():
 
 def test_no_spikes_no_activation():
     s = state()
-    w = [encode(v, Q5_3) for v in (3.0, -1.0, 0.5, 2.0)]
+    w = [encode_register(v, Q5_3) for v in (3.0, -1.0, 0.5, 2.0)]
     assert accumulate_activation(s, [0, 0, 0, 0], w).value == 0.0
 
 
 def test_activation_sums_spiking_weights():
     s = state()
-    w = [encode(v, Q5_3) for v in (1.5, 9.0, -0.5, 9.0)]
+    w = [encode_register(v, Q5_3) for v in (1.5, 9.0, -0.5, 9.0)]
     assert accumulate_activation(s, [1, 0, 1, 0], w).value == 1.0
 
 
 def test_activation_wraps_sequentially():
     s = state()
-    w = [encode(v, Q5_3) for v in (15.875, 15.875, 0.0, 0.0)]
+    w = [encode_register(v, Q5_3) for v in (15.875, 15.875, 0.0, 0.0)]
     # sequential wrap-add oracle on raw 8-bit ints: 0+127=127, +127=254->-2
     acc = 0
     for raw in (127, 127, 0, 0):
@@ -100,7 +101,7 @@ def test_activation_wraps_sequentially():
 
 def test_activation_length_mismatch():
     with pytest.raises(ValueError):
-        accumulate_activation(state(), [1, 0], [encode(1.0, Q5_3)])
+        accumulate_activation(state(), [1, 0], [encode_register(1.0, Q5_3)])
 
 
 # --- membrane update -----------------------------------------------------------
@@ -188,7 +189,7 @@ def test_tick_counts_down():
 def test_zero_period_allows_consecutive_spikes():
     r = regs(decay=0.0, growth=1.0, vth=1.0, mode=ResetMode.TO_ZERO, refractory=0)
     s = state()
-    w = [encode(1.0, Q5_3)]
+    w = [encode_register(1.0, Q5_3)]
     fired = [step_neuron(s, r, [1], w) for _ in range(5)]
     assert fired == [True] * 5
 
@@ -196,7 +197,7 @@ def test_zero_period_allows_consecutive_spikes():
 def test_min_interspike_interval_is_period_plus_one():
     r = regs(decay=0.0, growth=1.0, vth=1.0, mode=ResetMode.TO_ZERO, refractory=5)
     s = state()
-    w = [encode(2.0, Q5_3)]
+    w = [encode_register(2.0, Q5_3)]
     times = [t for t in range(100) if step_neuron(s, r, [1], w)]
     gaps = np.diff(times)
     assert len(times) > 2
@@ -206,7 +207,7 @@ def test_min_interspike_interval_is_period_plus_one():
 def test_membrane_held_during_refractory():
     r = regs(decay=0.25, growth=1.0, vth=15.0, refractory=4)
     s = state(vmem=8.0, refr=3)
-    step_neuron(s, r, [1], [encode(2.0, Q5_3)])
+    step_neuron(s, r, [1], [encode_register(2.0, Q5_3)])
     assert s.vmem.value == 8.0
     assert s.refractory_counter == 2
 
@@ -216,7 +217,7 @@ def test_membrane_held_during_refractory():
 def count_spikes(mode, fmt=Q9_7, cycles=40, drive=4.0):
     r = regs(fmt, decay=0.2, growth=1.0, vth=10.0, mode=mode, refractory=0)
     s = state(fmt)
-    w = [encode(drive, fmt)]
+    w = [encode_register(drive, fmt)]
     return sum(step_neuron(s, r, [1], w) for _ in range(cycles))
 
 
@@ -236,7 +237,7 @@ def test_zero_input_fixed_point():
     r = regs(decay=0.25, growth=1.0, vth=10.0)
     s = state()
     for _ in range(50):
-        assert step_neuron(s, r, [0], [encode(1.0, Q5_3)]) is False
+        assert step_neuron(s, r, [0], [encode_register(1.0, Q5_3)]) is False
         assert s.vmem.value == 0.0
 
 
@@ -263,7 +264,7 @@ def test_larger_growth_never_fewer_spikes():
     for growth in (0.25, 0.5, 1.0, 2.0):
         r = regs(Q9_7, decay=0.2, growth=growth, vth=10.0)
         s = state(Q9_7)
-        w = [encode(3.0, Q9_7)]
+        w = [encode_register(3.0, Q9_7)]
         counts.append(sum(step_neuron(s, r, [int(x)], w) for x in spikes))
     assert all(a <= b for a, b in zip(counts, counts[1:]))
 
@@ -278,7 +279,7 @@ def test_refractory_invariant_random_streams(period, decay, seed):
     rng = np.random.default_rng(seed)
     r = regs(Q9_7, decay=decay, growth=1.0, vth=4.0, refractory=period)
     s = state(Q9_7)
-    w = [encode(6.0, Q9_7)]
+    w = [encode_register(6.0, Q9_7)]
     times = [
         t for t in range(80)
         if step_neuron(s, r, [int(rng.random() < 0.7)], w)

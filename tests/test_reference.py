@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikecore.core import Core, CoreConfig, RealRegisters
-from spikecore.fixedpoint import Q3_1, Q5_3, Q9_7, Q17_15, OverflowPolicy
+from spikecore.fixedpoint import Q3_1, Q5_3, Q9_7, Q17_15, OverflowPolicy, QFormat
 from spikecore.neuron import ResetMode
 from spikecore.reference import (
     FormatComparison,
@@ -64,6 +64,10 @@ def test_run_sample_rejects_bad_width_and_watch(model):
         sim.run_sample(np.ones((4, 3), dtype=bool), 4, watch=[(1, 0)])
     with pytest.raises(ValueError, match=r"input width \(2,\)"):
         sim.step_cycle(np.ones(2, dtype=bool))
+    # -1 used to raise numpy's "negative dimensions", 2.5 and "3" a TypeError.
+    for duration in (-1, 2.5, "3"):
+        with pytest.raises(ValueError, match=f"^duration {duration!r} is not a whole number"):
+            sim.run_sample(np.ones((4, 3), dtype=bool), duration)
 
 
 @pytest.mark.parametrize("model", [Core, ReferenceCore])
@@ -113,6 +117,19 @@ def test_run_sample_cuts_or_zero_pads_the_stream(model):
         full, full_traces = sim.run_sample(want, duration, watch="all")
         assert raster.equals(full)
         assert all(np.array_equal(traces[key], full_traces[key]) for key in full_traces)
+
+
+@pytest.mark.parametrize("model", [Core, ReferenceCore])
+def test_the_raster_holds_a_copy_of_the_stimulus(model):
+    # A bool stimulus of at least `duration` rows used to come back as a
+    # view, so that writing to the raster wrote to the caller's array.
+    sim = model(CoreConfig.uniform(Q9_7, [3, 2], regs()))
+    stim = np.ones((5, 3), dtype=bool)
+    for duration in (3, 5, 7):
+        raster, _ = sim.run_sample(stim, duration)
+        assert not np.shares_memory(raster.input_spikes, stim)
+        raster.input_spikes[0, 0] = False
+        assert stim.all()
 
 
 @pytest.mark.parametrize("model", [Core, ReferenceCore])
@@ -175,6 +192,36 @@ def test_format_sweep_orders_rmse():
         r97, r53, r31 = sweep_once(trial)
         assert r97.fmt == Q9_7
         assert r97.rmse < r53.rmse < r31.rmse
+
+
+# Recorded when each out-of-range register and weight was truncated and
+# then saturated on load; clamping the reals first must give the same
+# words.  Q9.7 holds every value; v_threshold (20 and -5),
+# v_reset (-20 and -18.5), growth_rate 1.5 and 43 of the 112 weights in
+# [-24, 24] leave Q5.3, Q3.1 or Q2.0 on one side or the other.
+SWEEP_PIN = [(Q9_7, "2.93772835176133", 5), (Q5_3, "48.207640044234516", 131),
+             (Q3_1, "107.11067217485846", 161), (QFormat(2, 0), "57.1326064714557", 184)]
+
+
+def test_format_sweep_clamps_out_of_range_values_as_it_did():
+    layers = (
+        regs(decay_rate=0.25, growth_rate=1.5, v_threshold=20.0,
+             reset_mode=ResetMode.TO_CONSTANT, v_reset=-20.0),
+        regs(decay_rate=0.125, v_threshold=-5.0, reset_mode=ResetMode.TO_CONSTANT,
+             v_reset=-18.5, refractory_period=1),
+    )
+    cfg = CoreConfig(Q9_7, (12, 8, 4), (ALL, ALL), layers)
+    rng = np.random.default_rng(7)
+    writes = []
+    for k, (m, n) in enumerate([(12, 8), (8, 4)]):
+        w = rng.uniform(-24.0, 24.0, size=(m, n))
+        writes += [(k, i, j, float(w[i, j])) for i in range(m) for j in range(n)]
+    stream = rng.random((60, 12)) < 0.3
+    res = format_sweep(cfg, writes, stream, 60, [fmt for fmt, _, _ in SWEEP_PIN])
+    assert [(c.fmt, repr(c.rmse), c.spike_mismatches) for c in res] == SWEEP_PIN
+    for bad in (None, float("nan")):
+        with pytest.raises(ValueError, match=f"^weight {bad} is not a finite real$"):
+            format_sweep(cfg, [(0, 0, 0, bad)], stream, 60, [Q5_3])
 
 
 def test_wide_format_tracks_reference_tightly():

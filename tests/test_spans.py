@@ -3,8 +3,9 @@
 `bench/spans.py` wraps functions by name where spikecore binds them, such
 as `core.add_raw`, which the core itself does not call; without this test
 only a traced benchmark run would notice a binding that went.  The other
-way round, an import that spikecore keeps unused (`# noqa: F401`) must be
-one that the tracer wraps, so that a binding goes once the tracer drops it.
+way round, a name that a spikecore import binds and the module never reads
+(found in its syntax tree, whatever its comments say) must be one that the
+tracer wraps, so that a binding goes once the tracer drops it.
 """
 
 import ast
@@ -30,18 +31,34 @@ def test_tracer_targets_resolve_and_are_restored():
     assert all(getattr(owner, attr) is b for (owner, attr, _), b in zip(spans.TARGETS, before))
 
 
+def unused_imports(text: str) -> list[str]:
+    """Names that a module's imports bind and that it never reads nor lists
+    in `__all__`."""
+    tree = ast.parse(text)
+    bound = [alias.asname or alias.name.partition(".")[0]
+             for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__" for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    return [name for name in bound if name not in read | exported]
+
+
+def test_unused_imports_are_found_by_name_not_by_comment():
+    text = "from __future__ import annotations\nimport os.path\nimport re\n" \
+           "from x import a, b as c, d  # noqa: E501\n__all__ = ['d']\nre.compile(a)\n"
+    assert unused_imports(text) == ["os", "c"]
+
+
 def test_every_unused_import_is_a_tracer_target():
     targets = {(owner, attr) for owner, attr, _ in spans.TARGETS}
     unwrapped = []
     for path in sorted(SRC.glob("*.py")):
         name = "spikecore" if path.stem == "__init__" else f"spikecore.{path.stem}"
         module = importlib.import_module(name)
-        text = path.read_text()
-        lines = text.splitlines()
-        for node in ast.walk(ast.parse(text)):
-            if not isinstance(node, (ast.Import, ast.ImportFrom)):
-                continue
-            if "noqa: F401" in " ".join(lines[node.lineno - 1:node.end_lineno]):
-                bound = (alias.asname or alias.name for alias in node.names)
-                unwrapped += [f"{name}.{b}" for b in bound if (module, b) not in targets]
+        unwrapped += [f"{name}.{b}" for b in unused_imports(path.read_text())
+                      if (module, b) not in targets]
     assert not unwrapped
