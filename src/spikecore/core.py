@@ -20,6 +20,14 @@ range, and otherwise the discrete two-sided Skorokhod map of the prefix
 sums, which has an exact closed form in prefix sums and running minima
 (Kruk, Lehoczky, Ramanan & Shreve, Ann. Probab. 2007).
 
+The stimulus is known before a sample starts, so `run_sample` computes
+layer 0's activation for every cycle as one float64 product, raster @
+plane.  While fan_in * 2**(w-1) <= 2**53 each partial sum is an integer
+that float64 holds exactly, so any summation order is exact.  WRAP wraps
+the product; SATURATE keeps it in the cycles where a second product, with
+|plane|, gives `accumulate_raw`'s certificate.  The other cycles, and
+planes past the bound or of object dtype (w > 32), take the gather.
+
 The leak step v - d*v is computed as `v - ((d * v) >> q)` under both
 policies, with no clamp or wrap: the decay register holds a raw d in
 [0, 2**q] (decay_rate in [0, 1]), so floor(d*v / 2**q) lies between
@@ -208,13 +216,15 @@ class _Cycle:
     """The LIF cycle in `neuron.py`'s order.  Adds and subtracts are plain
     `+` and `-`; a subclass defines the number system in five hooks:
     `_number(word)`, a word register's value in this number system;
-    `_activation(k, spikes)`, the weighted sum of the input spikes;
+    `_activation(k, spikes)`, the weighted sum of the input spikes of an
+    [M] row, or of each row of a [T, M] raster;
     `_mul(a, b)`; `_leak(d, v)`, the leak step v - d*v; and `_fit(x)`,
     which brings a sum into the state's range where the cycle latches or
-    compares it (the updated membrane, the reset value).  `__init__` takes
-    the config, one validated register file per layer (`NeuronRegisters`
-    or `RealRegisters`), which the cycle reads as it stands, the state
-    dtype and the trace scale."""
+    compares it (the updated membrane, the reset value).  `_lif(k, drive)`,
+    the one LIF kernel, steps layer k under drive = growth x activation.
+    `__init__` takes the config, one validated register file per layer
+    (`NeuronRegisters` or `RealRegisters`), which the cycle reads as it
+    stands, the state dtype and the trace scale."""
 
     def __init__(self, cfg: CoreConfig, regs, dtype, scale: float):
         self.cfg = cfg
@@ -245,21 +255,24 @@ class _Cycle:
         self._vmem = [np.zeros(n, dtype=self._dtype) for n in sizes[1:]]
         self._refr = [np.zeros(n, dtype=np.int64) for n in sizes[1:]]
         self._prev_out = [np.zeros(n, dtype=bool) for n in sizes[1:-1]]
+        # Per layer: a refractory counter may be nonzero (`_lif` keeps it).
+        self._armed = [True] * self.n_layers
 
-    def _step_layer(self, k: int, spikes_in: np.ndarray) -> np.ndarray:
+    def _drive(self, k: int, spikes_in: np.ndarray):
+        """growth x activation of layer k, for a row or a raster of input spikes."""
+        return self._mul(self._number(self._regs[k].growth_rate), self._activation(k, spikes_in))
+
+    def _lif(self, k: int, drive) -> np.ndarray:
+        """Step layer k's neurons under `drive`; returns their spikes."""
         r, number = self._regs[k], self._number
         decay, vth, mode = number(r.decay_rate), number(r.v_threshold), r.reset_mode
         vmem, refr = self._vmem[k], self._refr[k]
 
-        # 1. activation: weighted sum of this cycle's input spikes.
-        act = self._activation(k, spikes_in)
-
-        # 2./3. refractory hold, or membrane update + fire + reset.
-        drive = self._mul(number(r.growth_rate), act)
         updated = self._fit(self._leak(decay, vmem) + drive)
         # With no period and no neuron held the hold is a no-op; a period
         # written to 0 still counts down the neurons held under the old one.
-        refractory = r.refractory_period > 0 or refr.any()
+        refractory = r.refractory_period > 0 or (self._armed[k] and refr.any())
+        self._armed[k] = refractory
         if refractory:
             held = refr > 0
             updated = np.where(held, vmem, updated)
@@ -281,19 +294,18 @@ class _Cycle:
             self._refr[k] = np.where(held, refr - 1, np.where(spikes, r.refractory_period, 0))
         return spikes
 
-    def step_cycle(self, input_spikes) -> list[np.ndarray]:
-        """Advance every layer by one spike-clock cycle; returns spike vectors."""
-        stim = np.asarray(input_spikes, dtype=bool)
+    def step_cycle(self, input_spikes, *, drive0=None) -> list[np.ndarray]:
+        """Advance every layer by one spike-clock cycle; returns spike vectors.
+        Layer 0's drive is `drive0` (from `run_sample`), else that of the 0/1 `input_spikes`."""
+        stim = np.asarray(input_spikes)
         if stim.shape != (self.cfg.sizes[0],):
             raise ValueError(f"input width {stim.shape} != ({self.cfg.sizes[0]},)")
-        outs = []
-        feed = stim
-        for k in range(self.n_layers):
-            if self.cfg.layer_latency == 1 and k > 0:
-                feed = self._prev_out[k - 1]  # previous cycle's output of layer k-1
-            out = self._step_layer(k, feed)
-            outs.append(out)
-            feed = out
+        if drive0 is None:
+            drive0 = self._drive(0, _spikes(stim, ("line",)))
+        outs = [self._lif(0, drive0)]
+        for k in range(1, self.n_layers):
+            feed = self._prev_out[k - 1] if self.cfg.layer_latency == 1 else outs[-1]
+            outs.append(self._lif(k, self._drive(k, feed)))
         if self.cfg.layer_latency == 1:
             self._prev_out = outs[:-1]
         return outs
@@ -301,7 +313,7 @@ class _Cycle:
     def run_sample(self, stream, duration: int, watch=None):
         """Feed one sample for `duration` cycles from a fresh state.
 
-        `stream` is a dense [T, N0] bool array, cut or zero-padded to
+        `stream` is a dense [T, N0] 0/1 array, cut or zero-padded to
         `duration` cycles.  `watch` selects membrane traces: an iterable
         of (layer, neuron) pairs, or "all".  Returns (SpikeRaster, traces)
         where traces maps (layer, neuron) -> float64[T] of decoded vmem
@@ -316,8 +328,9 @@ class _Cycle:
         # Each watched layer's membranes, one [T, N] row per cycle.
         vmems = {k: np.zeros((duration, sizes[k + 1]), dtype=self._dtype)
                  for k in {k for k, _ in watched}}
+        drive0 = self._drive(0, dense)
         for t in range(duration):
-            for k, out in enumerate(self.step_cycle(dense[t])):
+            for k, out in enumerate(self.step_cycle(dense[t], drive0=drive0[t])):
                 rasters[k][t] = out
             for k, rows in vmems.items():
                 rows[t] = self._vmem[k]
@@ -329,12 +342,13 @@ class _Cycle:
 class Core(_Cycle):
     """One core instance: a single logical timeline of spike-clock cycles.
 
-    `threads` > 1 splits each layer's activation by post-synaptic columns
-    into `threads` parts: the calling thread accumulates the first and a
-    pool of `threads` - 1 workers the others, concurrently.  The LIF update
-    then runs once per layer on whole vectors in the calling thread.  The
-    thread count never changes the results.  Release the pool with
-    `close()` or by using the core as a context manager.
+    `threads` > 1 splits the activation of one cycle's row of spikes by
+    post-synaptic columns into `threads` parts: the calling thread
+    accumulates the first and a pool of `threads` - 1 workers the others,
+    concurrently.  The pool serves only that row path; a raster's product
+    and the LIF update run in the calling thread.  The thread count never
+    changes the results.  Release the pool with `close()` or by using the
+    core as a context manager.
     """
 
     def __init__(self, cfg: CoreConfig, threads: int = 1):
@@ -398,8 +412,11 @@ class Core(_Cycle):
     _number = staticmethod(operator.attrgetter("raw"))  # a register word's raw payload
 
     def _activation(self, k: int, spikes_in: np.ndarray) -> np.ndarray:
-        """Ordered sum of the weight rows of this cycle's active inputs."""
+        """Ordered sum of the weight rows of the active inputs, of one
+        cycle's [M] row or of each row of a [T, M] raster."""
         w = self.planes[k].raw
+        if spikes_in.ndim == 2:
+            return self._raster_activation(k, w, spikes_in)
         active = spikes_in.nonzero()[0]
         if self._pool is None:
             return accumulate_raw(w[active], self.fmt, self.policy)
@@ -410,6 +427,27 @@ class Core(_Cycle):
         first, *rest = self._columns[k]
         futures = [self._pool.submit(part, cols) for cols in rest]
         return np.concatenate([part(first), *(f.result() for f in futures)])
+
+    def _raster_activation(self, k: int, w: np.ndarray, raster: np.ndarray) -> np.ndarray:
+        """The row path's sums for every row of `raster` (module docstring).
+        The plane may be written between calls: copy it per call, 1 MB at a time."""
+        fmt, (m, n) = self.fmt, w.shape
+        out = np.empty((len(raster), n), dtype=self._dtype)
+        exact = w.dtype != object and m << (fmt.width - 1) <= 1 << 53
+        fail = np.full(len(raster), not exact)  # the rows that take the row path
+        if exact:
+            x, step = raster.astype(np.float64), max(1, (1 << 17) // m)
+            for lo in range(0, n, step):
+                block = w[:, lo:lo + step].astype(np.float64)
+                out[:, lo:lo + step] = s = x @ block  # exact integers in float64
+                if self.policy is not WRAP:  # the certificate of `accumulate_raw`
+                    a = x @ np.abs(block)
+                    fail |= ((s + a > 2 * fmt.max_raw) | (s - a < 2 * fmt.min_raw)).any(axis=1)
+            if self.policy is WRAP:
+                return self._fit(out)
+        for t in fail.nonzero()[0]:
+            out[t] = self._activation(k, raster[t])
+        return out
 
     # Under WRAP the product runs unreduced and `_fit` wraps (see the module
     # docstring); under SATURATE the product clamps before the add, and
@@ -439,12 +477,21 @@ def _dense_stream(stream, duration: int, n0: int) -> np.ndarray:
     `stream` is a dense [T, n0] array that is cut or zero-padded to
     `duration` cycles.
     """
-    dense = np.asarray(stream, dtype=bool)
+    dense = np.asarray(stream)
     if dense.ndim != 2 or dense.shape[1] != n0:
         raise ValueError(f"dense stream must be [T, {n0}], got {dense.shape}")
     out = np.zeros((duration, n0), dtype=bool)
-    out[:len(dense)] = dense[:duration]
+    out[:len(dense)] = _spikes(dense, ("cycle", "line"))[:duration]
     return out
+
+
+def _spikes(stim: np.ndarray, axes: tuple[str, ...]) -> np.ndarray:
+    """`stim` as bool; a value other than 0 or 1 raises, naming its index along `axes`."""
+    bad = () if stim.dtype == bool else np.argwhere((stim != 0) & (stim != 1))
+    if len(bad):
+        where = ", ".join(f"{axis} {i}" for axis, i in zip(axes, bad[0]))
+        raise ValueError(f"stimulus {where}: {stim[tuple(bad[0])]} is not a spike (0 or 1)")
+    return stim.astype(bool, copy=False)
 
 
 def _watch_list(watch, sizes) -> list[tuple[int, int]]:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from spikecore.core import Core, CoreConfig, RealRegisters, SpikeRaster
 from spikecore.fixedpoint import OverflowPolicy, QFormat, QWord
 from spikecore.neuron import NeuronState, ResetMode, step_neuron
+from spikecore.reference import stack_traces
 from spikecore.topology import Connectivity, ConnectivityKind
 
 ALL_TO_ALL = Connectivity(ConnectivityKind.ALL_TO_ALL)
@@ -147,3 +148,33 @@ def test_register_writes_between_cycles_match_the_scalar_oracle(data):
                 fired = step_neuron(state, r, spikes, column, cfg.policy)
                 assert fired == raster.layers[k][t, j], (k, j, t)
                 assert state.vmem.raw == vmems[t][k][j], (k, j, t)
+
+
+@given(net=networks())
+@settings(max_examples=200, deadline=None)
+def test_run_sample_equals_a_step_cycle_loop(net):
+    # The two drivers of the one LIF kernel: `run_sample` computes layer
+    # 0's drive for every cycle up front, a `step_cycle` loop cycle by
+    # cycle.  Spikes, membranes and the state left behind must agree, so
+    # that one more cycle continues both alike.
+    cfg, weights, stream, threads = net
+    with Core(cfg, threads=threads) as sampled, Core(cfg, threads=threads) as looped:
+        for core in (sampled, looped):
+            for plane, w in zip(core.planes, weights):
+                plane.raw[...] = w
+        raster, traces = sampled.run_sample(stream, len(stream), watch="all")
+        outs, vmems = [], []
+        for stim in stream:
+            outs.append(looped.step_cycle(stim))
+            vmems.append(np.concatenate(looped._vmem))
+        for k in range(cfg.n_layers):
+            assert np.array_equal(raster.layers[k], [out[k] for out in outs]), k
+        decoded = np.array(vmems, dtype=np.float64) * cfg.fmt.quantum
+        assert np.array_equal(stack_traces(traces), decoded)
+        for name in ("_vmem", "_refr", "_prev_out"):
+            for a, b in zip(getattr(sampled, name), getattr(looped, name), strict=True):
+                assert np.array_equal(a, b), name
+        for a, b in zip(sampled.step_cycle(stream[-1]), looped.step_cycle(stream[-1])):
+            assert np.array_equal(a, b)
+        for a, b in zip(sampled._vmem, looped._vmem):
+            assert np.array_equal(a, b)

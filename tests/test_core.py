@@ -515,6 +515,27 @@ def test_saturate_policy_core_runs():
     assert outs[0].all()
 
 
+@pytest.mark.parametrize("fmt", [Q5_3, Q17_15, QFormat(20, 20)])
+@pytest.mark.parametrize("policy", list(OverflowPolicy))
+def test_raster_activation_equals_the_row_path_row_by_row(fmt, policy):
+    # 4096 x 40 int64 words span two 1 MB float64 blocks of columns.  The
+    # rows: all zero, one line (a certified SATURATE sum), every line (one
+    # that clamps) and random halves; Q20.20 planes take the row path.
+    m, n = 4096, 40
+    core = Core(CoreConfig.uniform(fmt, [m, n], baseline_regs(), policy=policy))
+    rng = np.random.default_rng(21)
+    w = rng.integers(fmt.min_raw, fmt.max_raw, (m, n), endpoint=True)
+    core.planes[0].raw[...] = w.astype(core.planes[0].raw.dtype)
+    raster = np.zeros((5, m), dtype=bool)
+    raster[1, 7] = raster[2] = True
+    raster[3:] = rng.random((2, m)) < 0.5
+    assert (np.maximum(w, 0).sum(axis=0) > fmt.max_raw).any()  # row 2 clamps
+    rows = np.array([core._activation(0, row) for row in raster])
+    got = core._activation(0, raster)
+    assert got.dtype == rows.dtype and np.array_equal(got, rows)
+    assert core._activation(0, raster[:0]).shape == (0, n)
+
+
 def test_traces_record_post_reset_value():
     cfg = CoreConfig.uniform(Q5_3, [1, 1], RealRegisters(0.0, 1.0, 4.0, ResetMode.TO_ZERO),
                              connectivity=ONE)

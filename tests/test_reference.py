@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,15 @@ def test_run_sample_rejects_bad_width_and_watch(model):
     for duration in (-1, 2.5, "3"):
         with pytest.raises(ValueError, match=f"^duration {duration!r} is not a whole number"):
             sim.run_sample(np.ones((4, 3), dtype=bool), duration)
+    # A stimulus value is a spike only if it is 0 or 1: it used to be cast to bool.
+    sim.run_sample(np.array([[0, 1, 1.0]] * 4), 4)
+    for value in (2, -1, 0.5, float("nan"), None):
+        stream = [[0, 1, 0] for _ in range(4)]
+        stream[2][1] = value
+        with pytest.raises(ValueError, match=re.escape(f"stimulus cycle 2, line 1: {value} is")):
+            sim.run_sample(stream, 3)
+    with pytest.raises(ValueError, match=r"^stimulus line 2: -1 is not a spike \(0 or 1\)$"):
+        sim.step_cycle([1, 0, -1])
 
 
 @pytest.mark.parametrize("model", [Core, ReferenceCore])
