@@ -20,13 +20,15 @@ range, and otherwise the discrete two-sided Skorokhod map of the prefix
 sums, which has an exact closed form in prefix sums and running minima
 (Kruk, Lehoczky, Ramanan & Shreve, Ann. Probab. 2007).
 
-The stimulus is known before a sample starts, so `run_sample` computes
-layer 0's activation for every cycle as one float64 product, raster @
-plane.  While fan_in * 2**(w-1) <= 2**53 each partial sum is an integer
-that float64 holds exactly, so any summation order is exact.  WRAP wraps
-the product; SATURATE keeps it in the cycles where a second product, with
-|plane|, gives `accumulate_raw`'s certificate.  The other cycles, and
-planes past the bound or of object dtype (w > 32), take the gather.
+A plane of width <= 32 holds integer payloads in float64.  While fan_in *
+2**(w-1) <= 2**53, decided once per plane, every partial sum is an integer
+that float64 holds exactly, in any order, so rows are summed as stored and
+only the sum is cast to the state dtype; past the bound, in int64.  The
+stimulus is known before a sample starts, so `run_sample` computes layer
+0's activation for every cycle as one product of the raster with the plane.
+WRAP wraps it; SATURATE keeps it in the cycles where a second product, with
+|plane|, gives `accumulate_raw`'s certificate.  The other cycles, and planes
+past the bound or of object dtype (w > 32), take the gather.
 
 The leak step v - d*v is computed as `v - ((d * v) >> q)` under both
 policies, with no clamp or wrap: the decay register holds a raw d in
@@ -345,10 +347,10 @@ class Core(_Cycle):
     `threads` > 1 splits the activation of one cycle's row of spikes by
     post-synaptic columns into `threads` parts: the calling thread
     accumulates the first and a pool of `threads` - 1 workers the others,
-    concurrently.  The pool serves only that row path; a raster's product
-    and the LIF update run in the calling thread.  The thread count never
-    changes the results.  Release the pool with `close()` or by using the
-    core as a context manager.
+    concurrently.  The pool serves only that row path; a raster's product,
+    which reads the stored plane in place, and the LIF update run in the
+    calling thread.  The thread count never changes the results.  Release
+    the pool with `close()` or by using the core as a context manager.
     """
 
     def __init__(self, cfg: CoreConfig, threads: int = 1):
@@ -358,6 +360,9 @@ class Core(_Cycle):
         regs = [r.quantize(cfg.fmt) for r in cfg.registers]
         super().__init__(cfg, regs, raw_dtype(cfg.fmt), cfg.fmt.quantum)
         self.planes = [WeightMemory(cfg.fmt, mask, layer=k) for k, mask in enumerate(_masks(cfg))]
+        # Per plane: every partial sum is exact in float64 (module docstring).
+        self._exact = [p.raw.dtype == np.float64 and p.m << (cfg.fmt.width - 1) <= 1 << 53
+                       for p in self.planes]
         self._columns = [
             [slice(lo, hi) for lo, hi in zip(b[:-1], b[1:]) if lo < hi]
             for b in (np.linspace(0, n, threads + 1, dtype=int) for n in cfg.sizes[1:])
@@ -418,33 +423,29 @@ class Core(_Cycle):
         if spikes_in.ndim == 2:
             return self._raster_activation(k, w, spikes_in)
         active = spikes_in.nonzero()[0]
+        rows = np.float64 if self._exact[k] else self._dtype
         if self._pool is None:
-            return accumulate_raw(w[active], self.fmt, self.policy)
+            return accumulate_raw(w[active].astype(rows, copy=False), self.fmt, self.policy)
 
         def part(cols):
-            return accumulate_raw(w[active, cols], self.fmt, self.policy)
+            return accumulate_raw(w[active, cols].astype(rows, copy=False), self.fmt, self.policy)
 
         first, *rest = self._columns[k]
         futures = [self._pool.submit(part, cols) for cols in rest]
         return np.concatenate([part(first), *(f.result() for f in futures)])
 
     def _raster_activation(self, k: int, w: np.ndarray, raster: np.ndarray) -> np.ndarray:
-        """The row path's sums for every row of `raster` (module docstring).
-        The plane may be written between calls: copy it per call, 1 MB at a time."""
-        fmt, (m, n) = self.fmt, w.shape
-        out = np.empty((len(raster), n), dtype=self._dtype)
-        exact = w.dtype != object and m << (fmt.width - 1) <= 1 << 53
-        fail = np.full(len(raster), not exact)  # the rows that take the row path
-        if exact:
-            x, step = raster.astype(np.float64), max(1, (1 << 17) // m)
-            for lo in range(0, n, step):
-                block = w[:, lo:lo + step].astype(np.float64)
-                out[:, lo:lo + step] = s = x @ block  # exact integers in float64
-                if self.policy is not WRAP:  # the certificate of `accumulate_raw`
-                    a = x @ np.abs(block)
-                    fail |= ((s + a > 2 * fmt.max_raw) | (s - a < 2 * fmt.min_raw)).any(axis=1)
+        """The row path's sums for every row of `raster` (module docstring):
+        on an exact plane, one product with the stored plane, no copy of it."""
+        fmt, out = self.fmt, np.empty((len(raster), w.shape[1]), dtype=self._dtype)
+        fail = np.ones(len(raster), dtype=bool)  # the rows that take the row path
+        if self._exact[k]:
+            x = raster.astype(np.float64)
+            out[:] = s = x @ w  # exact integers in float64
             if self.policy is WRAP:
                 return self._fit(out)
+            a = x @ np.abs(w)  # the certificate of `accumulate_raw`
+            fail = ((s + a > 2 * fmt.max_raw) | (s - a < 2 * fmt.min_raw)).any(axis=1)
         for t in fail.nonzero()[0]:
             out[t] = self._activation(k, raster[t])
         return out

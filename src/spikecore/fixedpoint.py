@@ -254,15 +254,18 @@ def accumulate_raw(rows, fmt: QFormat, policy: OverflowPolicy = WRAP):
     Ann. Probab. 35(5), 2007) is, with m_s = min(c_s..c_R),
         x_R = c_R - max(min(m_1 - lo, 0), max_s min(c_s - hi, m_s - lo)).
     Every term is an exact integer: |c|, a <= R * 2**31 in int64 for
-    widths <= 32, Python ints (object dtype) beyond.
+    widths <= 32, Python ints (object dtype) beyond.  Float64 rows (widths
+    <= 32) give exact sums if R * 2**(w-1) <= 2**53, which the caller
+    ensures; the result, and the closed form, are int64.
     """
+    ints = raw_dtype(fmt)
     s = rows.sum(axis=0)
     if policy is WRAP:
-        return fit_raw(s, fmt, policy)
+        return fit_raw(s.astype(ints, copy=False), fmt, policy)
     a = np.abs(rows).sum(axis=0)
     if (s + a <= 2 * fmt.max_raw).all() and (s - a >= 2 * fmt.min_raw).all():
-        return s
-    c = np.cumsum(rows, axis=0)
+        return s.astype(ints, copy=False)
+    c = np.cumsum(rows.astype(ints, copy=False), axis=0)
     m = np.minimum.accumulate(c[::-1], axis=0)[::-1]
     upper = np.minimum(c - fmt.max_raw, m - fmt.min_raw).max(axis=0)
     lower = np.minimum(m[0] - fmt.min_raw, 0)

@@ -77,8 +77,7 @@ class TracePair:
 
 def stack_traces(traces: dict) -> np.ndarray:
     """Stack a watch-dict into [T, n_watched], keys in sorted order."""
-    keys = sorted(traces)
-    return np.stack([traces[k] for k in keys], axis=1)
+    return np.stack([traces[k] for k in sorted(traces)], axis=1)
 
 
 def rmse(pair: TracePair) -> float:
@@ -128,11 +127,6 @@ def format_sweep(cfg: CoreConfig, weight_writes, stream, duration: int,
         ref = matched_reference(core)
         raster_r, traces_r = ref.run_sample(stream, duration, watch="all")
         pair = TracePair(stack_traces(traces_q), stack_traces(traces_r))
-        mism = int(
-            sum(
-                np.count_nonzero(a != b)
-                for a, b in zip(raster_q.layers, raster_r.layers)
-            )
-        )
+        mism = sum(int(np.count_nonzero(a != b)) for a, b in zip(raster_q.layers, raster_r.layers))
         results.append(FormatComparison(fmt, rmse(pair), mism))
     return results

@@ -4,6 +4,8 @@ A weight plane connects M pre-synaptic lines to N post-synaptic neurons.
 A stored weight is one signed word of the plane's format: its sign is the
 synapse's polarity (excitatory >= 0, inhibitory < 0) and its magnitude the
 strength.  Masked-out positions are structurally zero and reject writes.
+A plane holds integer payloads only: float64 for widths <= 32 (exact for
+|raw| <= 2**31), which the activation product reads as stored, else object.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fixedpoint import NamedEnum, QFormat, QWord, raw_dtype, whole_number
+from .fixedpoint import NamedEnum, QFormat, QWord, whole_number
 from .fixedpoint import fit_raw  # noqa: F401  (bound here so bench/spans.py can trace it)
 
 __all__ = [
@@ -84,7 +86,7 @@ def build_mask(conn: Connectivity, m: int, n: int) -> np.ndarray:
 
 @dataclass
 class WeightMemory:
-    """Per-plane addressable weight store with a structural connection mask."""
+    """Per-plane weight store with a structural connection mask; `raw` holds integer payloads."""
 
     fmt: QFormat
     mask: np.ndarray
@@ -92,7 +94,7 @@ class WeightMemory:
     raw: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.raw = np.zeros(self.mask.shape, dtype=raw_dtype(self.fmt))
+        self.raw = np.zeros(self.mask.shape, dtype=np.float64 if self.fmt.width <= 32 else object)
 
     @property
     def m(self) -> int:
@@ -122,4 +124,4 @@ class WeightMemory:
     def presynaptic_weights(self, post: int) -> list[QWord]:
         """Column for one post neuron, in pre index order (accumulation order)."""
         self._check(0, post)
-        return [QWord(self.fmt, int(r)) for r in self.raw[:, post]]
+        return [QWord(self.fmt, r) for r in self.raw[:, post]]

@@ -8,6 +8,7 @@ from spikecore.fixedpoint import (
     Q3_1, Q5_3, Q9_7, Q17_15, SATURATE, OverflowPolicy, QFormat, QWord,
 )
 from spikecore.neuron import NeuronState, ResetMode, step_neuron
+from spikecore.reference import matched_reference
 from spikecore.topology import Connectivity, ConnectivityKind
 
 GAUSS1 = Connectivity(ConnectivityKind.GAUSSIAN, 1)
@@ -219,6 +220,38 @@ def test_an_int_register_or_weight_stays_exact():
     core.write_register(0, "v_threshold", big)
     core.write_weight(0, 0, 0, big)
     assert core.registers(0).v_threshold.raw == core.planes[0].raw[0, 0] == big << fmt.q
+
+
+@pytest.mark.parametrize("fmt, dtype", [
+    (Q5_3, np.float64), (Q9_7, np.float64), (Q17_15, np.float64),
+    (QFormat(20, 20), object), (QFormat(33, 31), object),
+])
+def test_weight_planes_store_integer_payloads_by_width(fmt, dtype):
+    # Widths <= 32 in float64, wider ones as Python ints; either way every
+    # written word reads back bit-exact, and a fractional real is truncated.
+    core = Core(CoreConfig.uniform(fmt, [4, 1], baseline_regs()))
+    assert core.planes[0].raw.dtype == dtype
+    words = [QWord(fmt, fmt.min_raw), QWord(fmt, fmt.max_raw),
+             encode_register(-2.5, fmt), encode_register(1.3, fmt)]
+    for pre, word in enumerate(words):
+        core.write_weight(0, pre, 0, word.value if pre >= 2 else word)
+    raws = [w.raw for w in words]
+    assert raws[3] == int(1.3 * 2**fmt.q)
+    assert [w.raw for w in core.planes[0].presynaptic_weights(0)] == raws
+    values = [float(r) * fmt.quantum for r in raws]
+    assert core.decoded_weights()[0][:, 0].tolist() == values
+    assert matched_reference(core).weights[0][:, 0].tolist() == values
+
+
+@pytest.mark.parametrize("fmt", [Q5_3, QFormat(20, 20)])
+def test_a_fractional_payload_in_a_plane_is_read_as_an_error(fmt):
+    # A value written into `raw` directly is not truncated on the way out:
+    # the int64 plane used to read 1.5 back as raw 1.
+    core = Core(CoreConfig.uniform(fmt, [2, 2], baseline_regs()))
+    core.planes[0].raw[0, 0] = 1.5
+    with pytest.raises(ValueError, match=r"raw .*1\.5.* of .* is not an integer"):
+        core.planes[0].presynaptic_weights(0)
+    assert [w.raw for w in core.planes[0].presynaptic_weights(1)] == [0, 0]
 
 
 # --- stepping ----------------------------------------------------------------
@@ -518,7 +551,7 @@ def test_saturate_policy_core_runs():
 @pytest.mark.parametrize("fmt", [Q5_3, Q17_15, QFormat(20, 20)])
 @pytest.mark.parametrize("policy", list(OverflowPolicy))
 def test_raster_activation_equals_the_row_path_row_by_row(fmt, policy):
-    # 4096 x 40 int64 words span two 1 MB float64 blocks of columns.  The
+    # A 4096 x 40 plane, read in place by one product per raster.  The
     # rows: all zero, one line (a certified SATURATE sum), every line (one
     # that clamps) and random halves; Q20.20 planes take the row path.
     m, n = 4096, 40
@@ -534,6 +567,31 @@ def test_raster_activation_equals_the_row_path_row_by_row(fmt, policy):
     got = core._activation(0, raster)
     assert got.dtype == rows.dtype and np.array_equal(got, rows)
     assert core._activation(0, raster[:0]).shape == (0, n)
+
+
+def python_fold(column, fmt, policy):
+    """The hardware's adds in pre-synaptic order, on Python ints."""
+    acc, lo, hi, mask = 0, fmt.min_raw, fmt.max_raw, (1 << fmt.width) - 1
+    for r in column:
+        acc += r
+        acc = min(max(acc, lo), hi) if policy is SATURATE else ((acc - lo) & mask) + lo
+    return acc
+
+
+@pytest.mark.parametrize("policy", list(OverflowPolicy))
+def test_a_plane_past_the_float_bound_sums_in_int64(policy):
+    # 2**22 + 1 Q17.15 lines at max_raw: fan_in * 2**31 > 2**53, and the sum
+    # of every line needs 54 bits, so a float64 sum would round it.  Both
+    # paths of `_activation` must give the fold's bits.  The plane is 32 MB.
+    fmt, m = Q17_15, (1 << 22) + 1
+    core = Core(CoreConfig.uniform(fmt, [m, 1], baseline_regs(), policy=policy))
+    core.planes[0].raw[...] = fmt.max_raw
+    assert m * fmt.max_raw > 1 << 53 and not core._exact[0]
+    want = python_fold([fmt.max_raw] * m, fmt, policy)
+    assert core._activation(0, np.ones(m, dtype=bool)).tolist() == [want]
+    raster = np.zeros((2, m), dtype=bool)
+    raster[1] = True
+    assert core._activation(0, raster).tolist() == [[0], [want]]
 
 
 def test_traces_record_post_reset_value():
