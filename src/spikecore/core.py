@@ -6,8 +6,8 @@ and weight plane k connects sizes[k] -> sizes[k+1].  All neurons of a layer
 share one register file (one decoder per layer).  One cycle, two number
 systems: `_Cycle` holds the LIF cycle and the run loop once.  `Core` steps
 it in Qn.q on raw integer arrays, bit-identical to scalar per-neuron
-evaluation (`neuron.step_neuron`) whatever the worker-thread count, and
-`reference.ReferenceCore` in float64, to measure the quantization error.
+evaluation (`neuron.step_neuron`), and `reference.ReferenceCore` in
+float64, to measure the quantization error.
 
 Activation is event-driven, as in the hardware: a weight enters a neuron's
 sum only when its pre-synaptic line spikes.  Each cycle gathers the weight
@@ -57,7 +57,6 @@ so the fit clamps exactly where the hardware's adder does.
 from __future__ import annotations
 
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -342,38 +341,18 @@ class _Cycle:
 
 
 class Core(_Cycle):
-    """One core instance: a single logical timeline of spike-clock cycles.
-
-    `threads` > 1 splits the activation of one cycle's row of spikes by
-    post-synaptic columns into `threads` parts: the calling thread
-    accumulates the first and a pool of `threads` - 1 workers the others,
-    concurrently.  The pool serves only that row path; a raster's product,
-    which reads the stored plane in place, and the LIF update run in the
-    calling thread.  The thread count never changes the results.  Release
-    the pool with `close()` or by using the core as a context manager.
-    """
+    """One core instance: a single logical timeline of spike-clock cycles."""
 
     def __init__(self, cfg: CoreConfig, threads: int = 1):
+        """`threads` is ignored; `bench/workloads.py` still passes it."""
         self.fmt = cfg.fmt
         self.policy = cfg.policy
-        threads = max(1, int(threads))
         regs = [r.quantize(cfg.fmt) for r in cfg.registers]
         super().__init__(cfg, regs, raw_dtype(cfg.fmt), cfg.fmt.quantum)
         self.planes = [WeightMemory(cfg.fmt, mask, layer=k) for k, mask in enumerate(_masks(cfg))]
         # Per plane: every partial sum is exact in float64 (module docstring).
         self._exact = [p.raw.dtype == np.float64 and p.m << (cfg.fmt.width - 1) <= 1 << 53
                        for p in self.planes]
-        self._columns = [
-            [slice(lo, hi) for lo, hi in zip(b[:-1], b[1:]) if lo < hi]
-            for b in (np.linspace(0, n, threads + 1, dtype=int) for n in cfg.sizes[1:])
-        ]
-        self._pool = ThreadPoolExecutor(threads - 1) if threads > 1 else None
-
-    def __enter__(self) -> "Core":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- configuration ------------------------------------------------------
 
@@ -401,7 +380,8 @@ class Core(_Cycle):
     def write_weight(self, layer: int, pre: int, post: int, value) -> None:
         """Program one synapse; `value` is a signed real or QWord."""
         self._check_synapse(layer, pre, post)
-        self.planes[layer].write(pre, post, encode_register(value, self.fmt, "weight"))
+        name = f"weight of synapse (layer={layer}, pre={pre}, post={post})"
+        self.planes[layer].write(pre, post, encode_register(value, self.fmt, name))
 
     def decoded_registers(self) -> list[RealRegisters]:
         """Register values as the datapath sees them (decoded from the format)."""
@@ -424,19 +404,12 @@ class Core(_Cycle):
             return self._raster_activation(k, w, spikes_in)
         active = spikes_in.nonzero()[0]
         rows = np.float64 if self._exact[k] else self._dtype
-        if self._pool is None:
-            return accumulate_raw(w[active].astype(rows, copy=False), self.fmt, self.policy)
-
-        def part(cols):
-            return accumulate_raw(w[active, cols].astype(rows, copy=False), self.fmt, self.policy)
-
-        first, *rest = self._columns[k]
-        futures = [self._pool.submit(part, cols) for cols in rest]
-        return np.concatenate([part(first), *(f.result() for f in futures)])
+        return accumulate_raw(w[active].astype(rows, copy=False), self.fmt, self.policy)
 
     def _raster_activation(self, k: int, w: np.ndarray, raster: np.ndarray) -> np.ndarray:
-        """The row path's sums for every row of `raster` (module docstring):
-        on an exact plane, one product with the stored plane, no copy of it."""
+        """The row path's sums for every row of `raster` (module docstring): on
+        an exact plane, one product with the stored plane, read in place under
+        WRAP; SATURATE's certificate builds |plane|, a plane-sized temporary, per call."""
         fmt, out = self.fmt, np.empty((len(raster), w.shape[1]), dtype=self._dtype)
         fail = np.ones(len(raster), dtype=bool)  # the rows that take the row path
         if self._exact[k]:
@@ -467,9 +440,7 @@ class Core(_Cycle):
         return fit_raw(x, self.fmt, self.policy)
 
     def close(self) -> None:
-        """Shut the worker pool down; calling it again does nothing."""
-        if self._pool is not None:
-            self._pool.shutdown()
+        """Does nothing; `bench/` still calls it."""
 
 
 def _dense_stream(stream, duration: int, n0: int) -> np.ndarray:
@@ -503,10 +474,14 @@ def _watch_list(watch, sizes) -> list[tuple[int, int]]:
         if watch != "all":
             raise ValueError(f"watch must be 'all' or (layer, neuron) pairs, got {watch!r}")
         return [(k, j) for k in range(len(sizes) - 1) for j in range(sizes[k + 1])]
-    # Read once: `watch` may be an iterator.
-    pairs = [(operator.index(k), operator.index(j)) for k, j in watch]
-    for k, j in pairs:
+    pairs = []
+    for entry in watch:  # read once: `watch` may be an iterator
+        try:
+            k, j = map(operator.index, entry)
+        except (TypeError, ValueError):
+            raise ValueError(f"watch entry {entry!r} is not a (layer, neuron) pair") from None
         if not (0 <= k < len(sizes) - 1 and 0 <= j < sizes[k + 1]):
             raise ValueError(f"watched neuron (layer={k}, neuron={j}) out of range")
+        pairs.append((k, j))
     return pairs
 

@@ -65,7 +65,7 @@ def networks(draw):
     weights = [rng.integers(fmt.min_raw, fmt.max_raw, (m, n), endpoint=True)
                for m, n in zip(sizes[:-1], sizes[1:])]
     stream = rng.random((draw(st.integers(1, 12)), sizes[0])) < 0.5
-    return cfg, weights, stream, draw(st.sampled_from((1, 2)))
+    return cfg, weights, stream
 
 
 def upstream_of(raster, k, latency):
@@ -82,11 +82,11 @@ def upstream_of(raster, k, latency):
 @given(net=networks())
 @settings(max_examples=300, deadline=None)
 def test_core_matches_scalar_oracle_neuron_by_neuron(net):
-    cfg, weights, stream, threads = net
-    with Core(cfg, threads=threads) as core:
-        for plane, w in zip(core.planes, weights):
-            plane.raw[...] = w
-        raster, traces = core.run_sample(stream, len(stream), watch="all")
+    cfg, weights, stream = net
+    core = Core(cfg)
+    for plane, w in zip(core.planes, weights):
+        plane.raw[...] = w
+    raster, traces = core.run_sample(stream, len(stream), watch="all")
     for k in range(cfg.n_layers):
         regs = core.registers(k)
         upstream = upstream_of(raster, k, cfg.layer_latency).tolist()
@@ -122,18 +122,18 @@ def test_register_writes_between_cycles_match_the_scalar_oracle(data):
     # Refractory periods, thresholds and reset modes written between
     # cycles, a period of 0 included while neurons are held, take effect
     # in the core exactly as in the oracle given the same schedule.
-    cfg, weights, stream, threads = data.draw(networks())
+    cfg, weights, stream = data.draw(networks())
     writes = data.draw(register_writes(cfg.fmt, cfg.n_layers, len(stream)))
-    with Core(cfg, threads=threads) as core:
-        for plane, w in zip(core.planes, weights):
-            plane.raw[...] = w
-        regs = [core.registers(k) for k in range(cfg.n_layers)]
-        outs, vmems = [], []
-        for t, stim in enumerate(stream):
-            for _, k, name, value in (w for w in writes if w[0] == t):
-                core.write_register(k, name, value)
-            outs.append(core.step_cycle(stim))
-            vmems.append([v.tolist() for v in core._vmem])
+    core = Core(cfg)
+    for plane, w in zip(core.planes, weights):
+        plane.raw[...] = w
+    regs = [core.registers(k) for k in range(cfg.n_layers)]
+    outs, vmems = [], []
+    for t, stim in enumerate(stream):
+        for _, k, name, value in (w for w in writes if w[0] == t):
+            core.write_register(k, name, value)
+        outs.append(core.step_cycle(stim))
+        vmems.append([v.tolist() for v in core._vmem])
     raster = SpikeRaster(stream, [np.array([out[k] for out in outs])
                                   for k in range(cfg.n_layers)])
     for k in range(cfg.n_layers):
@@ -157,24 +157,24 @@ def test_run_sample_equals_a_step_cycle_loop(net):
     # 0's drive for every cycle up front, a `step_cycle` loop cycle by
     # cycle.  Spikes, membranes and the state left behind must agree, so
     # that one more cycle continues both alike.
-    cfg, weights, stream, threads = net
-    with Core(cfg, threads=threads) as sampled, Core(cfg, threads=threads) as looped:
-        for core in (sampled, looped):
-            for plane, w in zip(core.planes, weights):
-                plane.raw[...] = w
-        raster, traces = sampled.run_sample(stream, len(stream), watch="all")
-        outs, vmems = [], []
-        for stim in stream:
-            outs.append(looped.step_cycle(stim))
-            vmems.append(np.concatenate(looped._vmem))
-        for k in range(cfg.n_layers):
-            assert np.array_equal(raster.layers[k], [out[k] for out in outs]), k
-        decoded = np.array(vmems, dtype=np.float64) * cfg.fmt.quantum
-        assert np.array_equal(stack_traces(traces), decoded)
-        for name in ("_vmem", "_refr", "_prev_out"):
-            for a, b in zip(getattr(sampled, name), getattr(looped, name), strict=True):
-                assert np.array_equal(a, b), name
-        for a, b in zip(sampled.step_cycle(stream[-1]), looped.step_cycle(stream[-1])):
-            assert np.array_equal(a, b)
-        for a, b in zip(sampled._vmem, looped._vmem):
-            assert np.array_equal(a, b)
+    cfg, weights, stream = net
+    sampled, looped = Core(cfg), Core(cfg)
+    for core in (sampled, looped):
+        for plane, w in zip(core.planes, weights):
+            plane.raw[...] = w
+    raster, traces = sampled.run_sample(stream, len(stream), watch="all")
+    outs, vmems = [], []
+    for stim in stream:
+        outs.append(looped.step_cycle(stim))
+        vmems.append(np.concatenate(looped._vmem))
+    for k in range(cfg.n_layers):
+        assert np.array_equal(raster.layers[k], [out[k] for out in outs]), k
+    decoded = np.array(vmems, dtype=np.float64) * cfg.fmt.quantum
+    assert np.array_equal(stack_traces(traces), decoded)
+    for name in ("_vmem", "_refr", "_prev_out"):
+        for a, b in zip(getattr(sampled, name), getattr(looped, name), strict=True):
+            assert np.array_equal(a, b), name
+    for a, b in zip(sampled.step_cycle(stream[-1]), looped.step_cycle(stream[-1])):
+        assert np.array_equal(a, b)
+    for a, b in zip(sampled._vmem, looped._vmem):
+        assert np.array_equal(a, b)

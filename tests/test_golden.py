@@ -190,10 +190,10 @@ def literal(value: float, fmt: QFormat) -> str:
 
 def replay(case: Case, weights, stimulus):
     """Per-cycle (spike bit strings, membrane literals) of the golden core."""
-    with Core(case.config()) as core:
-        for plane, w in zip(core.planes, weights):
-            plane.raw[...] = w
-        raster, traces = core.run_sample(stimulus, len(stimulus), watch="all")
+    core = Core(case.config())
+    for plane, w in zip(core.planes, weights):
+        plane.raw[...] = w
+    raster, traces = core.run_sample(stimulus, len(stimulus), watch="all")
     cycles = []
     for t in range(len(stimulus)):
         cycles.append({

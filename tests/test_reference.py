@@ -64,6 +64,10 @@ def test_run_sample_rejects_bad_width_and_watch(model):
         sim.run_sample(np.ones((4, 3), dtype=bool), 4, watch=[(0, 2)])
     with pytest.raises(ValueError, match="layer=1, neuron=0"):
         sim.run_sample(np.ones((4, 3), dtype=bool), 4, watch=[(1, 0)])
+    # A malformed entry used to escape as a TypeError or an unpack error.
+    for entry in ((0, 1.5), (0, "a"), 5, (0,), (0, 1, 0)):
+        with pytest.raises(ValueError, match=re.escape(f"watch entry {entry!r} is not a")):
+            sim.run_sample(np.ones((4, 3), dtype=bool), 4, watch=[(0, 0), entry])
     with pytest.raises(ValueError, match=r"input width \(2,\)"):
         sim.step_cycle(np.ones(2, dtype=bool))
     # -1 used to raise numpy's "negative dimensions", 2.5 and "3" a TypeError.
@@ -157,7 +161,7 @@ def test_run_sample_reads_a_generator_or_array_watch(model):
         sim.run_sample(stim, 4, watch=((0, j) for j in range(3)))
     with pytest.raises(ValueError, match="'al'"):
         sim.run_sample(stim, 4, watch="al")
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match=r"^watch entry \(0, 0\.5\) is not a \(layer, neuron\)"):
         sim.run_sample(stim, 4, watch=[(0, 0.5)])
 
 
