@@ -513,7 +513,7 @@ def test_layer_latency_shifts_downstream_output():
     assert chain(1) == [[0], [1]]       # one cycle per layer boundary
 
 
-def test_threads_starts_no_thread_and_changes_no_spike():
+def test_thread_count_does_not_change_results():
     # `threads` and `close()` are kept, inert, for the bench's calls.
     rng = np.random.default_rng(8)
     stim = rng.random((25, 16)) < 0.4
