@@ -37,21 +37,28 @@ min(v, 0) and max(v, 0), and neither the product nor the difference can
 leave the range of v.  The hardware's clamp or wrap after each of the two
 operations would change no bit.
 
-The rest of the membrane update adds and subtracts in place and fits
-(`_fit`) only where the hardware latches or compares a value: the updated
-membrane before the threshold compare, and the BY_SUBTRACTION reset value
-before it is stored.  Under WRAP the fit reduces modulo 2**w, and in
-between, adds, subtracts and multiplies run on unreduced integers.  That
-gives the bits of wrapping after every operation, because reduction
+The rest of the membrane update works in place: `_leak` and `_mul` return
+fresh arrays, `_fit(x)` may overwrite the `x` its caller owns, and `_lif`
+holds and resets with masked writes into the updated membrane, which it
+then stores and never writes again, so nothing the core hands out changes
+later.  It fits only where the hardware latches or compares a value: the
+updated membrane before the threshold compare.  The BY_SUBTRACTION reset
+needs no fit while v_threshold >= 0, since a spiking neuron has
+v_threshold <= updated <= max_raw; under a negative threshold the
+membrane is fitted once more.  Under WRAP the fit reduces modulo 2**w,
+and in between, adds, subtracts and multiplies run on unreduced integers.
+That gives the bits of wrapping after every operation, because reduction
 modulo 2**w commutes with + and -, and because every multiply operand is
-already reduced (a register, the stored membrane, or the activation, which
-`accumulate_raw` reduces), so that `(a * b) >> q` has the low w bits of
-the hardware's truncated product.  An int64 overflow of an intermediate is
-harmless: 2**w divides 2**64, so int64 arithmetic keeps every bit below
-position 64, and the bits q..q+w-1 of a product are exact.  SATURATE
-clamps the product in `_mul` and each latched sum in `_fit`; the leak
-needs no clamp, and each sum is one add or subtract of in-range values,
-so the fit clamps exactly where the hardware's adder does.
+already reduced (a register, the stored membrane, or the fitted
+activation), so that `(a * b) >> q` has the low w bits of the hardware's
+truncated product.  An int64 overflow of an intermediate is harmless:
+2**w divides 2**64, so int64 arithmetic keeps every bit below position
+64, and the bits q..q+w-1 of a product are exact.  On int64 state the
+fit is the shift pair `x <<= 64 - w; x >>= 64 - w`, which drops the bits
+above the word and copies its sign bit into them.  SATURATE clamps the
+product in `_mul` and each latched sum in `_fit`; the leak needs no
+clamp, and each sum is one add or subtract of in-range values, so the
+fit clamps exactly where the hardware's adder does.
 """
 
 from __future__ import annotations
@@ -219,10 +226,11 @@ class _Cycle:
     `_number(word)`, a word register's value in this number system;
     `_activation(k, spikes)`, the weighted sum of the input spikes of an
     [M] row, or of each row of a [T, M] raster;
-    `_mul(a, b)`; `_leak(d, v)`, the leak step v - d*v; and `_fit(x)`,
-    which brings a sum into the state's range where the cycle latches or
-    compares it (the updated membrane, the reset value).  `_lif(k, drive)`,
-    the one LIF kernel, steps layer k under drive = growth x activation.
+    `_mul(a, b)` and `_leak(d, v)`, the leak step v - d*v, which return
+    fresh arrays; and `_fit(x)`, which brings a sum into the state's range
+    where the cycle latches or compares it and may overwrite `x`.
+    `_lif(k, drive)`, the one LIF kernel, steps layer k under drive =
+    growth x activation.
     `__init__` takes the config, one validated register file per layer
     (`NeuronRegisters` or `RealRegisters`), which the cycle reads as it
     stands, the state dtype and the trace scale."""
@@ -269,28 +277,30 @@ class _Cycle:
         decay, vth, mode = number(r.decay_rate), number(r.v_threshold), r.reset_mode
         vmem, refr = self._vmem[k], self._refr[k]
 
-        updated = self._fit(self._leak(decay, vmem) + drive)
+        updated = self._leak(decay, vmem)
+        updated += drive
+        updated = self._fit(updated)
         # With no period and no neuron held the hold is a no-op; a period
         # written to 0 still counts down the neurons held under the old one.
         refractory = r.refractory_period > 0 or (self._armed[k] and refr.any())
         self._armed[k] = refractory
         if refractory:
             held = refr > 0
-            updated = np.where(held, vmem, updated)
+            np.copyto(updated, vmem, where=held)
             spikes = (~held) & (updated >= vth)
         else:
             spikes = updated >= vth
 
-        if mode is ResetMode.TO_CONSTANT:
-            after = number(r.v_reset)
-        elif mode is ResetMode.TO_ZERO:
-            after = 0
-        elif mode is ResetMode.BY_SUBTRACTION:
-            after = self._fit(updated - vth)
-        else:  # DEFAULT: one more leak step, no discrete reset
-            after = self._leak(decay, updated)
-
-        self._vmem[k] = np.where(spikes, after, updated)
+        if mode is ResetMode.BY_SUBTRACTION:
+            np.subtract(updated, vth, out=updated, where=spikes)
+            if vth < 0:  # only then can updated - vth leave the range
+                updated = self._fit(updated)
+        elif mode is ResetMode.DEFAULT:  # one more leak step, no discrete reset
+            np.copyto(updated, self._leak(decay, updated), where=spikes)
+        else:
+            after = number(r.v_reset) if mode is ResetMode.TO_CONSTANT else 0
+            np.copyto(updated, after, where=spikes)
+        self._vmem[k] = updated  # never written again
         if refractory:
             self._refr[k] = np.where(held, refr - 1, np.where(spikes, r.refractory_period, 0))
         return spikes
@@ -325,18 +335,17 @@ class _Cycle:
         dense = _dense_stream(stream, duration, sizes[0])
         watched = _watch_list(watch, sizes)
         self.reset_state()
-        rasters = [np.zeros((duration, n), dtype=bool) for n in sizes[1:]]
-        # Each watched layer's membranes, one [T, N] row per cycle.
-        vmems = {k: np.zeros((duration, sizes[k + 1]), dtype=self._dtype)
-                 for k in {k for k, _ in watched}}
+        outs = [[] for _ in sizes[1:]]
+        vmems = {k: [] for k, _ in watched}  # each watched layer's membrane, per cycle
         drive0 = self._drive(0, dense)
         for t in range(duration):
-            for k, out in enumerate(self.step_cycle(dense[t], drive0=drive0[t])):
-                rasters[k][t] = out
-            for k, rows in vmems.items():
-                rows[t] = self._vmem[k]
-        rows = {k: np.ascontiguousarray(v.T, dtype=np.float64) * self._scale
-                for k, v in vmems.items()}
+            for col, out in zip(outs, self.step_cycle(dense[t], drive0=drive0[t])):
+                col.append(out)
+            for k, col in vmems.items():
+                col.append(self._vmem[k])
+        rasters = [np.array(c, dtype=bool).reshape(duration, n) for c, n in zip(outs, sizes[1:])]
+        rows = {k: np.multiply(np.array(c, dtype=np.float64).reshape(duration, sizes[k + 1]).T,
+                               self._scale, order="C") for k, c in vmems.items()}
         return SpikeRaster(dense, rasters), {(k, j): rows[k][j] for (k, j) in watched}
 
 
@@ -348,7 +357,10 @@ class Core(_Cycle):
         self.fmt = cfg.fmt
         self.policy = cfg.policy
         regs = [r.quantize(cfg.fmt) for r in cfg.registers]
-        super().__init__(cfg, regs, raw_dtype(cfg.fmt), cfg.fmt.quantum)
+        dtype = raw_dtype(cfg.fmt)
+        # The shift of `_fit`'s WRAP shift pair on int64 state; 0: `fit_raw` fits.
+        self._spare = 64 - cfg.fmt.width if self.policy is WRAP and dtype is np.int64 else 0
+        super().__init__(cfg, regs, dtype, cfg.fmt.quantum)
         self.planes = [WeightMemory(cfg.fmt, mask, layer=k) for k, mask in enumerate(_masks(cfg))]
         # Per plane: every partial sum is exact in float64 (module docstring).
         self._exact = [p.raw.dtype == np.float64 and p.m << (cfg.fmt.width - 1) <= 1 << 53
@@ -403,6 +415,8 @@ class Core(_Cycle):
         if spikes_in.ndim == 2:
             return self._raster_activation(k, w, spikes_in)
         active = spikes_in.nonzero()[0]
+        if self._exact[k] and self.policy is WRAP:
+            return self._fit(w[active].sum(axis=0).astype(np.int64))
         rows = np.float64 if self._exact[k] else self._dtype
         return accumulate_raw(w[active].astype(rows, copy=False), self.fmt, self.policy)
 
@@ -423,20 +437,25 @@ class Core(_Cycle):
             out[t] = self._activation(k, raster[t])
         return out
 
-    # Under WRAP the product runs unreduced and `_fit` wraps (see the module
-    # docstring); under SATURATE the product clamps before the add, and
-    # `_fit` clamps the sum.  `_leak` never leaves the range, so it clamps
-    # under neither policy.  The raw helpers are looked up in this module
-    # per call, so a tracer on `core.mul_raw` or `core.fit_raw` sees each.
+    # Under WRAP the product runs unreduced and `_fit` wraps; under SATURATE
+    # the product clamps and `_fit` clamps the sum (module docstring).  The
+    # raw helpers are looked up in this module per call, so a tracer on
+    # `core.mul_raw` or `core.fit_raw` sees each.
     def _mul(self, a, b):
         if self.policy is WRAP:
-            return (a * b) >> self.fmt.q
+            x = a * b
+            return np.right_shift(x, self.fmt.q, out=x)
         return mul_raw(a, b, self.fmt, self.policy)
 
     def _leak(self, d, v):
-        return v - ((d * v) >> self.fmt.q)
+        x = d * v
+        x >>= self.fmt.q
+        return np.subtract(v, x, out=x)
 
     def _fit(self, x):
+        if self._spare:
+            x <<= self._spare
+            return np.right_shift(x, self._spare, out=x)
         return fit_raw(x, self.fmt, self.policy)
 
     def close(self) -> None:

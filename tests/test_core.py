@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from spikecore import core as core_module
 from spikecore.core import Core, CoreConfig, RealRegisters, encode_register
 from spikecore.fixedpoint import (
-    Q3_1, Q5_3, Q9_7, Q17_15, SATURATE, OverflowPolicy, QFormat, QWord,
+    Q3_1, Q5_3, Q9_7, Q17_15, SATURATE, OverflowPolicy, QFormat, QWord, fit_raw, wrap_raw,
 )
 from spikecore.neuron import NeuronState, ResetMode, step_neuron
 from spikecore.reference import matched_reference
@@ -24,8 +25,8 @@ def baseline_regs(**kw):
     return RealRegisters(**args)
 
 
-def toy_core(sizes=(4, 3, 2), fmt=Q9_7, seed=3, weight_scale=2.0, **cfg_kw):
-    cfg = CoreConfig.uniform(fmt, sizes, baseline_regs(), **cfg_kw)
+def toy_core(sizes=(4, 3, 2), fmt=Q9_7, seed=3, weight_scale=2.0, regs=None, **cfg_kw):
+    cfg = CoreConfig.uniform(fmt, sizes, baseline_regs() if regs is None else regs, **cfg_kw)
     core = Core(cfg)
     rng = np.random.default_rng(seed)
     for k, plane in enumerate(core.planes):
@@ -391,18 +392,42 @@ def test_saturating_leak_at_the_range_ends_matches_the_oracle(decay, mode):
     core.write_weight(0, 0, 0, Q5_3.max_value)
     core.write_weight(0, 1, 0, Q5_3.min_value)
     pattern = [[1, 0]] * 3 + [[0, 0]] * 2 + [[0, 1]] * 4 + [[0, 0]] * 3 + [[1, 1]] * 2
-    stimulus = np.array(pattern * 2, dtype=bool)
-    state, oracle = NeuronState.zero(Q5_3), core.registers(0)
-    column = core.planes[0].presynaptic_weights(0)
-    vmem, spikes_out = [], 0
-    for spikes in stimulus:
-        fired = core.step_cycle(spikes)[0][0]
-        assert step_neuron(state, oracle, spikes.tolist(), column, SATURATE) == fired
-        assert state.vmem.raw == core._vmem[0][0]
-        vmem.append(state.vmem.raw)
-        spikes_out += fired
+    steps = oracle_lockstep(core, np.array(pattern * 2, dtype=bool))
+    vmem = [v for _, v in steps]
     # With the threshold at max_value, a spike means the membrane got there.
-    assert spikes_out >= 2 and vmem.count(Q5_3.min_raw) >= 4
+    assert sum(fired for fired, _ in steps) >= 2 and vmem.count(Q5_3.min_raw) >= 4
+
+
+@pytest.mark.parametrize("policy", list(OverflowPolicy))
+@pytest.mark.parametrize("fmt, v_threshold", [(Q5_3, 0.0), (Q5_3, -1.0), (Q3_1, Q3_1.min_value),
+                                              (Q3_1, -0.5)])
+def test_subtractive_reset_at_the_range_ends_matches_the_oracle(policy, fmt, v_threshold):
+    # One neuron, no leak, whose one input line weighs max_value: the first
+    # cycle drives it from 0 to max_raw, where it fires.  At v_threshold 0
+    # the reset value is max_raw itself, with no fit; below 0 it leaves the
+    # range, so it wraps or clamps.  Later cycles reset other values.
+    regs = RealRegisters(0.0, 1.0, v_threshold, ResetMode.BY_SUBTRACTION)
+    core = Core(CoreConfig.uniform(fmt, [1, 1], regs, policy=policy))
+    core.write_weight(0, 0, 0, fmt.max_value)
+    steps = oracle_lockstep(core, np.array([[1], [0], [1], [1], [0], [1], [0], [0]], dtype=bool))
+    reset = fmt.max_raw - core.registers(0).v_threshold.raw
+    if reset > fmt.max_raw:
+        reset = fmt.max_raw if policy is SATURATE else reset - (1 << fmt.width)
+    assert steps[0] == (True, reset)
+
+
+def oracle_lockstep(core, stimulus):
+    """(spike, raw membrane) of neuron 0 of a one-layer core for each row of
+    `stimulus`, checked cycle by cycle against `neuron.step_neuron`."""
+    state, regs = NeuronState.zero(core.fmt), core.registers(0)
+    column = core.planes[0].presynaptic_weights(0)
+    steps = []
+    for spikes in stimulus:
+        fired = bool(core.step_cycle(spikes)[0][0])
+        assert step_neuron(state, regs, spikes.tolist(), column, core.policy) == fired
+        assert state.vmem.raw == core._vmem[0][0]
+        steps.append((fired, state.vmem.raw))
+    return steps
 
 
 def drive_counts(core, cycles=40):
@@ -606,3 +631,52 @@ def test_traces_record_post_reset_value():
     raster, traces = core.run_sample(stim, 3, watch=[(0, 0)])
     assert raster.layers[0].all()
     assert np.array_equal(traces[(0, 0)], [0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("policy", list(OverflowPolicy))
+@pytest.mark.parametrize("mode", list(ResetMode))
+def test_nothing_the_core_hands_out_changes_later(policy, mode):
+    # The LIF kernel works in place on arrays of its own: every spike
+    # vector, latch, membrane, raster and trace it has handed out keeps its
+    # values through later cycles, register writes and samples.
+    regs = baseline_regs(v_threshold=3.0, reset_mode=mode, v_reset=0.5, refractory_period=2)
+    core = toy_core((6, 5, 4, 3), Q5_3, weight_scale=4.0, regs=regs, policy=policy,
+                    layer_latency=1)
+    stream = np.random.default_rng(7).random((12, 6)) < 0.6
+    handed_out = []
+
+    def keep(*arrays):
+        handed_out.extend((a, a.copy()) for a in arrays)
+
+    raster, traces = core.run_sample(stream, 12, watch="all")
+    keep(raster.input_spikes, *raster.layers, *traces.values())
+    for t, row in enumerate(stream):
+        keep(*core.step_cycle(row), *core._prev_out, *core._vmem)
+        if t == 5:
+            core.write_register(0, "v_threshold", 1.0)
+    core.run_sample(stream[::-1], 12, watch="all")
+    assert raster.total_spikes() > 0
+    for array, copy in handed_out:
+        assert np.array_equal(array, copy)
+
+
+@pytest.mark.parametrize("width", range(2, 33))
+def test_the_wrap_fit_equals_wrap_raw_across_int64(width):
+    # WRAP's unreduced Q17.15 products reach 2**62, so the shift pair must
+    # wrap any int64, not only sums near the word's range.
+    fmt = QFormat(2, width - 2)
+    core = Core(CoreConfig.uniform(fmt, [1, 1], RealRegisters(0.0, 0.0, 0.0)))
+    info = np.iinfo(np.int64)
+    x = np.random.default_rng(width).integers(info.min, info.max, 2000, endpoint=True)
+    x = np.concatenate([x, [info.min, info.max, fmt.min_raw - 1, fmt.max_raw + 1, -1, 0]])
+    assert core._fit(x.copy()).tolist() == wrap_raw(x.astype(object), fmt).tolist()
+
+
+def test_a_wide_wrap_core_fits_through_fit_raw(monkeypatch):
+    fmt = QFormat(20, 20)
+    core = Core(CoreConfig.uniform(fmt, [1, 1], RealRegisters(0.0, 0.0, 0.0)))
+    calls = []
+    monkeypatch.setattr(core_module, "fit_raw", lambda *args: calls.append(args) or fit_raw(*args))
+    x = np.array([1 << 45, -(1 << 45) - 3, fmt.max_raw + 1, 7], dtype=object)
+    assert core._fit(x.copy()).tolist() == wrap_raw(x, fmt).tolist()
+    assert len(calls) == 1
