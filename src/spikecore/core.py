@@ -11,24 +11,19 @@ float64, to measure the quantization error.
 
 Activation is event-driven, as in the hardware: a weight enters a neuron's
 sum only when its pre-synaptic line spikes.  Each cycle gathers the weight
-rows of the active lines and reduces them with
-`fixedpoint.accumulate_raw`, which gives the bits of the sequential adds in
-pre-synaptic index order under both overflow policies.  WRAP is exact as a
-plain sum because wrapping is arithmetic modulo 2**w.  SATURATE takes the
+rows of the active lines and sums them with the bits of the sequential adds
+in pre-synaptic index order.  Under WRAP that is the plain sum, which `_fit`
+wraps, because wrapping is arithmetic modulo 2**w.  SATURATE takes the
 plain sum too when a certificate shows that no prefix sum can leave the
 range, and otherwise the discrete two-sided Skorokhod map of the prefix
-sums, which has an exact closed form in prefix sums and running minima
-(Kruk, Lehoczky, Ramanan & Shreve, Ann. Probab. 2007).
+sums, which has an exact closed form (`fixedpoint.accumulate_raw`).
 
-A plane of width <= 32 holds integer payloads in float64.  While fan_in *
-2**(w-1) <= 2**53, decided once per plane, every partial sum is an integer
-that float64 holds exactly, in any order, so rows are summed as stored and
-only the sum is cast to the state dtype; past the bound, in int64.  The
-stimulus is known before a sample starts, so `run_sample` computes layer
-0's activation for every cycle as one product of the raster with the plane.
-WRAP wraps it; SATURATE keeps it in the cycles where a second product, with
-|plane|, gives `accumulate_raw`'s certificate.  The other cycles, and planes
-past the bound or of object dtype (w > 32), take the gather.
+A plane's dtype says how its rows are summed (`topology.WeightMemory`).
+On a float64 plane they sum exactly, so `run_sample` computes layer 0's
+activation for every cycle as one product of the stimulus raster, known
+before the sample starts, with the plane.  WRAP wraps it; SATURATE keeps
+it in the cycles where a second product, with |plane|, gives the
+certificate.  The other cycles, and int64 or object planes, take the gather.
 
 The leak step v - d*v is computed as `v - ((d * v) >> q)` under both
 policies, with no clamp or wrap: the decay register holds a raw d in
@@ -83,7 +78,7 @@ from .fixedpoint import (
 )
 from .fixedpoint import add_raw, sub_raw  # noqa: F401  (bound for bench/spans.py to trace)
 from .neuron import NeuronRegisters, ResetMode
-from .topology import Connectivity, ConnectivityKind, WeightMemory, build_mask
+from .topology import Connectivity, ConnectivityKind, WeightMemory, build_mask, valid_index
 
 __all__ = [
     "RealRegisters",
@@ -225,7 +220,7 @@ class _Cycle:
     `+` and `-`; a subclass defines the number system in five hooks:
     `_number(word)`, a word register's value in this number system;
     `_activation(k, spikes)`, the weighted sum of the input spikes of an
-    [M] row, or of each row of a [T, M] raster;
+    [M] row, or of each row of a [T, M] raster with the bits of the row;
     `_mul(a, b)` and `_leak(d, v)`, the leak step v - d*v, which return
     fresh arrays; and `_fit(x)`, which brings a sum into the state's range
     where the cycle latches or compares it and may overwrite `x`.
@@ -248,8 +243,8 @@ class _Cycle:
 
     def _check_synapse(self, layer: int, pre: int, post: int) -> None:
         sizes = self.cfg.sizes
-        if not (0 <= layer < self.n_layers and 0 <= pre < sizes[layer]
-                and 0 <= post < sizes[layer + 1]):
+        if not (valid_index(layer, self.n_layers) and valid_index(pre, sizes[layer])
+                and valid_index(post, sizes[layer + 1])):
             raise IndexError(f"synapse (layer={layer}, pre={pre}, post={post}) outside "
                              f"the planes of sizes {sizes}")
 
@@ -362,14 +357,11 @@ class Core(_Cycle):
         self._spare = 64 - cfg.fmt.width if self.policy is WRAP and dtype is np.int64 else 0
         super().__init__(cfg, regs, dtype, cfg.fmt.quantum)
         self.planes = [WeightMemory(cfg.fmt, mask, layer=k) for k, mask in enumerate(_masks(cfg))]
-        # Per plane: every partial sum is exact in float64 (module docstring).
-        self._exact = [p.raw.dtype == np.float64 and p.m << (cfg.fmt.width - 1) <= 1 << 53
-                       for p in self.planes]
 
     # -- configuration ------------------------------------------------------
 
     def _check_layer(self, layer: int, what: str) -> None:
-        if not 0 <= layer < self.n_layers:
+        if not valid_index(layer, self.n_layers):
             raise IndexError(f"{what} of layer {layer}: no such layer")
 
     def registers(self, layer: int) -> NeuronRegisters:
@@ -409,32 +401,25 @@ class Core(_Cycle):
     _number = staticmethod(operator.attrgetter("raw"))  # a register word's raw payload
 
     def _activation(self, k: int, spikes_in: np.ndarray) -> np.ndarray:
-        """Ordered sum of the weight rows of the active inputs, of one
-        cycle's [M] row or of each row of a [T, M] raster."""
-        w = self.planes[k].raw
-        if spikes_in.ndim == 2:
-            return self._raster_activation(k, w, spikes_in)
-        active = spikes_in.nonzero()[0]
-        if self._exact[k] and self.policy is WRAP:
-            return self._fit(w[active].sum(axis=0).astype(np.int64))
-        rows = np.float64 if self._exact[k] else self._dtype
-        return accumulate_raw(w[active].astype(rows, copy=False), self.fmt, self.policy)
-
-    def _raster_activation(self, k: int, w: np.ndarray, raster: np.ndarray) -> np.ndarray:
-        """The row path's sums for every row of `raster` (module docstring): on
-        an exact plane, one product with the stored plane, read in place under
-        WRAP; SATURATE's certificate builds |plane|, a plane-sized temporary, per call."""
-        fmt, out = self.fmt, np.empty((len(raster), w.shape[1]), dtype=self._dtype)
-        fail = np.ones(len(raster), dtype=bool)  # the rows that take the row path
-        if self._exact[k]:
-            x = raster.astype(np.float64)
+        """Ordered sum of the weight rows of the active inputs, of one cycle's
+        [M] row or of each row of a [T, M] raster (module docstring)."""
+        w, fmt = self.planes[k].raw, self.fmt
+        if spikes_in.ndim == 1:
+            rows = w[spikes_in.nonzero()[0]]
+            if self.policy is WRAP:
+                return self._fit(rows.sum(axis=0).astype(self._dtype, copy=False))
+            return accumulate_raw(rows, fmt)
+        out = np.empty((len(spikes_in), w.shape[1]), dtype=self._dtype)
+        fail = np.ones(len(spikes_in), dtype=bool)  # the rows that take the gather
+        if w.dtype == np.float64:
+            x = spikes_in.astype(np.float64)
             out[:] = s = x @ w  # exact integers in float64
             if self.policy is WRAP:
                 return self._fit(out)
-            a = x @ np.abs(w)  # the certificate of `accumulate_raw`
+            a = x @ np.abs(w)  # `accumulate_raw`'s certificate; |w| is plane-sized
             fail = ((s + a > 2 * fmt.max_raw) | (s - a < 2 * fmt.min_raw)).any(axis=1)
         for t in fail.nonzero()[0]:
-            out[t] = self._activation(k, raster[t])
+            out[t] = self._activation(k, spikes_in[t])
         return out
 
     # Under WRAP the product runs unreduced and `_fit` wraps; under SATURATE

@@ -234,19 +234,15 @@ def mul_raw(a, b, fmt: QFormat, policy: OverflowPolicy = WRAP):
     return fit_raw((a * b) >> fmt.q, fmt, policy)
 
 
-def accumulate_raw(rows, fmt: QFormat, policy: OverflowPolicy = WRAP):
-    """Ordered sum of `rows` along axis 0: the fold of `add_raw` from 0.
+def accumulate_raw(rows, fmt: QFormat):
+    """Ordered saturating sum of `rows` along axis 0: the fold of `add_raw`.
 
-    `rows` is a raw [R, ...] array (R may be 0); row i is added before row
-    i + 1.  WRAP is arithmetic modulo 2**w, so one plain sum and a final
-    wrap give the fold's bits, even if an int64 sum overflows (2**w
-    divides 2**64).
-
-    SATURATE, x <- clamp(x + row, lo, hi) from x = 0, first tries a
-    certificate.  With s the plain sum of a column and a the sum of its
-    absolute values, (s + a) / 2 is the sum of its positive terms and
-    (s - a) / 2 that of its negative terms, and every prefix sum lies
-    between the two.  If s + a <= 2 * hi and s - a >= 2 * lo in every
+    `rows` is a raw [R, ...] array (R may be 0); row i is added before
+    row i + 1 by x <- clamp(x + row, lo, hi) from x = 0 (SATURATE).  A
+    certificate comes first.  With s the plain sum of a column and a the
+    sum of its absolute values, (s + a) / 2 is the sum of its positive
+    terms and (s - a) / 2 that of its negative terms, and every prefix sum
+    lies between the two.  If s + a <= 2 * hi and s - a >= 2 * lo in every
     column, no add clamps and the fold is s (for R = 0, s is zeros).
     Otherwise the fold is the discrete two-sided Skorokhod map on [lo, hi]
     of the prefix sums c_1..c_R.  Its closed form ("An explicit formula
@@ -255,13 +251,11 @@ def accumulate_raw(rows, fmt: QFormat, policy: OverflowPolicy = WRAP):
         x_R = c_R - max(min(m_1 - lo, 0), max_s min(c_s - hi, m_s - lo)).
     Every term is an exact integer: |c|, a <= R * 2**31 in int64 for
     widths <= 32, Python ints (object dtype) beyond.  Float64 rows (widths
-    <= 32) give exact sums if R * 2**(w-1) <= 2**53, which the caller
-    ensures; the result, and the closed form, are int64.
+    <= 32) give exact sums if R * 2**(w-1) <= 2**53; the result, and the
+    closed form, are int64.
     """
     ints = raw_dtype(fmt)
     s = rows.sum(axis=0)
-    if policy is WRAP:
-        return fit_raw(s.astype(ints, copy=False), fmt, policy)
     a = np.abs(rows).sum(axis=0)
     if (s + a <= 2 * fmt.max_raw).all() and (s - a >= 2 * fmt.min_raw).all():
         return s.astype(ints, copy=False)

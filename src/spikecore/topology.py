@@ -4,17 +4,19 @@ A weight plane connects M pre-synaptic lines to N post-synaptic neurons.
 A stored weight is one signed word of the plane's format: its sign is the
 synapse's polarity (excitatory >= 0, inhibitory < 0) and its magnitude the
 strength.  Masked-out positions are structurally zero and reject writes.
-A plane holds integer payloads only: float64 for widths <= 32 (exact for
-|raw| <= 2**31), which the activation product reads as stored, else object.
+A plane holds integer payloads, in float64 when every column sum is exact
+there, in any order (width <= 32 and M * 2**(w-1) <= 2**53): the core then
+multiplies the stored plane.  Otherwise in the state dtype `raw_dtype`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fixedpoint import NamedEnum, QFormat, QWord, whole_number
+from .fixedpoint import NamedEnum, QFormat, QWord, raw_dtype, whole_number
 from .fixedpoint import fit_raw  # noqa: F401  (bound here so bench/spans.py can trace it)
 
 __all__ = [
@@ -22,6 +24,7 @@ __all__ = [
     "Connectivity",
     "SynapseAddress",
     "MaskedSynapseError",
+    "valid_index",
     "build_mask",
     "WeightMemory",
 ]
@@ -69,6 +72,14 @@ class MaskedSynapseError(ValueError):
         )
 
 
+def valid_index(value, stop: int) -> bool:
+    """`value` is an index in [0, stop): an integer, not 1.0 or a bool (a numpy mask)."""
+    try:
+        return not isinstance(value, bool) and 0 <= operator.index(value) < stop
+    except TypeError:
+        return False
+
+
 def build_mask(conn: Connectivity, m: int, n: int) -> np.ndarray:
     """Boolean [M, N] connection mask; mask[i, j] says pre i feeds post j."""
     if m < 1 or n < 1:
@@ -94,7 +105,8 @@ class WeightMemory:
     raw: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.raw = np.zeros(self.mask.shape, dtype=np.float64 if self.fmt.width <= 32 else object)
+        exact = self.fmt.width <= 32 and self.m << (self.fmt.width - 1) <= 1 << 53
+        self.raw = np.zeros(self.mask.shape, dtype=np.float64 if exact else raw_dtype(self.fmt))
 
     @property
     def m(self) -> int:
@@ -104,21 +116,19 @@ class WeightMemory:
     def n(self) -> int:
         return self.mask.shape[1]
 
-    def _check(self, pre: int, post: int) -> SynapseAddress:
-        addr = SynapseAddress(self.layer, pre, post)
-        if not (0 <= pre < self.m and 0 <= post < self.n):
+    def _check(self, pre: int, post: int) -> None:
+        if not (valid_index(pre, self.m) and valid_index(post, self.n)):
             raise IndexError(
                 f"synapse (layer={self.layer}, pre={pre}, post={post}) outside {self.m}x{self.n}"
             )
-        return addr
 
     def write(self, pre: int, post: int, weight: QWord) -> None:
         """Store one signed weight; its sign is the synapse's polarity."""
-        addr = self._check(pre, post)
+        self._check(pre, post)
         if weight.fmt != self.fmt:
             raise ValueError(f"weight format {weight.fmt} != memory format {self.fmt}")
         if not self.mask[pre, post]:
-            raise MaskedSynapseError(addr)
+            raise MaskedSynapseError(SynapseAddress(self.layer, pre, post))
         self.raw[pre, post] = weight.raw
 
     def presynaptic_weights(self, post: int) -> list[QWord]:

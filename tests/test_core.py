@@ -12,7 +12,7 @@ from spikecore.fixedpoint import (
 )
 from spikecore.neuron import NeuronState, ResetMode, step_neuron
 from spikecore.reference import matched_reference
-from spikecore.topology import Connectivity, ConnectivityKind
+from spikecore.topology import Connectivity, ConnectivityKind, WeightMemory
 
 GAUSS1 = Connectivity(ConnectivityKind.GAUSSIAN, 1)
 ONE = Connectivity(ConnectivityKind.ONE_TO_ONE)
@@ -582,6 +582,7 @@ def test_raster_activation_equals_the_row_path_row_by_row(fmt, policy):
     # A 4096 x 40 plane, read in place by one product per raster.  The
     # rows: all zero, one line (a certified SATURATE sum), every line (one
     # that clamps) and random halves; Q20.20 planes take the row path.
+    # Every sum is also the hardware's fold of its column's active lines.
     m, n = 4096, 40
     core = Core(CoreConfig.uniform(fmt, [m, n], baseline_regs(), policy=policy))
     rng = np.random.default_rng(21)
@@ -595,6 +596,8 @@ def test_raster_activation_equals_the_row_path_row_by_row(fmt, policy):
     got = core._activation(0, raster)
     assert got.dtype == rows.dtype and np.array_equal(got, rows)
     assert core._activation(0, raster[:0]).shape == (0, n)
+    for row, sums in zip(raster, got):
+        assert sums.tolist() == [python_fold(col, fmt, policy) for col in w[row].T.tolist()]
 
 
 def python_fold(column, fmt, policy):
@@ -609,12 +612,15 @@ def python_fold(column, fmt, policy):
 @pytest.mark.parametrize("policy", list(OverflowPolicy))
 def test_a_plane_past_the_float_bound_sums_in_int64(policy):
     # 2**22 + 1 Q17.15 lines at max_raw: fan_in * 2**31 > 2**53, and the sum
-    # of every line needs 54 bits, so a float64 sum would round it.  Both
-    # paths of `_activation` must give the fold's bits.  The plane is 32 MB.
+    # of every line needs 54 bits, so a float64 sum would round it: the
+    # plane is int64, one line fewer float64.  Both paths of `_activation`
+    # must give the fold's bits.  The plane is 32 MB.
     fmt, m = Q17_15, (1 << 22) + 1
+    below = WeightMemory(fmt, np.broadcast_to(True, (m - 1, 1)))  # its zeros touch no page
+    assert below.raw.dtype == np.float64
     core = Core(CoreConfig.uniform(fmt, [m, 1], baseline_regs(), policy=policy))
     core.planes[0].raw[...] = fmt.max_raw
-    assert m * fmt.max_raw > 1 << 53 and not core._exact[0]
+    assert m * fmt.max_raw > 1 << 53 and core.planes[0].raw.dtype == np.int64
     want = python_fold([fmt.max_raw] * m, fmt, policy)
     assert core._activation(0, np.ones(m, dtype=bool)).tolist() == [want]
     raster = np.zeros((2, m), dtype=bool)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from spikecore.core import encode_register
 from spikecore.fixedpoint import (
     SATURATE,
-    WRAP,
     Q5_3,
     QFormat,
     QWord,
@@ -199,24 +198,23 @@ def test_in_range_arithmetic_matches_reals():
 
 # --- ordered accumulation of gathered weight rows ---------------------------
 
-def fold_add_raw(rows, fmt, policy):
-    """The reference order: add_raw row by row, starting from 0."""
+def fold_add_raw(rows, fmt):
+    """The reference order: saturating add_raw row by row, starting from 0."""
     acc = np.zeros(rows.shape[1:], dtype=rows.dtype)
     for row in rows:
-        acc = add_raw(acc, row, fmt, policy)
+        acc = add_raw(acc, row, fmt, SATURATE)
     return acc
 
 
 @pytest.mark.parametrize("fmt", [Q5_3, QFormat(33, 31)])  # int64 and object payloads
-@pytest.mark.parametrize("policy", [WRAP, SATURATE])
 @pytest.mark.parametrize("n_rows", [0, 1, 2, 3, 5, 8, 13, 64, 257])
-def test_accumulate_raw_equals_sequential_fold(fmt, policy, n_rows):
+def test_accumulate_raw_equals_sequential_fold(fmt, n_rows):
     rng = np.random.default_rng(n_rows)
     rows = rng.integers(fmt.min_raw, fmt.max_raw, (n_rows, 9), endpoint=True)
     rows = rows.astype(raw_dtype(fmt))
-    got = accumulate_raw(rows, fmt, policy)
+    got = accumulate_raw(rows, fmt)
     assert got.dtype == rows.dtype
-    assert np.array_equal(got, fold_add_raw(rows, fmt, policy))
+    assert np.array_equal(got, fold_add_raw(rows, fmt))
 
 
 @st.composite
@@ -240,17 +238,17 @@ def saturating_walks(draw):
 @settings(max_examples=300, deadline=None)
 def test_accumulate_raw_saturate_matches_fold_on_long_walks(walk):
     fmt, rows = walk
-    got = accumulate_raw(rows, fmt, SATURATE)
+    got = accumulate_raw(rows, fmt)
     assert got.dtype == rows.dtype
-    assert np.array_equal(got, fold_add_raw(rows, fmt, SATURATE))
+    assert np.array_equal(got, fold_add_raw(rows, fmt))
 
 
 def test_accumulate_raw_saturate_depends_on_order():
     # Q5.3 columns: 15 + 15 saturates at 15.875, then -10 brings it down to
     # 5.875; the same three weights with -10 first end at the maximum.
     rows = np.array([[120, -80], [120, 120], [-80, 120]])
-    assert accumulate_raw(rows, Q5_3, SATURATE).tolist() == [47, Q5_3.max_raw]
-    assert fold_add_raw(rows, Q5_3, SATURATE).tolist() == [47, Q5_3.max_raw]
+    assert accumulate_raw(rows, Q5_3).tolist() == [47, Q5_3.max_raw]
+    assert fold_add_raw(rows, Q5_3).tolist() == [47, Q5_3.max_raw]
 
 
 # Q5.3 columns at the edge of the no-clamp certificate: the positive terms
@@ -267,25 +265,19 @@ def test_accumulate_raw_saturate_depends_on_order():
 ])
 def test_accumulate_raw_saturate_certificate_boundaries(column, expected):
     rows = np.array(column, dtype=np.int64)[:, None]
-    assert fold_add_raw(rows, Q5_3, SATURATE).tolist() == [expected]
-    assert accumulate_raw(rows, Q5_3, SATURATE).tolist() == [expected]
+    assert fold_add_raw(rows, Q5_3).tolist() == [expected]
+    assert accumulate_raw(rows, Q5_3).tolist() == [expected]
     # Beside a column that can clamp, the call takes the closed form.
     pair = np.hstack([rows, np.array([[120], [120], [-80]])])
-    assert accumulate_raw(pair, Q5_3, SATURATE).tolist() == [expected, 47]
+    assert accumulate_raw(pair, Q5_3).tolist() == [expected, 47]
 
 
 @pytest.mark.parametrize("fmt", [Q5_3, QFormat(33, 31)])
 def test_accumulate_raw_saturate_of_no_rows_is_zero(fmt):
     rows = np.zeros((0, 3), dtype=raw_dtype(fmt))
-    got = accumulate_raw(rows, fmt, SATURATE)
+    got = accumulate_raw(rows, fmt)
     assert got.dtype == rows.dtype and got.shape == (3,)
     assert got.tolist() == [0, 0, 0]
-
-
-def test_accumulate_raw_wraps_like_the_adder():
-    rows = np.array([[120], [120], [-80]])   # 160 wraps to 160 - 256
-    assert accumulate_raw(rows, Q5_3, WRAP).tolist() == [-96]
-    assert accumulate_raw(rows[:0], Q5_3, WRAP).tolist() == [0]
 
 
 def test_qformat_derived_values_leave_equality_and_hash_alone():

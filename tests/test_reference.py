@@ -96,6 +96,25 @@ def test_write_weight_rejects_an_address_outside_the_planes(model):
 
 
 @pytest.mark.parametrize("model", [Core, ReferenceCore])
+def test_a_non_integer_address_names_itself(model):
+    # A float index used to raise numpy's or a list's error, naming no address.
+    sim = model(CoreConfig.uniform(Q9_7, [3, 2, 2], regs()))
+    for layer, pre, post in ((0, 0.5, 0), (0.5, 0, 0), (1, 0, 1.0), (0, "1", 0), (None, 0, 0),
+                             (0, True, 0), (0, 0, np.True_)):
+        with pytest.raises(IndexError, match=re.escape(f"(layer={layer}, pre={pre}, post={post})")):
+            sim.write_weight(layer, pre, post, 1.0)
+    sim.write_weight(np.int64(1), np.int64(1), np.int32(1), 1.0)  # integers by operator.index
+    weights = sim.decoded_weights() if model is Core else sim.weights
+    assert weights[1][1, 1] == 1.0 and np.count_nonzero(weights[0]) == 0
+    if model is Core:
+        with pytest.raises(IndexError, match=r"^registers of layer 0.5: no such layer$"):
+            sim.registers(0.5)
+        with pytest.raises(IndexError, match=r"^register 'v_threshold' of layer 1.0: no such"):
+            sim.write_register(1.0, "v_threshold", 2.0)
+        assert sim.registers(np.int64(1)).v_threshold.value == 10.0
+
+
+@pytest.mark.parametrize("model", [Core, ReferenceCore])
 def test_write_weight_to_a_masked_synapse_raises_masked_synapse_error(model):
     sim = model(CoreConfig.uniform(Q9_7, [2, 2], regs(), connectivity=ONE))
     with pytest.raises(MaskedSynapseError, match=r"layer=0, pre=0, post=1\b") as err:

@@ -125,6 +125,12 @@ def test_write_out_of_range_address():
         mem.write(3, 0, encode_register(1.0, Q5_3))
     with pytest.raises(IndexError):
         mem.presynaptic_weights(5)
+    # A non-integer index names the synapse, as an out-of-range one does.
+    with pytest.raises(IndexError, match=r"^synapse \(layer=0, pre=1.0, post=0\) outside 3x3$"):
+        mem.write(1.0, 0, encode_register(1.0, Q5_3))
+    with pytest.raises(IndexError, match=r"post=0.5\) outside"):
+        mem.presynaptic_weights(0.5)
+    assert not mem.raw.any()
 
 
 def test_column_readback_in_pre_order():
