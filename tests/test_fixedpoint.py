@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikecore.core import encode_register
+from spikecore.core import Core, CoreConfig, RealRegisters, encode_register
 from spikecore.fixedpoint import (
     SATURATE,
+    WRAP,
     Q5_3,
     QFormat,
     QWord,
@@ -198,23 +199,42 @@ def test_in_range_arithmetic_matches_reals():
 
 # --- ordered accumulation of gathered weight rows ---------------------------
 
-def fold_add_raw(rows, fmt):
-    """The reference order: saturating add_raw row by row, starting from 0."""
+def fold_add_raw(rows, fmt, policy=SATURATE):
+    """The reference order: add_raw row by row, starting from 0."""
     acc = np.zeros(rows.shape[1:], dtype=rows.dtype)
     for row in rows:
-        acc = add_raw(acc, row, fmt, SATURATE)
+        acc = add_raw(acc, row, fmt, policy)
     return acc
 
 
+def core_row_sum(rows, fmt, policy):
+    """A core's activation for one cycle in which `rows`' lines spike.
+
+    The plane holds one more line, which stays silent.  Under SATURATE the
+    core calls `accumulate_raw`; under WRAP it sums and `Core._fit` wraps.
+    """
+    regs = RealRegisters(decay_rate=0.0, growth_rate=1.0, v_threshold=1.0)
+    core = Core(CoreConfig.uniform(fmt, [len(rows) + 1, rows.shape[1]], regs, policy=policy))
+    core.planes[0].raw[:-1] = rows
+    core.planes[0].raw[-1] = fmt.max_raw
+    return core._activation(0, np.arange(len(rows) + 1) < len(rows))
+
+
 @pytest.mark.parametrize("fmt", [Q5_3, QFormat(33, 31)])  # int64 and object payloads
+@pytest.mark.parametrize("policy", [WRAP, SATURATE])
 @pytest.mark.parametrize("n_rows", [0, 1, 2, 3, 5, 8, 13, 64, 257])
-def test_accumulate_raw_equals_sequential_fold(fmt, n_rows):
+def test_accumulate_raw_equals_sequential_fold(fmt, policy, n_rows):
     rng = np.random.default_rng(n_rows)
     rows = rng.integers(fmt.min_raw, fmt.max_raw, (n_rows, 9), endpoint=True)
     rows = rows.astype(raw_dtype(fmt))
-    got = accumulate_raw(rows, fmt)
+    fold = fold_add_raw(rows, fmt, policy)
+    if policy is SATURATE:
+        got = accumulate_raw(rows, fmt)
+        assert got.dtype == rows.dtype
+        assert np.array_equal(got, fold)
+    got = core_row_sum(rows, fmt, policy)
     assert got.dtype == rows.dtype
-    assert np.array_equal(got, fold_add_raw(rows, fmt))
+    assert np.array_equal(got, fold)
 
 
 @st.composite
@@ -278,6 +298,12 @@ def test_accumulate_raw_saturate_of_no_rows_is_zero(fmt):
     got = accumulate_raw(rows, fmt)
     assert got.dtype == rows.dtype and got.shape == (3,)
     assert got.tolist() == [0, 0, 0]
+
+
+def test_accumulate_raw_wraps_like_the_adder():
+    rows = np.array([[120], [120], [-80]])   # 160 wraps to 160 - 256
+    assert core_row_sum(rows, Q5_3, WRAP).tolist() == [-96]
+    assert core_row_sum(rows[:0], Q5_3, WRAP).tolist() == [0]
 
 
 def test_qformat_derived_values_leave_equality_and_hash_alone():
