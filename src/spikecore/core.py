@@ -320,28 +320,30 @@ class _Cycle:
         """Feed one sample for `duration` cycles from a fresh state.
 
         `stream` is a dense [T, N0] 0/1 array, cut or zero-padded to
-        `duration` cycles.  `watch` selects membrane traces: an iterable
-        of (layer, neuron) pairs, or "all".  Returns (SpikeRaster, traces)
-        where traces maps (layer, neuron) -> float64[T] of decoded vmem
-        at the end of each cycle.
+        `duration` cycles.  `watch` is None, for no traces, or "all", to
+        trace every neuron.  Returns (SpikeRaster, traces) where traces
+        maps (layer, neuron) -> float64[T] of decoded vmem at the end of
+        each cycle, in (layer, neuron) order, or is {} when `watch` is None.
         """
+        if not (watch is None or (isinstance(watch, str) and watch == "all")):
+            raise ValueError(f"watch must be None or 'all', got {watch!r}")
         sizes = self.cfg.sizes
         duration = whole_number(duration, "duration")
         dense = _dense_stream(stream, duration, sizes[0])
-        watched = _watch_list(watch, sizes)
         self.reset_state()
         outs = [[] for _ in sizes[1:]]
-        vmems = {k: [] for k, _ in watched}  # each watched layer's membrane, per cycle
+        vmems = [[] for _ in sizes[1:]] if watch else []  # each layer's membrane, per cycle
         drive0 = self._drive(0, dense)
         for t in range(duration):
             for col, out in zip(outs, self.step_cycle(dense[t], drive0=drive0[t])):
                 col.append(out)
-            for k, col in vmems.items():
-                col.append(self._vmem[k])
+            for col, vmem in zip(vmems, self._vmem):
+                col.append(vmem)
         rasters = [np.array(c, dtype=bool).reshape(duration, n) for c, n in zip(outs, sizes[1:])]
-        rows = {k: np.multiply(np.array(c, dtype=np.float64).reshape(duration, sizes[k + 1]).T,
-                               self._scale, order="C") for k, c in vmems.items()}
-        return SpikeRaster(dense, rasters), {(k, j): rows[k][j] for (k, j) in watched}
+        rows = [np.multiply(np.array(c, dtype=np.float64).reshape(duration, n).T,
+                            self._scale, order="C") for c, n in zip(vmems, sizes[1:])]
+        traces = {(k, j): row for k, layer in enumerate(rows) for j, row in enumerate(layer)}
+        return SpikeRaster(dense, rasters), traces
 
 
 class Core(_Cycle):
@@ -468,24 +470,3 @@ def _spikes(stim: np.ndarray, axes: tuple[str, ...]) -> np.ndarray:
         where = ", ".join(f"{axis} {i}" for axis, i in zip(axes, bad[0]))
         raise ValueError(f"stimulus {where}: {stim[tuple(bad[0])]} is not a spike (0 or 1)")
     return stim.astype(bool, copy=False)
-
-
-def _watch_list(watch, sizes) -> list[tuple[int, int]]:
-    """Validated (layer, neuron) pairs for `watch`: None, "all" or an iterable."""
-    if watch is None:
-        return []
-    if isinstance(watch, str):
-        if watch != "all":
-            raise ValueError(f"watch must be 'all' or (layer, neuron) pairs, got {watch!r}")
-        return [(k, j) for k in range(len(sizes) - 1) for j in range(sizes[k + 1])]
-    pairs = []
-    for entry in watch:  # read once: `watch` may be an iterator
-        try:
-            k, j = map(operator.index, entry)
-        except (TypeError, ValueError):
-            raise ValueError(f"watch entry {entry!r} is not a (layer, neuron) pair") from None
-        if not (0 <= k < len(sizes) - 1 and 0 <= j < sizes[k + 1]):
-            raise ValueError(f"watched neuron (layer={k}, neuron={j}) out of range")
-        pairs.append((k, j))
-    return pairs
-

@@ -68,10 +68,10 @@ class NamedEnum(enum.Enum):
 
 
 def whole_number(value, name: str) -> int:
-    """An integral value >= 0, such as a count of cycles, as an int."""
+    """An integral value >= 0, such as a count of cycles, as an int; a bool is not one."""
     try:
         whole = int(value)
-        integral = whole == value
+        integral = whole == value and not isinstance(value, (bool, np.bool_))
     except (TypeError, ValueError, OverflowError):
         integral = False
     if not integral or whole < 0:
@@ -80,9 +80,9 @@ def whole_number(value, name: str) -> int:
 
 
 def finite_real(value, name: str):
-    """`value` if it is a finite real, else a ValueError naming it; an int stays exact."""
+    """`value` if a finite real (not a bool), else a ValueError naming it; an int stays exact."""
     try:
-        if math.isfinite(value):
+        if not isinstance(value, (bool, np.bool_)) and math.isfinite(value):
             return value
     except (TypeError, OverflowError):  # None, a string, an int past float range
         pass

@@ -83,7 +83,8 @@ def test_invalid_dimensions():
     with pytest.raises(ValueError, match="1 LIF layers need 1 connectivity and register"):
         CoreConfig(Q5_3, (4, 4), (GAUSS1, GAUSS1), (baseline_regs(),))
     # A fractional or string size used to pass, and Core then raised TypeError.
-    for sizes, index in (((2, 2.5), 1), (("2", 2), 0), ((2, float("nan")), 1), ((2, -1), 1)):
+    for sizes, index in (((2, 2.5), 1), (("2", 2), 0), ((2, float("nan")), 1), ((2, -1), 1),
+                         ((True, 2), 0), ((2, np.True_), 1)):
         with pytest.raises(ValueError, match=rf"sizes\[{index}\] .* is not a whole number"):
             CoreConfig.uniform(Q5_3, sizes, baseline_regs())
     cfg = CoreConfig.uniform(Q5_3, (2.0, np.int64(2)), baseline_regs())
@@ -107,9 +108,10 @@ def test_config_entries_of_the_wrong_type_name_the_field_and_layer():
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), None, "abc", "1.0",
-                                   1000.0])
+                                   1000.0, True, np.True_])
 def test_non_finite_register_or_weight_names_the_value(value):
-    # 1000.0 is out of range in Q5.3 and in the toy core's Q9.7.
+    # 1000.0 is out of range in Q5.3 and in the toy core's Q9.7.  A bool is
+    # not a real: True used to be stored as 1.0.
     with pytest.raises(ValueError, match=str(value)):
         encode_register(value, Q5_3)
     # The weight's message names the synapse, as the float twin's does.
@@ -119,9 +121,10 @@ def test_non_finite_register_or_weight_names_the_value(value):
 
 
 @pytest.mark.parametrize("name", ["decay_rate", "growth_rate", "v_threshold", "v_reset"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), None, "0.5"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), None, "0.5", True,
+                                   np.True_])
 def test_real_registers_reject_a_non_finite_value(name, value):
-    # The float twin runs RealRegisters as they are: a NaN used to pass.
+    # The float twin runs RealRegisters as they are: a NaN, or a bool, used to pass.
     with pytest.raises(ValueError, match=name):
         baseline_regs(**{name: value})
 
@@ -306,14 +309,17 @@ def test_unknown_register_and_bad_values():
         core.write_register(0, "v_threshold", 1000.0)  # not representable in Q9.7
     with pytest.raises(ValueError):
         core.write_register(0, "decay_rate", 1.5)
+    with pytest.raises(ValueError, match=r"^decay_rate 1.5 outside \[0, 1\]$"):
+        baseline_regs(decay_rate=1.5)
     with pytest.raises(ValueError):
         core.write_register(0, "refractory_period", -1)
 
 
 def test_refractory_period_must_be_a_whole_number_of_cycles():
-    # 2.7 used to be stored as 2, and 1.5 turned the counters into float64.
+    # 2.7 used to be stored as 2, 1.5 turned the counters into float64, and
+    # True was stored as 1.
     core = toy_core()
-    for value in (2.7, 1.5, -1, float("nan"), "3"):
+    for value in (2.7, 1.5, -1, float("nan"), "3", True, np.True_):
         with pytest.raises(ValueError, match="refractory_period"):
             core.write_register(0, "refractory_period", value)
         with pytest.raises(ValueError, match="refractory_period"):
@@ -512,8 +518,8 @@ def test_state_isolation_between_samples():
 def test_deterministic_replay():
     rng = np.random.default_rng(4)
     stim = rng.random((30, 4)) < 0.4
-    r1, t1 = toy_core().run_sample(stim, 30, watch=[(0, 0)])
-    r2, t2 = toy_core().run_sample(stim, 30, watch=[(0, 0)])
+    r1, t1 = toy_core().run_sample(stim, 30, watch="all")
+    r2, t2 = toy_core().run_sample(stim, 30, watch="all")
     assert r1.equals(r2)
     assert np.array_equal(t1[(0, 0)], t2[(0, 0)])
 
@@ -634,7 +640,7 @@ def test_traces_record_post_reset_value():
     core = Core(cfg)
     core.write_weight(0, 0, 0, 4.0)
     stim = np.ones((3, 1), dtype=bool)
-    raster, traces = core.run_sample(stim, 3, watch=[(0, 0)])
+    raster, traces = core.run_sample(stim, 3, watch="all")
     assert raster.layers[0].all()
     assert np.array_equal(traces[(0, 0)], [0.0, 0.0, 0.0])
 

@@ -77,7 +77,8 @@ def test_format_validation():
         QFormat(40, 33)
     # A fractional or non-numeric width used to construct and then raise
     # TypeError on the first max_raw.
-    for n, q, name in ((5, 3.5, "q"), (5.5, 3, "n"), ("5", 3, "n"), (5, float("nan"), "q")):
+    for n, q, name in ((5, 3.5, "q"), (5.5, 3, "n"), ("5", 3, "n"), (5, float("nan"), "q"),
+                       (True, 3, "n")):
         with pytest.raises(ValueError, match=f"^{name} "):
             QFormat(n, q)
     whole = QFormat(5.0, 3.0)

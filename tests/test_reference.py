@@ -41,7 +41,7 @@ def one_neuron_ref(r):
 def test_frozen_dynamics():
     ref = one_neuron_ref(regs(decay_rate=0.0, growth_rate=0.0, v_threshold=100.0))
     ref.write_weight(0, 0, 0, 3.0)
-    _, traces = ref.run_sample(np.ones((10, 1), dtype=bool), 10, watch=[(0, 0)])
+    _, traces = ref.run_sample(np.ones((10, 1), dtype=bool), 10, watch="all")
     assert np.array_equal(traces[(0, 0)], np.zeros(10))
 
 
@@ -49,7 +49,7 @@ def test_constant_drive_matches_closed_form():
     d, g, drive = 0.2, 1.0, 4.0
     ref = one_neuron_ref(regs(decay_rate=d, growth_rate=g, v_threshold=1e9))
     ref.write_weight(0, 0, 0, drive)
-    _, traces = ref.run_sample(np.ones((40, 1), dtype=bool), 40, watch=[(0, 0)])
+    _, traces = ref.run_sample(np.ones((40, 1), dtype=bool), 40, watch="all")
     t = np.arange(1, 41)
     closed = (g * drive / d) * (1.0 - (1.0 - d) ** t)
     assert np.allclose(traces[(0, 0)], closed, atol=1e-9)
@@ -60,18 +60,15 @@ def test_run_sample_rejects_bad_width_and_watch(model):
     sim = model(CoreConfig.uniform(Q9_7, [3, 2], regs()))
     with pytest.raises(ValueError, match=r"\[T, 3\]"):
         sim.run_sample(np.ones((4, 2), dtype=bool), 4)
-    with pytest.raises(ValueError, match="layer=0, neuron=2"):
-        sim.run_sample(np.ones((4, 3), dtype=bool), 4, watch=[(0, 2)])
-    with pytest.raises(ValueError, match="layer=1, neuron=0"):
-        sim.run_sample(np.ones((4, 3), dtype=bool), 4, watch=[(1, 0)])
-    # A malformed entry used to escape as a TypeError or an unpack error.
+    # A malformed entry used to escape as a TypeError or an unpack error;
+    # a list of pairs is no watch at all now.
     for entry in ((0, 1.5), (0, "a"), 5, (0,), (0, 1, 0)):
-        with pytest.raises(ValueError, match=re.escape(f"watch entry {entry!r} is not a")):
+        with pytest.raises(ValueError, match="^watch must be None or 'all', got "):
             sim.run_sample(np.ones((4, 3), dtype=bool), 4, watch=[(0, 0), entry])
     with pytest.raises(ValueError, match=r"input width \(2,\)"):
         sim.step_cycle(np.ones(2, dtype=bool))
     # -1 used to raise numpy's "negative dimensions", 2.5 and "3" a TypeError.
-    for duration in (-1, 2.5, "3"):
+    for duration in (-1, 2.5, "3", True):
         with pytest.raises(ValueError, match=f"^duration {duration!r} is not a whole number"):
             sim.run_sample(np.ones((4, 3), dtype=bool), duration)
     # A stimulus value is a spike only if it is 0 or 1: it used to be cast to bool.
@@ -167,21 +164,23 @@ def test_the_raster_holds_a_copy_of_the_stimulus(model):
 
 
 @pytest.mark.parametrize("model", [Core, ReferenceCore])
-def test_run_sample_reads_a_generator_or_array_watch(model):
-    sim = model(CoreConfig.uniform(Q9_7, [3, 2], regs()))
+def test_watch_is_none_or_all(model):
+    # Traces are all or nothing.  (True, False) used to trace neuron (1, 0),
+    # and pairs, arrays and generators were read as (layer, neuron) pairs.
+    sim = model(CoreConfig.uniform(Q9_7, [3, 2, 3], regs()))
     sim.write_weight(0, 0, 1, 1.0)
+    sim.write_weight(1, 1, 2, 0.5)
     stim = np.ones((4, 3), dtype=bool)
-    _, want = sim.run_sample(stim, 4, watch=[(0, 0), (0, 1)])
-    for watch in (((0, j) for j in range(2)), np.array([[0, 0], [0, 1]])):
-        _, got = sim.run_sample(stim, 4, watch=watch)
-        assert list(got) == [(0, 0), (0, 1)]
-        assert all(np.array_equal(got[key], want[key]) for key in want)
-    with pytest.raises(ValueError, match="layer=0, neuron=2"):
-        sim.run_sample(stim, 4, watch=((0, j) for j in range(3)))
-    with pytest.raises(ValueError, match="'al'"):
-        sim.run_sample(stim, 4, watch="al")
-    with pytest.raises(ValueError, match=r"^watch entry \(0, 0\.5\) is not a \(layer, neuron\)"):
-        sim.run_sample(stim, 4, watch=[(0, 0.5)])
+    for watch in ([(True, False)], [(0, 0), (1, 2)], np.array([[0, 0], [0, 1]]),
+                  ((0, j) for j in range(2)), "al"):
+        message = f"^watch must be None or 'all', got {re.escape(repr(watch))}$"
+        with pytest.raises(ValueError, match=message):
+            sim.run_sample(stim, 4, watch=watch)
+    assert sim.run_sample(stim, 4)[1] == {} == sim.run_sample(stim, 4, watch=None)[1]
+    _, traces = sim.run_sample(stim, 4, watch="all")
+    assert list(traces) == [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)]
+    for k, vmem in enumerate(sim._vmem):  # each trace ends at its own neuron's membrane
+        assert [traces[(k, j)][-1] for j in range(len(vmem))] == (vmem * sim._scale).tolist()
 
 
 def test_rmse_identical_traces_is_zero():

@@ -31,6 +31,7 @@ def test_connectivity_takes_a_kind_or_its_name():
     assert np.array_equal(build_mask(Connectivity("one"), 3, 3), np.eye(3, dtype=bool))
     assert Connectivity(" All ") == ALL
     assert Connectivity("gaussian", 2) == gauss(2)
+    assert str(Connectivity("one")) == "one"
     for bad in ("ring", 3, None):
         with pytest.raises(ValueError, match="all, one, gaussian"):
             Connectivity(bad)
@@ -50,7 +51,7 @@ def test_gaussian_radius1_is_tridiagonal():
 def test_gaussian_radius_must_be_a_whole_number():
     # 1.5 used to build the radius-1 band, nan an all-zero mask, and "2"
     # raised TypeError from the distance compare.
-    for bad in (1.5, float("nan"), "2", -1):
+    for bad in (1.5, float("nan"), "2", -1, True, np.True_):
         with pytest.raises(ValueError, match="radius"):
             gauss(bad)
     assert gauss(2.0) == gauss(2) and type(gauss(2.0).radius) is int
@@ -72,6 +73,9 @@ def brute_force_ones(kind, m, n, r):
 
 
 def test_ones_count_formulas_exhaustive():
+    for m, n in ((0, 3), (3, 0)):
+        with pytest.raises(ValueError, match=f"^mask dimensions must be >= 1, got {m}x{n}$"):
+            build_mask(ALL, m, n)
     for m in range(1, 9):
         for n in range(1, 9):
             assert build_mask(ALL, m, n).sum() == m * n == brute_force_ones("all", m, n, 0)
