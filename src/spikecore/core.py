@@ -146,6 +146,11 @@ class CoreConfig:
     def __post_init__(self):
         if not isinstance(self.fmt, QFormat):
             raise ValueError(f"fmt {self.fmt!r} is not a QFormat")
+        for field in ("sizes", "connectivity", "registers"):
+            try:
+                object.__setattr__(self, field, tuple(getattr(self, field)))
+            except TypeError:
+                raise ValueError(f"{field} {getattr(self, field)!r} is not a sequence") from None
         object.__setattr__(self, "sizes", tuple(whole_number(n, f"sizes[{i}]")
                                                 for i, n in enumerate(self.sizes)))
         if len(self.sizes) < 2:
@@ -160,6 +165,7 @@ class CoreConfig:
             for i, entry in enumerate(getattr(self, field)):
                 if not isinstance(entry, kind):
                     raise ValueError(f"layer {i}: {field}[{i}] {entry!r} is not a {kind.__name__}")
+        object.__setattr__(self, "layer_latency", whole_number(self.layer_latency, "layer_latency"))
         if self.layer_latency not in (0, 1):
             raise ValueError("layer_latency must be 0 or 1")
         object.__setattr__(self, "policy", OverflowPolicy.from_name(self.policy))
@@ -175,15 +181,6 @@ class CoreConfig:
     def n_layers(self) -> int:
         return len(self.sizes) - 1
 
-    @property
-    def neuron_count(self) -> int:
-        # Hardware accounting counts the input layer as neurons.
-        return sum(self.sizes)
-
-    @property
-    def synapse_count(self) -> int:
-        return sum(int(mask.sum()) for mask in _masks(self))
-
 
 @dataclass
 class SpikeRaster:
@@ -191,17 +188,6 @@ class SpikeRaster:
 
     input_spikes: np.ndarray            # [T, N0] bool
     layers: list[np.ndarray]            # K arrays, [T, Nk] bool
-
-    def total_spikes(self) -> int:
-        """Spikes emitted by LIF neurons (the stimulus is not counted)."""
-        return int(sum(a.sum() for a in self.layers))
-
-    def equals(self, other: "SpikeRaster") -> bool:
-        return (
-            np.array_equal(self.input_spikes, other.input_spikes)
-            and len(self.layers) == len(other.layers)
-            and all(np.array_equal(a, b) for a, b in zip(self.layers, other.layers))
-        )
 
 
 def _masks(cfg: CoreConfig) -> list[np.ndarray]:
@@ -237,13 +223,9 @@ class _Cycle:
         self._scale = scale
         self.reset_state()
 
-    @property
-    def n_layers(self) -> int:
-        return self.cfg.n_layers
-
     def _check_synapse(self, layer: int, pre: int, post: int) -> None:
         sizes = self.cfg.sizes
-        if not (valid_index(layer, self.n_layers) and valid_index(pre, sizes[layer])
+        if not (valid_index(layer, self.cfg.n_layers) and valid_index(pre, sizes[layer])
                 and valid_index(post, sizes[layer + 1])):
             raise IndexError(f"synapse (layer={layer}, pre={pre}, post={post}) outside "
                              f"the planes of sizes {sizes}")
@@ -260,7 +242,7 @@ class _Cycle:
         self._refr = [np.zeros(n, dtype=np.int64) for n in sizes[1:]]
         self._prev_out = [np.zeros(n, dtype=bool) for n in sizes[1:-1]]
         # Per layer: a refractory counter may be nonzero (`_lif` keeps it).
-        self._armed = [True] * self.n_layers
+        self._armed = [True] * self.cfg.n_layers
 
     def _drive(self, k: int, spikes_in: np.ndarray):
         """growth x activation of layer k, for a row or a raster of input spikes."""
@@ -309,7 +291,7 @@ class _Cycle:
         if drive0 is None:
             drive0 = self._drive(0, _spikes(stim, ("line",)))
         outs = [self._lif(0, drive0)]
-        for k in range(1, self.n_layers):
+        for k in range(1, self.cfg.n_layers):
             feed = self._prev_out[k - 1] if self.cfg.layer_latency == 1 else outs[-1]
             outs.append(self._lif(k, self._drive(k, feed)))
         if self.cfg.layer_latency == 1:
@@ -363,7 +345,7 @@ class Core(_Cycle):
     # -- configuration ------------------------------------------------------
 
     def _check_layer(self, layer: int, what: str) -> None:
-        if not valid_index(layer, self.n_layers):
+        if not valid_index(layer, self.cfg.n_layers):
             raise IndexError(f"{what} of layer {layer}: no such layer")
 
     def registers(self, layer: int) -> NeuronRegisters:

@@ -161,10 +161,10 @@ class QWord:
 
     def __post_init__(self):
         try:
-            raw = int(self.raw)
-        except (OverflowError, ValueError):  # inf or nan
+            raw = None if isinstance(self.raw, (bool, np.bool_)) else int(self.raw)
+        except (TypeError, OverflowError, ValueError):  # None, inf or nan
             raw = None
-        if raw != self.raw:
+        if raw is None or raw != self.raw:
             raise ValueError(f"raw {self.raw!r} of {self.fmt} is not an integer")
         object.__setattr__(self, "raw", raw)
         if not (self.fmt.min_raw <= raw <= self.fmt.max_raw):

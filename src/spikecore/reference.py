@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import _WORDS, Core, CoreConfig, _Cycle, _masks
 from .fixedpoint import QFormat, finite_real
-from .topology import MaskedSynapseError, SynapseAddress
+from .topology import MaskedSynapseError
 from .topology import build_mask  # noqa: F401  (bound here so bench/spans.py can trace it)
 
 __all__ = [
@@ -43,7 +43,7 @@ class ReferenceCore(_Cycle):
         self._check_synapse(layer, pre, post)
         finite_real(value, f"weight of synapse (layer={layer}, pre={pre}, post={post})")
         if not self.masks[layer][pre, post]:
-            raise MaskedSynapseError(SynapseAddress(layer, pre, post))
+            raise MaskedSynapseError(layer, pre, post)
         self.weights[layer][pre, post] = value
 
     def _activation(self, k: int, spikes_in: np.ndarray) -> np.ndarray:
@@ -117,10 +117,11 @@ def format_sweep(cfg: CoreConfig, weight_writes, stream, duration: int,
     """
     results = []
     for fmt in formats:
+        fmt_cfg = replace(cfg, fmt=fmt)  # checks fmt before its range is read
         lo, hi = fmt.min_value, fmt.max_value
         regs = tuple(replace(r, **{n: min(max(getattr(r, n), lo), hi) for n in _WORDS})
                      for r in cfg.registers)
-        core = Core(replace(cfg, fmt=fmt, registers=regs))
+        core = Core(replace(fmt_cfg, registers=regs))
         for (layer, pre, post, value) in weight_writes:
             core.write_weight(layer, pre, post, min(max(finite_real(value, "weight"), lo), hi))
         raster_q, traces_q = core.run_sample(stream, duration, watch="all")

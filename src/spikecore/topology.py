@@ -22,7 +22,6 @@ from .fixedpoint import fit_raw  # noqa: F401  (bound here so bench/spans.py can
 __all__ = [
     "ConnectivityKind",
     "Connectivity",
-    "SynapseAddress",
     "MaskedSynapseError",
     "valid_index",
     "build_mask",
@@ -47,29 +46,14 @@ class Connectivity:
         if self.kind is ConnectivityKind.GAUSSIAN:
             object.__setattr__(self, "radius", whole_number(self.radius, "radius"))
 
-    def __str__(self) -> str:
-        if self.kind is ConnectivityKind.GAUSSIAN:
-            return f"gaussian(r={self.radius})"
-        return self.kind.value
-
-
-@dataclass(frozen=True)
-class SynapseAddress:
-    """(layer, pre, post): layer is the 0-based weight-plane index."""
-
-    layer: int
-    pre: int
-    post: int
-
 
 class MaskedSynapseError(ValueError):
-    """Write addressed a synapse the connectivity mask does not provide."""
+    """Write addressed a synapse the connectivity mask does not provide;
+    `addr` is its (layer, pre, post), layer the 0-based weight-plane index."""
 
-    def __init__(self, addr: SynapseAddress):
-        self.addr = addr
-        super().__init__(
-            f"synapse (layer={addr.layer}, pre={addr.pre}, post={addr.post}) is masked out"
-        )
+    def __init__(self, layer: int, pre: int, post: int):
+        self.addr = (layer, pre, post)
+        super().__init__(f"synapse (layer={layer}, pre={pre}, post={post}) is masked out")
 
 
 def valid_index(value, stop: int) -> bool:
@@ -128,7 +112,7 @@ class WeightMemory:
         if weight.fmt != self.fmt:
             raise ValueError(f"weight format {weight.fmt} != memory format {self.fmt}")
         if not self.mask[pre, post]:
-            raise MaskedSynapseError(SynapseAddress(self.layer, pre, post))
+            raise MaskedSynapseError(self.layer, pre, post)
         self.raw[pre, post] = weight.raw
 
     def presynaptic_weights(self, post: int) -> list[QWord]:

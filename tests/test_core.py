@@ -39,22 +39,10 @@ def toy_core(sizes=(4, 3, 2), fmt=Q9_7, seed=3, weight_scale=2.0, regs=None, **c
 
 # --- configuration ---------------------------------------------------------
 
-def test_mnist_baseline_counts():
-    cfg = CoreConfig.uniform(Q5_3, [256, 128, 10], baseline_regs())
-    assert cfg.neuron_count == 394
-    assert cfg.synapse_count == 34048
-
-
-def test_wide_hidden_counts():
-    cfg = CoreConfig.uniform(Q5_3, [256, 256, 10], baseline_regs())
-    assert cfg.neuron_count == 522
-    assert cfg.synapse_count == 68096
-
-
 def test_minimal_core():
     cfg = CoreConfig.uniform(Q5_3, [1, 1], baseline_regs())
     core = Core(cfg)
-    assert core.n_layers == 1
+    assert core.cfg.n_layers == 1
     assert core.step_cycle([0]) == [np.zeros(1, dtype=bool)]
 
 
@@ -78,8 +66,18 @@ def test_invalid_dimensions():
         CoreConfig.uniform(Q5_3, [4], baseline_regs())
     with pytest.raises(ValueError):
         CoreConfig.uniform(Q5_3, [4, 0], baseline_regs())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^layer_latency must be 0 or 1$"):
         CoreConfig.uniform(Q5_3, [4, 4], baseline_regs(), layer_latency=2)
+    # A bool was stored as given; now a bool raises and an integral value is an int.
+    for bad in (True, np.True_, 0.5, None):
+        with pytest.raises(ValueError, match="^layer_latency .* is not a whole number"):
+            CoreConfig.uniform(Q5_3, [4, 4], baseline_regs(), layer_latency=bad)
+    for latency in (1.0, np.int64(1)):
+        cfg = CoreConfig.uniform(Q5_3, [4, 4], baseline_regs(), layer_latency=latency)
+        assert cfg.layer_latency == 1 and type(cfg.layer_latency) is int
+    # An int in place of the sizes tuple used to raise TypeError from len().
+    with pytest.raises(ValueError, match="^sizes 4 is not a sequence$"):
+        CoreConfig(Q5_3, 4, (GAUSS1,), (baseline_regs(),))
     with pytest.raises(ValueError, match="1 LIF layers need 1 connectivity and register"):
         CoreConfig(Q5_3, (4, 4), (GAUSS1, GAUSS1), (baseline_regs(),))
     # A fractional or string size used to pass, and Core then raised TypeError.
@@ -105,6 +103,11 @@ def test_config_entries_of_the_wrong_type_name_the_field_and_layer():
     for regs in (good.quantize(Q5_3), good.__dict__):
         with pytest.raises(ValueError, match=r"^layer 0: registers\[0\] .* not a RealRegisters$"):
             CoreConfig.uniform(Q5_3, (2, 2), regs)
+    # A bare entry in place of its tuple used to raise TypeError from len().
+    with pytest.raises(ValueError, match=r"^connectivity Connectivity\(.* is not a sequence$"):
+        CoreConfig(Q9_7, (2, 2), ONE, (good,))
+    with pytest.raises(ValueError, match=r"^registers RealRegisters\(.* is not a sequence$"):
+        CoreConfig(Q9_7, (2, 2), (ONE,), good)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), None, "abc", "1.0",
@@ -439,7 +442,7 @@ def oracle_lockstep(core, stimulus):
 def drive_counts(core, cycles=40):
     stim = np.ones((cycles, core.cfg.sizes[0]), dtype=bool)
     raster, _ = core.run_sample(stim, cycles)
-    return raster.total_spikes()
+    return sum(int(layer.sum()) for layer in raster.layers)
 
 
 def test_midrun_refractory_write_drops_spike_rate():
@@ -491,7 +494,7 @@ def test_whole_core_step_equals_isolated_layers():
     raster, _ = core.run_sample(stim, 15)
 
     # isolated single-layer cores fed the recorded upstream spikes
-    for k in range(core.n_layers):
+    for k in range(core.cfg.n_layers):
         sub = CoreConfig.uniform(core.cfg.fmt,
                                  [core.cfg.sizes[k], core.cfg.sizes[k + 1]],
                                  core.cfg.registers[k])
@@ -512,7 +515,7 @@ def test_state_isolation_between_samples():
 
     fresh = toy_core(sizes=(4, 3), seed=5)
     fresh_b, _ = fresh.run_sample(b, 20)
-    assert after_a.equals(fresh_b)
+    assert np.array_equal(np.hstack(after_a.layers), np.hstack(fresh_b.layers))
 
 
 def test_deterministic_replay():
@@ -520,7 +523,7 @@ def test_deterministic_replay():
     stim = rng.random((30, 4)) < 0.4
     r1, t1 = toy_core().run_sample(stim, 30, watch="all")
     r2, t2 = toy_core().run_sample(stim, 30, watch="all")
-    assert r1.equals(r2)
+    assert np.array_equal(np.hstack(r1.layers), np.hstack(r2.layers))
     assert np.array_equal(t1[(0, 0)], t2[(0, 0)])
 
 
@@ -551,11 +554,11 @@ def test_thread_count_does_not_change_results():
     src = toy_core(sizes=(16, 12, 5), seed=13)
     before = threading.active_count()
     core = Core(src.cfg, threads=4)
-    for k in range(core.n_layers):
+    for k in range(core.cfg.n_layers):
         core.planes[k].raw[:] = src.planes[k].raw
     raster, _ = core.run_sample(stim, 25)
     assert threading.active_count() == before
-    assert raster.equals(src.run_sample(stim, 25)[0])
+    assert np.array_equal(np.hstack(raster.layers), np.hstack(src.run_sample(stim, 25)[0].layers))
     core.close()
     core.close()
     assert core.step_cycle(stim[0])[0].shape == (12,)
@@ -667,7 +670,7 @@ def test_nothing_the_core_hands_out_changes_later(policy, mode):
         if t == 5:
             core.write_register(0, "v_threshold", 1.0)
     core.run_sample(stream[::-1], 12, watch="all")
-    assert raster.total_spikes() > 0
+    assert sum(int(layer.sum()) for layer in raster.layers) > 0
     for array, copy in handed_out:
         assert np.array_equal(array, copy)
 

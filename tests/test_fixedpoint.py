@@ -316,7 +316,8 @@ def test_qformat_derived_values_leave_equality_and_hash_alone():
 
 
 def test_qword_rejects_a_fractional_raw():
-    for raw in (1.5, np.float64(-0.25), float("inf"), float("nan")):
+    # A bool used to be stored as raw 1, and None raised TypeError from int().
+    for raw in (1.5, np.float64(-0.25), float("inf"), float("nan"), True, np.True_, None):
         with pytest.raises(ValueError, match=rf"raw .*{raw}.* of Q5\.3 is not an integer"):
             QWord(Q5_3, raw)
     for raw in (3, np.int64(3), 3.0, np.float64(3.0)):

@@ -31,7 +31,6 @@ def test_connectivity_takes_a_kind_or_its_name():
     assert np.array_equal(build_mask(Connectivity("one"), 3, 3), np.eye(3, dtype=bool))
     assert Connectivity(" All ") == ALL
     assert Connectivity("gaussian", 2) == gauss(2)
-    assert str(Connectivity("one")) == "one"
     for bad in ("ring", 3, None):
         with pytest.raises(ValueError, match="all, one, gaussian"):
             Connectivity(bad)
@@ -55,7 +54,7 @@ def test_gaussian_radius_must_be_a_whole_number():
         with pytest.raises(ValueError, match="radius"):
             gauss(bad)
     assert gauss(2.0) == gauss(2) and type(gauss(2.0).radius) is int
-    assert str(gauss(np.int64(3))) == "gaussian(r=3)"
+    assert gauss(np.int64(3)) == gauss(3)
 
 
 def brute_force_ones(kind, m, n, r):
