@@ -39,6 +39,22 @@ def toy_core(sizes=(4, 3, 2), fmt=Q9_7, seed=3, weight_scale=2.0, regs=None, **c
 
 # --- configuration ---------------------------------------------------------
 
+def synapse_total(core):
+    return sum(int(plane.mask.sum()) for plane in core.planes)
+
+
+def test_mnist_baseline_counts():
+    cfg = CoreConfig.uniform(Q5_3, [256, 128, 10], baseline_regs())
+    assert sum(cfg.sizes) == 394
+    assert synapse_total(Core(cfg)) == 34048
+
+
+def test_wide_hidden_counts():
+    cfg = CoreConfig.uniform(Q5_3, [256, 256, 10], baseline_regs())
+    assert sum(cfg.sizes) == 522
+    assert synapse_total(Core(cfg)) == 68096
+
+
 def test_minimal_core():
     cfg = CoreConfig.uniform(Q5_3, [1, 1], baseline_regs())
     core = Core(cfg)

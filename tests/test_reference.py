@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikecore.core import Core, CoreConfig, RealRegisters
+from spikecore.core import Core, CoreConfig, RealRegisters, _masks
 from spikecore.fixedpoint import Q3_1, Q5_3, Q9_7, Q17_15, OverflowPolicy, QFormat
 from spikecore.neuron import ResetMode
 from spikecore.reference import (
@@ -127,7 +127,8 @@ def test_reference_write_weight_rejects_a_non_finite_value(value):
     assert not np.any(ref.weights[0])
 
 
-@pytest.mark.parametrize("build", [Core, ReferenceCore])
+@pytest.mark.parametrize("build", [Core, ReferenceCore,
+                                   lambda cfg: sum(int(m.sum()) for m in _masks(cfg))])
 def test_a_mask_error_names_the_layer(build):
     cfg = CoreConfig(Q9_7, (4, 4, 3), (ALL, ONE), (regs(),) * 2)
     with pytest.raises(ValueError, match="^layer 1: one-to-one needs square dimensions, got 4x3$"):
