@@ -25,19 +25,20 @@ before the sample starts, with the plane.  WRAP wraps it; SATURATE keeps
 it in the cycles where a second product, with |plane|, gives the
 certificate.  The other cycles, and int64 or object planes, take the gather.
 
-The leak step v - d*v is computed as `v - ((d * v) >> q)` under both
-policies, with no clamp or wrap: the decay register holds a raw d in
-[0, 2**q] (decay_rate in [0, 1]), so floor(d*v / 2**q) lies between
-min(v, 0) and max(v, 0), and neither the product nor the difference can
-leave the range of v.  The hardware's clamp or wrap after each of the two
-operations would change no bit.
+A register whose raw r lies in [0, 2**q] is a rate in [0, 1]: the decay
+always, and the growth when it is at most 1.  A product by such a rate
+cannot leave the range of its in-range operand x, since floor(r*x / 2**q)
+lies between min(x, 0) and max(x, 0), and neither can the leak step
+v - d*v.  So `_mul` runs that product as `(r * x) >> q` under both
+policies; the hardware's clamp or wrap would change no bit.
 
-The rest of the membrane update works in place: `_leak` and `_mul` return
-fresh arrays, `_fit(x)` may overwrite the `x` its caller owns, and `_lif`
-holds and resets with masked writes into the updated membrane, which it
-then stores and never writes again, so nothing the core hands out changes
-later.  It fits only where the hardware latches or compares a value: the
-updated membrane before the threshold compare.  The BY_SUBTRACTION reset
+The rest of the membrane update works in place: `_mul` returns a fresh
+array, which `_lif` overwrites with the leak step, `_fit(x)` may
+overwrite the `x` its caller owns, and `_lif` holds and resets with
+masked writes into the updated membrane, which it then stores and never
+writes again, so nothing the core hands out changes later.  It fits only
+where the hardware latches or compares a value: the updated membrane
+before the threshold compare.  The BY_SUBTRACTION reset
 needs no fit while v_threshold >= 0, since a spiking neuron has
 v_threshold <= updated <= max_raw; under a negative threshold the
 membrane is fitted once more.  Under WRAP the fit reduces modulo 2**w,
@@ -50,10 +51,10 @@ truncated product.  An int64 overflow of an intermediate is harmless:
 2**w divides 2**64, so int64 arithmetic keeps every bit below position
 64, and the bits q..q+w-1 of a product are exact.  On int64 state the
 fit is the shift pair `x <<= 64 - w; x >>= 64 - w`, which drops the bits
-above the word and copies its sign bit into them.  SATURATE clamps the
-product in `_mul` and each latched sum in `_fit`; the leak needs no
-clamp, and each sum is one add or subtract of in-range values, so the
-fit clamps exactly where the hardware's adder does.
+above the word and copies its sign bit into them.  SATURATE clamps a
+product by a register outside [0, 1] in `_mul`, and each latched sum in
+`_fit`; each sum is one add or subtract of in-range values, so the fit
+clamps exactly where the hardware's adder does.
 """
 
 from __future__ import annotations
@@ -174,8 +175,8 @@ class CoreConfig:
     def uniform(cls, fmt: QFormat, sizes, registers: RealRegisters,
                 connectivity: Connectivity = ALL_TO_ALL, **kw) -> "CoreConfig":
         """Same registers and connectivity for every layer."""
-        k = len(sizes) - 1
-        return cls(fmt, tuple(sizes), (connectivity,) * k, (registers,) * k, **kw)
+        k = len(sizes) - 1 if hasattr(sizes, "__len__") else 0  # else CoreConfig raises
+        return cls(fmt, sizes, (connectivity,) * k, (registers,) * k, **kw)
 
     @property
     def n_layers(self) -> int:
@@ -203,13 +204,13 @@ def _masks(cfg: CoreConfig) -> list[np.ndarray]:
 
 class _Cycle:
     """The LIF cycle in `neuron.py`'s order.  Adds and subtracts are plain
-    `+` and `-`; a subclass defines the number system in five hooks:
+    `+` and `-`; a subclass defines the number system in four hooks:
     `_number(word)`, a word register's value in this number system;
     `_activation(k, spikes)`, the weighted sum of the input spikes of an
     [M] row, or of each row of a [T, M] raster with the bits of the row;
-    `_mul(a, b)` and `_leak(d, v)`, the leak step v - d*v, which return
-    fresh arrays; and `_fit(x)`, which brings a sum into the state's range
-    where the cycle latches or compares it and may overwrite `x`.
+    `_mul(r, x)`, register r times the array x, as a fresh array; and
+    `_fit(x)`, which brings a sum into the state's range where the cycle
+    latches or compares it and may overwrite `x`.
     `_lif(k, drive)`, the one LIF kernel, steps layer k under drive =
     growth x activation.
     `__init__` takes the config, one validated register file per layer
@@ -254,7 +255,8 @@ class _Cycle:
         decay, vth, mode = number(r.decay_rate), number(r.v_threshold), r.reset_mode
         vmem, refr = self._vmem[k], self._refr[k]
 
-        updated = self._leak(decay, vmem)
+        updated = self._mul(decay, vmem)
+        np.subtract(vmem, updated, out=updated)  # the leak step v - d*v
         updated += drive
         updated = self._fit(updated)
         # With no period and no neuron held the hold is a no-op; a period
@@ -273,7 +275,7 @@ class _Cycle:
             if vth < 0:  # only then can updated - vth leave the range
                 updated = self._fit(updated)
         elif mode is ResetMode.DEFAULT:  # one more leak step, no discrete reset
-            np.copyto(updated, self._leak(decay, updated), where=spikes)
+            np.copyto(updated, updated - self._mul(decay, updated), where=spikes)
         else:
             after = number(r.v_reset) if mode is ResetMode.TO_CONSTANT else 0
             np.copyto(updated, after, where=spikes)
@@ -406,20 +408,15 @@ class Core(_Cycle):
             out[t] = self._activation(k, spikes_in[t])
         return out
 
-    # Under WRAP the product runs unreduced and `_fit` wraps; under SATURATE
-    # the product clamps and `_fit` clamps the sum (module docstring).  The
-    # raw helpers are looked up in this module per call, so a tracer on
-    # `core.mul_raw` or `core.fit_raw` sees each.
-    def _mul(self, a, b):
-        if self.policy is WRAP:
-            x = a * b
+    # The product runs unreduced under WRAP, where `_fit` wraps the sum, and
+    # for a rate r in [0, 1]; only SATURATE with r outside [0, 1] clamps
+    # (module docstring).  The raw helpers are looked up in this module per
+    # call, so a tracer on `core.mul_raw` or `core.fit_raw` sees each.
+    def _mul(self, r, x):
+        if self.policy is WRAP or 0 <= r <= 1 << self.fmt.q:
+            x = r * x
             return np.right_shift(x, self.fmt.q, out=x)
-        return mul_raw(a, b, self.fmt, self.policy)
-
-    def _leak(self, d, v):
-        x = d * v
-        x >>= self.fmt.q
-        return np.subtract(v, x, out=x)
+        return mul_raw(r, x, self.fmt, self.policy)
 
     def _fit(self, x):
         if self._spare:

@@ -68,14 +68,15 @@ class NamedEnum(enum.Enum):
 
 
 def whole_number(value, name: str) -> int:
-    """An integral value >= 0, such as a count of cycles, as an int; a bool is not one."""
+    """An integral value in [0, 2**63), such as a count of cycles, as an int; a bool
+    is not one.  The bound is int64's: a whole number sizes or fills an int64 array."""
     try:
         whole = int(value)
         integral = whole == value and not isinstance(value, (bool, np.bool_))
     except (TypeError, ValueError, OverflowError):
         integral = False
-    if not integral or whole < 0:
-        raise ValueError(f"{name} {value!r} is not a whole number >= 0")
+    if not integral or not 0 <= whole < 1 << 63:
+        raise ValueError(f"{name} {value!r} is not a whole number in [0, 2**63)")
     return whole
 
 

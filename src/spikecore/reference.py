@@ -53,10 +53,6 @@ class ReferenceCore(_Cycle):
     _mul = staticmethod(operator.mul)
 
     @staticmethod
-    def _leak(d, v):
-        return v - d * v
-
-    @staticmethod
     def _fit(x):
         return x
 

@@ -43,8 +43,7 @@ class Connectivity:
     def __post_init__(self):
         """`kind` is a ConnectivityKind or its name, such as "one"."""
         object.__setattr__(self, "kind", ConnectivityKind.from_name(self.kind))
-        if self.kind is ConnectivityKind.GAUSSIAN:
-            object.__setattr__(self, "radius", whole_number(self.radius, "radius"))
+        object.__setattr__(self, "radius", whole_number(self.radius, "radius"))
 
 
 class MaskedSynapseError(ValueError):

@@ -94,6 +94,8 @@ def test_invalid_dimensions():
     # An int in place of the sizes tuple used to raise TypeError from len().
     with pytest.raises(ValueError, match="^sizes 4 is not a sequence$"):
         CoreConfig(Q5_3, 4, (GAUSS1,), (baseline_regs(),))
+    with pytest.raises(ValueError, match="^sizes 4 is not a sequence$"):
+        CoreConfig.uniform(Q9_7, 4, baseline_regs())
     with pytest.raises(ValueError, match="1 LIF layers need 1 connectivity and register"):
         CoreConfig(Q5_3, (4, 4), (GAUSS1, GAUSS1), (baseline_regs(),))
     # A fractional or string size used to pass, and Core then raised TypeError.
@@ -335,10 +337,11 @@ def test_unknown_register_and_bad_values():
 
 
 def test_refractory_period_must_be_a_whole_number_of_cycles():
-    # 2.7 used to be stored as 2, 1.5 turned the counters into float64, and
-    # True was stored as 1.
+    # 2.7 used to be stored as 2, 1.5 turned the counters into float64,
+    # True was stored as 1, 2**63 fired on every cycle and 2**70 raised
+    # OverflowError mid-run: a period must fit the int64 counters.
     core = toy_core()
-    for value in (2.7, 1.5, -1, float("nan"), "3", True, np.True_):
+    for value in (2.7, 1.5, -1, float("nan"), "3", True, np.True_, 2**63, 2**70):
         with pytest.raises(ValueError, match="refractory_period"):
             core.write_register(0, "refractory_period", value)
         with pytest.raises(ValueError, match="refractory_period"):
@@ -347,6 +350,11 @@ def test_refractory_period_must_be_a_whole_number_of_cycles():
     core.write_register(0, "refractory_period", 3.0)
     assert type(core.registers(0).refractory_period) is int
     assert type(baseline_regs(refractory_period=np.int64(2)).refractory_period) is int
+    regs = RealRegisters(0.0, 1.0, 1.0, refractory_period=2**63 - 1)
+    held = Core(CoreConfig.uniform(Q5_3, [1, 1], regs))
+    held.write_weight(0, 0, 0, 2.0)
+    assert [fired for fired, _ in oracle_lockstep(held, np.ones((3, 1), dtype=bool))] == [
+        True, False, False]
 
 
 def test_reset_mode_write_takes_a_mode_or_its_name():
@@ -370,6 +378,7 @@ def test_reset_mode_write_takes_a_mode_or_its_name():
     ("refractory_period", -1),
     ("refractory_period", float("nan")),
     ("refractory_period", "3"),
+    ("refractory_period", 2**63),
     ("reset_mode", 3),
     ("reset_mode", None),
     ("decay_rate", QWord(Q5_3, -1)),
@@ -406,21 +415,32 @@ def test_decay_rate_write_stays_in_zero_to_one(fmt):
     assert core.registers(0).decay_rate.raw == one
 
 
+@pytest.mark.parametrize("growth", [0.0, 1.0, 1.0 + Q5_3.quantum, -1.0, -Q5_3.quantum])
 @pytest.mark.parametrize("decay", [0.0, Q5_3.quantum, 1.0])
 @pytest.mark.parametrize("mode", [ResetMode.DEFAULT, ResetMode.BY_SUBTRACTION])
-def test_saturating_leak_at_the_range_ends_matches_the_oracle(decay, mode):
+def test_saturating_leak_at_the_range_ends_matches_the_oracle(growth, decay, mode):
     # One Q5.3 neuron whose two input lines weigh max_value and min_value,
     # so that the membrane sits at max_raw (where it fires and, in DEFAULT,
-    # leaks once more) and at min_raw, and leaks from both ends.
-    regs = RealRegisters(decay, 1.0, Q5_3.max_value, mode)
+    # leaks once more) and at min_raw, and leaks from both ends.  The growth
+    # sits at both ends of [0, 1], where the drive needs no clamp, and one
+    # quantum outside each, where it clamps.
+    regs = RealRegisters(decay, growth, Q5_3.max_value, mode)
     core = Core(CoreConfig.uniform(Q5_3, [2, 1], regs, policy=SATURATE))
     core.write_weight(0, 0, 0, Q5_3.max_value)
     core.write_weight(0, 1, 0, Q5_3.min_value)
     pattern = [[1, 0]] * 3 + [[0, 0]] * 2 + [[0, 1]] * 4 + [[0, 0]] * 3 + [[1, 1]] * 2
     steps = oracle_lockstep(core, np.array(pattern * 2, dtype=bool))
     vmem = [v for _, v in steps]
+    spikes = sum(fired for fired, _ in steps)
     # With the threshold at max_value, a spike means the membrane got there.
-    assert sum(fired for fired, _ in steps) >= 2 and vmem.count(Q5_3.min_raw) >= 4
+    if growth >= 1.0:  # each line alone drives the membrane to its end
+        assert spikes >= 2 and vmem.count(Q5_3.min_raw) >= 4
+    elif growth == -1.0:  # line 1's drive 16.0 clamps to max_value
+        assert spikes >= 2 and min(vmem) <= -Q5_3.max_raw
+    elif growth == 0.0:
+        assert not any(vmem)
+    else:  # a drive of +-2.0 stays far from both ends
+        assert spikes == 0 and min(vmem) > Q5_3.min_raw
 
 
 @pytest.mark.parametrize("policy", list(OverflowPolicy))

@@ -53,6 +53,10 @@ def test_gaussian_radius_must_be_a_whole_number():
     for bad in (1.5, float("nan"), "2", -1, True, np.True_):
         with pytest.raises(ValueError, match="radius"):
             gauss(bad)
+    # The other kinds ignore the radius, but used to store any value as given.
+    for kind, bad in (("all", "x"), ("one", 1.5)):
+        with pytest.raises(ValueError, match="^radius .* is not a whole number"):
+            Connectivity(kind, bad)
     assert gauss(2.0) == gauss(2) and type(gauss(2.0).radius) is int
     assert gauss(np.int64(3)) == gauss(3)
 
