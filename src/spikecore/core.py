@@ -175,6 +175,7 @@ class CoreConfig:
     def uniform(cls, fmt: QFormat, sizes, registers: RealRegisters,
                 connectivity: Connectivity = ALL_TO_ALL, **kw) -> "CoreConfig":
         """Same registers and connectivity for every layer."""
+        sizes = tuple(sizes) if hasattr(sizes, "__iter__") else sizes  # a generator is read once
         k = len(sizes) - 1 if hasattr(sizes, "__len__") else 0  # else CoreConfig raises
         return cls(fmt, sizes, (connectivity,) * k, (registers,) * k, **kw)
 

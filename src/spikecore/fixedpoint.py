@@ -134,11 +134,11 @@ class QFormat:
     def max_raw(self) -> int:
         return (1 << (self.width - 1)) - 1
 
-    @property
+    @cached_property
     def min_value(self) -> float:
         return self.min_raw * self.quantum
 
-    @property
+    @cached_property
     def max_value(self) -> float:
         return self.max_raw * self.quantum
 
@@ -161,13 +161,15 @@ class QWord:
     raw: int
 
     def __post_init__(self):
-        try:
-            raw = None if isinstance(self.raw, (bool, np.bool_)) else int(self.raw)
-        except (TypeError, OverflowError, ValueError):  # None, inf or nan
-            raw = None
-        if raw is None or raw != self.raw:
-            raise ValueError(f"raw {self.raw!r} of {self.fmt} is not an integer")
-        object.__setattr__(self, "raw", raw)
+        raw = self.raw
+        if type(raw) is not int:  # a bool, numpy scalar, float or int subclass
+            try:
+                raw = None if isinstance(raw, (bool, np.bool_)) else int(raw)
+            except (TypeError, OverflowError, ValueError):  # None, inf or nan
+                raw = None
+            if raw is None or raw != self.raw:
+                raise ValueError(f"raw {self.raw!r} of {self.fmt} is not an integer")
+            object.__setattr__(self, "raw", raw)
         if not (self.fmt.min_raw <= raw <= self.fmt.max_raw):
             raise ValueError(f"raw {raw} does not fit in {self.fmt}")
 

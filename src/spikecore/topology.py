@@ -57,6 +57,8 @@ class MaskedSynapseError(ValueError):
 
 def valid_index(value, stop: int) -> bool:
     """`value` is an index in [0, stop): an integer, not 1.0 or a bool (a numpy mask)."""
+    if type(value) is int:  # the common case, without the checks below
+        return 0 <= value < stop
     try:
         return not isinstance(value, bool) and 0 <= operator.index(value) < stop
     except TypeError:
@@ -88,27 +90,20 @@ class WeightMemory:
     raw: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        exact = self.fmt.width <= 32 and self.m << (self.fmt.width - 1) <= 1 << 53
+        exact = self.fmt.width <= 32 and self.mask.shape[0] << (self.fmt.width - 1) <= 1 << 53
         self.raw = np.zeros(self.mask.shape, dtype=np.float64 if exact else raw_dtype(self.fmt))
 
-    @property
-    def m(self) -> int:
-        return self.mask.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.mask.shape[1]
-
     def _check(self, pre: int, post: int) -> None:
-        if not (valid_index(pre, self.m) and valid_index(post, self.n)):
+        m, n = self.mask.shape
+        if not (valid_index(pre, m) and valid_index(post, n)):
             raise IndexError(
-                f"synapse (layer={self.layer}, pre={pre}, post={post}) outside {self.m}x{self.n}"
+                f"synapse (layer={self.layer}, pre={pre}, post={post}) outside {m}x{n}"
             )
 
     def write(self, pre: int, post: int, weight: QWord) -> None:
         """Store one signed weight; its sign is the synapse's polarity."""
         self._check(pre, post)
-        if weight.fmt != self.fmt:
+        if weight.fmt is not self.fmt and weight.fmt != self.fmt:
             raise ValueError(f"weight format {weight.fmt} != memory format {self.fmt}")
         if not self.mask[pre, post]:
             raise MaskedSynapseError(self.layer, pre, post)

@@ -12,7 +12,7 @@ from spikecore.fixedpoint import (
 )
 from spikecore.neuron import NeuronState, ResetMode, step_neuron
 from spikecore.reference import matched_reference
-from spikecore.topology import Connectivity, ConnectivityKind, WeightMemory
+from spikecore.topology import Connectivity, ConnectivityKind, MaskedSynapseError, WeightMemory
 
 GAUSS1 = Connectivity(ConnectivityKind.GAUSSIAN, 1)
 ONE = Connectivity(ConnectivityKind.ONE_TO_ONE)
@@ -31,8 +31,8 @@ def toy_core(sizes=(4, 3, 2), fmt=Q9_7, seed=3, weight_scale=2.0, regs=None, **c
     rng = np.random.default_rng(seed)
     for k, plane in enumerate(core.planes):
         vals = rng.uniform(-weight_scale, weight_scale, size=plane.raw.shape)
-        for i in range(plane.m):
-            for j in range(plane.n):
+        for i in range(plane.mask.shape[0]):
+            for j in range(plane.mask.shape[1]):
                 core.write_weight(k, i, j, float(vals[i, j]))
     return core
 
@@ -96,6 +96,9 @@ def test_invalid_dimensions():
         CoreConfig(Q5_3, 4, (GAUSS1,), (baseline_regs(),))
     with pytest.raises(ValueError, match="^sizes 4 is not a sequence$"):
         CoreConfig.uniform(Q9_7, 4, baseline_regs())
+    # A generator of sizes used to give zero layer entries, and a count mismatch.
+    cfg = CoreConfig.uniform(Q9_7, (n for n in (2, 2)), baseline_regs())
+    assert cfg == CoreConfig.uniform(Q9_7, (2, 2), baseline_regs()) and cfg.n_layers == 1
     with pytest.raises(ValueError, match="1 LIF layers need 1 connectivity and register"):
         CoreConfig(Q5_3, (4, 4), (GAUSS1, GAUSS1), (baseline_regs(),))
     # A fractional or string size used to pass, and Core then raised TypeError.
@@ -181,6 +184,32 @@ def test_write_weight_stores_the_signed_payload():
     with pytest.raises(ValueError, match=r"^weight of synapse \(layer=0, pre=0, post=0\) "
                                          r"format Q9\.7 != core format Q5\.3$"):
         core.write_weight(0, 0, 0, encode_register(1.0, Q9_7))
+
+
+@pytest.mark.parametrize("fmt, dtype", [(Q5_3, np.float64), (QFormat(33, 31), object)])
+def test_write_weight_checks_address_then_value_then_format_then_mask(fmt, dtype):
+    # Each write fails two checks, and the earlier one names the error.
+    core = Core(CoreConfig.uniform(fmt, [4, 4, 4], baseline_regs(), GAUSS1))
+    core.write_weight(1, 0, 0, -1.5)
+    core.write_weight(1, 3, 2, 2.25)
+    raw = core.planes[1].raw
+    before = raw.copy()
+    assert raw.dtype == dtype and not core.planes[1].mask[0, 2]
+    nan, masked = float("nan"), re.escape("synapse (layer=1, pre=0, post=2)")
+    cases = [
+        ((1, 4, 0, nan), IndexError,
+         re.escape("synapse (layer=1, pre=4, post=0) outside the planes of sizes (4, 4, 4)")),
+        ((1, 0, 2, nan), ValueError, f"weight of {masked} nan is not a finite real"),
+        ((1, 0, 2, QWord(Q9_7, 1)), ValueError,
+         f"weight of {masked} format Q9\\.7 != core format {re.escape(str(fmt))}"),
+        ((1, 0, 2, 1.5), MaskedSynapseError, f"{masked} is masked out"),
+    ]
+    for args, error, message in cases:
+        with pytest.raises(error, match=f"^{message}$") as info:
+            core.write_weight(*args)
+        assert type(info.value) is error
+        assert core.planes[1].raw is raw and raw.dtype == dtype and np.array_equal(raw, before)
+    assert raw[0, 0] == -1.5 * 2**fmt.q and raw[3, 2] == 2.25 * 2**fmt.q
 
 
 def test_write_register_rejects_a_word_of_another_format():

@@ -311,6 +311,7 @@ def test_qformat_derived_values_leave_equality_and_hash_alone():
     fmt = QFormat(5, 3)
     before = hash(fmt)
     assert (fmt.width, fmt.min_raw, fmt.max_raw, fmt.quantum) == (8, -128, 127, 0.125)
+    assert (fmt.min_value, fmt.max_value) == (-16.0, 15.875)
     assert fmt == Q5_3 and hash(fmt) == before == hash(QFormat(5, 3))
     assert fmt != QFormat(4, 4)
 
@@ -320,10 +321,13 @@ def test_qword_rejects_a_fractional_raw():
     for raw in (1.5, np.float64(-0.25), float("inf"), float("nan"), True, np.True_, None):
         with pytest.raises(ValueError, match=rf"raw .*{raw}.* of Q5\.3 is not an integer"):
             QWord(Q5_3, raw)
-    for raw in (3, np.int64(3), 3.0, np.float64(3.0)):
+    class Raw(int):  # not a plain int: it is coerced, as a numpy scalar is
+        pass
+
+    for raw in (3, np.int64(3), 3.0, np.float64(3.0), Raw(3)):
         word = QWord(Q5_3, raw)
         assert word.raw == 3 and type(word.raw) is int
-    for raw in (128, -129, 1 << 70):
+    for raw in (128, -129, 1 << 70, Raw(128)):
         with pytest.raises(ValueError, match=rf"raw {raw} does not fit in Q5\.3"):
             QWord(Q5_3, raw)
 

@@ -286,8 +286,8 @@ def test_reference_mirrors_quantized_control_flow():
     core = Core(cfg)
     rng = np.random.default_rng(31)
     for k, plane in enumerate(core.planes):
-        for i in range(plane.m):
-            for j in range(plane.n):
+        for i in range(plane.mask.shape[0]):
+            for j in range(plane.mask.shape[1]):
                 core.write_weight(k, i, j, float(rng.uniform(0.0, 3.0)))
     stream = rng.random((80, 6)) < 0.5
     raster_q, _ = core.run_sample(stream, 80)

@@ -5,7 +5,8 @@ as `core.add_raw`, which the core itself does not call; without this test
 only a traced benchmark run would notice a binding that went.  The other
 way round, a name that a spikecore import binds and the module never reads
 (found in its syntax tree, whatever its comments say) must be one that the
-tracer wraps, so that a binding goes once the tracer drops it.
+tracer wraps, so that a binding goes once the tracer drops it.  And every
+weight write is seen, since the set-up metrics count its spans.
 """
 
 import ast
@@ -16,6 +17,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import spans  # noqa: E402
+from spikecore.core import Core, CoreConfig, RealRegisters  # noqa: E402
+from spikecore.fixedpoint import Q9_7, QWord  # noqa: E402
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "spikecore"
 
@@ -62,3 +65,20 @@ def test_every_unused_import_is_a_tracer_target():
         unwrapped += [f"{name}.{b}" for b in unused_imports(path.read_text())
                       if (module, b) not in targets]
     assert not unwrapped
+
+
+def test_the_tracer_sees_every_weight_write():
+    # A store that went round WeightMemory.write, or a real that went round
+    # encode_raw, would blind the set-up metrics that count these spans.
+    core = Core(CoreConfig.uniform(Q9_7, (4, 3), RealRegisters(0.2, 1.0, 4.0)))
+    calls = 12
+    for value, encodes in ((0.75, calls), (QWord(Q9_7, -32), 0)):
+        tracer = spans.Tracer()
+        with spans.instrument(tracer):
+            for i in range(calls):
+                core.write_weight(0, i % 4, i % 3, value)
+        tracer.flush()
+        assert tracer.get("core.write_weight")[0] == calls
+        assert tracer.get("topology.WeightMemory.write")[0] == calls
+        assert tracer.get("fixedpoint.encode_raw")[0] == encodes
+        assert (core.decoded_weights()[0] == getattr(value, "value", value)).all()

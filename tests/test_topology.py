@@ -9,6 +9,7 @@ from spikecore.topology import (
     MaskedSynapseError,
     WeightMemory,
     build_mask,
+    valid_index,
 )
 
 ALL = Connectivity(ConnectivityKind.ALL_TO_ALL)
@@ -137,7 +138,19 @@ def test_write_out_of_range_address():
         mem.write(1.0, 0, encode_register(1.0, Q5_3))
     with pytest.raises(IndexError, match=r"post=0.5\) outside"):
         mem.presynaptic_weights(0.5)
+    # A plain int is range-checked at once; an int subclass goes by operator.index.
+    class Lane(int):
+        pass
+
+    with pytest.raises(IndexError, match=rf"^synapse \(layer=0, pre={1 << 70}, post=0\) outside"):
+        mem.write(1 << 70, 0, encode_register(1.0, Q5_3))
+    with pytest.raises(IndexError, match=r"^synapse \(layer=0, pre=0, post=3\) outside 3x3$"):
+        mem.write(Lane(0), Lane(3), encode_register(1.0, Q5_3))
     assert not mem.raw.any()
+    assert valid_index(1 << 70, 1 << 71) and not valid_index(-(1 << 70), 3)
+    assert valid_index(Lane(2), 3) and not valid_index(Lane(3), 3)
+    mem.write(Lane(1), Lane(2), encode_register(1.0, Q5_3))
+    assert mem.raw[1, 2] == 8 and np.count_nonzero(mem.raw) == 1
 
 
 def test_column_readback_in_pre_order():
