@@ -30,7 +30,10 @@ always, and the growth when it is at most 1.  A product by such a rate
 cannot leave the range of its in-range operand x, since floor(r*x / 2**q)
 lies between min(x, 0) and max(x, 0), and neither can the leak step
 v - d*v.  So `_mul` runs that product as `(r * x) >> q` under both
-policies; the hardware's clamp or wrap would change no bit.
+policies; the hardware's clamp or wrap would change no bit.  A growth of
+exactly 1 (`_one`, raw 2**q) is no product at all: (2**q * a) >> q == a for
+every fitted activation a, so `_drive` returns a as it is.  `_mul` keeps
+its fresh array for a decay of 1, since `_lif` overwrites it.
 
 The rest of the membrane update works in place: `_mul` returns a fresh
 array, which `_lif` overwrites with the leak step, `_fit(x)` may
@@ -53,8 +56,8 @@ truncated product.  An int64 overflow of an intermediate is harmless:
 fit is the shift pair `x <<= 64 - w; x >>= 64 - w`, which drops the bits
 above the word and copies its sign bit into them.  SATURATE clamps a
 product by a register outside [0, 1] in `_mul`, and each latched sum in
-`_fit`; each sum is one add or subtract of in-range values, so the fit
-clamps exactly where the hardware's adder does.
+`_fit`, in place on int64 state; each sum is one add or subtract of
+in-range values, so the fit clamps exactly where the hardware's adder does.
 """
 
 from __future__ import annotations
@@ -211,9 +214,9 @@ class _Cycle:
     [M] row, or of each row of a [T, M] raster with the bits of the row;
     `_mul(r, x)`, register r times the array x, as a fresh array; and
     `_fit(x)`, which brings a sum into the state's range where the cycle
-    latches or compares it and may overwrite `x`.
+    latches or compares it and may overwrite `x`.  Its constant `_one` is 1.
     `_lif(k, drive)`, the one LIF kernel, steps layer k under drive =
-    growth x activation.
+    growth x activation (the activation itself when the growth is `_one`).
     `__init__` takes the config, one validated register file per layer
     (`NeuronRegisters` or `RealRegisters`), which the cycle reads as it
     stands, the state dtype and the trace scale."""
@@ -248,7 +251,8 @@ class _Cycle:
 
     def _drive(self, k: int, spikes_in: np.ndarray):
         """growth x activation of layer k, for a row or a raster of input spikes."""
-        return self._mul(self._number(self._regs[k].growth_rate), self._activation(k, spikes_in))
+        growth, act = self._number(self._regs[k].growth_rate), self._activation(k, spikes_in)
+        return act if growth == self._one else self._mul(growth, act)
 
     def _lif(self, k: int, drive) -> np.ndarray:
         """Step layer k's neurons under `drive`; returns their spikes."""
@@ -288,10 +292,10 @@ class _Cycle:
     def step_cycle(self, input_spikes, *, drive0=None) -> list[np.ndarray]:
         """Advance every layer by one spike-clock cycle; returns spike vectors.
         Layer 0's drive is `drive0` (from `run_sample`), else that of the 0/1 `input_spikes`."""
-        stim = np.asarray(input_spikes)
-        if stim.shape != (self.cfg.sizes[0],):
-            raise ValueError(f"input width {stim.shape} != ({self.cfg.sizes[0]},)")
-        if drive0 is None:
+        if drive0 is None:  # `run_sample` has checked its whole stream
+            stim = np.asarray(input_spikes)
+            if stim.shape != (self.cfg.sizes[0],):
+                raise ValueError(f"input width {stim.shape} != ({self.cfg.sizes[0]},)")
             drive0 = self._drive(0, _spikes(stim, ("line",)))
         outs = [self._lif(0, drive0)]
         for k in range(1, self.cfg.n_layers):
@@ -322,8 +326,9 @@ class _Cycle:
         for t in range(duration):
             for col, out in zip(outs, self.step_cycle(dense[t], drive0=drive0[t])):
                 col.append(out)
-            for col, vmem in zip(vmems, self._vmem):
-                col.append(vmem)
+            if watch:
+                for col, vmem in zip(vmems, self._vmem):
+                    col.append(vmem)
         rasters = [np.array(c, dtype=bool).reshape(duration, n) for c, n in zip(outs, sizes[1:])]
         rows = [np.multiply(np.array(c, dtype=np.float64).reshape(duration, n).T,
                             self._scale, order="C") for c, n in zip(vmems, sizes[1:])]
@@ -340,8 +345,10 @@ class Core(_Cycle):
         self.policy = cfg.policy
         regs = [r.quantize(cfg.fmt) for r in cfg.registers]
         dtype = raw_dtype(cfg.fmt)
-        # The shift of `_fit`'s WRAP shift pair on int64 state; 0: `fit_raw` fits.
+        self._one = 1 << cfg.fmt.q  # growth 1.0, which `_drive` does not multiply by
+        # On int64 state `_fit` shifts by `_spare` (WRAP) or clamps to [_lo, _hi].
         self._spare = 64 - cfg.fmt.width if self.policy is WRAP and dtype is np.int64 else 0
+        self._lo, self._hi = (cfg.fmt.min_raw, cfg.fmt.max_raw) if dtype is np.int64 else (0, 0)
         super().__init__(cfg, regs, dtype, cfg.fmt.quantum)
         self.planes = [WeightMemory(cfg.fmt, mask, layer=k) for k, mask in enumerate(_masks(cfg))]
 
@@ -371,8 +378,12 @@ class Core(_Cycle):
     def write_weight(self, layer: int, pre: int, post: int, value) -> None:
         """Program one synapse; `value` is a signed real or QWord."""
         self._check_synapse(layer, pre, post)
-        name = f"weight of synapse (layer={layer}, pre={pre}, post={post})"
-        self.planes[layer].write(pre, post, encode_register(value, self.fmt, name))
+        try:
+            word = encode_register(value, self.fmt)
+        except ValueError:  # then the check runs again, to raise under the synapse's name
+            word = None
+        self.planes[layer].write(pre, post, word or encode_register(
+            value, self.fmt, f"weight of synapse (layer={layer}, pre={pre}, post={post})"))
 
     def decoded_registers(self) -> list[RealRegisters]:
         """Register values as the datapath sees them (decoded from the format)."""
@@ -394,7 +405,7 @@ class Core(_Cycle):
         if spikes_in.ndim == 1:
             rows = w[spikes_in.nonzero()[0]]
             if self.policy is WRAP:
-                return self._fit(rows.sum(axis=0).astype(self._dtype, copy=False))
+                return self._fit(np.add.reduce(rows).astype(self._dtype, copy=False))
             return accumulate_raw(rows, fmt)
         out = np.empty((len(spikes_in), w.shape[1]), dtype=self._dtype)
         fail = np.ones(len(spikes_in), dtype=bool)  # the rows that take the gather
@@ -404,7 +415,7 @@ class Core(_Cycle):
             if self.policy is WRAP:
                 return self._fit(out)
             a = x @ np.abs(w)  # `accumulate_raw`'s certificate; |w| is plane-sized
-            fail = ((s + a > 2 * fmt.max_raw) | (s - a < 2 * fmt.min_raw)).any(axis=1)
+            fail = (np.abs(s) + a > 2 * fmt.max_raw).any(axis=1)
         for t in fail.nonzero()[0]:
             out[t] = self._activation(k, spikes_in[t])
         return out
@@ -423,6 +434,9 @@ class Core(_Cycle):
         if self._spare:
             x <<= self._spare
             return np.right_shift(x, self._spare, out=x)
+        if self._hi:
+            np.maximum(x, self._lo, out=x)
+            return np.minimum(x, self._hi, out=x)
         return fit_raw(x, self.fmt, self.policy)
 
     def close(self) -> None:

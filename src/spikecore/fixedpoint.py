@@ -245,8 +245,9 @@ def accumulate_raw(rows, fmt: QFormat):
     certificate comes first.  With s the plain sum of a column and a the
     sum of its absolute values, (s + a) / 2 is the sum of its positive
     terms and (s - a) / 2 that of its negative terms, and every prefix sum
-    lies between the two.  If s + a <= 2 * hi and s - a >= 2 * lo in every
-    column, no add clamps and the fold is s (for R = 0, s is zeros).
+    lies between the two.  If |s| + a <= 2 * hi in every column, then
+    s + a <= 2 * hi and s - a >= -2 * hi > 2 * lo, so no add clamps and the
+    fold is s (for R = 0, s is zeros); one pass checks both ends.
     Otherwise the fold is the discrete two-sided Skorokhod map on [lo, hi]
     of the prefix sums c_1..c_R.  Its closed form ("An explicit formula
     for the Skorokhod map on [0, a]", Kruk, Lehoczky, Ramanan & Shreve,
@@ -258,9 +259,8 @@ def accumulate_raw(rows, fmt: QFormat):
     closed form, are int64.
     """
     ints = raw_dtype(fmt)
-    s = rows.sum(axis=0)
-    a = np.abs(rows).sum(axis=0)
-    if (s + a <= 2 * fmt.max_raw).all() and (s - a >= 2 * fmt.min_raw).all():
+    s = np.add.reduce(rows)
+    if (np.abs(s) + np.add.reduce(np.abs(rows))).max(initial=0) <= 2 * fmt.max_raw:
         return s.astype(ints, copy=False)
     c = np.cumsum(rows.astype(ints, copy=False), axis=0)
     m = np.minimum.accumulate(c[::-1], axis=0)[::-1]

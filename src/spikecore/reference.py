@@ -51,6 +51,7 @@ class ReferenceCore(_Cycle):
 
     _number = staticmethod(float)
     _mul = staticmethod(operator.mul)
+    _one = 1.0
 
     @staticmethod
     def _fit(x):

@@ -39,7 +39,7 @@ def registers(fmt):
     return st.builds(
         RealRegisters,
         decay_rate=raw_values(fmt, 0, min(fmt.max_raw, 1 << fmt.q)),
-        growth_rate=raw_values(fmt),
+        growth_rate=st.just(1.0) | raw_values(fmt),  # 1.0: `_drive` skips `_mul`
         v_threshold=raw_values(fmt),
         reset_mode=st.sampled_from(ResetMode),
         v_reset=raw_values(fmt),

@@ -715,11 +715,15 @@ def test_traces_record_post_reset_value():
 
 @pytest.mark.parametrize("policy", list(OverflowPolicy))
 @pytest.mark.parametrize("mode", list(ResetMode))
-def test_nothing_the_core_hands_out_changes_later(policy, mode):
+@pytest.mark.parametrize("decay", [0.2, 1.0])
+def test_nothing_the_core_hands_out_changes_later(policy, mode, decay):
     # The LIF kernel works in place on arrays of its own: every spike
     # vector, latch, membrane, raster and trace it has handed out keeps its
-    # values through later cycles, register writes and samples.
-    regs = baseline_regs(v_threshold=3.0, reset_mode=mode, v_reset=0.5, refractory_period=2)
+    # values through later cycles, register writes and samples.  Decay and
+    # growth 1.0 guard the leak, whose product `_lif` overwrites: a `_mul`
+    # that returned x for a rate of 1.0 would overwrite the stored membrane.
+    regs = baseline_regs(decay_rate=decay, v_threshold=3.0, reset_mode=mode, v_reset=0.5,
+                         refractory_period=2)
     core = toy_core((6, 5, 4, 3), Q5_3, weight_scale=4.0, regs=regs, policy=policy,
                     layer_latency=1)
     stream = np.random.default_rng(7).random((12, 6)) < 0.6

@@ -272,17 +272,23 @@ def test_accumulate_raw_saturate_depends_on_order():
     assert fold_add_raw(rows, Q5_3).tolist() == [47, Q5_3.max_raw]
 
 
-# Q5.3 columns at the edge of the no-clamp certificate: the positive terms
-# sum to exactly max_raw (certified) or max_raw + 1 (clamps mid-sum), the
-# same mirrored, and columns whose total is in range although a prefix sum
-# is not.
+# Q5.3 columns at the edge of the no-clamp certificate |s| + a <= 2 * max_raw
+# = 254, with s the plain sum and a the sum of absolute values (the number
+# after each column).  |s| + a is twice the larger of the positive part and
+# the magnitude of the negative part, so it is even: 256 is the first value
+# past 254, and a column at 256 or more takes the closed form, whether a
+# prefix sum clamps or not.
 @pytest.mark.parametrize("column, expected", [
-    ([100, 27, -50], 77),        # positive part 127: certified, the plain sum
-    ([100, 28, -50], 77),        # 128 clamps to 127 before -50; the sum is 78
-    ([-100, -28, 50], -78),      # negative part -128: certified
-    ([-100, -29, 50], -78),      # -129 clamps to -128 before +50; the sum is -79
-    ([100, 100, -100], 27),      # the total 100 is in range, the fold is not 100
-    ([-100, -100, 100], -28),
+    ([100, 27, -50], 77),        # 254, positive part 127: certified, the plain sum
+    ([100, 28, -50], 77),        # 256: 128 clamps to 127 before -50; the sum is 78
+    ([-100, -28, 50], -78),      # 256, negative part -128 = min_raw: no clamp, closed form
+    ([-100, -29, 50], -78),      # 258: -129 clamps to -128 before +50; the sum is -79
+    ([100, 100, -100], 27),      # 400: the total 100 is in range, the fold is not 100
+    ([-100, -100, 100], -28),    # 400
+    ([-100, -27, 50], -77),      # 254, negative part -127: certified
+    ([127, 0, -127], 0),         # 254, s = 0: certified
+    ([-127, 0, 127], 0),         # 254, s = 0: certified
+    ([-128, 0, 127], -1),        # 256, s = -1: closed form
 ])
 def test_accumulate_raw_saturate_certificate_boundaries(column, expected):
     rows = np.array(column, dtype=np.int64)[:, None]
