@@ -214,7 +214,7 @@ class _Cycle:
     [M] row, or of each row of a [T, M] raster with the bits of the row;
     `_mul(r, x)`, register r times the array x, as a fresh array; and
     `_fit(x)`, which brings a sum into the state's range where the cycle
-    latches or compares it and may overwrite `x`.  Its constant `_one` is 1.
+    latches or compares it and may overwrite `x`.  `_one` is the system's 1.
     `_lif(k, drive)`, the one LIF kernel, steps layer k under drive =
     growth x activation (the activation itself when the growth is `_one`).
     `__init__` takes the config, one validated register file per layer
