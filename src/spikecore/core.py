@@ -195,15 +195,20 @@ class SpikeRaster:
     layers: list[np.ndarray]            # K arrays, [T, Nk] bool
 
 
-def _masks(cfg: CoreConfig) -> list[np.ndarray]:
-    """The connection mask of each weight plane."""
-    masks = []
-    for k, (conn, m, n) in enumerate(zip(cfg.connectivity, cfg.sizes[:-1], cfg.sizes[1:])):
+def _per_layer(make, *columns) -> list:
+    """`make` of each layer's entries of `columns`; a ValueError names the layer."""
+    out = []
+    for k, entries in enumerate(zip(*columns)):
         try:
-            masks.append(build_mask(conn, m, n))
+            out.append(make(*entries))
         except ValueError as err:
             raise ValueError(f"layer {k}: {err}") from err
-    return masks
+    return out
+
+
+def _masks(cfg: CoreConfig) -> list[np.ndarray]:
+    """The connection mask of each weight plane."""
+    return _per_layer(build_mask, cfg.connectivity, cfg.sizes[:-1], cfg.sizes[1:])
 
 
 class _Cycle:
@@ -343,7 +348,7 @@ class Core(_Cycle):
         """`threads` is ignored; `bench/workloads.py` still passes it."""
         self.fmt = cfg.fmt
         self.policy = cfg.policy
-        regs = [r.quantize(cfg.fmt) for r in cfg.registers]
+        regs = _per_layer(lambda r: r.quantize(cfg.fmt), cfg.registers)
         dtype = raw_dtype(cfg.fmt)
         self._one = 1 << cfg.fmt.q  # growth 1.0, which `_drive` does not multiply by
         # On int64 state `_fit` shifts by `_spare` (WRAP) or clamps to [_lo, _hi].

@@ -258,6 +258,8 @@ def accumulate_raw(rows, fmt: QFormat):
     <= 32) give exact sums if R * 2**(w-1) <= 2**53; the result, and the
     closed form, are int64.
     """
+    if rows.ndim == 1:  # as [R, 1]: the sum of a 1-D object array is a Python int
+        return accumulate_raw(rows[:, None], fmt)[0]
     ints = raw_dtype(fmt)
     s = np.add.reduce(rows)
     if (np.abs(s) + np.add.reduce(np.abs(rows))).max(initial=0) <= 2 * fmt.max_raw:

@@ -7,8 +7,8 @@ refractory period as a whole number of cycles (the shared parsers
 `core.Core` programs its registers through it, each word made by
 `core.encode_register`, and `core.RealRegisters` uses the same two parsers.
 
-One simulation timestep is one spike-clock cycle.  The per-cycle order is
-fixed for bit-exact reproducibility:
+`step_neuron` steps a `NeuronState` (membrane, refractory counter) one
+spike-clock cycle, in this order, fixed for bit-exact reproducibility:
 
   1. accumulate this cycle's activation (weighted sum of input spikes,
      sequential adds in pre-synaptic index order),
@@ -34,10 +34,6 @@ __all__ = [
     "ResetMode",
     "NeuronRegisters",
     "NeuronState",
-    "accumulate_activation",
-    "membrane_update",
-    "fire_and_reset",
-    "refractory_tick",
     "step_neuron",
 ]
 
@@ -79,44 +75,32 @@ class NeuronRegisters:
 @dataclass
 class NeuronState:
     vmem: QWord
-    act: QWord
     refractory_counter: int = 0
 
     @classmethod
     def zero(cls, fmt: QFormat) -> "NeuronState":
-        return cls(QWord(fmt, 0), QWord(fmt, 0), 0)
+        return cls(QWord(fmt, 0), 0)
 
 
-def accumulate_activation(state: NeuronState, spikes, weights,
-                          policy: OverflowPolicy = WRAP) -> QWord:
-    """Weighted sum of this cycle's input spikes, added in index order."""
+def step_neuron(state: NeuronState, regs: NeuronRegisters, spikes, weights,
+                policy: OverflowPolicy = WRAP) -> bool:
+    """One full spike-clock cycle in the canonical order; True if the neuron fires."""
     if len(spikes) != len(weights):
         raise ValueError(f"{len(spikes)} spikes vs {len(weights)} weights")
-    acc = QWord(state.act.fmt, 0)
+    # 1. The weighted sum of this cycle's input spikes, added in index order.
+    act = QWord(state.vmem.fmt, 0)
     for fired, w in zip(spikes, weights):
         if fired:
-            acc = add(acc, w, policy)
-    state.act = acc
-    return acc
-
-
-def membrane_update(state: NeuronState, regs: NeuronRegisters,
-                    policy: OverflowPolicy = WRAP) -> QWord:
+            act = add(act, w, policy)
+    # 2. An armed counter counts down; the membrane is held.
+    if state.refractory_counter > 0:
+        state.refractory_counter -= 1
+        return False
+    # 3. Membrane update, threshold compare and the configured reset.
     leak = mul(regs.decay_rate, state.vmem, policy)
-    drive = mul(regs.growth_rate, state.act, policy)
+    drive = mul(regs.growth_rate, act, policy)
     state.vmem = add(sub(state.vmem, leak, policy), drive, policy)
-    return state.vmem
-
-
-def fire_and_reset(state: NeuronState, regs: NeuronRegisters,
-                   policy: OverflowPolicy = WRAP) -> bool:
-    """Threshold compare plus the configured post-spike reset.
-
-    DEFAULT applies one extra leak step instead of a discrete reset, so the
-    membrane keeps its exponential decay.  Every mode arms the refractory
-    counter.
-    """
-    if state.refractory_counter > 0 or state.vmem.raw < regs.v_threshold.raw:
+    if state.vmem.raw < regs.v_threshold.raw:
         return False
     mode = regs.reset_mode
     if mode is ResetMode.TO_CONSTANT:
@@ -125,24 +109,7 @@ def fire_and_reset(state: NeuronState, regs: NeuronRegisters,
         state.vmem = QWord(state.vmem.fmt, 0)
     elif mode is ResetMode.BY_SUBTRACTION:
         state.vmem = sub(state.vmem, regs.v_threshold, policy)
-    else:  # DEFAULT: exponential decay continues
+    else:  # DEFAULT: one more leak step, no discrete reset; exponential decay continues
         state.vmem = sub(state.vmem, mul(regs.decay_rate, state.vmem, policy), policy)
     state.refractory_counter = regs.refractory_period
     return True
-
-
-def refractory_tick(state: NeuronState) -> None:
-    """Count down one cycle; the membrane is held while the counter is armed."""
-    if state.refractory_counter > 0:
-        state.refractory_counter -= 1
-
-
-def step_neuron(state: NeuronState, regs: NeuronRegisters, spikes, weights,
-                policy: OverflowPolicy = WRAP) -> bool:
-    """One full spike-clock cycle in the canonical order."""
-    accumulate_activation(state, spikes, weights, policy)
-    if state.refractory_counter > 0:
-        refractory_tick(state)
-        return False
-    membrane_update(state, regs, policy)
-    return fire_and_reset(state, regs, policy)

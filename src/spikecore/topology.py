@@ -38,7 +38,7 @@ class ConnectivityKind(NamedEnum):
 @dataclass(frozen=True)
 class Connectivity:
     kind: ConnectivityKind
-    radius: int = 1  # index distance for GAUSSIAN; ignored otherwise
+    radius: int = 1  # GAUSSIAN: |i - j| <= radius on a square plane; ignored otherwise
 
     def __post_init__(self):
         """`kind` is a ConnectivityKind or its name, such as "one"."""
@@ -75,9 +75,10 @@ def build_mask(conn: Connectivity, m: int, n: int) -> np.ndarray:
         if m != n:
             raise ValueError(f"one-to-one needs square dimensions, got {m}x{n}")
         return np.eye(m, dtype=bool)
-    i = np.arange(m)[:, None]
-    j = np.arange(n)[None, :]
-    return np.abs(i - j) <= conn.radius
+    # Post j centres on its proportional pre position, within r on the smaller side's grid.
+    i = np.arange(m)[:, None] * (n - 1)
+    j = np.arange(n)[None, :] * (m - 1)
+    return np.abs(i - j) <= conn.radius * (max(m, n) - 1)
 
 
 @dataclass

@@ -275,6 +275,16 @@ def test_an_out_of_range_register_or_weight_names_it():
         baseline_regs(growth_rate=20.0).quantize(Q5_3)
 
 
+def test_a_config_register_out_of_range_names_its_layer():
+    # The message used to leave out which layer's register file was at fault.
+    ok = baseline_regs()
+    for name in ("v_threshold", "v_reset"):
+        bad = baseline_regs(**{name: 1000.0})
+        with pytest.raises(ValueError, match=rf"^layer 1: {name} 1000\.0 not representable "
+                                             r"in Q9\.7"):
+            Core(CoreConfig(Q9_7, (2, 2, 2), (core_module.ALL_TO_ALL,) * 2, (ok, bad)))
+
+
 def test_an_int_register_or_weight_stays_exact():
     # float() used to round 2**55 + 1 to 2**55 before quantizing.
     fmt, big = QFormat(60, 4), 2**55 + 1

@@ -105,8 +105,14 @@ def test_add_saturates():
 
 
 def test_add_format_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^format mismatch: Q5\.3 vs Q9\.7$"):
         add(encode_register(1.0, Q5_3), encode_register(1.0, QFormat(9, 7)))
+
+
+@pytest.mark.parametrize("op", [sub, mul])
+def test_sub_and_mul_format_mismatch(op):
+    with pytest.raises(ValueError, match=r"^format mismatch: Q5\.3 vs Q9\.7$"):
+        op(encode_register(1.0, Q5_3), encode_register(1.0, QFormat(9, 7)))
 
 
 def test_mul_exact():
@@ -305,6 +311,19 @@ def test_accumulate_raw_saturate_of_no_rows_is_zero(fmt):
     got = accumulate_raw(rows, fmt)
     assert got.dtype == rows.dtype and got.shape == (3,)
     assert got.tolist() == [0, 0, 0]
+
+
+@pytest.mark.parametrize("fmt, column", [
+    (Q5_3, [100, 27, -50]),                   # int64, certified
+    (Q5_3, [100, 28, -50]),                   # int64, 128 clamps to 127
+    (QFormat(34, 30), [2**60, -2**60, 5]),    # object, certified
+    (QFormat(34, 30), [2**62, 2**62, -5]),    # object, 2**63 clamps to 2**63 - 1
+])
+def test_accumulate_raw_saturate_of_one_column(fmt, column):
+    # A 1-D object column used to raise AttributeError: its sum is a Python int.
+    rows = np.array(column, dtype=raw_dtype(fmt))
+    got = accumulate_raw(rows, fmt)
+    assert got == fold_add_raw(rows, fmt) == fold_add_raw(rows[:, None], fmt)[0]
 
 
 def test_accumulate_raw_wraps_like_the_adder():

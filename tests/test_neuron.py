@@ -6,17 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikecore.core import encode_register
-from spikecore.fixedpoint import Q5_3, Q9_7, WRAP, QFormat, QWord
-from spikecore.neuron import (
-    NeuronRegisters,
-    NeuronState,
-    ResetMode,
-    accumulate_activation,
-    fire_and_reset,
-    membrane_update,
-    refractory_tick,
-    step_neuron,
-)
+from spikecore.fixedpoint import Q5_3, Q9_7, QFormat, QWord
+from spikecore.neuron import NeuronRegisters, NeuronState, ResetMode, step_neuron
 
 
 def regs(fmt=Q5_3, decay=0.25, growth=1.0, vth=10.0, mode=ResetMode.BY_SUBTRACTION,
@@ -31,8 +22,25 @@ def regs(fmt=Q5_3, decay=0.25, growth=1.0, vth=10.0, mode=ResetMode.BY_SUBTRACTI
     )
 
 
-def state(fmt=Q5_3, vmem=0.0, act=0.0, refr=0):
-    return NeuronState(encode_register(vmem, fmt), encode_register(act, fmt), refr)
+def state(fmt=Q5_3, vmem=0.0, refr=0):
+    return NeuronState(encode_register(vmem, fmt), refr)
+
+
+def weights(*values, fmt=Q5_3):
+    return [encode_register(v, fmt) for v in values]
+
+
+def quiet_step(s, r):
+    """One cycle with no input lines: only the membrane update and the reset act."""
+    return step_neuron(s, r, [], [])
+
+
+def activation(spikes, w):
+    """The activation, read as the membrane of a neuron that only integrates:
+    from 0, with decay 0, growth 1 and the threshold out of reach."""
+    s = state()
+    assert step_neuron(s, regs(decay=0.0, growth=1.0, vth=Q5_3.max_value), spikes, w) is False
+    return s.vmem
 
 
 # --- register rules ------------------------------------------------------------
@@ -76,50 +84,55 @@ def test_reset_mode_from_name_takes_a_mode_or_its_name():
 # --- activation accumulation ---------------------------------------------------
 
 def test_no_spikes_no_activation():
-    s = state()
-    w = [encode_register(v, Q5_3) for v in (3.0, -1.0, 0.5, 2.0)]
-    assert accumulate_activation(s, [0, 0, 0, 0], w).value == 0.0
+    assert activation([0, 0, 0, 0], weights(3.0, -1.0, 0.5, 2.0)).value == 0.0
 
 
 def test_activation_sums_spiking_weights():
-    s = state()
-    w = [encode_register(v, Q5_3) for v in (1.5, 9.0, -0.5, 9.0)]
-    assert accumulate_activation(s, [1, 0, 1, 0], w).value == 1.0
+    assert activation([1, 0, 1, 0], weights(1.5, 9.0, -0.5, 9.0)).value == 1.0
 
 
 def test_activation_wraps_sequentially():
-    s = state()
-    w = [encode_register(v, Q5_3) for v in (15.875, 15.875, 0.0, 0.0)]
     # sequential wrap-add oracle on raw 8-bit ints: 0+127=127, +127=254->-2
     acc = 0
     for raw in (127, 127, 0, 0):
         acc = ((acc + raw + 128) % 256) - 128
-    got = accumulate_activation(s, [1, 1, 1, 1], w)
+    got = activation([1, 1, 1, 1], weights(15.875, 15.875, 0.0, 0.0))
     assert got.raw == acc == -2
     assert got.value == -0.25
 
 
 def test_activation_length_mismatch():
     with pytest.raises(ValueError):
-        accumulate_activation(state(), [1, 0], [encode_register(1.0, Q5_3)])
+        step_neuron(state(), regs(), [1, 0], weights(1.0))
 
 
-# --- membrane update -----------------------------------------------------------
+def test_step_neuron_rejects_a_word_of_another_format():
+    # A weight of another format meets the Q5.3 sum, a Q9.7 membrane the Q5.3 decay.
+    with pytest.raises(ValueError, match=r"^format mismatch: Q5\.3 vs Q9\.7$"):
+        step_neuron(state(), regs(), [1], weights(1.0, fmt=Q9_7))
+    with pytest.raises(ValueError, match=r"^format mismatch: Q5\.3 vs Q9\.7$"):
+        step_neuron(state(Q9_7), regs(), [1], weights(1.0, fmt=Q9_7))
+
+
+# --- membrane update (one spike whose weight is the activation) ------------------
 
 def test_update_balanced_leak_and_drive():
-    s = state(vmem=8.0, act=2.0)
-    assert membrane_update(s, regs(decay=0.25, growth=1.0)).value == 8.0
+    s = state(vmem=8.0)
+    assert step_neuron(s, regs(decay=0.25, growth=1.0), [1], weights(2.0)) is False
+    assert s.vmem.value == 8.0
 
 
 def test_update_mixed():
-    s = state(vmem=4.0, act=4.0)
-    assert membrane_update(s, regs(decay=0.125, growth=0.5)).value == 5.5
+    s = state(vmem=4.0)
+    assert step_neuron(s, regs(decay=0.125, growth=0.5), [1], weights(4.0)) is False
+    assert s.vmem.value == 5.5
 
 
 def test_q97_trajectory_tracks_float_oracle():
     fmt = Q9_7
     r = regs(fmt, decay=0.2, growth=2.5, vth=fmt.max_value)  # threshold out of reach
-    s = state(fmt, vmem=0.0, act=1.0)
+    s = state(fmt, vmem=0.0)
+    w = weights(1.0, fmt=fmt)
     # Float oracle runs the same recurrence on the decoded register values,
     # so the comparison isolates per-step datapath truncation.
     d = r.decay_rate.value
@@ -129,52 +142,54 @@ def test_q97_trajectory_tracks_float_oracle():
     for _ in range(40):
         v = v - d * v + g * 1.0
         ref.append(v)
-        membrane_update(s, r)
+        step_neuron(s, r, [1], w)
         got.append(s.vmem.value)
     rmse = math.sqrt(np.mean((np.array(got) - np.array(ref)) ** 2))
     assert rmse < 4 * fmt.quantum
 
 
-# --- fire and reset -------------------------------------------------------------
+# --- fire and reset (decay 0, so the update keeps the membrane) -----------------
 
 def test_reset_by_subtraction():
     s = state(vmem=12.0)
-    assert fire_and_reset(s, regs(vth=10.0)) is True
+    assert quiet_step(s, regs(decay=0.0, vth=10.0)) is True
     assert s.vmem.value == 2.0
 
 
 def test_reset_to_zero():
     s = state(vmem=12.0)
-    assert fire_and_reset(s, regs(vth=10.0, mode=ResetMode.TO_ZERO)) is True
+    assert quiet_step(s, regs(decay=0.0, vth=10.0, mode=ResetMode.TO_ZERO)) is True
     assert s.vmem.value == 0.0
 
 
 def test_reset_to_constant():
     s = state(vmem=12.0)
-    assert fire_and_reset(s, regs(vth=10.0, mode=ResetMode.TO_CONSTANT, vreset=1.5)) is True
+    r = regs(decay=0.0, vth=10.0, mode=ResetMode.TO_CONSTANT, vreset=1.5)
+    assert quiet_step(s, r) is True
     assert s.vmem.value == 1.5
 
 
 def test_default_reset_is_one_extra_leak_step():
-    s = state(vmem=12.0)
-    assert fire_and_reset(s, regs(decay=0.25, vth=10.0, mode=ResetMode.DEFAULT)) is True
+    s = state(vmem=8.0)
+    r = regs(decay=0.25, growth=1.0, vth=10.0, mode=ResetMode.DEFAULT)
+    assert step_neuron(s, r, [1], weights(6.0)) is True  # updated to 8 - 0.25*8 + 6 = 12
     assert s.vmem.value == 9.0  # 12 - 0.25*12
 
 
 def test_no_spike_below_threshold():
     s = state(vmem=9.875)
-    assert fire_and_reset(s, regs(vth=10.0)) is False
+    assert quiet_step(s, regs(decay=0.0, vth=10.0)) is False
     assert s.vmem.value == 9.875
 
 
 def test_threshold_compare_is_geq():
     s = state(vmem=10.0)
-    assert fire_and_reset(s, regs(vth=10.0)) is True
+    assert quiet_step(s, regs(decay=0.0, vth=10.0)) is True
 
 
 def test_spike_arms_refractory():
     s = state(vmem=12.0)
-    fire_and_reset(s, regs(vth=10.0, refractory=3))
+    quiet_step(s, regs(decay=0.0, vth=10.0, refractory=3))
     assert s.refractory_counter == 3
 
 
@@ -182,7 +197,7 @@ def test_spike_arms_refractory():
 
 def test_tick_counts_down():
     s = state(refr=5)
-    refractory_tick(s)
+    assert step_neuron(s, regs(), [1], weights(12.0)) is False
     assert s.refractory_counter == 4
 
 
@@ -247,13 +262,13 @@ def test_leak_is_monotone_to_floor():
         s = state(vmem=12.5)
         prev = s.vmem.value
         for _ in range(200):
-            membrane_update(s, r)
+            quiet_step(s, r)
             assert s.vmem.value <= prev
             prev = s.vmem.value
         assert prev >= 0.0
         # settled: either zero or a sub-LSB truncation floor
         before = s.vmem.value
-        membrane_update(s, r)
+        quiet_step(s, r)
         assert s.vmem.value == before or s.vmem.value == 0.0
 
 

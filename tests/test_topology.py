@@ -63,7 +63,8 @@ def test_gaussian_radius_must_be_a_whole_number():
 
 
 def brute_force_ones(kind, m, n, r):
-    """Count mask entries straight from the index-distance definitions."""
+    """Count mask entries straight from the definitions; "gauss" is the
+    distance of i and j on the smaller side's index grid, in integers."""
     count = 0
     for i in range(m):
         for j in range(n):
@@ -72,8 +73,17 @@ def brute_force_ones(kind, m, n, r):
             elif kind == "one":
                 count += i == j
             else:
-                count += abs(i - j) <= r
+                count += abs(i * (n - 1) - j * (m - 1)) <= r * (max(m, n) - 1)
     return count
+
+
+def gauss_column_count(m, n, r, j):
+    """Rows i of column j with |i*(n-1) - j*(m-1)| <= r*(max(m, n) - 1):
+    the integer bounds on i, clipped to the rows.  One post sees every line."""
+    if n == 1:
+        return m
+    c, d = j * (m - 1), r * (max(m, n) - 1)
+    return max(0, min((c + d) // (n - 1), m - 1) - max(-((d - c) // (n - 1)), 0) + 1)
 
 
 def test_ones_count_formulas_exhaustive():
@@ -87,9 +97,24 @@ def test_ones_count_formulas_exhaustive():
                 assert build_mask(ONE, m, n).sum() == n
             for r in range(0, 4):
                 mask = build_mask(gauss(r), m, n)
-                # Per-column count, clamped at 0 for columns past the last row.
-                formula = sum(max(0, min(j + r, m - 1) - max(j - r, 0) + 1) for j in range(n))
+                if m == n:  # the band |i - j| <= r, per column
+                    formula = sum(max(0, min(j + r, m - 1) - max(j - r, 0) + 1)
+                                  for j in range(n))
+                else:
+                    formula = sum(gauss_column_count(m, n, r, j) for j in range(n))
                 assert mask.sum() == formula == brute_force_ones("gauss", m, n, r)
+
+
+def test_gaussian_band_leaves_no_line_or_neuron_unconnected():
+    # The band |i - j| <= r used to leave 126 of 256 pre lines without a
+    # synapse on 256 -> 128 with r = 2, and 46 of 64 posts without input on 16 -> 64.
+    for r in (1, 2, 3):
+        for m in range(1, 40):
+            for n in range(1, 40):
+                mask = build_mask(gauss(r), m, n)
+                assert mask.any(axis=1).all() and mask.any(axis=0).all(), (r, m, n)
+    assert build_mask(gauss(2), 256, 128).any(axis=1).all()
+    assert build_mask(gauss(2), 16, 64).any(axis=0).all()
 
 
 def test_masks_concatenate_row_wise():
