@@ -224,13 +224,12 @@ class _Cycle:
     growth x activation (the activation itself when the growth is `_one`).
     `__init__` takes the config, one validated register file per layer
     (`NeuronRegisters` or `RealRegisters`), which the cycle reads as it
-    stands, the state dtype and the trace scale."""
+    stands, and the state dtype.  Traces scale by 1 / `_one`, a power of two."""
 
-    def __init__(self, cfg: CoreConfig, regs, dtype, scale: float):
+    def __init__(self, cfg: CoreConfig, regs, dtype):
         self.cfg = cfg
         self._regs = regs
         self._dtype = dtype
-        self._scale = scale
         self.reset_state()
 
     def _check_synapse(self, layer: int, pre: int, post: int) -> None:
@@ -336,7 +335,7 @@ class _Cycle:
                     col.append(vmem)
         rasters = [np.array(c, dtype=bool).reshape(duration, n) for c, n in zip(outs, sizes[1:])]
         rows = [np.multiply(np.array(c, dtype=np.float64).reshape(duration, n).T,
-                            self._scale, order="C") for c, n in zip(vmems, sizes[1:])]
+                            1 / self._one, order="C") for c, n in zip(vmems, sizes[1:])]
         traces = {(k, j): row for k, layer in enumerate(rows) for j, row in enumerate(layer)}
         return SpikeRaster(dense, rasters), traces
 
@@ -354,7 +353,7 @@ class Core(_Cycle):
         # On int64 state `_fit` shifts by `_spare` (WRAP) or clamps to [_lo, _hi].
         self._spare = 64 - cfg.fmt.width if self.policy is WRAP and dtype is np.int64 else 0
         self._lo, self._hi = (cfg.fmt.min_raw, cfg.fmt.max_raw) if dtype is np.int64 else (0, 0)
-        super().__init__(cfg, regs, dtype, cfg.fmt.quantum)
+        super().__init__(cfg, regs, dtype)
         self.planes = [WeightMemory(cfg.fmt, mask, layer=k) for k, mask in enumerate(_masks(cfg))]
 
     # -- configuration ------------------------------------------------------

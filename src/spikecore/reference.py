@@ -37,7 +37,7 @@ class ReferenceCore(_Cycle):
     def __init__(self, cfg: CoreConfig):
         self.masks = _masks(cfg)
         self.weights = [np.zeros(m.shape) for m in self.masks]
-        super().__init__(cfg, cfg.registers, np.float64, 1.0)
+        super().__init__(cfg, cfg.registers, np.float64)
 
     def write_weight(self, layer: int, pre: int, post: int, value: float) -> None:
         self._check_synapse(layer, pre, post)

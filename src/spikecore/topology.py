@@ -38,7 +38,7 @@ class ConnectivityKind(NamedEnum):
 @dataclass(frozen=True)
 class Connectivity:
     kind: ConnectivityKind
-    radius: int = 1  # GAUSSIAN: |i - j| <= radius on a square plane; ignored otherwise
+    radius: int = 1  # GAUSSIAN: |i*(N-1) - j*(M-1)| <= radius*(max(M, N) - 1); 0 needs M = N
 
     def __post_init__(self):
         """`kind` is a ConnectivityKind or its name, such as "one"."""
@@ -75,6 +75,8 @@ def build_mask(conn: Connectivity, m: int, n: int) -> np.ndarray:
         if m != n:
             raise ValueError(f"one-to-one needs square dimensions, got {m}x{n}")
         return np.eye(m, dtype=bool)
+    if conn.radius == 0 and m != n:  # the band would keep only the exact proportional pairs
+        raise ValueError(f"gaussian radius 0 needs square dimensions, got {m}x{n}")
     # Post j centres on its proportional pre position, within r on the smaller side's grid.
     i = np.arange(m)[:, None] * (n - 1)
     j = np.arange(n)[None, :] * (m - 1)

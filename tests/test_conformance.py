@@ -6,19 +6,15 @@ spike and membrane must match the core's on every cycle, also when
 registers are rewritten between cycles.
 """
 
-from dataclasses import replace
-
+import harness
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikecore.core import Core, CoreConfig, RealRegisters, SpikeRaster
-from spikecore.fixedpoint import OverflowPolicy, QFormat, QWord
-from spikecore.neuron import NeuronState, ResetMode, step_neuron
+from spikecore.core import Core, RealRegisters
+from spikecore.fixedpoint import QFormat, QWord
+from spikecore.neuron import ResetMode
 from spikecore.reference import stack_traces
-from spikecore.topology import Connectivity, ConnectivityKind
-
-ALL_TO_ALL = Connectivity(ConnectivityKind.ALL_TO_ALL)
 
 # Q2-Q9 x q0-7; Q17.15, the widest int64 format, whose unreduced WRAP
 # products reach 2**62; and one format wider than 32 bits (object-dtype
@@ -47,56 +43,32 @@ def registers(fmt):
     )
 
 
-@st.composite
-def networks(draw):
-    fmt = draw(FORMATS)
-    n_layers = draw(st.integers(1, 3))
-    sizes = tuple(draw(st.lists(st.integers(1, 6), min_size=n_layers + 1,
-                                max_size=n_layers + 1)))
-    cfg = CoreConfig(
-        fmt, sizes, (ALL_TO_ALL,) * n_layers,
-        tuple(draw(registers(fmt)) for _ in range(n_layers)),
-        policy=draw(st.sampled_from(OverflowPolicy)),
-        layer_latency=draw(st.sampled_from((0, 1))),
-    )
-    # Weights uniform over the full raw range and inputs spiking half the
-    # time, so that SATURATE sums often clamp and then come back.
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    weights = [rng.integers(fmt.min_raw, fmt.max_raw, (m, n), endpoint=True)
-               for m, n in zip(sizes[:-1], sizes[1:])]
-    stream = rng.random((draw(st.integers(1, 12)), sizes[0])) < 0.5
-    return cfg, weights, stream
+# Weights uniform over the full raw range, with inputs spiking half the
+# time, so that SATURATE sums often clamp and then come back.
+NETWORKS = harness.networks(
+    FORMATS, registers,
+    lambda rng, fmt, shape: rng.integers(fmt.min_raw, fmt.max_raw, shape, endpoint=True),
+    max_cycles=12)
 
 
-def upstream_of(raster, k, latency):
-    """What layer k saw each cycle: the stimulus, or layer k-1's spikes
-    (one cycle late when layer_latency is 1)."""
-    if k == 0:
-        return raster.input_spikes
-    up = raster.layers[k - 1]
-    if latency:
-        up = np.vstack([np.zeros((1, up.shape[1]), dtype=bool), up[:-1]])
-    return up
-
-
-@given(net=networks())
-@settings(max_examples=300, deadline=None)
-def test_core_matches_scalar_oracle_neuron_by_neuron(net):
-    cfg, weights, stream = net
+def loaded(cfg, weights):
+    """A core of `cfg` whose planes hold the raw `weights`."""
     core = Core(cfg)
     for plane, w in zip(core.planes, weights):
         plane.raw[...] = w
+    return core
+
+
+@given(net=NETWORKS)
+@settings(max_examples=300, deadline=None)
+def test_core_matches_scalar_oracle_neuron_by_neuron(net):
+    cfg, weights, stream = net
+    core = loaded(cfg, weights)
     raster, traces = core.run_sample(stream, len(stream), watch="all")
-    for k in range(cfg.n_layers):
-        regs = core.registers(k)
-        upstream = upstream_of(raster, k, cfg.layer_latency).tolist()
-        for j in range(cfg.sizes[k + 1]):
-            column = core.planes[k].presynaptic_weights(j)
-            state = NeuronState.zero(cfg.fmt)
-            for t, spikes in enumerate(upstream):
-                fired = step_neuron(state, regs, spikes, column, cfg.policy)
-                assert fired == raster.layers[k][t, j], (k, j, t)
-                assert state.vmem.value == traces[(k, j)][t], (k, j, t)
+    vmem = np.split(stack_traces(traces) / cfg.fmt.quantum, np.cumsum(cfg.sizes[1:-1]), axis=1)
+    regs = [core.registers(k) for k in range(cfg.n_layers)]
+    planes = [plane.raw for plane in core.planes]
+    assert harness.mismatches(cfg, regs, planes, stream, raster.layers, vmem) == []
 
 
 @st.composite
@@ -122,35 +94,23 @@ def test_register_writes_between_cycles_match_the_scalar_oracle(data):
     # Refractory periods, thresholds and reset modes written between
     # cycles, a period of 0 included while neurons are held, take effect
     # in the core exactly as in the oracle given the same schedule.
-    cfg, weights, stream = data.draw(networks())
+    cfg, weights, stream = data.draw(NETWORKS)
     writes = data.draw(register_writes(cfg.fmt, cfg.n_layers, len(stream)))
-    core = Core(cfg)
-    for plane, w in zip(core.planes, weights):
-        plane.raw[...] = w
+    core = loaded(cfg, weights)
     regs = [core.registers(k) for k in range(cfg.n_layers)]
     outs, vmems = [], []
     for t, stim in enumerate(stream):
         for _, k, name, value in (w for w in writes if w[0] == t):
             core.write_register(k, name, value)
         outs.append(core.step_cycle(stim))
-        vmems.append([v.tolist() for v in core._vmem])
-    raster = SpikeRaster(stream, [np.array([out[k] for out in outs])
-                                  for k in range(cfg.n_layers)])
-    for k in range(cfg.n_layers):
-        upstream = upstream_of(raster, k, cfg.layer_latency).tolist()
-        for j in range(cfg.sizes[k + 1]):
-            column = core.planes[k].presynaptic_weights(j)
-            state, r = NeuronState.zero(cfg.fmt), regs[k]
-            for t, spikes in enumerate(upstream):
-                for _, layer, name, value in (w for w in writes if w[0] == t):
-                    if layer == k:
-                        r = replace(r, **{name: value})
-                fired = step_neuron(state, r, spikes, column, cfg.policy)
-                assert fired == raster.layers[k][t, j], (k, j, t)
-                assert state.vmem.raw == vmems[t][k][j], (k, j, t)
+        vmems.append(list(core._vmem))
+    spikes, vmem = ([np.array([cycle[k] for cycle in c]) for k in range(cfg.n_layers)]
+                    for c in (outs, vmems))
+    planes = [plane.raw for plane in core.planes]
+    assert harness.mismatches(cfg, regs, planes, stream, spikes, vmem, writes) == []
 
 
-@given(net=networks())
+@given(net=NETWORKS)
 @settings(max_examples=200, deadline=None)
 def test_run_sample_equals_a_step_cycle_loop(net):
     # The two drivers of the one LIF kernel: `run_sample` computes layer
@@ -158,10 +118,7 @@ def test_run_sample_equals_a_step_cycle_loop(net):
     # cycle.  Spikes, membranes and the state left behind must agree, so
     # that one more cycle continues both alike.
     cfg, weights, stream = net
-    sampled, looped = Core(cfg), Core(cfg)
-    for core in (sampled, looped):
-        for plane, w in zip(core.planes, weights):
-            plane.raw[...] = w
+    sampled, looped = loaded(cfg, weights), loaded(cfg, weights)
     raster, traces = sampled.run_sample(stream, len(stream), watch="all")
     outs, vmems = [], []
     for stim in stream:

@@ -2,6 +2,7 @@ import re
 import threading
 from dataclasses import replace
 
+import harness
 import numpy as np
 import pytest
 
@@ -10,7 +11,7 @@ from spikecore.core import Core, CoreConfig, RealRegisters, encode_register
 from spikecore.fixedpoint import (
     Q3_1, Q5_3, Q9_7, Q17_15, SATURATE, OverflowPolicy, QFormat, QWord, fit_raw, wrap_raw,
 )
-from spikecore.neuron import NeuronState, ResetMode, step_neuron
+from spikecore.neuron import ResetMode
 from spikecore.reference import matched_reference
 from spikecore.topology import Connectivity, ConnectivityKind, MaskedSynapseError, WeightMemory
 
@@ -502,16 +503,12 @@ def test_subtractive_reset_at_the_range_ends_matches_the_oracle(policy, fmt, v_t
 
 def oracle_lockstep(core, stimulus):
     """(spike, raw membrane) of neuron 0 of a one-layer core for each row of
-    `stimulus`, checked cycle by cycle against `neuron.step_neuron`."""
-    state, regs = NeuronState.zero(core.fmt), core.registers(0)
-    column = core.planes[0].presynaptic_weights(0)
-    steps = []
-    for spikes in stimulus:
-        fired = bool(core.step_cycle(spikes)[0][0])
-        assert step_neuron(state, regs, spikes.tolist(), column, core.policy) == fired
-        assert state.vmem.raw == core._vmem[0][0]
-        steps.append((fired, state.vmem.raw))
-    return steps
+    `stimulus`, every neuron checked on every cycle against the scalar oracle."""
+    steps = [(core.step_cycle(row)[0], core._vmem[0]) for row in stimulus]
+    spikes, vmem = (np.array(column) for column in zip(*steps))
+    assert harness.mismatches(core.cfg, [core.registers(0)], [core.planes[0].raw], stimulus,
+                              [spikes], [vmem]) == []
+    return [(bool(s), int(v)) for s, v in zip(spikes[:, 0], vmem[:, 0])]
 
 
 def drive_counts(core, cycles=40):
@@ -563,21 +560,22 @@ def test_low_gain_mapping_never_spikes():
 # --- structural invariants ------------------------------------------------------
 
 def test_whole_core_step_equals_isolated_layers():
-    core = toy_core(sizes=(5, 4, 3), seed=9)
+    # Isolated single-layer cores fed the recorded upstream spikes, one
+    # cycle late under layer_latency=1, give the same spikes and membranes.
     rng = np.random.default_rng(1)
     stim = rng.random((15, 5)) < 0.5
-    raster, _ = core.run_sample(stim, 15)
-
-    # isolated single-layer cores fed the recorded upstream spikes
-    for k in range(core.cfg.n_layers):
-        sub = CoreConfig.uniform(core.cfg.fmt,
-                                 [core.cfg.sizes[k], core.cfg.sizes[k + 1]],
-                                 core.cfg.registers[k])
-        iso = Core(sub)
-        iso.planes[0].raw[:] = core.planes[k].raw
-        feed = stim if k == 0 else raster.layers[k - 1]
-        iso_raster, _ = iso.run_sample(feed, 15)
-        assert np.array_equal(iso_raster.layers[0], raster.layers[k])
+    for latency in (0, 1):
+        core = toy_core(sizes=(5, 4, 3), seed=9, layer_latency=latency)
+        raster, traces = core.run_sample(stim, 15, watch="all")
+        for k in range(core.cfg.n_layers):
+            iso = Core(CoreConfig.uniform(core.cfg.fmt, core.cfg.sizes[k:k + 2],
+                                          core.cfg.registers[k]))
+            iso.planes[0].raw[:] = core.planes[k].raw
+            feed = harness.upstream(stim, raster.layers, k, latency)
+            iso_raster, iso_traces = iso.run_sample(feed, 15, watch="all")
+            assert np.array_equal(iso_raster.layers[0], raster.layers[k]), (latency, k)
+            for j in range(core.cfg.sizes[k + 1]):
+                assert np.array_equal(iso_traces[(0, j)], traces[(k, j)]), (latency, k, j)
 
 
 def test_state_isolation_between_samples():

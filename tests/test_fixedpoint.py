@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import harness
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,14 +207,6 @@ def test_in_range_arithmetic_matches_reals():
 
 # --- ordered accumulation of gathered weight rows ---------------------------
 
-def fold_add_raw(rows, fmt, policy=SATURATE):
-    """The reference order: add_raw row by row, starting from 0."""
-    acc = np.zeros(rows.shape[1:], dtype=rows.dtype)
-    for row in rows:
-        acc = add_raw(acc, row, fmt, policy)
-    return acc
-
-
 def core_row_sum(rows, fmt, policy):
     """A core's activation for one cycle in which `rows`' lines spike.
 
@@ -234,7 +227,7 @@ def test_accumulate_raw_equals_sequential_fold(fmt, policy, n_rows):
     rng = np.random.default_rng(n_rows)
     rows = rng.integers(fmt.min_raw, fmt.max_raw, (n_rows, 9), endpoint=True)
     rows = rows.astype(raw_dtype(fmt))
-    fold = fold_add_raw(rows, fmt, policy)
+    fold = harness.fold(rows, fmt, policy)
     if policy is SATURATE:
         got = accumulate_raw(rows, fmt)
         assert got.dtype == rows.dtype
@@ -267,7 +260,7 @@ def test_accumulate_raw_saturate_matches_fold_on_long_walks(walk):
     fmt, rows = walk
     got = accumulate_raw(rows, fmt)
     assert got.dtype == rows.dtype
-    assert np.array_equal(got, fold_add_raw(rows, fmt))
+    assert np.array_equal(got, harness.fold(rows, fmt))
 
 
 def test_accumulate_raw_saturate_depends_on_order():
@@ -275,7 +268,7 @@ def test_accumulate_raw_saturate_depends_on_order():
     # 5.875; the same three weights with -10 first end at the maximum.
     rows = np.array([[120, -80], [120, 120], [-80, 120]])
     assert accumulate_raw(rows, Q5_3).tolist() == [47, Q5_3.max_raw]
-    assert fold_add_raw(rows, Q5_3).tolist() == [47, Q5_3.max_raw]
+    assert harness.fold(rows, Q5_3).tolist() == [47, Q5_3.max_raw]
 
 
 # Q5.3 columns at the edge of the no-clamp certificate |s| + a <= 2 * max_raw
@@ -298,7 +291,7 @@ def test_accumulate_raw_saturate_depends_on_order():
 ])
 def test_accumulate_raw_saturate_certificate_boundaries(column, expected):
     rows = np.array(column, dtype=np.int64)[:, None]
-    assert fold_add_raw(rows, Q5_3).tolist() == [expected]
+    assert harness.fold(rows, Q5_3).tolist() == [expected]
     assert accumulate_raw(rows, Q5_3).tolist() == [expected]
     # Beside a column that can clamp, the call takes the closed form.
     pair = np.hstack([rows, np.array([[120], [120], [-80]])])
@@ -323,7 +316,7 @@ def test_accumulate_raw_saturate_of_one_column(fmt, column):
     # A 1-D object column used to raise AttributeError: its sum is a Python int.
     rows = np.array(column, dtype=raw_dtype(fmt))
     got = accumulate_raw(rows, fmt)
-    assert got == fold_add_raw(rows, fmt) == fold_add_raw(rows[:, None], fmt)[0]
+    assert got == harness.fold(rows, fmt) == harness.fold(rows[:, None], fmt)[0]
 
 
 def test_accumulate_raw_wraps_like_the_adder():

@@ -44,14 +44,14 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
+import harness
 import numpy as np
 
 from spikecore.core import Core, CoreConfig, RealRegisters
 from spikecore.fixedpoint import (
-    Q5_3, Q9_7, Q17_15, SATURATE, WRAP, OverflowPolicy, QFormat, QWord, add_raw, mul_raw,
-    saturate_raw, wrap_raw,
+    Q5_3, Q9_7, Q17_15, SATURATE, WRAP, OverflowPolicy, QFormat, QWord, saturate_raw,
 )
-from spikecore.neuron import NeuronState, ResetMode, step_neuron
+from spikecore.neuron import ResetMode
 from spikecore.topology import Connectivity, ConnectivityKind
 
 SIZES = (64, 16, 4)
@@ -204,16 +204,6 @@ def replay(case: Case, weights, stimulus):
     return cycles
 
 
-def upstream(case: Case, stimulus, spikes, k: int):
-    """What layer k saw each cycle: the stimulus, or layer k-1's spikes
-    (one cycle late, and nothing in cycle 0, at layer_latency=1)."""
-    if k == 0:
-        return stimulus
-    if case.layer_latency == 0:
-        return spikes[k - 1]
-    return np.vstack([np.zeros((1, case.sizes[k]), dtype=bool), spikes[k - 1][:-1]])
-
-
 def decode(case: Case, cycles):
     """Per layer, the [T, N] spikes and raw membranes of recorded cycles."""
     n = len(case.registers)
@@ -224,23 +214,10 @@ def decode(case: Case, cycles):
 
 
 def oracle_mismatches(case: Case, weights, stimulus, cycles) -> list[tuple[int, int, int]]:
-    """Each neuron replayed through `neuron.step_neuron`, fed from the
-    recorded upstream spikes: the first (layer, neuron, cycle) per neuron
-    whose spike or membrane differs from `cycles`."""
+    """`harness.mismatches` of the recorded cycles of a golden core."""
     spikes, vmem = decode(case, cycles)
-    bad = []
-    for k, (w, real) in enumerate(zip(weights, case.registers)):
-        regs = real.quantize(case.fmt)
-        rows = upstream(case, stimulus, spikes, k).tolist()
-        for j in range(w.shape[1]):
-            column = [QWord(case.fmt, int(x)) for x in w[:, j]]
-            state = NeuronState.zero(case.fmt)
-            for t, row in enumerate(rows):
-                fired = step_neuron(state, regs, row, column, case.policy)
-                if fired != spikes[k][t, j] or state.vmem.raw != vmem[k][t, j]:
-                    bad.append((k, j, t))
-                    break
-    return bad
+    regs = [real.quantize(case.fmt) for real in case.registers]
+    return harness.mismatches(case.config(), regs, weights, stimulus, spikes, vmem)
 
 
 def load(case: Case):
@@ -283,139 +260,86 @@ def test_q97_wrap_three_layer_latency1_golden_trace_replays_bit_for_bit():
     check_replay(WRAPPING_Q97)
 
 
+def recounted(case: Case):
+    """`harness.recount` of a golden file, and its recorded spikes and membranes."""
+    data, weights, stimulus = load(case)
+    spikes, vmem = decode(case, data["cycles"])
+    return harness.recount(case.config(), weights, stimulus, spikes, vmem), spikes, vmem
+
+
 def test_golden_sums_clamp_mid_sum():
     # The fixture is only worth freezing if some layer-0 sums saturate and
     # then come back: there the ordered sum differs from clamp(plain sum).
-    _, weights, stimulus = load(SATURATING)
-    w = weights[0]
-    differs = 0
-    for row in stimulus:
-        active = w[np.flatnonzero(row)]
-        acc = np.zeros(w.shape[1], dtype=np.int64)
-        for r in active:
-            acc = add_raw(acc, r, Q5_3, SATURATE)
-        differs += int(np.sum(acc != saturate_raw(active.sum(axis=0), Q5_3)))
-    assert differs > 100
+    total, act, _, _ = recounted(SATURATING)[0][0]
+    assert np.sum(act != saturate_raw(total, Q5_3)) > 100
 
 
 def test_q97_golden_sums_mostly_certify_and_some_clamp_mid_sum():
     # A certified call is one where no column's positive terms sum past
     # max_raw nor its negative terms past min_raw: no prefix sum can clamp.
     # The file should take both paths of the saturating accumulation.
-    data, weights, stimulus = load(SATURATING_Q97)
-    fmt = SATURATING_Q97.fmt
-    layer0 = np.array([unbits(c["spikes"][0]) for c in data["cycles"]])
+    case = SATURATING_Q97
+    fmt = case.fmt
+    layers, spikes, _ = recounted(case)
+    _, weights, stimulus = load(case)
     certified = fallback = clamped_mid_sum = 0
-    for w, upstream in zip(weights, (stimulus, layer0)):
-        for row in upstream:
-            active = w[np.flatnonzero(row)]
-            positive, negative = np.maximum(active, 0).sum(0), np.minimum(active, 0).sum(0)
-            if (positive <= fmt.max_raw).all() and (negative >= fmt.min_raw).all():
-                certified += 1
-                continue
-            fallback += 1
-            acc = np.zeros(w.shape[1], dtype=np.int64)
-            for r in active:
-                acc = add_raw(acc, r, fmt, SATURATE)
-            clamped_mid_sum += int(np.sum(acc != saturate_raw(active.sum(axis=0), fmt)))
+    for k, (w, (total, act, _, _)) in enumerate(zip(weights, layers)):
+        up = harness.upstream(stimulus, spikes, k, case.layer_latency).astype(np.int64)
+        positive, negative = up @ np.maximum(w, 0), up @ np.minimum(w, 0)
+        ok = ((positive <= fmt.max_raw) & (negative >= fmt.min_raw)).all(axis=1)
+        certified += int(ok.sum())
+        fallback += int((~ok).sum())
+        # A certified sum cannot clamp: only the fallback sums count here.
+        clamped_mid_sum += int(np.sum(act != saturate_raw(total, fmt)))
     assert (certified, fallback) == (75, 5)
     assert clamped_mid_sum > 10
 
 
+def wraps(case: Case):
+    """Per layer: the activation sums, and the membrane updates
+    vmem - leak + drive of neurons not held, whose exact integer value
+    leaves the range of `case.fmt` and wraps."""
+    lo, hi = case.fmt.min_raw, case.fmt.max_raw
+    acts, updates = [], []
+    for total, _, update, held in recounted(case)[0]:
+        acts.append(int(np.sum((total < lo) | (total > hi))))
+        updates.append(int(np.sum(~held & ((update < lo) | (update > hi)))))
+    return acts, updates
+
+
 def test_wrap_golden_activations_and_membranes_wrap():
-    # The fixture is only worth freezing if the datapath wraps: count the
-    # activation sums, and the membrane updates vmem - leak + drive of
-    # neurons not held, whose exact integer value leaves the Q5.3 range.
-    data, weights, stimulus = load(WRAPPING)
-    lo, hi = Q5_3.min_raw, Q5_3.max_raw
-    spikes = [np.array([unbits(c["spikes"][k]) for c in data["cycles"]]) for k in range(2)]
-    vmem = [np.array([[QWord.from_literal(x).raw for x in c["vmem"][k].split()]
-                      for c in data["cycles"]]) for k in range(2)]
-    act_wraps = membrane_wraps = 0
-    for k, (w, regs) in enumerate(zip(weights, WRAPPING.registers)):
-        upstream = stimulus if k == 0 else spikes[k - 1]
-        decay, growth = (round(x / Q5_3.quantum) for x in (regs.decay_rate, regs.growth_rate))
-        prev = np.zeros(w.shape[1], dtype=np.int64)
-        for t, row in enumerate(upstream):
-            total = w[np.flatnonzero(row)].sum(axis=0)
-            act_wraps += int(np.sum((total < lo) | (total > hi)))
-            update = prev - mul_raw(decay, prev, Q5_3) + mul_raw(growth, wrap_raw(total, Q5_3),
-                                                                  Q5_3)
-            held = spikes[k][max(t - regs.refractory_period, 0):t].any(axis=0)
-            membrane_wraps += int(np.sum(~held & ((update < lo) | (update > hi))))
-            prev = vmem[k][t]
-    assert act_wraps > 100
-    assert membrane_wraps > 50
+    # The fixture is only worth freezing if the datapath wraps.
+    act_wraps, membrane_wraps = wraps(WRAPPING)
+    assert sum(act_wraps) > 100
+    assert sum(membrane_wraps) > 50
 
 
 def test_q1715_golden_sums_and_membranes_hit_the_bounds():
     # Per layer: ordered activation sums that end on a bound of Q17.15,
     # and membrane updates vmem - leak + drive of neurons not held whose
-    # exact value lies above or below the range and is clamped.  With
-    # layer_latency=1, layer k > 0 reads layer k-1's spikes of the cycle
-    # before, and nothing in cycle 0.
-    case = SATURATING_Q1715
-    data, weights, stimulus = load(case)
-    fmt, sizes = case.fmt, case.sizes
-    lo, hi = fmt.min_raw, fmt.max_raw
-    spikes = [np.array([unbits(c["spikes"][k]) for c in data["cycles"]])
-              for k in range(len(weights))]
-    vmem = [np.array([[QWord.from_literal(x).raw for x in c["vmem"][k].split()]
-                      for c in data["cycles"]]) for k in range(len(weights))]
+    # exact value lies above or below the range and is clamped.
+    fmt = SATURATING_Q1715.fmt
     at_bound, above, below = [], [], []
-    for k, (w, regs) in enumerate(zip(weights, case.registers)):
-        upstream = stimulus if k == 0 else np.vstack(
-            [np.zeros((1, sizes[k]), dtype=bool), spikes[k - 1][:-1]])
-        decay, growth = (round(x / fmt.quantum) for x in (regs.decay_rate, regs.growth_rate))
-        prev = np.zeros(w.shape[1], dtype=np.int64)
-        counts = [0, 0, 0]
-        for t, row in enumerate(upstream):
-            act = np.zeros(w.shape[1], dtype=np.int64)
-            for r in w[np.flatnonzero(row)]:
-                act = add_raw(act, r, fmt, SATURATE)
-            update = prev - ((decay * prev) >> fmt.q) + mul_raw(growth, act, fmt, SATURATE)
-            held = spikes[k][max(t - regs.refractory_period, 0):t].any(axis=0)
-            counts[0] += int(np.sum((act == lo) | (act == hi)))
-            counts[1] += int(np.sum(~held & (update > hi)))
-            counts[2] += int(np.sum(~held & (update < lo)))
-            prev = vmem[k][t]
-        for out, n in zip((at_bound, above, below), counts):
-            out.append(n)
+    for _, act, update, held in recounted(SATURATING_Q1715)[0]:
+        at_bound.append(int(np.sum((act == fmt.min_raw) | (act == fmt.max_raw))))
+        above.append(int(np.sum(~held & (update > fmt.max_raw))))
+        below.append(int(np.sum(~held & (update < fmt.min_raw))))
     assert at_bound == [7, 94, 42]
     assert above == [59, 17, 0]
     assert below == [66, 18, 76]
 
 
 def test_q97_wrap_golden_wraps_in_every_layer_and_every_reset_fires():
-    # Per layer: activation sums, and membrane updates vmem - leak + drive
-    # of neurons not held, whose exact integer value leaves the Q9.7 range
-    # and wraps.  Each layer spikes, and a spike leaves its reset value.
+    # Activation sums and membrane updates wrap in every layer.  Each layer
+    # spikes, and a spike leaves its reset value.
     case = WRAPPING_Q97
-    data, weights, stimulus = load(case)
-    fmt = case.fmt
-    lo, hi = fmt.min_raw, fmt.max_raw
-    spikes, vmem = decode(case, data["cycles"])
-    act_wraps, membrane_wraps = [], []
-    for k, (w, regs) in enumerate(zip(weights, case.registers)):
-        decay, growth = (round(x / fmt.quantum) for x in (regs.decay_rate, regs.growth_rate))
-        prev = np.zeros(w.shape[1], dtype=np.int64)
-        acts = updates = 0
-        for t, row in enumerate(upstream(case, stimulus, spikes, k)):
-            total = w[np.flatnonzero(row)].sum(axis=0)
-            acts += int(np.sum((total < lo) | (total > hi)))
-            update = prev - mul_raw(decay, prev, fmt) + mul_raw(growth, wrap_raw(total, fmt), fmt)
-            held = spikes[k][max(t - regs.refractory_period, 0):t].any(axis=0)
-            updates += int(np.sum(~held & ((update < lo) | (update > hi))))
-            prev = vmem[k][t]
-        act_wraps.append(acts)
-        membrane_wraps.append(updates)
-    assert act_wraps == [6, 59, 28]
-    assert membrane_wraps == [21, 24, 9]
+    assert wraps(case) == ([6, 59, 28], [21, 24, 9])
+    _, spikes, vmem = recounted(case)
     modes = [r.reset_mode for r in case.registers]
     assert modes == [ResetMode.TO_ZERO, ResetMode.TO_CONSTANT, ResetMode.BY_SUBTRACTION]
     assert all(s.any() for s in spikes)
     assert (vmem[0][spikes[0]] == 0).all()
-    assert (vmem[1][spikes[1]] == round(case.registers[1].v_reset / fmt.quantum)).all()
+    assert (vmem[1][spikes[1]] == round(case.registers[1].v_reset / case.fmt.quantum)).all()
 
 
 def test_q97_wrap_golden_matches_the_scalar_oracle():

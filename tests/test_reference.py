@@ -1,12 +1,13 @@
 import re
 
+import harness
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikecore.core import Core, CoreConfig, RealRegisters, _masks
-from spikecore.fixedpoint import Q3_1, Q5_3, Q9_7, Q17_15, OverflowPolicy, QFormat
+from spikecore.fixedpoint import Q3_1, Q5_3, Q9_7, Q17_15, QFormat
 from spikecore.neuron import ResetMode
 from spikecore.reference import (
     FormatComparison,
@@ -130,9 +131,10 @@ def test_reference_write_weight_rejects_a_non_finite_value(value):
 @pytest.mark.parametrize("build", [Core, ReferenceCore,
                                    lambda cfg: sum(int(m.sum()) for m in _masks(cfg))])
 def test_a_mask_error_names_the_layer(build):
-    cfg = CoreConfig(Q9_7, (4, 4, 3), (ALL, ONE), (regs(),) * 2)
-    with pytest.raises(ValueError, match="^layer 1: one-to-one needs square dimensions, got 4x3$"):
-        build(cfg)
+    for conn, what in ((ONE, "one-to-one"), (Connectivity("gaussian", 0), "gaussian radius 0")):
+        cfg = CoreConfig(Q9_7, (4, 4, 3), (ALL, conn), (regs(),) * 2)
+        with pytest.raises(ValueError, match=f"^layer 1: {what} needs square dimensions, got 4x3$"):
+            build(cfg)
 
 
 @pytest.mark.parametrize("model", [Core, ReferenceCore])
@@ -179,7 +181,7 @@ def test_watch_is_none_or_all(model):
     _, traces = sim.run_sample(stim, 4, watch="all")
     assert list(traces) == [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)]
     for k, vmem in enumerate(sim._vmem):  # each trace ends at its own neuron's membrane
-        assert [traces[(k, j)][-1] for j in range(len(vmem))] == (vmem * sim._scale).tolist()
+        assert [traces[(k, j)][-1] for j in range(len(vmem))] == (vmem * (1 / sim._one)).tolist()
 
 
 def test_rmse_identical_traces_is_zero():
@@ -308,35 +310,24 @@ def eighths(lo, hi):
     return st.integers(lo, hi).map(lambda i: i / 8)
 
 
-@st.composite
-def exact_networks(draw):
-    """Q17.15 networks whose every datapath value lies on the 1/8 grid and far
-    inside the format: decay 0 or 1, growth 1, weights, thresholds and
-    v_reset in eighths.  There the quantized datapath rounds nothing."""
-    n_layers = draw(st.integers(1, 3))
-    sizes = tuple(draw(st.lists(st.integers(1, 6), min_size=n_layers + 1,
-                                max_size=n_layers + 1)))
-    layer_regs = st.builds(
-        RealRegisters,
-        decay_rate=st.sampled_from((0.0, 1.0)),
-        growth_rate=st.just(1.0),
-        v_threshold=eighths(-16, 48),
-        reset_mode=st.sampled_from(ResetMode),
-        v_reset=eighths(-32, 32),
-        refractory_period=st.integers(0, 3),
-    )
-    cfg = CoreConfig(Q17_15, sizes, (ALL,) * n_layers,
-                     tuple(draw(layer_regs) for _ in range(n_layers)),
-                     policy=draw(st.sampled_from(OverflowPolicy)),
-                     layer_latency=draw(st.sampled_from((0, 1))))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    weights = [rng.integers(-64, 64, (m, n), endpoint=True) / 8
-               for m, n in zip(sizes[:-1], sizes[1:])]
-    stream = rng.random((draw(st.integers(1, 20)), sizes[0])) < 0.5
-    return cfg, weights, stream
+# Q17.15 networks whose every datapath value lies on the 1/8 grid and far
+# inside the format: decay 0 or 1, growth 1, weights, thresholds and
+# v_reset in eighths.  There the quantized datapath rounds nothing.
+EXACT_REGISTERS = st.builds(
+    RealRegisters,
+    decay_rate=st.sampled_from((0.0, 1.0)),
+    growth_rate=st.just(1.0),
+    v_threshold=eighths(-16, 48),
+    reset_mode=st.sampled_from(ResetMode),
+    v_reset=eighths(-32, 32),
+    refractory_period=st.integers(0, 3),
+)
+EXACT_NETWORKS = harness.networks(
+    st.just(Q17_15), lambda fmt: EXACT_REGISTERS,
+    lambda rng, fmt, shape: rng.integers(-64, 64, shape, endpoint=True) / 8, max_cycles=20)
 
 
-@given(net=exact_networks())
+@given(net=EXACT_NETWORKS)
 @settings(max_examples=200, deadline=None)
 def test_reference_equals_core_where_the_core_is_exact(net):
     cfg, weights, stream = net

@@ -67,6 +67,13 @@ def test_every_unused_import_is_a_tracer_target():
     assert not unwrapped
 
 
+def test_no_test_module_binds_an_unused_import():
+    # The tracer wraps nothing under tests/, so an unread binding there has no reason to stay.
+    tests = Path(__file__).resolve().parent.glob("*.py")
+    unused = {path.name: unused_imports(path.read_text()) for path in tests}
+    assert "harness.py" in unused and not any(unused.values()), unused
+
+
 def test_the_tracer_sees_every_weight_write():
     # A store that went round WeightMemory.write, or a real that went round
     # encode_raw, would blind the set-up metrics that count these spans.

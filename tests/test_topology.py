@@ -95,7 +95,7 @@ def test_ones_count_formulas_exhaustive():
             assert build_mask(ALL, m, n).sum() == m * n == brute_force_ones("all", m, n, 0)
             if m == n:
                 assert build_mask(ONE, m, n).sum() == n
-            for r in range(0, 4):
+            for r in range(0 if m == n else 1, 4):  # radius 0 needs a square plane
                 mask = build_mask(gauss(r), m, n)
                 if m == n:  # the band |i - j| <= r, per column
                     formula = sum(max(0, min(j + r, m - 1) - max(j - r, 0) + 1)
@@ -115,6 +115,15 @@ def test_gaussian_band_leaves_no_line_or_neuron_unconnected():
                 assert mask.any(axis=1).all() and mask.any(axis=0).all(), (r, m, n)
     assert build_mask(gauss(2), 256, 128).any(axis=1).all()
     assert build_mask(gauss(2), 16, 64).any(axis=0).all()
+
+
+def test_gaussian_radius0_needs_a_square_plane():
+    # Radius 0 used to keep 2 synapses on 256 -> 128, leaving 126 posts bare.
+    for m, n in ((256, 128), (16, 64)):
+        with pytest.raises(ValueError, match=f"^gaussian radius 0 needs square dimensions, "
+                                             f"got {m}x{n}$"):
+            build_mask(gauss(0), m, n)
+    assert np.array_equal(build_mask(gauss(0), 8, 8), np.eye(8, dtype=bool))
 
 
 def test_masks_concatenate_row_wise():
