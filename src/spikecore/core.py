@@ -18,12 +18,14 @@ plain sum too when a certificate shows that no prefix sum can leave the
 range, and otherwise the discrete two-sided Skorokhod map of the prefix
 sums, which has an exact closed form (`fixedpoint.accumulate_raw`).
 
-A plane's dtype says how its rows are summed (`topology.WeightMemory`).
-On a float64 plane they sum exactly, so `run_sample` computes layer 0's
+A plane's dtype says how its rows are summed (`topology.WeightMemory`):
+float32, float64, or int64 / object.  On a float plane a row within the
+active-line bound sums exactly, so `run_sample` computes layer 0's
 activation for every cycle as one product of the stimulus raster, known
 before the sample starts, with the plane.  WRAP wraps it; SATURATE keeps
-it in the cycles where a second product, with |plane|, gives the
-certificate.  The other cycles, and int64 or object planes, take the gather.
+it where a second product, with |plane|, gives the certificate.  Cycles
+past the bound or uncertified, and int64 or object planes, take the
+gather, which sums a row past the bound in float64.
 
 A register whose raw r lies in [0, 2**q] is a rate in [0, 1]: the decay
 always, and the growth when it is at most 1.  A product by such a rate
@@ -405,21 +407,23 @@ class Core(_Cycle):
     def _activation(self, k: int, spikes_in: np.ndarray) -> np.ndarray:
         """Ordered sum of the weight rows of the active inputs, of one cycle's
         [M] row or of each row of a [T, M] raster (module docstring)."""
-        w, fmt = self.planes[k].raw, self.fmt
+        w, fmt, bound = self.planes[k].raw, self.fmt, self.planes[k].active_bound
         if spikes_in.ndim == 1:
-            rows = w[spikes_in.nonzero()[0]]
+            lines = spikes_in.nonzero()[0]
+            rows = w[lines] if len(lines) <= bound else w[lines].astype(np.float64)
             if self.policy is WRAP:
                 return self._fit(np.add.reduce(rows).astype(self._dtype, copy=False))
             return accumulate_raw(rows, fmt)
         out = np.empty((len(spikes_in), w.shape[1]), dtype=self._dtype)
         fail = np.ones(len(spikes_in), dtype=bool)  # the rows that take the gather
-        if w.dtype == np.float64:
-            x = spikes_in.astype(np.float64)
-            out[:] = s = x @ w  # exact integers in float64
+        if w.dtype.kind == "f":
+            x = spikes_in.astype(w.dtype)
+            out[:] = s = x @ w  # exact in float32 and float64 rows within the active-line bound
+            fail = np.count_nonzero(spikes_in, axis=1) > bound if len(w) > bound else ~fail
             if self.policy is WRAP:
-                return self._fit(out)
-            a = x @ np.abs(w)  # `accumulate_raw`'s certificate; |w| is plane-sized
-            fail = (np.abs(s) + a > 2 * fmt.max_raw).any(axis=1)
+                out = self._fit(out)
+            else:  # `accumulate_raw`'s certificate; |w| is plane-sized
+                fail |= (np.abs(s) + x @ np.abs(w) > 2 * fmt.max_raw).any(axis=1)
         for t in fail.nonzero()[0]:
             out[t] = self._activation(k, spikes_in[t])
         return out

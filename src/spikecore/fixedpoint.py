@@ -255,8 +255,10 @@ def accumulate_raw(rows, fmt: QFormat):
         x_R = c_R - max(min(m_1 - lo, 0), max_s min(c_s - hi, m_s - lo)).
     Every term is an exact integer: |c|, a <= R * 2**31 in int64 for
     widths <= 32, Python ints (object dtype) beyond.  Float64 rows (widths
-    <= 32) give exact sums if R * 2**(w-1) <= 2**53; the result, and the
-    closed form, are int64.
+    <= 32) give exact sums and an exact certificate if R * 2**(w-1) <= 2**53,
+    and float32 rows if R * 2**(w-1) <= 2**24 and w <= 24: |s| + a may pass
+    2**24, but rounding is monotone and the threshold 2**w - 2 lies below
+    2**24.  The result, and the closed form, are int64.
     """
     if rows.ndim == 1:  # as [R, 1]: the sum of a 1-D object array is a Python int
         return accumulate_raw(rows[:, None], fmt)[0]

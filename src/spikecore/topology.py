@@ -4,9 +4,11 @@ A weight plane connects M pre-synaptic lines to N post-synaptic neurons.
 A stored weight is one signed word of the plane's format: its sign is the
 synapse's polarity (excitatory >= 0, inhibitory < 0) and its magnitude the
 strength.  Masked-out positions are structurally zero and reject writes.
-A plane holds integer payloads, in float64 when every column sum is exact
-there, in any order (width <= 32 and M * 2**(w-1) <= 2**53): the core then
-multiplies the stored plane.  Otherwise in the state dtype `raw_dtype`.
+A plane holds integer payloads, and every partial sum of a row with at most
+its active-line bound of active lines is exact, in any order: in float32
+when w <= 24 and ceil(M/2) * 2**(w-1) <= 2**24 (bound 2**(25-w)), else in
+float64 when w <= 32 and M * 2**(w-1) <= 2**53 (bound M); the core then
+multiplies the stored plane.  Otherwise in the state dtype `raw_dtype` (bound M).
 """
 
 from __future__ import annotations
@@ -91,10 +93,14 @@ class WeightMemory:
     mask: np.ndarray
     layer: int = 0
     raw: np.ndarray = field(init=False)
+    active_bound: int = field(init=False)
 
     def __post_init__(self):
-        exact = self.fmt.width <= 32 and self.mask.shape[0] << (self.fmt.width - 1) <= 1 << 53
-        self.raw = np.zeros(self.mask.shape, dtype=np.float64 if exact else raw_dtype(self.fmt))
+        m, w = self.mask.shape[0], self.fmt.width
+        single = w <= 24 and (m + 1) // 2 << (w - 1) <= 1 << 24  # a half-active row is exact
+        dtype = np.float64 if w <= 32 and m << (w - 1) <= 1 << 53 else raw_dtype(self.fmt)
+        self.raw = np.zeros(self.mask.shape, dtype=np.float32 if single else dtype)
+        self.active_bound = 1 << (25 - w) if single else m
 
     def _check(self, pre: int, post: int) -> None:
         m, n = self.mask.shape

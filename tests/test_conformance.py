@@ -16,12 +16,14 @@ from spikecore.fixedpoint import QFormat, QWord
 from spikecore.neuron import ResetMode
 from spikecore.reference import stack_traces
 
-# Q2-Q9 x q0-7; Q17.15, the widest int64 format, whose unreduced WRAP
-# products reach 2**62; and one format wider than 32 bits (object-dtype
-# payloads).  Each of the two single formats is drawn about as often as
-# all the narrow ones together.
+# Q2-Q9 x q0-7; Q13.11, the widest float32 format, whose planes of 1 to 4
+# lines are float32 with a bound of 2 active lines, and of 5 or 6 lines
+# float64; Q17.15, the widest int64 format, whose unreduced WRAP products
+# reach 2**62; and one format wider than 32 bits (object-dtype payloads).
+# Each of the three single formats is drawn about as often as all the
+# narrow ones together.
 FORMATS = (st.sampled_from([QFormat(n, q) for n in range(2, 10) for q in range(8)])
-           | st.just(QFormat(17, 15)) | st.just(QFormat(20, 20)))
+           | st.just(QFormat(13, 11)) | st.just(QFormat(17, 15)) | st.just(QFormat(20, 20)))
 
 
 def raw_values(fmt, lo=None, hi=None):

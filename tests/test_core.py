@@ -187,7 +187,7 @@ def test_write_weight_stores_the_signed_payload():
         core.write_weight(0, 0, 0, encode_register(1.0, Q9_7))
 
 
-@pytest.mark.parametrize("fmt, dtype", [(Q5_3, np.float64), (QFormat(33, 31), object)])
+@pytest.mark.parametrize("fmt, dtype", [(Q5_3, np.float32), (QFormat(33, 31), object)])
 def test_write_weight_checks_address_then_value_then_format_then_mask(fmt, dtype):
     # Each write fails two checks, and the earlier one names the error.
     core = Core(CoreConfig.uniform(fmt, [4, 4, 4], baseline_regs(), GAUSS1))
@@ -296,12 +296,13 @@ def test_an_int_register_or_weight_stays_exact():
 
 
 @pytest.mark.parametrize("fmt, dtype", [
-    (Q5_3, np.float64), (Q9_7, np.float64), (Q17_15, np.float64),
+    (Q5_3, np.float32), (Q9_7, np.float32), (Q17_15, np.float64),
     (QFormat(20, 20), object), (QFormat(33, 31), object),
 ])
 def test_weight_planes_store_integer_payloads_by_width(fmt, dtype):
-    # Widths <= 32 in float64, wider ones as Python ints; either way every
-    # written word reads back bit-exact, and a fractional real is truncated.
+    # Four lines of widths <= 24 in float32, up to 32 in float64, wider
+    # ones as Python ints; either way every written word reads back
+    # bit-exact, and a fractional real is truncated.
     core = Core(CoreConfig.uniform(fmt, [4, 1], baseline_regs()))
     assert core.planes[0].raw.dtype == dtype
     words = [QWord(fmt, fmt.min_raw), QWord(fmt, fmt.max_raw),
@@ -689,6 +690,38 @@ def python_fold(column, fmt, policy):
         acc += r
         acc = min(max(acc, lo), hi) if policy is SATURATE else ((acc - lo) & mask) + lo
     return acc
+
+
+@pytest.mark.parametrize("fmt, lines, dtype, bound", [
+    (Q9_7, 1024, np.float32, 512), (Q9_7, 1025, np.float64, 1025),
+    (QFormat(13, 11), 4, np.float32, 2), (QFormat(13, 11), 5, np.float64, 5),
+    (QFormat(14, 11), 1, np.float64, 1),
+])
+def test_a_plane_is_float32_while_a_half_active_row_sums_exactly(fmt, lines, dtype, bound):
+    # float32 needs w <= 24 and ceil(M/2) * 2**(w-1) <= 2**24; its rows are
+    # exact up to 2**(25-w) active lines, a float64 plane's up to all M.
+    plane = WeightMemory(fmt, np.ones((lines, 1), dtype=bool))
+    assert plane.raw.dtype == dtype and plane.active_bound == bound
+
+
+@pytest.mark.parametrize("policy", list(OverflowPolicy))
+def test_a_float32_plane_stays_exact_past_its_active_line_bound(policy):
+    # 1024 Q9.7 lines are float32 with a bound of 512 active lines.  513
+    # lines at max_raw sum to 513 * 32767 = 16 809 471, odd and above 2**24:
+    # no float32 equals it, so a row past the bound must sum in float64, in
+    # one cycle's row and in a raster alike.
+    fmt, m = Q9_7, 1024
+    core = Core(CoreConfig.uniform(fmt, [m, 2], baseline_regs(), policy=policy))
+    plane = core.planes[0]
+    plane.raw[:, 0], plane.raw[:, 1] = fmt.max_raw, fmt.min_raw
+    assert plane.raw.dtype == np.float32 and plane.active_bound == 512
+    assert 513 * fmt.max_raw == 16_809_471 > 1 << 24
+    raster = np.arange(m) < np.array([[0], [512], [513], [1024]])
+    want = [[python_fold([int(x) for x in plane.raw[row, j]], fmt, policy) for j in range(2)]
+            for row in raster]
+    for row, expected in zip(raster, want):
+        assert core._activation(0, row).tolist() == expected
+    assert core._activation(0, raster).tolist() == want
 
 
 @pytest.mark.parametrize("policy", list(OverflowPolicy))

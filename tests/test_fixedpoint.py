@@ -225,15 +225,17 @@ def core_row_sum(rows, fmt, policy):
 @pytest.mark.parametrize("n_rows", [0, 1, 2, 3, 5, 8, 13, 64, 257])
 def test_accumulate_raw_equals_sequential_fold(fmt, policy, n_rows):
     rng = np.random.default_rng(n_rows)
-    rows = rng.integers(fmt.min_raw, fmt.max_raw, (n_rows, 9), endpoint=True)
-    rows = rows.astype(raw_dtype(fmt))
-    fold = harness.fold(rows, fmt, policy)
-    if policy is SATURATE:
-        got = accumulate_raw(rows, fmt)
-        assert got.dtype == rows.dtype
-        assert np.array_equal(got, fold)
-    got = core_row_sum(rows, fmt, policy)
-    assert got.dtype == rows.dtype
+    ints = rng.integers(fmt.min_raw, fmt.max_raw, (n_rows, 9), endpoint=True)
+    ints = ints.astype(raw_dtype(fmt))
+    fold = harness.fold(ints, fmt, policy)
+    # Q5.3 rows also as float32, a plane's dtype there: 257 * 2**7 <= 2**24.
+    for rows in (ints, ints.astype(np.float32))[:1 + (fmt.width <= 24)]:
+        if policy is SATURATE:
+            got = accumulate_raw(rows, fmt)
+            assert got.dtype == ints.dtype
+            assert np.array_equal(got, fold)
+    got = core_row_sum(ints, fmt, policy)
+    assert got.dtype == ints.dtype
     assert np.array_equal(got, fold)
 
 
@@ -292,10 +294,11 @@ def test_accumulate_raw_saturate_depends_on_order():
 def test_accumulate_raw_saturate_certificate_boundaries(column, expected):
     rows = np.array(column, dtype=np.int64)[:, None]
     assert harness.fold(rows, Q5_3).tolist() == [expected]
-    assert accumulate_raw(rows, Q5_3).tolist() == [expected]
-    # Beside a column that can clamp, the call takes the closed form.
     pair = np.hstack([rows, np.array([[120], [120], [-80]])])
-    assert accumulate_raw(pair, Q5_3).tolist() == [expected, 47]
+    for dtype in (np.int64, np.float32):  # float32: the rows of a Q5.3 plane
+        assert accumulate_raw(rows.astype(dtype), Q5_3).tolist() == [expected]
+        # Beside a column that can clamp, the call takes the closed form.
+        assert accumulate_raw(pair.astype(dtype), Q5_3).tolist() == [expected, 47]
 
 
 @pytest.mark.parametrize("fmt", [Q5_3, QFormat(33, 31)])

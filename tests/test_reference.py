@@ -310,9 +310,11 @@ def eighths(lo, hi):
     return st.integers(lo, hi).map(lambda i: i / 8)
 
 
-# Q17.15 networks whose every datapath value lies on the 1/8 grid and far
-# inside the format: decay 0 or 1, growth 1, weights, thresholds and
-# v_reset in eighths.  There the quantized datapath rounds nothing.
+# Q17.15 and Q13.11 networks whose every datapath value lies on the 1/8
+# grid and far inside the format: decay 0 or 1, growth 1, weights,
+# thresholds and v_reset in eighths.  There the quantized datapath rounds
+# nothing.  Q13.11 planes of up to 4 lines are float32 with a bound of 2
+# active lines, so a row with more takes the float64 gather.
 EXACT_REGISTERS = st.builds(
     RealRegisters,
     decay_rate=st.sampled_from((0.0, 1.0)),
@@ -323,7 +325,7 @@ EXACT_REGISTERS = st.builds(
     refractory_period=st.integers(0, 3),
 )
 EXACT_NETWORKS = harness.networks(
-    st.just(Q17_15), lambda fmt: EXACT_REGISTERS,
+    st.sampled_from((Q17_15, QFormat(13, 11))), lambda fmt: EXACT_REGISTERS,
     lambda rng, fmt, shape: rng.integers(-64, 64, shape, endpoint=True) / 8, max_cycles=20)
 
 
