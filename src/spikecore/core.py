@@ -106,12 +106,18 @@ def encode_register(value, fmt: QFormat, name: str = "value") -> QWord:
         if value.fmt != fmt:
             raise ValueError(f"{name} format {value.fmt} != core format {fmt}")
         return value
-    finite_real(value, name)
+    return QWord(fmt, _real_raw(value, fmt, name))
+
+
+def _real_raw(value, fmt: QFormat, name: str) -> int:
+    """The raw payload of `value`, a finite real in range, truncated toward -inf."""
+    if type(value) is not float:  # a nan or inf float fails the range test below
+        finite_real(value, name)
     # Truncation toward -inf keeps exactly the reals in [min_value, -min_value).
-    if not fmt.min_value <= value < -fmt.min_value:
-        raise ValueError(f"{name} {value} not representable in {fmt} "
+    if not fmt.min_value <= value < -fmt.min_value:  # `finite_real` names a nan or inf
+        raise ValueError(f"{name} {finite_real(value, name)} not representable in {fmt} "
                          f"(range [{fmt.min_value}, {fmt.max_value}])")
-    return QWord(fmt, encode_raw(value, fmt))
+    return encode_raw(value, fmt)
 
 
 @dataclass(frozen=True)
@@ -382,14 +388,20 @@ class Core(_Cycle):
         self._regs[layer] = replace(regs, **{name: value})
 
     def write_weight(self, layer: int, pre: int, post: int, value) -> None:
-        """Program one synapse; `value` is a signed real or QWord."""
-        self._check_synapse(layer, pre, post)
+        """Program one synapse; `value` is a signed real or QWord.  The checks run
+        address, value, format, mask.  A Python float reaches its plane as its raw
+        payload, with no QWord built; any other value goes through `encode_register`."""
+        sizes = self.cfg.sizes
+        if not (type(layer) is type(pre) is type(post) is int and 0 <= layer < len(sizes) - 1
+                and 0 <= pre < sizes[layer] and 0 <= post < sizes[layer + 1]):
+            self._check_synapse(layer, pre, post)  # numpy indices, or raises
         try:
-            word = encode_register(value, self.fmt)
+            word = (_real_raw(value, self.fmt, "") if type(value) is float
+                    else encode_register(value, self.fmt))
         except ValueError:  # then the check runs again, to raise under the synapse's name
-            word = None
-        self.planes[layer].write(pre, post, word or encode_register(
-            value, self.fmt, f"weight of synapse (layer={layer}, pre={pre}, post={post})"))
+            word = encode_register(
+                value, self.fmt, f"weight of synapse (layer={layer}, pre={pre}, post={post})")
+        self.planes[layer].write(pre, post, word)
 
     def decoded_registers(self) -> list[RealRegisters]:
         """Register values as the datapath sees them (decoded from the format)."""

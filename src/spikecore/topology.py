@@ -4,6 +4,8 @@ A weight plane connects M pre-synaptic lines to N post-synaptic neurons.
 A stored weight is one signed word of the plane's format: its sign is the
 synapse's polarity (excitatory >= 0, inhibitory < 0) and its magnitude the
 strength.  Masked-out positions are structurally zero and reject writes.
+A write checks the address, the value and its format, then the mask; a
+real reaches its plane as its raw payload (`core.Core.write_weight`).
 A plane holds integer payloads, and every partial sum of a row with at most
 its active-line bound of active lines is exact, in any order: in float32
 when w <= 24 and ceil(M/2) * 2**(w-1) <= 2**24 (bound 2**(25-w)), else in
@@ -109,14 +111,20 @@ class WeightMemory:
                 f"synapse (layer={self.layer}, pre={pre}, post={post}) outside {m}x{n}"
             )
 
-    def write(self, pre: int, post: int, weight: QWord) -> None:
-        """Store one signed weight; its sign is the synapse's polarity."""
+    def write(self, pre: int, post: int, weight) -> None:
+        """Store one signed weight, a QWord of the plane's format or its raw payload
+        (an int in range), after checks of address, payload and format, then mask."""
         self._check(pre, post)
-        if weight.fmt is not self.fmt and weight.fmt != self.fmt:
-            raise ValueError(f"weight format {weight.fmt} != memory format {self.fmt}")
+        if isinstance(weight, QWord):
+            if weight.fmt is not self.fmt and weight.fmt != self.fmt:
+                raise ValueError(f"weight format {weight.fmt} != memory format {self.fmt}")
+            weight = weight.raw
+        elif type(weight) is not int or not self.fmt.min_raw <= weight <= self.fmt.max_raw:
+            raise ValueError(f"synapse (layer={self.layer}, pre={pre}, post={post}): weight "
+                             f"{weight!r} is neither a QWord nor a raw payload of {self.fmt}")
         if not self.mask[pre, post]:
             raise MaskedSynapseError(self.layer, pre, post)
-        self.raw[pre, post] = weight.raw
+        self.raw[pre, post] = weight
 
     def presynaptic_weights(self, post: int) -> list[QWord]:
         """Column for one post neuron, in pre index order (accumulation order)."""

@@ -45,12 +45,21 @@ def registers(fmt):
     )
 
 
-# Weights uniform over the full raw range, with inputs spiking half the
-# time, so that SATURATE sums often clamp and then come back.
-NETWORKS = harness.networks(
-    FORMATS, registers,
-    lambda rng, fmt, shape: rng.integers(fmt.min_raw, fmt.max_raw, shape, endpoint=True),
-    max_cycles=12)
+def end_heavy_weights(rng, fmt, shape):
+    """Raw words, about half at a range end and the rest uniform over the
+    range.  A column's end words are all min_raw or all max_raw, so that
+    they add up rather than cancel: three active max_raw words of Q13.11
+    sum to an odd value past 2**24, which float32 cannot hold, so only the
+    float64 upcast of a row past a float32 plane's active-line bound (2)
+    keeps the bits."""
+    ends = rng.choice([fmt.min_raw, fmt.max_raw], shape[1:])
+    uniform = rng.integers(fmt.min_raw, fmt.max_raw, shape, endpoint=True)
+    return np.where(rng.random(shape) < 0.5, ends, uniform)
+
+
+# Inputs spike half the time, so that SATURATE sums often clamp and then
+# come back.
+NETWORKS = harness.networks(FORMATS, registers, end_heavy_weights, max_cycles=12)
 
 
 def loaded(cfg, weights):

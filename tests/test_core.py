@@ -1,3 +1,4 @@
+import functools
 import re
 import threading
 from dataclasses import replace
@@ -5,6 +6,8 @@ from dataclasses import replace
 import harness
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikecore import core as core_module
 from spikecore.core import Core, CoreConfig, RealRegisters, encode_register
@@ -211,6 +214,66 @@ def test_write_weight_checks_address_then_value_then_format_then_mask(fmt, dtype
         assert type(info.value) is error
         assert core.planes[1].raw is raw and raw.dtype == dtype and np.array_equal(raw, before)
     assert raw[0, 0] == -1.5 * 2**fmt.q and raw[3, 2] == 2.25 * 2**fmt.q
+
+
+# One single-column core per plane kind, in formats that the conformance
+# tests draw: the int64 plane has 2**22 + 1 Q17.15 lines, 32 MB of zeros
+# that no write here touches past its first rows.
+PLANE_KINDS = [(Q5_3, 4, np.float32), (QFormat(13, 11), 4, np.float32), (Q17_15, 4, np.float64),
+               (Q17_15, (1 << 22) + 1, np.int64), (QFormat(20, 20), 4, object)]
+
+
+@functools.cache
+def column_core(fmt, lines):
+    return Core(CoreConfig.uniform(fmt, [lines, 1], baseline_regs()))
+
+
+def weight_inputs(fmt):
+    """Reals on and off the grid, both range ends and one quantum past each,
+    and the inputs that are no real in range or that take the checked path."""
+    q, other = fmt.quantum, Q9_7 if fmt != Q9_7 else Q5_3
+    cases = [fmt.min_value, fmt.max_value, fmt.min_value - q, fmt.max_value + q,
+             fmt.max_value + q / 2, -0.0, 5e-324, float("nan"), float("inf"), float("-inf"),
+             True, np.True_, None, "1.0", np.float32(-0.7), np.float64(1.3), np.int64(-2), 1,
+             2**70, QWord(fmt, fmt.min_raw), QWord(fmt, 5), QWord(other, 5)]
+    return (st.sampled_from(cases) | st.integers(fmt.min_raw, fmt.max_raw).map(lambda r: r * q)
+            | st.floats(2 * fmt.min_value, -2 * fmt.min_value) | st.integers(-20, 20))
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_write_weight_stores_what_encode_register_gives_or_raises_as_it_does(data):
+    # A Python float in range reaches the plane as a raw payload, any other
+    # value through `encode_register`; either way the plane holds exactly
+    # the word's payload, or the write raises encode_register's error under
+    # the synapse's name and stores nothing.
+    fmt, lines, dtype = data.draw(st.sampled_from(PLANE_KINDS))
+    core, pre = column_core(fmt, lines), data.draw(st.integers(0, 3))
+    value = data.draw(weight_inputs(fmt))
+    plane = core.planes[0]
+    plane.raw[:4] = [[3], [-3], [fmt.max_raw], [fmt.min_raw]]
+    before = plane.raw[:4].copy()
+    try:
+        want = encode_register(value, fmt, f"weight of synapse (layer=0, pre={pre}, post=0)")
+    except ValueError as err:
+        with pytest.raises(ValueError) as info:
+            core.write_weight(0, pre, 0, value)
+        assert type(info.value) is type(err) and str(info.value) == str(err)
+        assert plane.raw.dtype == dtype and np.array_equal(plane.raw[:4], before)
+        return
+    core.write_weight(0, pre, 0, value)
+    assert core.planes[0] is plane and plane.raw.dtype == dtype
+    assert plane.raw[pre, 0] == want.raw and type(plane.raw[pre, 0]) is type(before[pre, 0])
+    before[pre] = want.raw
+    assert np.array_equal(plane.raw[:4], before)
+
+
+def test_a_real_weight_reaches_its_plane_without_a_qword(monkeypatch):
+    core = Core(CoreConfig.uniform(Q5_3, [2, 2], baseline_regs()))
+    monkeypatch.setattr(QWord, "__post_init__", lambda self: pytest.fail("QWord built"))
+    core.write_weight(0, 1, 0, -2.3)
+    core.write_weight(0, 0, 1, Q5_3.max_value)
+    assert core.planes[0].raw.tolist() == [[0, Q5_3.max_raw], [-19, 0]]
 
 
 def test_write_register_rejects_a_word_of_another_format():

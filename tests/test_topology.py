@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -233,3 +235,28 @@ def test_write_rejects_a_word_of_another_format():
     with pytest.raises(ValueError, match="memory format"):
         mem.write(0, 0, encode_register(1.0, Q9_7))
     assert mem.raw[0, 0] == 0
+
+
+def test_write_takes_a_raw_payload_in_range():
+    mem = make_mem(gauss(1))
+    for pre, post, raw in ((0, 0, Q5_3.min_raw), (1, 2, Q5_3.max_raw), (2, 1, -1)):
+        mem.write(pre, post, raw)
+    assert mem.raw.tolist() == [[Q5_3.min_raw, 0, 0], [0, 0, Q5_3.max_raw], [0, -1, 0]]
+
+
+@pytest.mark.parametrize("payload", [0.5, np.int64(5), None, True, "1", 1.0,
+                                     Q5_3.max_raw + 1, Q5_3.min_raw - 1, 1 << 70])
+def test_write_rejects_a_payload_that_is_no_word_of_its_format(payload):
+    # A float, numpy scalar or None used to raise AttributeError on `.fmt`,
+    # and an int was not taken.  The payload is checked after the address
+    # and before the mask.
+    mem = WeightMemory(Q5_3, build_mask(gauss(1), 4, 4), layer=2)
+    with pytest.raises(IndexError, match=r"^synapse \(layer=2, pre=4, post=0\) outside 4x4$"):
+        mem.write(4, 0, payload)
+    for pre, post in ((1, 2), (0, 2)):  # a synapse, then a masked-out one
+        message = re.escape(f"synapse (layer=2, pre={pre}, post={post}): weight {payload!r} "
+                            "is neither a QWord nor a raw payload of Q5.3")
+        with pytest.raises(ValueError, match=f"^{message}$") as info:
+            mem.write(pre, post, payload)
+        assert type(info.value) is ValueError
+    assert not mem.raw.any()
