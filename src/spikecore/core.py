@@ -19,13 +19,13 @@ range, and otherwise the discrete two-sided Skorokhod map of the prefix
 sums, which has an exact closed form (`fixedpoint.accumulate_raw`).
 
 A plane's dtype says how its rows are summed (`topology.WeightMemory`):
-float32, float64, or int64 / object.  On a float plane a row within the
+float32, float64 or object.  On a float plane a row within the
 active-line bound sums exactly, so `run_sample` computes layer 0's
 activation for every cycle as one product of the stimulus raster, known
 before the sample starts, with the plane.  WRAP wraps it; SATURATE keeps
 it where a second product, with |plane|, gives the certificate.  Cycles
-past the bound or uncertified, and int64 or object planes, take the
-gather, which sums a row past the bound in float64.
+past the bound or uncertified, and object planes, take the gather, which
+sums a row past the bound in the state's integers (int64 for w <= 32).
 
 A register whose raw r lies in [0, 2**q] is a rate in [0, 1]: the decay
 always, and the growth when it is at most 1.  A product by such a rate
@@ -112,7 +112,7 @@ def encode_register(value, fmt: QFormat, name: str = "value") -> QWord:
 def _real_raw(value, fmt: QFormat, name: str) -> int:
     """The raw payload of `value`, a finite real in range, truncated toward -inf."""
     if type(value) is not float:  # a nan or inf float fails the range test below
-        finite_real(value, name)
+        value = finite_real(value, name)
     # Truncation toward -inf keeps exactly the reals in [min_value, -min_value).
     if not fmt.min_value <= value < -fmt.min_value:  # `finite_real` names a nan or inf
         raise ValueError(f"{name} {finite_real(value, name)} not representable in {fmt} "
@@ -133,7 +133,7 @@ class RealRegisters:
 
     def __post_init__(self):
         for name in _WORDS:
-            finite_real(getattr(self, name), name)
+            object.__setattr__(self, name, finite_real(getattr(self, name), name))
         if not 0.0 <= self.decay_rate <= 1.0:
             raise ValueError(f"decay_rate {self.decay_rate} outside [0, 1]")
         object.__setattr__(self, "reset_mode", ResetMode.from_name(self.reset_mode))
@@ -232,7 +232,8 @@ class _Cycle:
     growth x activation (the activation itself when the growth is `_one`).
     `__init__` takes the config, one validated register file per layer
     (`NeuronRegisters` or `RealRegisters`), which the cycle reads as it
-    stands, and the state dtype.  Traces scale by 1 / `_one`, a power of two."""
+    stands, and the state dtype.  Traces scale by 1 / `_one`, a power of two.
+    `_out` latches each layer's last spikes, which drive the layer after it."""
 
     def __init__(self, cfg: CoreConfig, regs, dtype):
         self.cfg = cfg
@@ -248,16 +249,13 @@ class _Cycle:
                              f"the planes of sizes {sizes}")
 
     def reset_state(self) -> None:
-        """Between-sample reset: membranes, refractory counters and the
-        latched outputs of layers 0..K-2 to zero.
-
-        Fresh arrays, not in-place zeroing: the latched outputs are the
-        spike vectors that `step_cycle` returned to its caller.
-        """
+        """Between-sample reset: membranes, refractory counters and every layer's
+        latched spikes to zero, in fresh arrays, not by in-place zeroing: a latch
+        holds the spike vector that `step_cycle` returned to its caller."""
         sizes = self.cfg.sizes
         self._vmem = [np.zeros(n, dtype=self._dtype) for n in sizes[1:]]
         self._refr = [np.zeros(n, dtype=np.int64) for n in sizes[1:]]
-        self._prev_out = [np.zeros(n, dtype=bool) for n in sizes[1:-1]]
+        self._out = [np.zeros(n, dtype=bool) for n in sizes[1:]]  # each layer's last spikes
         # Per layer: a refractory counter may be nonzero (`_lif` keeps it).
         self._armed = [True] * self.cfg.n_layers
 
@@ -302,20 +300,19 @@ class _Cycle:
         return spikes
 
     def step_cycle(self, input_spikes, *, drive0=None) -> list[np.ndarray]:
-        """Advance every layer by one spike-clock cycle; returns spike vectors.
-        Layer 0's drive is `drive0` (from `run_sample`), else that of the 0/1 `input_spikes`."""
+        """Advance every layer by one spike-clock cycle; returns a new list of the spikes it
+        latches.  Layer 0's drive is `drive0` (from `run_sample`), else that of `input_spikes`."""
         if drive0 is None:  # `run_sample` has checked its whole stream
             stim = np.asarray(input_spikes)
             if stim.shape != (self.cfg.sizes[0],):
                 raise ValueError(f"input width {stim.shape} != ({self.cfg.sizes[0]},)")
             drive0 = self._drive(0, _spikes(stim, ("line",)))
-        outs = [self._lif(0, drive0)]
-        for k in range(1, self.cfg.n_layers):
-            feed = self._prev_out[k - 1] if self.cfg.layer_latency == 1 else outs[-1]
-            outs.append(self._lif(k, self._drive(k, feed)))
-        if self.cfg.layer_latency == 1:
-            self._prev_out = outs[:-1]
-        return outs
+        layers = range(self.cfg.n_layers)
+        # First to last, layer k reads layer k-1's spikes of this cycle.  Last to first
+        # at layer_latency 1, it reads those of the cycle before, as pipeline registers do.
+        for k in reversed(layers) if self.cfg.layer_latency else layers:
+            self._out[k] = self._lif(k, self._drive(k, self._out[k - 1]) if k else drive0)
+        return list(self._out)
 
     def run_sample(self, stream, duration: int, watch=None):
         """Feed one sample for `duration` cycles from a fresh state.
@@ -422,7 +419,7 @@ class Core(_Cycle):
         w, fmt, bound = self.planes[k].raw, self.fmt, self.planes[k].active_bound
         if spikes_in.ndim == 1:
             lines = spikes_in.nonzero()[0]
-            rows = w[lines] if len(lines) <= bound else w[lines].astype(np.float64)
+            rows = w[lines] if len(lines) <= bound else w[lines].astype(self._dtype)
             if self.policy is WRAP:
                 return self._fit(np.add.reduce(rows).astype(self._dtype, copy=False))
             return accumulate_raw(rows, fmt)

@@ -81,10 +81,12 @@ def whole_number(value, name: str) -> int:
 
 
 def finite_real(value, name: str):
-    """`value` if a finite real (not a bool), else a ValueError naming it; an int stays exact."""
+    """`value` if a finite real (not a bool), else a ValueError naming it; an int stays
+    exact, and a numpy float narrower than float64 becomes the Python float it equals,
+    so that it is compared and scaled in float64, not in its own precision."""
     try:
         if not isinstance(value, (bool, np.bool_)) and math.isfinite(value):
-            return value
+            return float(value) if isinstance(value, np.floating) and value.itemsize < 8 else value
     except (TypeError, OverflowError):  # None, a string, an int past float range
         pass
     raise ValueError(f"{name} {value!r} is not a finite real")

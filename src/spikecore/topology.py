@@ -9,8 +9,8 @@ real reaches its plane as its raw payload (`core.Core.write_weight`).
 A plane holds integer payloads, and every partial sum of a row with at most
 its active-line bound of active lines is exact, in any order: in float32
 when w <= 24 and ceil(M/2) * 2**(w-1) <= 2**24 (bound 2**(25-w)), else in
-float64 when w <= 32 and M * 2**(w-1) <= 2**53 (bound M); the core then
-multiplies the stored plane.  Otherwise in the state dtype `raw_dtype` (bound M).
+float64 when w <= 32 (bound min(M, 2**(54-w))); the core multiplies the
+stored plane.  A wider plane holds Python ints (bound M).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fixedpoint import NamedEnum, QFormat, QWord, raw_dtype, whole_number
+from .fixedpoint import NamedEnum, QFormat, QWord, whole_number
 from .fixedpoint import fit_raw  # noqa: F401  (bound here so bench/spans.py can trace it)
 
 __all__ = [
@@ -100,9 +100,9 @@ class WeightMemory:
     def __post_init__(self):
         m, w = self.mask.shape[0], self.fmt.width
         single = w <= 24 and (m + 1) // 2 << (w - 1) <= 1 << 24  # a half-active row is exact
-        dtype = np.float64 if w <= 32 and m << (w - 1) <= 1 << 53 else raw_dtype(self.fmt)
+        dtype = np.float64 if w <= 32 else object  # a float64 row is exact to 2**(54-w) lines
         self.raw = np.zeros(self.mask.shape, dtype=np.float32 if single else dtype)
-        self.active_bound = 1 << (25 - w) if single else m
+        self.active_bound = 1 << (25 - w) if single else min(m, 1 << (54 - w)) if w <= 32 else m
 
     def _check(self, pre: int, post: int) -> None:
         m, n = self.mask.shape

@@ -50,7 +50,7 @@ def end_heavy_weights(rng, fmt, shape):
     range.  A column's end words are all min_raw or all max_raw, so that
     they add up rather than cancel: three active max_raw words of Q13.11
     sum to an odd value past 2**24, which float32 cannot hold, so only the
-    float64 upcast of a row past a float32 plane's active-line bound (2)
+    int64 upcast of a row past a float32 plane's active-line bound (2)
     keeps the bits."""
     ends = rng.choice([fmt.min_raw, fmt.max_raw], shape[1:])
     uniform = rng.integers(fmt.min_raw, fmt.max_raw, shape, endpoint=True)
@@ -139,7 +139,7 @@ def test_run_sample_equals_a_step_cycle_loop(net):
         assert np.array_equal(raster.layers[k], [out[k] for out in outs]), k
     decoded = np.array(vmems, dtype=np.float64) * cfg.fmt.quantum
     assert np.array_equal(stack_traces(traces), decoded)
-    for name in ("_vmem", "_refr", "_prev_out"):
+    for name in ("_vmem", "_refr", "_out"):
         for a, b in zip(getattr(sampled, name), getattr(looped, name), strict=True):
             assert np.array_equal(a, b), name
     for a, b in zip(sampled.step_cycle(stream[-1]), looped.step_cycle(stream[-1])):

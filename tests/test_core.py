@@ -217,10 +217,9 @@ def test_write_weight_checks_address_then_value_then_format_then_mask(fmt, dtype
 
 
 # One single-column core per plane kind, in formats that the conformance
-# tests draw: the int64 plane has 2**22 + 1 Q17.15 lines, 32 MB of zeros
-# that no write here touches past its first rows.
+# tests draw.
 PLANE_KINDS = [(Q5_3, 4, np.float32), (QFormat(13, 11), 4, np.float32), (Q17_15, 4, np.float64),
-               (Q17_15, (1 << 22) + 1, np.int64), (QFormat(20, 20), 4, object)]
+               (QFormat(20, 20), 4, object)]
 
 
 @functools.cache
@@ -235,6 +234,7 @@ def weight_inputs(fmt):
     cases = [fmt.min_value, fmt.max_value, fmt.min_value - q, fmt.max_value + q,
              fmt.max_value + q / 2, -0.0, 5e-324, float("nan"), float("inf"), float("-inf"),
              True, np.True_, None, "1.0", np.float32(-0.7), np.float64(1.3), np.int64(-2), 1,
+             np.float16(2.0), np.float16(-1.5), np.float16(300.0), np.float16("nan"),
              2**70, QWord(fmt, fmt.min_raw), QWord(fmt, 5), QWord(other, 5)]
     return (st.sampled_from(cases) | st.integers(fmt.min_raw, fmt.max_raw).map(lambda r: r * q)
             | st.floats(2 * fmt.min_value, -2 * fmt.min_value) | st.integers(-20, 20))
@@ -356,6 +356,26 @@ def test_an_int_register_or_weight_stays_exact():
     core.write_register(0, "v_threshold", big)
     core.write_weight(0, 0, 0, big)
     assert core.registers(0).v_threshold.raw == core.planes[0].raw[0, 0] == big << fmt.q
+
+
+@pytest.mark.parametrize("value, raw", [(np.float16(2.0), 65536), (np.float16(-1.5), -49152)])
+def test_a_narrow_numpy_float_register_or_weight_is_exact(value, raw):
+    # The range test and the scaling by 2**15 used to run in float16, whose
+    # largest finite value is 65504: 2.0 * 2**15 overflowed to inf.
+    assert encode_register(value, Q17_15).raw == raw
+    core = Core(CoreConfig.uniform(Q17_15, [1, 1], baseline_regs(growth_rate=value,
+                                                                 v_threshold=value)))
+    assert core.registers(0).growth_rate.raw == core.registers(0).v_threshold.raw == raw
+    core.write_register(0, "v_reset", value)
+    core.write_weight(0, 0, 0, value)
+    assert core.registers(0).v_reset.raw == core.planes[0].raw[0, 0] == raw
+
+
+def test_a_narrow_numpy_float_out_of_range_or_not_finite_names_it():
+    with pytest.raises(ValueError, match=r"^value 300\.0 not representable in Q9\.7"):
+        encode_register(np.float16(300.0), Q9_7)
+    with pytest.raises(ValueError, match=r"^value np\.float16\(nan\) is not a finite real$"):
+        encode_register(np.float16("nan"), Q9_7)
 
 
 @pytest.mark.parametrize("fmt, dtype", [
@@ -771,7 +791,7 @@ def test_a_plane_is_float32_while_a_half_active_row_sums_exactly(fmt, lines, dty
 def test_a_float32_plane_stays_exact_past_its_active_line_bound(policy):
     # 1024 Q9.7 lines are float32 with a bound of 512 active lines.  513
     # lines at max_raw sum to 513 * 32767 = 16 809 471, odd and above 2**24:
-    # no float32 equals it, so a row past the bound must sum in float64, in
+    # no float32 equals it, so a row past the bound must sum in int64, in
     # one cycle's row and in a raster alike.
     fmt, m = Q9_7, 1024
     core = Core(CoreConfig.uniform(fmt, [m, 2], baseline_regs(), policy=policy))
@@ -791,14 +811,16 @@ def test_a_float32_plane_stays_exact_past_its_active_line_bound(policy):
 def test_a_plane_past_the_float_bound_sums_in_int64(policy):
     # 2**22 + 1 Q17.15 lines at max_raw: fan_in * 2**31 > 2**53, and the sum
     # of every line needs 54 bits, so a float64 sum would round it: the
-    # plane is int64, one line fewer float64.  Both paths of `_activation`
-    # must give the fold's bits.  The plane is 32 MB.
+    # plane is float64 with an active-line bound of 2**22, one line fewer,
+    # and a row past it sums in int64.  Both paths of `_activation` must
+    # give the fold's bits.  The plane is 32 MB.
     fmt, m = Q17_15, (1 << 22) + 1
     below = WeightMemory(fmt, np.broadcast_to(True, (m - 1, 1)))  # its zeros touch no page
-    assert below.raw.dtype == np.float64
+    assert below.raw.dtype == np.float64 and below.active_bound == m - 1
     core = Core(CoreConfig.uniform(fmt, [m, 1], baseline_regs(), policy=policy))
     core.planes[0].raw[...] = fmt.max_raw
-    assert m * fmt.max_raw > 1 << 53 and core.planes[0].raw.dtype == np.int64
+    assert m * fmt.max_raw > 1 << 53 and core.planes[0].raw.dtype == np.float64
+    assert core.planes[0].active_bound == 1 << 22
     want = python_fold([fmt.max_raw] * m, fmt, policy)
     assert core._activation(0, np.ones(m, dtype=bool)).tolist() == [want]
     raster = np.zeros((2, m), dtype=bool)
@@ -839,7 +861,7 @@ def test_nothing_the_core_hands_out_changes_later(policy, mode, decay):
     raster, traces = core.run_sample(stream, 12, watch="all")
     keep(raster.input_spikes, *raster.layers, *traces.values())
     for t, row in enumerate(stream):
-        keep(*core.step_cycle(row), *core._prev_out, *core._vmem)
+        keep(*core.step_cycle(row), *core._out, *core._vmem)
         if t == 5:
             core.write_register(0, "v_threshold", 1.0)
     core.run_sample(stream[::-1], 12, watch="all")

@@ -35,7 +35,8 @@ the same-cycle cascade.
 `record` replays every neuron through `neuron.step_neuron` and writes no
 file on a mismatch; all five files pass.  Regenerate (only on purpose:
 the point of the files is that they do not move) with `PYTHONPATH=src
-python tests/test_golden.py {saturate,wrap,saturate_q97,saturate_q1715,wrap_q97}`.
+python tests/test_golden.py saturate wrap saturate_q97 saturate_q1715 wrap_q97`;
+CI runs it and fails if a file changes.
 """
 
 import json
@@ -46,6 +47,7 @@ from pathlib import Path
 
 import harness
 import numpy as np
+import pytest
 
 from spikecore.core import Core, CoreConfig, RealRegisters
 from spikecore.fixedpoint import (
@@ -188,11 +190,15 @@ def literal(value: float, fmt: QFormat) -> str:
     return QWord(fmt, round(value / fmt.quantum)).to_literal()
 
 
-def replay(case: Case, weights, stimulus):
-    """Per-cycle (spike bit strings, membrane literals) of the golden core."""
+def golden_core(case: Case, weights) -> Core:
     core = Core(case.config())
     for plane, w in zip(core.planes, weights):
         plane.raw[...] = w
+    return core
+
+
+def replay(case: Case, core: Core, stimulus):
+    """Per-cycle (spike bit strings, membrane literals) of a `run_sample` of `core`."""
     raster, traces = core.run_sample(stimulus, len(stimulus), watch="all")
     cycles = []
     for t in range(len(stimulus)):
@@ -232,9 +238,8 @@ def check_replay(case: Case):
     data, weights, stimulus = load(case)
     assert (data["format"], data["policy"], tuple(data["sizes"])) == (
         str(case.fmt), case.policy.value, case.sizes)
-    # The 64-16-4 files predate the key; they run the same-cycle cascade.
-    assert data.get("layer_latency", 0) == case.layer_latency
-    got = replay(case, weights, stimulus)
+    assert data["layer_latency"] == case.layer_latency
+    got = replay(case, golden_core(case, weights), stimulus)
     assert len(got) == len(data["cycles"]) == CYCLES
     for t, (g, want) in enumerate(zip(got, data["cycles"])):
         assert g == want, f"cycle {t}"
@@ -258,6 +263,22 @@ def test_q1715_three_layer_latency1_golden_trace_replays_bit_for_bit():
 
 def test_q97_wrap_three_layer_latency1_golden_trace_replays_bit_for_bit():
     check_replay(WRAPPING_Q97)
+
+
+@pytest.mark.parametrize("case", [SATURATING_Q1715, WRAPPING_Q97, SATURATING_Q97],
+                         ids=lambda case: case.path.stem)
+def test_a_replay_split_across_the_two_drivers_matches_the_file(case):
+    # `run_sample` runs the first 20 cycles and a `step_cycle` loop the
+    # other 20 from the state it leaves: at layer_latency 1 the latches
+    # that `run_sample` leaves are the ones the next `step_cycle` reads.
+    data, weights, stimulus = load(case)
+    core, half = golden_core(case, weights), CYCLES // 2
+    got = replay(case, core, stimulus[:half])
+    for row in stimulus[half:]:
+        got.append({"spikes": [bits(layer) for layer in core.step_cycle(row)],
+                    "vmem": [" ".join(QWord(case.fmt, int(x)).to_literal() for x in layer)
+                             for layer in core._vmem]})
+    assert got == data["cycles"]
 
 
 def recounted(case: Case):
@@ -349,7 +370,7 @@ def test_q97_wrap_golden_matches_the_scalar_oracle():
 
 def record(case: Case) -> dict:
     weights, stimulus = case.draw(np.random.default_rng(case.seed), case.sizes)
-    cycles = replay(case, weights, stimulus)
+    cycles = replay(case, golden_core(case, weights), stimulus)
     bad = oracle_mismatches(case, weights, stimulus, cycles)
     if bad:
         raise AssertionError(f"{case.path.name}: core and scalar oracle differ at {bad[:5]}")
