@@ -195,7 +195,7 @@ class CoreConfig:
         return len(self.sizes) - 1
 
 
-@dataclass
+@dataclass(eq=False)
 class SpikeRaster:
     """Spike output of one sample: input stimulus plus every LIF layer."""
 

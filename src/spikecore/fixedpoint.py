@@ -82,11 +82,13 @@ def whole_number(value, name: str) -> int:
 
 def finite_real(value, name: str):
     """`value` if a finite real (not a bool), else a ValueError naming it; an int stays
-    exact, and a numpy float narrower than float64 becomes the Python float it equals,
-    so that it is compared and scaled in float64, not in its own precision."""
+    exact, and a numpy integer or float narrower than 64 bits becomes the Python int or
+    float it equals, so that it is compared and scaled exactly or in float64, not in its
+    own dtype, where scaling by 2**q can overflow or round."""
     try:
         if not isinstance(value, (bool, np.bool_)) and math.isfinite(value):
-            return float(value) if isinstance(value, np.floating) and value.itemsize < 8 else value
+            narrow = isinstance(value, (np.integer, np.floating)) and value.itemsize < 8
+            return value.item() if narrow else value
     except (TypeError, OverflowError):  # None, a string, an int past float range
         pass
     raise ValueError(f"{name} {value!r} is not a finite real")

@@ -58,7 +58,7 @@ class ReferenceCore(_Cycle):
         return x
 
 
-@dataclass
+@dataclass(eq=False)
 class TracePair:
     """Same neurons, same stream: quantized trace vs reference trace."""
 

@@ -87,7 +87,7 @@ def build_mask(conn: Connectivity, m: int, n: int) -> np.ndarray:
     return np.abs(i - j) <= conn.radius * (max(m, n) - 1)
 
 
-@dataclass
+@dataclass(eq=False)
 class WeightMemory:
     """Per-plane weight store with a structural connection mask; `raw` holds integer payloads."""
 

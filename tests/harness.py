@@ -1,13 +1,14 @@
 """The cycle once for the tests: the cascade feed, the scalar-oracle replay,
-drawn networks and the recount of the datapath.  Spikes and raw membranes
-are per layer, [T, N] each; weights are raw [M, N] planes, per layer."""
+drawn networks, the recount of the datapath, and a core loaded, stepped
+and checked.  Spikes and raw membranes are per layer, [T, N] each; weights
+are raw [M, N] planes, per layer."""
 
 from dataclasses import replace
 
 import numpy as np
 from hypothesis import strategies as st
 
-from spikecore.core import CoreConfig
+from spikecore.core import Core, CoreConfig, RealRegisters
 from spikecore.fixedpoint import SATURATE, OverflowPolicy, QWord, add_raw, mul_raw
 from spikecore.neuron import NeuronState, step_neuron
 from spikecore.topology import Connectivity
@@ -41,6 +42,42 @@ def mismatches(cfg: CoreConfig, regs, weights, stimulus, spikes, vmem, writes=()
                     bad.append((k, j, t))
                     break
     return bad
+
+
+def regs(**kw):
+    """The baseline register file: decay 0.2, growth 1, threshold 10, reset
+    by subtraction, no refractory period; `kw` overrides any of them."""
+    return RealRegisters(**{"decay_rate": 0.2, "growth_rate": 1.0, "v_threshold": 10.0, **kw})
+
+
+def loaded(cfg: CoreConfig, planes, cls=Core):
+    """A `cls` core of `cfg` whose planes hold the raw `planes`."""
+    core = cls(cfg)
+    for plane, w in zip(core.planes, planes):
+        plane.raw[...] = w
+    return core
+
+
+def stepped(core, stimulus, writes=()):
+    """Per layer, the [T, N] spikes and raw membranes of `core` stepped
+    through `stimulus` one `step_cycle` at a time.  Each (cycle, layer,
+    register, value) of `writes` is made before its cycle, in order."""
+    outs, vmems = [], []
+    for t, row in enumerate(stimulus):
+        for _, k, name, value in (w for w in writes if w[0] == t):
+            core.write_register(k, name, value)
+        outs.append(core.step_cycle(row))
+        vmems.append(list(core._vmem))
+    return [np.array(c) for c in zip(*outs)], [np.array(c) for c in zip(*vmems)]
+
+
+def checked(core, stimulus, writes=()):
+    """`mismatches` of a `stepped` run of `core`, replayed from the register
+    files and planes that it held before the run."""
+    registers = [core.registers(k) for k in range(core.cfg.n_layers)]
+    planes = [plane.raw for plane in core.planes]
+    return mismatches(core.cfg, registers, planes, stimulus, *stepped(core, stimulus, writes),
+                      writes)
 
 
 @st.composite

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikecore.core import Core, RealRegisters
+from spikecore.core import RealRegisters
 from spikecore.fixedpoint import QFormat, QWord
 from spikecore.neuron import ResetMode
 from spikecore.reference import stack_traces
@@ -62,19 +62,11 @@ def end_heavy_weights(rng, fmt, shape):
 NETWORKS = harness.networks(FORMATS, registers, end_heavy_weights, max_cycles=12)
 
 
-def loaded(cfg, weights):
-    """A core of `cfg` whose planes hold the raw `weights`."""
-    core = Core(cfg)
-    for plane, w in zip(core.planes, weights):
-        plane.raw[...] = w
-    return core
-
-
 @given(net=NETWORKS)
 @settings(max_examples=300, deadline=None)
 def test_core_matches_scalar_oracle_neuron_by_neuron(net):
     cfg, weights, stream = net
-    core = loaded(cfg, weights)
+    core = harness.loaded(cfg, weights)
     raster, traces = core.run_sample(stream, len(stream), watch="all")
     vmem = np.split(stack_traces(traces) / cfg.fmt.quantum, np.cumsum(cfg.sizes[1:-1]), axis=1)
     regs = [core.registers(k) for k in range(cfg.n_layers)]
@@ -107,18 +99,7 @@ def test_register_writes_between_cycles_match_the_scalar_oracle(data):
     # in the core exactly as in the oracle given the same schedule.
     cfg, weights, stream = data.draw(NETWORKS)
     writes = data.draw(register_writes(cfg.fmt, cfg.n_layers, len(stream)))
-    core = loaded(cfg, weights)
-    regs = [core.registers(k) for k in range(cfg.n_layers)]
-    outs, vmems = [], []
-    for t, stim in enumerate(stream):
-        for _, k, name, value in (w for w in writes if w[0] == t):
-            core.write_register(k, name, value)
-        outs.append(core.step_cycle(stim))
-        vmems.append(list(core._vmem))
-    spikes, vmem = ([np.array([cycle[k] for cycle in c]) for k in range(cfg.n_layers)]
-                    for c in (outs, vmems))
-    planes = [plane.raw for plane in core.planes]
-    assert harness.mismatches(cfg, regs, planes, stream, spikes, vmem, writes) == []
+    assert harness.checked(harness.loaded(cfg, weights), stream, writes) == []
 
 
 @given(net=NETWORKS)
@@ -129,15 +110,12 @@ def test_run_sample_equals_a_step_cycle_loop(net):
     # cycle.  Spikes, membranes and the state left behind must agree, so
     # that one more cycle continues both alike.
     cfg, weights, stream = net
-    sampled, looped = loaded(cfg, weights), loaded(cfg, weights)
+    sampled, looped = harness.loaded(cfg, weights), harness.loaded(cfg, weights)
     raster, traces = sampled.run_sample(stream, len(stream), watch="all")
-    outs, vmems = [], []
-    for stim in stream:
-        outs.append(looped.step_cycle(stim))
-        vmems.append(np.concatenate(looped._vmem))
+    spikes, vmem = harness.stepped(looped, stream)
     for k in range(cfg.n_layers):
-        assert np.array_equal(raster.layers[k], [out[k] for out in outs]), k
-    decoded = np.array(vmems, dtype=np.float64) * cfg.fmt.quantum
+        assert np.array_equal(raster.layers[k], spikes[k]), k
+    decoded = np.hstack(vmem).astype(np.float64) * cfg.fmt.quantum
     assert np.array_equal(stack_traces(traces), decoded)
     for name in ("_vmem", "_refr", "_out"):
         for a, b in zip(getattr(sampled, name), getattr(looped, name), strict=True):

@@ -10,27 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikecore import core as core_module
-from spikecore.core import Core, CoreConfig, RealRegisters, encode_register
+from spikecore.core import Core, CoreConfig, RealRegisters, SpikeRaster, encode_register
 from spikecore.fixedpoint import (
     Q3_1, Q5_3, Q9_7, Q17_15, SATURATE, OverflowPolicy, QFormat, QWord, fit_raw, wrap_raw,
 )
 from spikecore.neuron import ResetMode
-from spikecore.reference import matched_reference
+from spikecore.reference import TracePair, matched_reference
 from spikecore.topology import Connectivity, ConnectivityKind, MaskedSynapseError, WeightMemory
 
 GAUSS1 = Connectivity(ConnectivityKind.GAUSSIAN, 1)
 ONE = Connectivity(ConnectivityKind.ONE_TO_ONE)
 
 
-def baseline_regs(**kw):
-    args = dict(decay_rate=0.2, growth_rate=1.0, v_threshold=10.0,
-                reset_mode=ResetMode.BY_SUBTRACTION, v_reset=0.0, refractory_period=0)
-    args.update(kw)
-    return RealRegisters(**args)
-
-
 def toy_core(sizes=(4, 3, 2), fmt=Q9_7, seed=3, weight_scale=2.0, regs=None, **cfg_kw):
-    cfg = CoreConfig.uniform(fmt, sizes, baseline_regs() if regs is None else regs, **cfg_kw)
+    cfg = CoreConfig.uniform(fmt, sizes, harness.regs() if regs is None else regs, **cfg_kw)
     core = Core(cfg)
     rng = np.random.default_rng(seed)
     for k, plane in enumerate(core.planes):
@@ -48,19 +41,19 @@ def synapse_total(core):
 
 
 def test_mnist_baseline_counts():
-    cfg = CoreConfig.uniform(Q5_3, [256, 128, 10], baseline_regs())
+    cfg = CoreConfig.uniform(Q5_3, [256, 128, 10], harness.regs())
     assert sum(cfg.sizes) == 394
     assert synapse_total(Core(cfg)) == 34048
 
 
 def test_wide_hidden_counts():
-    cfg = CoreConfig.uniform(Q5_3, [256, 256, 10], baseline_regs())
+    cfg = CoreConfig.uniform(Q5_3, [256, 256, 10], harness.regs())
     assert sum(cfg.sizes) == 522
     assert synapse_total(Core(cfg)) == 68096
 
 
 def test_minimal_core():
-    cfg = CoreConfig.uniform(Q5_3, [1, 1], baseline_regs())
+    cfg = CoreConfig.uniform(Q5_3, [1, 1], harness.regs())
     core = Core(cfg)
     assert core.cfg.n_layers == 1
     assert core.step_cycle([0]) == [np.zeros(1, dtype=bool)]
@@ -68,7 +61,7 @@ def test_minimal_core():
 
 def test_policy_takes_a_member_or_its_name():
     def vmem(policy):
-        core = Core(CoreConfig.uniform(Q5_3, [2, 1], baseline_regs(), policy=policy))
+        core = Core(CoreConfig.uniform(Q5_3, [2, 1], harness.regs(), policy=policy))
         core.write_weight(0, 0, 0, 12.0)
         core.write_weight(0, 1, 0, 12.0)
         return core.run_sample(np.ones((1, 2), dtype=bool), 1, watch="all")[1][(0, 0)][0]
@@ -78,39 +71,39 @@ def test_policy_takes_a_member_or_its_name():
     assert vmem("saturate") == vmem(SATURATE) == 5.875
     for bad in (3, "wrapp", None):
         with pytest.raises(ValueError, match="policy"):
-            CoreConfig.uniform(Q5_3, [2, 1], baseline_regs(), policy=bad)
+            CoreConfig.uniform(Q5_3, [2, 1], harness.regs(), policy=bad)
 
 
 def test_invalid_dimensions():
     with pytest.raises(ValueError):
-        CoreConfig.uniform(Q5_3, [4], baseline_regs())
+        CoreConfig.uniform(Q5_3, [4], harness.regs())
     with pytest.raises(ValueError):
-        CoreConfig.uniform(Q5_3, [4, 0], baseline_regs())
+        CoreConfig.uniform(Q5_3, [4, 0], harness.regs())
     with pytest.raises(ValueError, match="^layer_latency must be 0 or 1$"):
-        CoreConfig.uniform(Q5_3, [4, 4], baseline_regs(), layer_latency=2)
+        CoreConfig.uniform(Q5_3, [4, 4], harness.regs(), layer_latency=2)
     # A bool was stored as given; now a bool raises and an integral value is an int.
     for bad in (True, np.True_, 0.5, None):
         with pytest.raises(ValueError, match="^layer_latency .* is not a whole number"):
-            CoreConfig.uniform(Q5_3, [4, 4], baseline_regs(), layer_latency=bad)
+            CoreConfig.uniform(Q5_3, [4, 4], harness.regs(), layer_latency=bad)
     for latency in (1.0, np.int64(1)):
-        cfg = CoreConfig.uniform(Q5_3, [4, 4], baseline_regs(), layer_latency=latency)
+        cfg = CoreConfig.uniform(Q5_3, [4, 4], harness.regs(), layer_latency=latency)
         assert cfg.layer_latency == 1 and type(cfg.layer_latency) is int
     # An int in place of the sizes tuple used to raise TypeError from len().
     with pytest.raises(ValueError, match="^sizes 4 is not a sequence$"):
-        CoreConfig(Q5_3, 4, (GAUSS1,), (baseline_regs(),))
+        CoreConfig(Q5_3, 4, (GAUSS1,), (harness.regs(),))
     with pytest.raises(ValueError, match="^sizes 4 is not a sequence$"):
-        CoreConfig.uniform(Q9_7, 4, baseline_regs())
+        CoreConfig.uniform(Q9_7, 4, harness.regs())
     # A generator of sizes used to give zero layer entries, and a count mismatch.
-    cfg = CoreConfig.uniform(Q9_7, (n for n in (2, 2)), baseline_regs())
-    assert cfg == CoreConfig.uniform(Q9_7, (2, 2), baseline_regs()) and cfg.n_layers == 1
+    cfg = CoreConfig.uniform(Q9_7, (n for n in (2, 2)), harness.regs())
+    assert cfg == CoreConfig.uniform(Q9_7, (2, 2), harness.regs()) and cfg.n_layers == 1
     with pytest.raises(ValueError, match="1 LIF layers need 1 connectivity and register"):
-        CoreConfig(Q5_3, (4, 4), (GAUSS1, GAUSS1), (baseline_regs(),))
+        CoreConfig(Q5_3, (4, 4), (GAUSS1, GAUSS1), (harness.regs(),))
     # A fractional or string size used to pass, and Core then raised TypeError.
     for sizes, index in (((2, 2.5), 1), (("2", 2), 0), ((2, float("nan")), 1), ((2, -1), 1),
                          ((True, 2), 0), ((2, np.True_), 1)):
         with pytest.raises(ValueError, match=rf"sizes\[{index}\] .* is not a whole number"):
-            CoreConfig.uniform(Q5_3, sizes, baseline_regs())
-    cfg = CoreConfig.uniform(Q5_3, (2.0, np.int64(2)), baseline_regs())
+            CoreConfig.uniform(Q5_3, sizes, harness.regs())
+    cfg = CoreConfig.uniform(Q5_3, (2.0, np.int64(2)), harness.regs())
     assert cfg.sizes == (2, 2) and all(type(n) is int for n in cfg.sizes)
     assert Core(cfg).planes[0].raw.shape == (2, 2)
 
@@ -119,7 +112,7 @@ def test_config_entries_of_the_wrong_type_name_the_field_and_layer():
     # Each used to be accepted: "all" and a dict failed with AttributeError
     # once a core was built, and NeuronRegisters built a ReferenceCore that
     # raised TypeError on its first cycle.
-    good = baseline_regs()
+    good = harness.regs()
     with pytest.raises(ValueError, match="^fmt 'Q5.3' is not a QFormat$"):
         CoreConfig.uniform("Q5.3", (2, 2), good)
     for conn in ("all", {"kind": "all_to_all"}):
@@ -154,12 +147,12 @@ def test_non_finite_register_or_weight_names_the_value(value):
 def test_real_registers_reject_a_non_finite_value(name, value):
     # The float twin runs RealRegisters as they are: a NaN, or a bool, used to pass.
     with pytest.raises(ValueError, match=name):
-        baseline_regs(**{name: value})
+        harness.regs(**{name: value})
 
 
 def test_register_quantize_out_of_range():
     with pytest.raises(ValueError):
-        baseline_regs(v_threshold=20.0).quantize(Q5_3)
+        harness.regs(v_threshold=20.0).quantize(Q5_3)
 
 
 @pytest.mark.parametrize("fmt", [Q3_1, Q5_3, Q9_7, Q17_15, QFormat(2, 0), QFormat(20, 20)])
@@ -180,7 +173,7 @@ def test_encode_register_takes_a_word_of_its_format_as_it_is():
 
 
 def test_write_weight_stores_the_signed_payload():
-    core = Core(CoreConfig.uniform(Q5_3, [2, 2], baseline_regs()))
+    core = Core(CoreConfig.uniform(Q5_3, [2, 2], harness.regs()))
     for pre, post, value in ((0, 0, Q5_3.min_value), (0, 1, -0.125), (1, 0, Q5_3.max_value)):
         core.write_weight(0, pre, post, value)
     core.write_weight(0, 1, 1, encode_register(-3.5, Q5_3))
@@ -193,7 +186,7 @@ def test_write_weight_stores_the_signed_payload():
 @pytest.mark.parametrize("fmt, dtype", [(Q5_3, np.float32), (QFormat(33, 31), object)])
 def test_write_weight_checks_address_then_value_then_format_then_mask(fmt, dtype):
     # Each write fails two checks, and the earlier one names the error.
-    core = Core(CoreConfig.uniform(fmt, [4, 4, 4], baseline_regs(), GAUSS1))
+    core = Core(CoreConfig.uniform(fmt, [4, 4, 4], harness.regs(), GAUSS1))
     core.write_weight(1, 0, 0, -1.5)
     core.write_weight(1, 3, 2, 2.25)
     raw = core.planes[1].raw
@@ -224,7 +217,7 @@ PLANE_KINDS = [(Q5_3, 4, np.float32), (QFormat(13, 11), 4, np.float32), (Q17_15,
 
 @functools.cache
 def column_core(fmt, lines):
-    return Core(CoreConfig.uniform(fmt, [lines, 1], baseline_regs()))
+    return Core(CoreConfig.uniform(fmt, [lines, 1], harness.regs()))
 
 
 def weight_inputs(fmt):
@@ -234,8 +227,8 @@ def weight_inputs(fmt):
     cases = [fmt.min_value, fmt.max_value, fmt.min_value - q, fmt.max_value + q,
              fmt.max_value + q / 2, -0.0, 5e-324, float("nan"), float("inf"), float("-inf"),
              True, np.True_, None, "1.0", np.float32(-0.7), np.float64(1.3), np.int64(-2), 1,
-             np.float16(2.0), np.float16(-1.5), np.float16(300.0), np.float16("nan"),
-             2**70, QWord(fmt, fmt.min_raw), QWord(fmt, 5), QWord(other, 5)]
+             np.float16(2.0), np.float16(-1.5), np.float16(300.0), np.float16("nan"), np.int8(1),
+             np.uint8(3), 2**70, QWord(fmt, fmt.min_raw), QWord(fmt, 5), QWord(other, 5)]
     return (st.sampled_from(cases) | st.integers(fmt.min_raw, fmt.max_raw).map(lambda r: r * q)
             | st.floats(2 * fmt.min_value, -2 * fmt.min_value) | st.integers(-20, 20))
 
@@ -269,7 +262,7 @@ def test_write_weight_stores_what_encode_register_gives_or_raises_as_it_does(dat
 
 
 def test_a_real_weight_reaches_its_plane_without_a_qword(monkeypatch):
-    core = Core(CoreConfig.uniform(Q5_3, [2, 2], baseline_regs()))
+    core = Core(CoreConfig.uniform(Q5_3, [2, 2], harness.regs()))
     monkeypatch.setattr(QWord, "__post_init__", lambda self: pytest.fail("QWord built"))
     core.write_weight(0, 1, 0, -2.3)
     core.write_weight(0, 0, 1, Q5_3.max_value)
@@ -277,7 +270,7 @@ def test_a_real_weight_reaches_its_plane_without_a_qword(monkeypatch):
 
 
 def test_write_register_rejects_a_word_of_another_format():
-    core = Core(CoreConfig.uniform(Q5_3, [1, 1], baseline_regs()))
+    core = Core(CoreConfig.uniform(Q5_3, [1, 1], harness.regs()))
     with pytest.raises(ValueError, match="v_threshold format Q17.15 != core format Q5.3"):
         core.write_register(0, "v_threshold", encode_register(1.0, Q17_15))
     assert core.registers(0).v_threshold.value == 10.0
@@ -295,7 +288,7 @@ def test_write_register_rejects_a_layer_out_of_range():
 
 def test_registers_rejects_a_layer_out_of_range():
     # A negative layer used to alias: registers(-1) read the last layer.
-    core = Core(CoreConfig.uniform(Q9_7, [3, 2, 2], baseline_regs()))
+    core = Core(CoreConfig.uniform(Q9_7, [3, 2, 2], harness.regs()))
     core.write_register(1, "v_threshold", 2.0)
     for layer in (-1, -2, 2):
         with pytest.raises(IndexError, match=f"registers of layer {layer}: no such layer"):
@@ -320,7 +313,7 @@ def test_registers_returns_the_stored_file(monkeypatch):
 def test_a_register_value_that_is_not_a_real_names_the_register(value):
     # None and "abc" used to raise TypeError or "could not convert string
     # to float" from float(), and "0.5" was accepted.
-    core = Core(CoreConfig.uniform(Q5_3, [2, 2], baseline_regs()))
+    core = Core(CoreConfig.uniform(Q5_3, [2, 2], harness.regs()))
     before = core.registers(0)
     for name in ("decay_rate", "growth_rate", "v_threshold", "v_reset"):
         with pytest.raises(ValueError, match=f"^{name} .* is not a finite real$"):
@@ -329,21 +322,21 @@ def test_a_register_value_that_is_not_a_real_names_the_register(value):
 
 
 def test_an_out_of_range_register_or_weight_names_it():
-    core = Core(CoreConfig.uniform(Q5_3, [2, 2], baseline_regs()))
+    core = Core(CoreConfig.uniform(Q5_3, [2, 2], harness.regs()))
     with pytest.raises(ValueError, match=r"^v_threshold 20.0 not representable in Q5\.3"):
         core.write_register(0, "v_threshold", 20.0)
     with pytest.raises(ValueError, match=r"^weight of synapse \(layer=0, pre=1, post=1\) "
                                          r"-17.0 not representable in Q5\.3"):
         core.write_weight(0, 1, 1, -17.0)
     with pytest.raises(ValueError, match=r"^growth_rate 20.0 not representable in Q5\.3"):
-        baseline_regs(growth_rate=20.0).quantize(Q5_3)
+        harness.regs(growth_rate=20.0).quantize(Q5_3)
 
 
 def test_a_config_register_out_of_range_names_its_layer():
     # The message used to leave out which layer's register file was at fault.
-    ok = baseline_regs()
+    ok = harness.regs()
     for name in ("v_threshold", "v_reset"):
-        bad = baseline_regs(**{name: 1000.0})
+        bad = harness.regs(**{name: 1000.0})
         with pytest.raises(ValueError, match=rf"^layer 1: {name} 1000\.0 not representable "
                                              r"in Q9\.7"):
             Core(CoreConfig(Q9_7, (2, 2, 2), (core_module.ALL_TO_ALL,) * 2, (ok, bad)))
@@ -352,23 +345,36 @@ def test_a_config_register_out_of_range_names_its_layer():
 def test_an_int_register_or_weight_stays_exact():
     # float() used to round 2**55 + 1 to 2**55 before quantizing.
     fmt, big = QFormat(60, 4), 2**55 + 1
-    core = Core(CoreConfig.uniform(fmt, [1, 1], baseline_regs()))
+    core = Core(CoreConfig.uniform(fmt, [1, 1], harness.regs()))
     core.write_register(0, "v_threshold", big)
     core.write_weight(0, 0, 0, big)
     assert core.registers(0).v_threshold.raw == core.planes[0].raw[0, 0] == big << fmt.q
+
+
+def exact_everywhere(fmt, value, raw):
+    """`value` gives `raw` through `encode_register`, a `RealRegisters`-built
+    core, `write_register` and `write_weight`."""
+    assert encode_register(value, fmt).raw == raw
+    core = Core(CoreConfig.uniform(fmt, [1, 1], harness.regs(growth_rate=value, v_threshold=value)))
+    assert core.registers(0).growth_rate.raw == core.registers(0).v_threshold.raw == raw
+    core.write_register(0, "v_reset", value)
+    core.write_weight(0, 0, 0, value)
+    assert core.registers(0).v_reset.raw == core.planes[0].raw[0, 0] == raw
 
 
 @pytest.mark.parametrize("value, raw", [(np.float16(2.0), 65536), (np.float16(-1.5), -49152)])
 def test_a_narrow_numpy_float_register_or_weight_is_exact(value, raw):
     # The range test and the scaling by 2**15 used to run in float16, whose
     # largest finite value is 65504: 2.0 * 2**15 overflowed to inf.
-    assert encode_register(value, Q17_15).raw == raw
-    core = Core(CoreConfig.uniform(Q17_15, [1, 1], baseline_regs(growth_rate=value,
-                                                                 v_threshold=value)))
-    assert core.registers(0).growth_rate.raw == core.registers(0).v_threshold.raw == raw
-    core.write_register(0, "v_reset", value)
-    core.write_weight(0, 0, 0, value)
-    assert core.registers(0).v_reset.raw == core.planes[0].raw[0, 0] == raw
+    exact_everywhere(Q17_15, value, raw)
+
+
+@pytest.mark.parametrize("fmt, value", [(Q9_7, np.uint8(3)), (Q9_7, np.int8(1)),
+                                        (QFormat(2, 62), np.int32(-2))], ids=str)
+def test_a_narrow_numpy_integer_register_or_weight_is_exact(fmt, value):
+    # The scaling by 2**q used to run in the integer's own dtype: uint8 3
+    # wrapped to raw 128 in Q9.7, and the other two overflowed.
+    exact_everywhere(fmt, value, int(value) << fmt.q)
 
 
 def test_a_narrow_numpy_float_out_of_range_or_not_finite_names_it():
@@ -386,7 +392,7 @@ def test_weight_planes_store_integer_payloads_by_width(fmt, dtype):
     # Four lines of widths <= 24 in float32, up to 32 in float64, wider
     # ones as Python ints; either way every written word reads back
     # bit-exact, and a fractional real is truncated.
-    core = Core(CoreConfig.uniform(fmt, [4, 1], baseline_regs()))
+    core = Core(CoreConfig.uniform(fmt, [4, 1], harness.regs()))
     assert core.planes[0].raw.dtype == dtype
     words = [QWord(fmt, fmt.min_raw), QWord(fmt, fmt.max_raw),
              encode_register(-2.5, fmt), encode_register(1.3, fmt)]
@@ -404,7 +410,7 @@ def test_weight_planes_store_integer_payloads_by_width(fmt, dtype):
 def test_a_fractional_payload_in_a_plane_is_read_as_an_error(fmt):
     # A value written into `raw` directly is not truncated on the way out:
     # the int64 plane used to read 1.5 back as raw 1.
-    core = Core(CoreConfig.uniform(fmt, [2, 2], baseline_regs()))
+    core = Core(CoreConfig.uniform(fmt, [2, 2], harness.regs()))
     core.planes[0].raw[0, 0] = 1.5
     with pytest.raises(ValueError, match=r"raw .*1\.5.* of .* is not an integer"):
         core.planes[0].presynaptic_weights(0)
@@ -414,13 +420,8 @@ def test_a_fractional_payload_in_a_plane_is_read_as_an_error(fmt):
 # --- stepping ----------------------------------------------------------------
 
 def test_zero_input_zero_state_stays_silent():
-    core = toy_core()
-    vmem_before = [a.copy() for a in core._vmem]
-    for _ in range(10):
-        outs = core.step_cycle(np.zeros(4, dtype=bool))
-        assert not any(o.any() for o in outs)
-    for a, b in zip(core._vmem, vmem_before):
-        assert np.array_equal(a, b)
+    spikes, vmem = harness.stepped(toy_core(), np.zeros((10, 4), dtype=bool))
+    assert not any(a.any() for a in spikes + vmem)
 
 
 def test_single_synapse_spikes_same_cycle():
@@ -455,7 +456,7 @@ def test_unknown_register_and_bad_values():
     with pytest.raises(ValueError):
         core.write_register(0, "decay_rate", 1.5)
     with pytest.raises(ValueError, match=r"^decay_rate 1.5 outside \[0, 1\]$"):
-        baseline_regs(decay_rate=1.5)
+        harness.regs(decay_rate=1.5)
     with pytest.raises(ValueError):
         core.write_register(0, "refractory_period", -1)
 
@@ -469,11 +470,11 @@ def test_refractory_period_must_be_a_whole_number_of_cycles():
         with pytest.raises(ValueError, match="refractory_period"):
             core.write_register(0, "refractory_period", value)
         with pytest.raises(ValueError, match="refractory_period"):
-            baseline_regs(refractory_period=value)
+            harness.regs(refractory_period=value)
     assert core.registers(0).refractory_period == 0
     core.write_register(0, "refractory_period", 3.0)
     assert type(core.registers(0).refractory_period) is int
-    assert type(baseline_regs(refractory_period=np.int64(2)).refractory_period) is int
+    assert type(harness.regs(refractory_period=np.int64(2)).refractory_period) is int
     regs = RealRegisters(0.0, 1.0, 1.0, refractory_period=2**63 - 1)
     held = Core(CoreConfig.uniform(Q5_3, [1, 1], regs))
     held.write_weight(0, 0, 0, 2.0)
@@ -488,13 +489,13 @@ def test_reset_mode_write_takes_a_mode_or_its_name():
         with pytest.raises(ValueError, match="reset_mode"):
             core.write_register(0, "reset_mode", value)
         with pytest.raises(ValueError, match="reset_mode"):
-            baseline_regs(reset_mode=value)
+            harness.regs(reset_mode=value)
     with pytest.raises(ValueError, match="unknown reset mode"):
         core.write_register(0, "reset_mode", "sideways")
     assert core.registers(0).reset_mode is ResetMode.BY_SUBTRACTION
     core.write_register(0, "reset_mode", "zero")
     assert core.registers(0).reset_mode is ResetMode.TO_ZERO
-    assert baseline_regs(reset_mode="default").reset_mode is ResetMode.DEFAULT
+    assert harness.regs(reset_mode="default").reset_mode is ResetMode.DEFAULT
 
 
 @pytest.mark.parametrize("name, value", [
@@ -512,7 +513,7 @@ def test_reset_mode_write_takes_a_mode_or_its_name():
 def test_core_and_oracle_reject_a_bad_register_alike(name, value):
     # One set of rules: a register write is checked by NeuronRegisters.
     fmt = value.fmt if isinstance(value, QWord) else Q5_3
-    core = Core(CoreConfig.uniform(fmt, [1, 1], baseline_regs(v_threshold=1.0)))
+    core = Core(CoreConfig.uniform(fmt, [1, 1], harness.regs(v_threshold=1.0)))
     before = core.registers(0)
     with pytest.raises(ValueError, match=name) as from_core:
         core.write_register(0, name, value)
@@ -526,7 +527,7 @@ def test_core_and_oracle_reject_a_bad_register_alike(name, value):
 def test_decay_rate_write_stays_in_zero_to_one(fmt):
     # The leak step is exact without clamps only for a raw decay in [0, 2**q].
     # In Q2.62 the raw 2**62 + 1 decodes to the float 1.0 and used to pass.
-    core = Core(CoreConfig.uniform(fmt, [1, 1], baseline_regs(v_threshold=1.0), policy=SATURATE))
+    core = Core(CoreConfig.uniform(fmt, [1, 1], harness.regs(v_threshold=1.0), policy=SATURATE))
     one = 1 << fmt.q
     rejected = [QWord(fmt, -1), QWord(fmt, one + 1)]
     if 1.0 + fmt.quantum > 1.0:  # a float64 real only for q <= 52
@@ -588,8 +589,7 @@ def test_subtractive_reset_at_the_range_ends_matches_the_oracle(policy, fmt, v_t
 def oracle_lockstep(core, stimulus):
     """(spike, raw membrane) of neuron 0 of a one-layer core for each row of
     `stimulus`, every neuron checked on every cycle against the scalar oracle."""
-    steps = [(core.step_cycle(row)[0], core._vmem[0]) for row in stimulus]
-    spikes, vmem = (np.array(column) for column in zip(*steps))
+    (spikes,), (vmem,) = harness.stepped(core, stimulus)
     assert harness.mismatches(core.cfg, [core.registers(0)], [core.planes[0].raw], stimulus,
                               [spikes], [vmem]) == []
     return [(bool(s), int(v)) for s, v in zip(spikes[:, 0], vmem[:, 0])]
@@ -602,7 +602,7 @@ def drive_counts(core, cycles=40):
 
 
 def test_midrun_refractory_write_drops_spike_rate():
-    cfg = CoreConfig.uniform(Q9_7, [1, 1], baseline_regs(), connectivity=ONE)
+    cfg = CoreConfig.uniform(Q9_7, [1, 1], harness.regs(), connectivity=ONE)
     core = Core(cfg)
     core.write_weight(0, 0, 0, 4.0)
     first = sum(core.step_cycle([1])[0][0] for _ in range(40))
@@ -613,7 +613,7 @@ def test_midrun_refractory_write_drops_spike_rate():
 
 
 def test_unreachable_threshold_silences():
-    cfg = CoreConfig.uniform(Q9_7, [1, 1], baseline_regs(growth_rate=0.5), connectivity=ONE)
+    cfg = CoreConfig.uniform(Q9_7, [1, 1], harness.regs(growth_rate=0.5), connectivity=ONE)
     core = Core(cfg)
     core.write_weight(0, 0, 0, 4.0)   # steady state 2/0.2 = 10 >= vth
     assert drive_counts(core) > 0
@@ -625,7 +625,7 @@ def test_smaller_growth_register_fewer_spikes():
     # decay fixed by the shared time constant; growth scales with 1/C
     counts = []
     for growth in (1.0, 0.2):
-        cfg = CoreConfig.uniform(Q9_7, [1, 1], baseline_regs(growth_rate=growth),
+        cfg = CoreConfig.uniform(Q9_7, [1, 1], harness.regs(growth_rate=growth),
                                  connectivity=ONE)
         core = Core(cfg)
         core.write_weight(0, 0, 0, 4.0)
@@ -635,13 +635,26 @@ def test_smaller_growth_register_fewer_spikes():
 
 def test_low_gain_mapping_never_spikes():
     # smallest R / largest C of the sweep: growth register 0.02
-    cfg = CoreConfig.uniform(Q9_7, [1, 1], baseline_regs(growth_rate=0.02), connectivity=ONE)
+    cfg = CoreConfig.uniform(Q9_7, [1, 1], harness.regs(growth_rate=0.02), connectivity=ONE)
     core = Core(cfg)
     core.write_weight(0, 0, 0, 4.0)
     assert drive_counts(core) == 0
 
 
 # --- structural invariants ------------------------------------------------------
+
+@pytest.mark.parametrize("make", [
+    lambda: WeightMemory(Q5_3, np.ones((2, 2), dtype=bool)),
+    lambda: SpikeRaster(np.zeros((2, 2), dtype=bool), [np.zeros((2, 1), dtype=bool)]),
+    lambda: TracePair(np.zeros((2, 1)), np.zeros((2, 1))),
+], ids=["WeightMemory", "SpikeRaster", "TracePair"])
+def test_an_array_holder_compares_by_identity(make):
+    # A generated __eq__ compared the numpy fields, so `==` and `in` raised
+    # on the truth value of an array.
+    a, b = make(), make()
+    assert a == a and a in [a]
+    assert not a == b and a not in [b]
+
 
 def test_whole_core_step_equals_isolated_layers():
     # Isolated single-layer cores fed the recorded upstream spikes, one
@@ -652,9 +665,8 @@ def test_whole_core_step_equals_isolated_layers():
         core = toy_core(sizes=(5, 4, 3), seed=9, layer_latency=latency)
         raster, traces = core.run_sample(stim, 15, watch="all")
         for k in range(core.cfg.n_layers):
-            iso = Core(CoreConfig.uniform(core.cfg.fmt, core.cfg.sizes[k:k + 2],
-                                          core.cfg.registers[k]))
-            iso.planes[0].raw[:] = core.planes[k].raw
+            iso = harness.loaded(CoreConfig.uniform(core.cfg.fmt, core.cfg.sizes[k:k + 2],
+                                                    core.cfg.registers[k]), [core.planes[k].raw])
             feed = harness.upstream(stim, raster.layers, k, latency)
             iso_raster, iso_traces = iso.run_sample(feed, 15, watch="all")
             assert np.array_equal(iso_raster.layers[0], raster.layers[k]), (latency, k)
@@ -730,7 +742,7 @@ def test_next_sample_leaves_the_callers_stimulus_alone():
 
 
 def test_saturate_policy_core_runs():
-    cfg = CoreConfig.uniform(Q5_3, [4, 3], baseline_regs(), policy=OverflowPolicy.SATURATE)
+    cfg = CoreConfig.uniform(Q5_3, [4, 3], harness.regs(), policy=OverflowPolicy.SATURATE)
     core = Core(cfg)
     for i in range(4):
         for j in range(3):
@@ -750,7 +762,7 @@ def test_raster_activation_equals_the_row_path_row_by_row(fmt, policy):
     # that clamps) and random halves; Q20.20 planes take the row path.
     # Every sum is also the hardware's fold of its column's active lines.
     m, n = 4096, 40
-    core = Core(CoreConfig.uniform(fmt, [m, n], baseline_regs(), policy=policy))
+    core = Core(CoreConfig.uniform(fmt, [m, n], harness.regs(), policy=policy))
     rng = np.random.default_rng(21)
     w = rng.integers(fmt.min_raw, fmt.max_raw, (m, n), endpoint=True)
     core.planes[0].raw[...] = w.astype(core.planes[0].raw.dtype)
@@ -794,7 +806,7 @@ def test_a_float32_plane_stays_exact_past_its_active_line_bound(policy):
     # no float32 equals it, so a row past the bound must sum in int64, in
     # one cycle's row and in a raster alike.
     fmt, m = Q9_7, 1024
-    core = Core(CoreConfig.uniform(fmt, [m, 2], baseline_regs(), policy=policy))
+    core = Core(CoreConfig.uniform(fmt, [m, 2], harness.regs(), policy=policy))
     plane = core.planes[0]
     plane.raw[:, 0], plane.raw[:, 1] = fmt.max_raw, fmt.min_raw
     assert plane.raw.dtype == np.float32 and plane.active_bound == 512
@@ -817,7 +829,7 @@ def test_a_plane_past_the_float_bound_sums_in_int64(policy):
     fmt, m = Q17_15, (1 << 22) + 1
     below = WeightMemory(fmt, np.broadcast_to(True, (m - 1, 1)))  # its zeros touch no page
     assert below.raw.dtype == np.float64 and below.active_bound == m - 1
-    core = Core(CoreConfig.uniform(fmt, [m, 1], baseline_regs(), policy=policy))
+    core = Core(CoreConfig.uniform(fmt, [m, 1], harness.regs(), policy=policy))
     core.planes[0].raw[...] = fmt.max_raw
     assert m * fmt.max_raw > 1 << 53 and core.planes[0].raw.dtype == np.float64
     assert core.planes[0].active_bound == 1 << 22
@@ -848,7 +860,7 @@ def test_nothing_the_core_hands_out_changes_later(policy, mode, decay):
     # values through later cycles, register writes and samples.  Decay and
     # growth 1.0 guard the leak, whose product `_lif` overwrites: a `_mul`
     # that returned x for a rate of 1.0 would overwrite the stored membrane.
-    regs = baseline_regs(decay_rate=decay, v_threshold=3.0, reset_mode=mode, v_reset=0.5,
+    regs = harness.regs(decay_rate=decay, v_threshold=3.0, reset_mode=mode, v_reset=0.5,
                          refractory_period=2)
     core = toy_core((6, 5, 4, 3), Q5_3, weight_scale=4.0, regs=regs, policy=policy,
                     layer_latency=1)

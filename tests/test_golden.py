@@ -35,8 +35,9 @@ the same-cycle cascade.
 `record` replays every neuron through `neuron.step_neuron` and writes no
 file on a mismatch; all five files pass.  Regenerate (only on purpose:
 the point of the files is that they do not move) with `PYTHONPATH=src
-python tests/test_golden.py saturate wrap saturate_q97 saturate_q1715 wrap_q97`;
-CI runs it and fails if a file changes.
+python tests/test_golden.py`, which writes every entry of `CASES`, or only
+the ones named after it, such as `wrap_q97`; CI runs it and fails if a
+file changes.
 """
 
 import json
@@ -173,7 +174,7 @@ WRAPPING_Q97 = Case("wrap", Q9_7, WRAP, (
                   reset_mode=ResetMode.BY_SUBTRACTION),
 ), seed=20240406, draw=heavy_wraps_draw, sizes=(64, 16, 8, 4), layer_latency=1)
 
-# The names that regenerate each file on the command line.
+# Every golden file, by the name that regenerates it on the command line.
 CASES = {"saturate": SATURATING, "wrap": WRAPPING, "saturate_q97": SATURATING_Q97,
          "saturate_q1715": SATURATING_Q1715, "wrap_q97": WRAPPING_Q97}
 
@@ -188,13 +189,6 @@ def unbits(text: str) -> list[bool]:
 
 def literal(value: float, fmt: QFormat) -> str:
     return QWord(fmt, round(value / fmt.quantum)).to_literal()
-
-
-def golden_core(case: Case, weights) -> Core:
-    core = Core(case.config())
-    for plane, w in zip(core.planes, weights):
-        plane.raw[...] = w
-    return core
 
 
 def replay(case: Case, core: Core, stimulus):
@@ -239,7 +233,7 @@ def check_replay(case: Case):
     assert (data["format"], data["policy"], tuple(data["sizes"])) == (
         str(case.fmt), case.policy.value, case.sizes)
     assert data["layer_latency"] == case.layer_latency
-    got = replay(case, golden_core(case, weights), stimulus)
+    got = replay(case, harness.loaded(case.config(), weights), stimulus)
     assert len(got) == len(data["cycles"]) == CYCLES
     for t, (g, want) in enumerate(zip(got, data["cycles"])):
         assert g == want, f"cycle {t}"
@@ -272,13 +266,11 @@ def test_a_replay_split_across_the_two_drivers_matches_the_file(case):
     # other 20 from the state it leaves: at layer_latency 1 the latches
     # that `run_sample` leaves are the ones the next `step_cycle` reads.
     data, weights, stimulus = load(case)
-    core, half = golden_core(case, weights), CYCLES // 2
-    got = replay(case, core, stimulus[:half])
-    for row in stimulus[half:]:
-        got.append({"spikes": [bits(layer) for layer in core.step_cycle(row)],
-                    "vmem": [" ".join(QWord(case.fmt, int(x)).to_literal() for x in layer)
-                             for layer in core._vmem]})
-    assert got == data["cycles"]
+    core, half = harness.loaded(case.config(), weights), CYCLES // 2
+    assert replay(case, core, stimulus[:half]) == data["cycles"][:half]
+    got, want = harness.stepped(core, stimulus[half:]), decode(case, data["cycles"][half:])
+    for g, w in zip(got, want, strict=True):
+        assert all(np.array_equal(a, b) for a, b in zip(g, w, strict=True))
 
 
 def recounted(case: Case):
@@ -370,7 +362,7 @@ def test_q97_wrap_golden_matches_the_scalar_oracle():
 
 def record(case: Case) -> dict:
     weights, stimulus = case.draw(np.random.default_rng(case.seed), case.sizes)
-    cycles = replay(case, golden_core(case, weights), stimulus)
+    cycles = replay(case, harness.loaded(case.config(), weights), stimulus)
     bad = oracle_mismatches(case, weights, stimulus, cycles)
     if bad:
         raise AssertionError(f"{case.path.name}: core and scalar oracle differ at {bad[:5]}")
@@ -388,7 +380,7 @@ def record(case: Case) -> dict:
 
 
 if __name__ == "__main__":
-    for name in sys.argv[1:]:
+    for name in sys.argv[1:] or CASES:
         case = CASES[name]
         case.path.parent.mkdir(exist_ok=True)
         case.path.write_text(json.dumps(record(case), indent=1) + "\n")

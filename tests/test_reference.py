@@ -24,13 +24,6 @@ ONE = Connectivity(ConnectivityKind.ONE_TO_ONE)
 ALL = Connectivity(ConnectivityKind.ALL_TO_ALL)
 
 
-def regs(**kw):
-    args = dict(decay_rate=0.2, growth_rate=1.0, v_threshold=10.0,
-                reset_mode=ResetMode.BY_SUBTRACTION, v_reset=0.0, refractory_period=0)
-    args.update(kw)
-    return RealRegisters(**args)
-
-
 def one_neuron_ref(r):
     cfg = CoreConfig.uniform(Q9_7, [1, 1], r, connectivity=ONE)
     ref = ReferenceCore(cfg)
@@ -38,7 +31,7 @@ def one_neuron_ref(r):
 
 
 def test_frozen_dynamics():
-    ref = one_neuron_ref(regs(decay_rate=0.0, growth_rate=0.0, v_threshold=100.0))
+    ref = one_neuron_ref(harness.regs(decay_rate=0.0, growth_rate=0.0, v_threshold=100.0))
     ref.write_weight(0, 0, 0, 3.0)
     _, traces = ref.run_sample(np.ones((10, 1), dtype=bool), 10, watch="all")
     assert np.array_equal(traces[(0, 0)], np.zeros(10))
@@ -46,7 +39,7 @@ def test_frozen_dynamics():
 
 def test_constant_drive_matches_closed_form():
     d, g, drive = 0.2, 1.0, 4.0
-    ref = one_neuron_ref(regs(decay_rate=d, growth_rate=g, v_threshold=1e9))
+    ref = one_neuron_ref(harness.regs(decay_rate=d, growth_rate=g, v_threshold=1e9))
     ref.write_weight(0, 0, 0, drive)
     _, traces = ref.run_sample(np.ones((40, 1), dtype=bool), 40, watch="all")
     t = np.arange(1, 41)
@@ -56,7 +49,7 @@ def test_constant_drive_matches_closed_form():
 
 @pytest.mark.parametrize("model", [Core, ReferenceCore])
 def test_run_sample_rejects_bad_width_and_watch(model):
-    sim = model(CoreConfig.uniform(Q9_7, [3, 2], regs()))
+    sim = model(CoreConfig.uniform(Q9_7, [3, 2], harness.regs()))
     with pytest.raises(ValueError, match=r"\[T, 3\]"):
         sim.run_sample(np.ones((4, 2), dtype=bool), 4)
     # A malformed entry used to escape as a TypeError or an unpack error;
@@ -83,7 +76,7 @@ def test_run_sample_rejects_bad_width_and_watch(model):
 
 @pytest.mark.parametrize("model", [Core, ReferenceCore])
 def test_write_weight_rejects_an_address_outside_the_planes(model):
-    sim = model(CoreConfig.uniform(Q9_7, [3, 2], regs()))
+    sim = model(CoreConfig.uniform(Q9_7, [3, 2], harness.regs()))
     for layer, pre, post in ((0, -1, -2), (0, 3, 0), (0, 0, 2), (-1, 0, 0), (1, 0, 0)):
         with pytest.raises(IndexError, match=rf"layer={layer}, pre={pre}, post={post}\b"):
             sim.write_weight(layer, pre, post, 1.5)
@@ -94,7 +87,7 @@ def test_write_weight_rejects_an_address_outside_the_planes(model):
 @pytest.mark.parametrize("model", [Core, ReferenceCore])
 def test_a_non_integer_address_names_itself(model):
     # A float index used to raise numpy's or a list's error, naming no address.
-    sim = model(CoreConfig.uniform(Q9_7, [3, 2, 2], regs()))
+    sim = model(CoreConfig.uniform(Q9_7, [3, 2, 2], harness.regs()))
     for layer, pre, post in ((0, 0.5, 0), (0.5, 0, 0), (1, 0, 1.0), (0, "1", 0), (None, 0, 0),
                              (0, True, 0), (0, 0, np.True_)):
         with pytest.raises(IndexError, match=re.escape(f"(layer={layer}, pre={pre}, post={post})")):
@@ -112,7 +105,7 @@ def test_a_non_integer_address_names_itself(model):
 
 @pytest.mark.parametrize("model", [Core, ReferenceCore])
 def test_write_weight_to_a_masked_synapse_raises_masked_synapse_error(model):
-    sim = model(CoreConfig.uniform(Q9_7, [2, 2], regs(), connectivity=ONE))
+    sim = model(CoreConfig.uniform(Q9_7, [2, 2], harness.regs(), connectivity=ONE))
     with pytest.raises(MaskedSynapseError, match=r"layer=0, pre=0, post=1\b") as err:
         sim.write_weight(0, 0, 1, 1.0)
     assert err.value.addr == (0, 0, 1)
@@ -122,7 +115,7 @@ def test_write_weight_to_a_masked_synapse_raises_masked_synapse_error(model):
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), None, "1.0"])
 def test_reference_write_weight_rejects_a_non_finite_value(value):
-    ref = ReferenceCore(CoreConfig.uniform(Q9_7, [2, 2], regs()))
+    ref = ReferenceCore(CoreConfig.uniform(Q9_7, [2, 2], harness.regs()))
     with pytest.raises(ValueError, match=r"layer=0, pre=1, post=0\b"):
         ref.write_weight(0, 1, 0, value)
     assert not np.any(ref.weights[0])
@@ -132,14 +125,14 @@ def test_reference_write_weight_rejects_a_non_finite_value(value):
                                    lambda cfg: sum(int(m.sum()) for m in _masks(cfg))])
 def test_a_mask_error_names_the_layer(build):
     for conn, what in ((ONE, "one-to-one"), (Connectivity("gaussian", 0), "gaussian radius 0")):
-        cfg = CoreConfig(Q9_7, (4, 4, 3), (ALL, conn), (regs(),) * 2)
+        cfg = CoreConfig(Q9_7, (4, 4, 3), (ALL, conn), (harness.regs(),) * 2)
         with pytest.raises(ValueError, match=f"^layer 1: {what} needs square dimensions, got 4x3$"):
             build(cfg)
 
 
 @pytest.mark.parametrize("model", [Core, ReferenceCore])
 def test_run_sample_cuts_or_zero_pads_the_stream(model):
-    sim = model(CoreConfig.uniform(Q9_7, [3, 2], regs(v_threshold=1.0)))
+    sim = model(CoreConfig.uniform(Q9_7, [3, 2], harness.regs(v_threshold=1.0)))
     sim.write_weight(0, 0, 1, 1.0)
     stim = np.ones((4, 3), dtype=bool)
     padded = np.vstack([stim, np.zeros((3, 3), dtype=bool)])
@@ -155,7 +148,7 @@ def test_run_sample_cuts_or_zero_pads_the_stream(model):
 def test_the_raster_holds_a_copy_of_the_stimulus(model):
     # A bool stimulus of at least `duration` rows used to come back as a
     # view, so that writing to the raster wrote to the caller's array.
-    sim = model(CoreConfig.uniform(Q9_7, [3, 2], regs()))
+    sim = model(CoreConfig.uniform(Q9_7, [3, 2], harness.regs()))
     stim = np.ones((5, 3), dtype=bool)
     for duration in (3, 5, 7):
         raster, _ = sim.run_sample(stim, duration)
@@ -168,7 +161,7 @@ def test_the_raster_holds_a_copy_of_the_stimulus(model):
 def test_watch_is_none_or_all(model):
     # Traces are all or nothing.  (True, False) used to trace neuron (1, 0),
     # and pairs, arrays and generators were read as (layer, neuron) pairs.
-    sim = model(CoreConfig.uniform(Q9_7, [3, 2, 3], regs()))
+    sim = model(CoreConfig.uniform(Q9_7, [3, 2, 3], harness.regs()))
     sim.write_weight(0, 0, 1, 1.0)
     sim.write_weight(1, 1, 2, 0.5)
     stim = np.ones((4, 3), dtype=bool)
@@ -202,7 +195,7 @@ def test_rmse_empty_rejected():
 
 
 def test_matched_reference_uses_decoded_values():
-    cfg = CoreConfig.uniform(Q5_3, [2, 2], regs(decay_rate=0.2), connectivity=ONE)
+    cfg = CoreConfig.uniform(Q5_3, [2, 2], harness.regs(decay_rate=0.2), connectivity=ONE)
     core = Core(cfg)
     core.write_weight(0, 0, 0, 1.3)
     ref = matched_reference(core)
@@ -211,7 +204,7 @@ def test_matched_reference_uses_decoded_values():
 
 
 def sweep_once(trial, p=0.06):
-    base = CoreConfig.uniform(Q9_7, [16, 8, 4], regs())
+    base = CoreConfig.uniform(Q9_7, [16, 8, 4], harness.regs())
     rng = np.random.default_rng(1000 + trial)
     writes = []
     for k, (m, n) in enumerate([(16, 8), (8, 4)]):
@@ -239,9 +232,9 @@ SWEEP_PIN = [(Q9_7, "2.93772835176133", 5), (Q5_3, "48.207640044234516", 131),
 
 def test_format_sweep_clamps_out_of_range_values_as_it_did():
     layers = (
-        regs(decay_rate=0.25, growth_rate=1.5, v_threshold=20.0,
+        harness.regs(decay_rate=0.25, growth_rate=1.5, v_threshold=20.0,
              reset_mode=ResetMode.TO_CONSTANT, v_reset=-20.0),
-        regs(decay_rate=0.125, v_threshold=-5.0, reset_mode=ResetMode.TO_CONSTANT,
+        harness.regs(decay_rate=0.125, v_threshold=-5.0, reset_mode=ResetMode.TO_CONSTANT,
              v_reset=-18.5, refractory_period=1),
     )
     cfg = CoreConfig(Q9_7, (12, 8, 4), (ALL, ALL), layers)
@@ -263,7 +256,7 @@ def test_format_sweep_clamps_out_of_range_values_as_it_did():
 
 def test_wide_format_tracks_reference_tightly():
     # Per-step datapath deviation stays within a few LSB of the format.
-    cfg = CoreConfig.uniform(Q17_15, [4, 3], regs(v_threshold=200.0))
+    cfg = CoreConfig.uniform(Q17_15, [4, 3], harness.regs(v_threshold=200.0))
     core = Core(cfg)
     rng = np.random.default_rng(21)
     for i in range(4):
@@ -282,7 +275,7 @@ def test_reference_mirrors_quantized_control_flow():
     # matched reference must produce the same spike raster.
     cfg = CoreConfig.uniform(
         Q17_15, [6, 5, 3],
-        regs(v_threshold=6.0, reset_mode=ResetMode.TO_CONSTANT, v_reset=1.0,
+        harness.regs(v_threshold=6.0, reset_mode=ResetMode.TO_CONSTANT, v_reset=1.0,
              refractory_period=2),
     )
     core = Core(cfg)
