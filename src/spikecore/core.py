@@ -100,8 +100,8 @@ _WORDS = ("decay_rate", "growth_rate", "v_threshold", "v_reset")  # the word reg
 
 def encode_register(value, fmt: QFormat, name: str = "value") -> QWord:
     """The word of `name`, a register or weight: a QWord of `fmt` as it is, or
-    a finite real in range truncated toward -inf.  Anything else raises; a
-    caller that loads a wider config into `fmt` clamps it first (`format_sweep`)."""
+    a finite real in range truncated toward -inf.  Anything else raises, a real
+    out of range included: no load clamps a value into the format."""
     if isinstance(value, QWord):
         if value.fmt != fmt:
             raise ValueError(f"{name} format {value.fmt} != core format {fmt}")

@@ -4,7 +4,7 @@
 cycle (`core._Cycle`) and supplies only its number system, float64 with no
 wrapping or truncation.  Pairing a quantized run with a reference run that
 uses the format's *decoded* register and weight values isolates the
-datapath quantization error, which is what the RMSE sweep measures.
+datapath quantization error, which `rmse` measures on their traces.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import _WORDS, Core, CoreConfig, _Cycle, _masks
-from .fixedpoint import QFormat, finite_real
+from .core import Core, CoreConfig, _Cycle, _masks
+from .fixedpoint import finite_real
 from .topology import MaskedSynapseError
 from .topology import build_mask  # noqa: F401  (bound here so bench/spans.py can trace it)
 
@@ -26,8 +26,6 @@ __all__ = [
     "rmse",
     "stack_traces",
     "matched_reference",
-    "FormatComparison",
-    "format_sweep",
 ]
 
 
@@ -92,39 +90,3 @@ def matched_reference(core: Core) -> ReferenceCore:
         ref.weights[k] = w
     return ref
 
-
-@dataclass
-class FormatComparison:
-    fmt: QFormat
-    rmse: float
-    spike_mismatches: int  # cycles x neurons where spike decisions differ
-
-
-def format_sweep(cfg: CoreConfig, weight_writes, stream, duration: int,
-                 formats) -> list[FormatComparison]:
-    """Run one stream through each format and score it against its matched
-    float reference.
-
-    A config written for a wide format may exceed a narrow one, so the
-    word registers and the weights are clamped here into [min_value,
-    max_value] of each format before `core.encode_register` truncates
-    them.  For a finite real, clamping and then truncating gives the word
-    that truncating and then saturating gives: a saturating load, not an
-    alias.
-    """
-    results = []
-    for fmt in formats:
-        fmt_cfg = replace(cfg, fmt=fmt)  # checks fmt before its range is read
-        lo, hi = fmt.min_value, fmt.max_value
-        regs = tuple(replace(r, **{n: min(max(getattr(r, n), lo), hi) for n in _WORDS})
-                     for r in cfg.registers)
-        core = Core(replace(fmt_cfg, registers=regs))
-        for (layer, pre, post, value) in weight_writes:
-            core.write_weight(layer, pre, post, min(max(finite_real(value, "weight"), lo), hi))
-        raster_q, traces_q = core.run_sample(stream, duration, watch="all")
-        ref = matched_reference(core)
-        raster_r, traces_r = ref.run_sample(stream, duration, watch="all")
-        pair = TracePair(stack_traces(traces_q), stack_traces(traces_r))
-        mism = sum(int(np.count_nonzero(a != b)) for a, b in zip(raster_q.layers, raster_r.layers))
-        results.append(FormatComparison(fmt, rmse(pair), mism))
-    return results

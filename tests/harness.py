@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from spikecore.core import Core, CoreConfig, RealRegisters
 from spikecore.fixedpoint import SATURATE, OverflowPolicy, QWord, add_raw, mul_raw
 from spikecore.neuron import NeuronState, step_neuron
+from spikecore.reference import stack_traces
 from spikecore.topology import Connectivity
 
 
@@ -71,13 +72,25 @@ def stepped(core, stimulus, writes=()):
     return [np.array(c) for c in zip(*outs)], [np.array(c) for c in zip(*vmems)]
 
 
+def held(core):
+    """The register files and raw planes that `core` holds now."""
+    return [core.registers(k) for k in range(core.cfg.n_layers)], [p.raw for p in core.planes]
+
+
 def checked(core, stimulus, writes=()):
     """`mismatches` of a `stepped` run of `core`, replayed from the register
     files and planes that it held before the run."""
-    registers = [core.registers(k) for k in range(core.cfg.n_layers)]
-    planes = [plane.raw for plane in core.planes]
-    return mismatches(core.cfg, registers, planes, stimulus, *stepped(core, stimulus, writes),
-                      writes)
+    return mismatches(core.cfg, *held(core), stimulus, *stepped(core, stimulus, writes), writes)
+
+
+def sampled(core, stimulus):
+    """`mismatches` of one `run_sample` run of `core` through `stimulus`,
+    replayed from the register files and planes that it held before the run."""
+    registers, planes = held(core)
+    raster, traces = core.run_sample(stimulus, len(stimulus), watch="all")
+    vmem = np.split(stack_traces(traces) / core.cfg.fmt.quantum,
+                    np.cumsum(core.cfg.sizes[1:-1]), axis=1)
+    return mismatches(core.cfg, registers, planes, stimulus, raster.layers, vmem)
 
 
 @st.composite

@@ -3,8 +3,11 @@
 Every neuron of a randomly configured core is replayed through
 `neuron.step_neuron`, fed from the core's own upstream raster, and its
 spike and membrane must match the core's on every cycle, also when
-registers are rewritten between cycles.
+registers are rewritten between cycles.  A core is also the cascade of
+its layers, each run alone on what it saw in the whole core.
 """
+
+from dataclasses import replace
 
 import harness
 import numpy as np
@@ -66,12 +69,24 @@ NETWORKS = harness.networks(FORMATS, registers, end_heavy_weights, max_cycles=12
 @settings(max_examples=300, deadline=None)
 def test_core_matches_scalar_oracle_neuron_by_neuron(net):
     cfg, weights, stream = net
-    core = harness.loaded(cfg, weights)
-    raster, traces = core.run_sample(stream, len(stream), watch="all")
-    vmem = np.split(stack_traces(traces) / cfg.fmt.quantum, np.cumsum(cfg.sizes[1:-1]), axis=1)
-    regs = [core.registers(k) for k in range(cfg.n_layers)]
-    planes = [plane.raw for plane in core.planes]
-    assert harness.mismatches(cfg, regs, planes, stream, raster.layers, vmem) == []
+    assert harness.sampled(harness.loaded(cfg, weights), stream) == []
+
+
+@given(net=NETWORKS)
+@settings(max_examples=100, deadline=None)
+def test_a_core_is_a_cascade_of_isolated_layers(net):
+    # Layers talk only in spikes: layer k alone, in a one-layer core fed what
+    # it saw in the whole core, spikes and traces as it did there.
+    cfg, weights, stream = net
+    raster, traces = harness.loaded(cfg, weights).run_sample(stream, len(stream), watch="all")
+    for k, plane in enumerate(weights):
+        alone = replace(cfg, sizes=cfg.sizes[k:k + 2], connectivity=cfg.connectivity[k:k + 1],
+                        registers=cfg.registers[k:k + 1])
+        feed = harness.upstream(stream, raster.layers, k, cfg.layer_latency)
+        spikes, vmem = harness.loaded(alone, [plane]).run_sample(feed, len(stream), watch="all")
+        assert np.array_equal(spikes.layers[0], raster.layers[k]), k
+        for j in range(cfg.sizes[k + 1]):
+            assert np.array_equal(vmem[(0, j)], traces[(k, j)]), (k, j)
 
 
 @st.composite

@@ -1,10 +1,12 @@
 """Mutant guards: each `Core` subclass below holds one plausible wrong
 version of a rule of the datapath, and comes with a fixed small network,
 with register writes where it needs them, on which the scalar oracle
-(`harness.checked`) reports a mismatch for the mutant and none for `Core`.
+(`harness.checked`, or `harness.sampled` where only `run_sample` reaches
+the rule) reports a mismatch for the mutant and none for `Core`.
 A mutant that no test tells from the core is a rule that no test holds."""
 
 from dataclasses import replace
+from functools import partial
 
 import harness
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 
 from spikecore.core import Core, CoreConfig, RealRegisters
 from spikecore.fixedpoint import Q5_3, SATURATE, WRAP, QFormat
+from spikecore.neuron import ResetMode
 
 # Decay 0, growth 1, threshold 1, reset by subtraction: a membrane is its
 # cycle's activation until it reaches 1.0.
@@ -68,6 +71,71 @@ class PeriodZeroReleases(Core):
         return super()._lif(k, drive)
 
 
+class RasterSkipsTheLineCount(Core):
+    """Takes each plane's active-line bound for its line count in a [T, M]
+    call only, so that raster rows past the bound keep their float32 product."""
+
+    def _activation(self, k, spikes_in):
+        plane = self.planes[k]
+        bound = plane.active_bound
+        if spikes_in.ndim == 2:
+            plane.active_bound = len(plane.raw)
+        try:
+            return super()._activation(k, spikes_in)
+        finally:
+            plane.active_bound = bound
+
+
+class UpperOnlyCertificate(Core):
+    """Certifies an [M] SATURATE row by s + a <= 2 max_raw alone, forgetting
+    the low end, so that a row whose prefix sums clamp at min_raw is summed
+    plainly."""
+
+    def _activation(self, k, spikes_in):
+        if spikes_in.ndim == 1 and self.policy is SATURATE:
+            rows = self.planes[k].raw[spikes_in.nonzero()[0]].astype(np.int64)
+            s = rows.sum(axis=0)
+            if (s + np.abs(rows).sum(axis=0) <= 2 * self.fmt.max_raw).all():
+                return s
+        return super()._activation(k, spikes_in)
+
+
+class SecondCallInLif(Core):
+    """Counts the `_fit` and `_mul` calls made inside one `_lif` call, each
+    hook on its own; a subclass skips the second."""
+
+    _calls = None  # hook name -> calls so far in this `_lif` call; None outside one
+
+    def _lif(self, k, drive):
+        self._calls = {"_fit": 0, "_mul": 0}
+        spikes = super()._lif(k, drive)
+        self._calls = None
+        return spikes
+
+    def _second(self, hook):
+        """Whether this call of `hook` is its second in the `_lif` call under way."""
+        if self._calls is None:
+            return False
+        self._calls[hook] += 1
+        return self._calls[hook] == 2
+
+
+class NoFitUnderNegativeThreshold(SecondCallInLif):
+    """Skips `_lif`'s second fit, the one after a reset by subtraction under
+    a negative threshold, so that updated - v_threshold can leave the range."""
+
+    def _fit(self, x):
+        return x if self._second("_fit") else super()._fit(x)
+
+
+class DefaultResetWithoutLeak(SecondCallInLif):
+    """Leaves out the extra leak step of a DEFAULT reset (`_lif`'s second
+    product), so that a spiking neuron keeps its membrane."""
+
+    def _mul(self, r, x):
+        return np.zeros_like(x) if self._second("_mul") else super()._mul(r, x)
+
+
 def one_spike_pipeline():
     # One input spike in cycle 0 fires layer 0 at once; at latency 1 layer 1
     # sees it only in cycle 1, the mutant's layer 1 fires in cycle 0.
@@ -113,14 +181,49 @@ def period_written_to_zero():
             [(1, 0, "refractory_period", 0)])
 
 
+def negative_threshold(policy):
+    # max_raw fires at threshold -1 and its reset leaves 127 + 8, past the
+    # range; the core wraps it to -121 or saturates it to 127.
+    cfg = CoreConfig.uniform(Q5_3, (1, 1), replace(PLAIN, v_threshold=-1.0), policy=policy)
+    return cfg, [np.array([[Q5_3.max_raw]])], np.array([[1], [0]], dtype=bool), ()
+
+
+def default_reset():
+    # Weight 2.0 fires at once; the DEFAULT reset leaks 16 to 12 where the
+    # mutant keeps 16.
+    cfg = CoreConfig.uniform(Q5_3, (1, 1), replace(PLAIN, decay_rate=0.25,
+                                                   reset_mode=ResetMode.DEFAULT))
+    return cfg, [np.array([[2 << Q5_3.q]])], np.array([[1], [0]], dtype=bool), ()
+
+
+def low_end_clamp():
+    # -100 - 29 clamps at -128 before + 50, so the fold gives -78 and the
+    # plain sum -79; s + a = 100 passes the upper test, |s| + a = 258 fails.
+    cfg = CoreConfig.uniform(Q5_3, (3, 1), replace(PLAIN, v_threshold=Q5_3.max_value),
+                             policy=SATURATE)
+    return cfg, [np.array([[-100], [-29], [50]])], np.array([[1, 1, 1]], dtype=bool), ()
+
+
 @pytest.mark.parametrize("mutant, network, first", [
     (FirstToLastPipeline, one_spike_pipeline, [(1, 0, 0)]),
     (BoundAtLineCount, three_max_lines, [(0, 0, 0)]),
     (GrowthOneIsRawOne, one_quantum_growth, [(0, 0, 0)]),
     (UnclampedGrowth, growth_past_one, [(0, 0, 1)]),
     (PeriodZeroReleases, period_written_to_zero, [(0, 0, 1)]),
+    (NoFitUnderNegativeThreshold, partial(negative_threshold, WRAP), [(0, 0, 0)]),
+    (NoFitUnderNegativeThreshold, partial(negative_threshold, SATURATE), [(0, 0, 0)]),
+    (DefaultResetWithoutLeak, default_reset, [(0, 0, 0)]),
+    (UpperOnlyCertificate, low_end_clamp, [(0, 0, 0)]),
 ])
 def test_the_scalar_oracle_tells_each_mutant_from_the_core(mutant, network, first):
     cfg, planes, stimulus, writes = network()
     assert harness.checked(harness.loaded(cfg, planes), stimulus, writes) == []
     assert harness.checked(harness.loaded(cfg, planes, mutant), stimulus, writes) == first
+
+
+def test_only_a_sampled_run_tells_the_raster_mutant_from_the_core():
+    # A `step_cycle` loop sums [M] rows only, which the mutant leaves alone.
+    cfg, planes, stimulus, _ = three_max_lines()
+    assert harness.sampled(harness.loaded(cfg, planes), stimulus) == []
+    for run, first in ((harness.sampled, [(0, 0, 0)]), (harness.checked, [])):
+        assert run(harness.loaded(cfg, planes, RasterSkipsTheLineCount), stimulus) == first
