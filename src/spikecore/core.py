@@ -241,13 +241,6 @@ class _Cycle:
         self._dtype = dtype
         self.reset_state()
 
-    def _check_synapse(self, layer: int, pre: int, post: int) -> None:
-        sizes = self.cfg.sizes
-        if not (valid_index(layer, self.cfg.n_layers) and valid_index(pre, sizes[layer])
-                and valid_index(post, sizes[layer + 1])):
-            raise IndexError(f"synapse (layer={layer}, pre={pre}, post={post}) outside "
-                             f"the planes of sizes {sizes}")
-
     def reset_state(self) -> None:
         """Between-sample reset: membranes, refractory counters and every layer's
         latched spikes to zero, in fresh arrays, not by in-place zeroing: a latch
@@ -350,6 +343,8 @@ class Core(_Cycle):
 
     def __init__(self, cfg: CoreConfig, threads: int = 1):
         """`threads` is ignored; `bench/workloads.py` still passes it."""
+        if not isinstance(cfg, CoreConfig):
+            raise ValueError(f"config {cfg!r} is not a CoreConfig")
         self.fmt = cfg.fmt
         self.policy = cfg.policy
         regs = _per_layer(lambda r: r.quantize(cfg.fmt), cfg.registers)
@@ -391,7 +386,10 @@ class Core(_Cycle):
         sizes = self.cfg.sizes
         if not (type(layer) is type(pre) is type(post) is int and 0 <= layer < len(sizes) - 1
                 and 0 <= pre < sizes[layer] and 0 <= post < sizes[layer + 1]):
-            self._check_synapse(layer, pre, post)  # numpy indices, or raises
+            if not (valid_index(layer, self.cfg.n_layers) and valid_index(pre, sizes[layer])
+                    and valid_index(post, sizes[layer + 1])):  # numpy indices pass here
+                raise IndexError(f"synapse (layer={layer}, pre={pre}, post={post}) outside "
+                                 f"the planes of sizes {sizes}")
         try:
             word = (_real_raw(value, self.fmt, "") if type(value) is float
                     else encode_register(value, self.fmt))

@@ -2,9 +2,11 @@
 
 `ReferenceCore` is the float64 twin of `core.Core`: it runs the same LIF
 cycle (`core._Cycle`) and supplies only its number system, float64 with no
-wrapping or truncation.  Pairing a quantized run with a reference run that
-uses the format's *decoded* register and weight values isolates the
-datapath quantization error, which `rmse` measures on their traces.
+wrapping or truncation.  A twin is built from a programmed core, as a
+snapshot of its *decoded* register and weight values, so that weights reach
+it only through `Core.write_weight`'s checks.  Pairing the core's run with
+its twin's isolates the datapath quantization error, which `rmse` measures
+on their traces.
 """
 
 from __future__ import annotations
@@ -15,9 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Core, CoreConfig, _Cycle, _masks
-from .fixedpoint import finite_real
-from .topology import MaskedSynapseError
+from .core import Core, _Cycle
 from .topology import build_mask  # noqa: F401  (bound here so bench/spans.py can trace it)
 
 __all__ = [
@@ -30,19 +30,16 @@ __all__ = [
 
 
 class ReferenceCore(_Cycle):
-    """Float64 twin of Core; registers and weights are plain reals."""
+    """Float64 twin of a Core: its decoded registers and weights as plain
+    reals, copied when the twin is built.  Later writes to the core do not
+    reach the twin."""
 
-    def __init__(self, cfg: CoreConfig):
-        self.masks = _masks(cfg)
-        self.weights = [np.zeros(m.shape) for m in self.masks]
+    def __init__(self, core: Core):
+        if not isinstance(core, Core):
+            raise ValueError(f"core {core!r} is not a Core")
+        self.weights = core.decoded_weights()
+        cfg = replace(core.cfg, registers=tuple(core.decoded_registers()))
         super().__init__(cfg, cfg.registers, np.float64)
-
-    def write_weight(self, layer: int, pre: int, post: int, value: float) -> None:
-        self._check_synapse(layer, pre, post)
-        finite_real(value, f"weight of synapse (layer={layer}, pre={pre}, post={post})")
-        if not self.masks[layer][pre, post]:
-            raise MaskedSynapseError(layer, pre, post)
-        self.weights[layer][pre, post] = value
 
     def _activation(self, k: int, spikes_in: np.ndarray) -> np.ndarray:
         return spikes_in.astype(np.float64) @ self.weights[k]
@@ -72,6 +69,8 @@ class TracePair:
 
 def stack_traces(traces: dict) -> np.ndarray:
     """Stack a watch-dict into [T, n_watched], keys in sorted order."""
+    if not traces:
+        raise ValueError('no traces to stack: run_sample records them only with watch="all"')
     return np.stack([traces[k] for k in sorted(traces)], axis=1)
 
 
@@ -82,11 +81,5 @@ def rmse(pair: TracePair) -> float:
     return math.sqrt(float(np.mean((pair.quantized - pair.reference) ** 2)))
 
 
-def matched_reference(core: Core) -> ReferenceCore:
-    """Reference core seeded with the quantized core's decoded parameters."""
-    cfg = replace(core.cfg, registers=tuple(core.decoded_registers()))
-    ref = ReferenceCore(cfg)
-    for k, w in enumerate(core.decoded_weights()):
-        ref.weights[k] = w
-    return ref
+matched_reference = ReferenceCore  # the name `bench/` calls and traces
 

@@ -128,5 +128,7 @@ class WeightMemory:
 
     def presynaptic_weights(self, post: int) -> list[QWord]:
         """Column for one post neuron, in pre index order (accumulation order)."""
-        self._check(0, post)
+        m, n = self.mask.shape
+        if not valid_index(post, n):
+            raise IndexError(f"column (layer={self.layer}, post={post}) outside {m}x{n}")
         return [QWord(self.fmt, r) for r in self.raw[:, post]]

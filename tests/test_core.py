@@ -15,7 +15,7 @@ from spikecore.fixedpoint import (
     Q3_1, Q5_3, Q9_7, Q17_15, SATURATE, OverflowPolicy, QFormat, QWord, fit_raw, wrap_raw,
 )
 from spikecore.neuron import ResetMode
-from spikecore.reference import TracePair, matched_reference
+from spikecore.reference import ReferenceCore, TracePair
 from spikecore.topology import Connectivity, ConnectivityKind, MaskedSynapseError, WeightMemory
 
 GAUSS1 = Connectivity(ConnectivityKind.GAUSSIAN, 1)
@@ -126,6 +126,14 @@ def test_config_entries_of_the_wrong_type_name_the_field_and_layer():
         CoreConfig(Q9_7, (2, 2), ONE, (good,))
     with pytest.raises(ValueError, match=r"^registers RealRegisters\(.* is not a sequence$"):
         CoreConfig(Q9_7, (2, 2), (ONE,), good)
+
+
+def test_a_core_is_built_only_from_a_core_config():
+    # Each used to fail with AttributeError on its first field.
+    cfg = CoreConfig.uniform(Q5_3, (2, 2), harness.regs())
+    for arg in ("x", cfg.__dict__, Core(cfg)):
+        with pytest.raises(ValueError, match=f"^config {re.escape(repr(arg))} is not a CoreConfig$"):
+            Core(arg)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), None, "abc", "1.0",
@@ -403,7 +411,7 @@ def test_weight_planes_store_integer_payloads_by_width(fmt, dtype):
     assert [w.raw for w in core.planes[0].presynaptic_weights(0)] == raws
     values = [float(r) * fmt.quantum for r in raws]
     assert core.decoded_weights()[0][:, 0].tolist() == values
-    assert matched_reference(core).weights[0][:, 0].tolist() == values
+    assert ReferenceCore(core).weights[0][:, 0].tolist() == values
 
 
 @pytest.mark.parametrize("fmt", [Q5_3, QFormat(20, 20)])

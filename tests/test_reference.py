@@ -17,23 +17,33 @@ ONE = Connectivity(ConnectivityKind.ONE_TO_ONE)
 ALL = Connectivity(ConnectivityKind.ALL_TO_ALL)
 
 
-def one_neuron_ref(r):
-    cfg = CoreConfig.uniform(Q9_7, [1, 1], r, connectivity=ONE)
-    ref = ReferenceCore(cfg)
-    return ref
+def programmed(model, cfg, writes=()):
+    """A core of `cfg` given each (layer, pre, post, value) write, or its twin."""
+    core = Core(cfg)
+    for write in writes:
+        core.write_weight(*write)
+    return core if model is Core else model(core)
+
+
+def one_neuron_twin(weight, **regs):
+    """The twin of a Q9.7 one-neuron core of `harness.regs(**regs)`."""
+    cfg = CoreConfig.uniform(Q9_7, [1, 1], harness.regs(**regs), connectivity=ONE)
+    return programmed(ReferenceCore, cfg, [(0, 0, 0, weight)])
 
 
 def test_frozen_dynamics():
-    ref = one_neuron_ref(harness.regs(decay_rate=0.0, growth_rate=0.0, v_threshold=100.0))
-    ref.write_weight(0, 0, 0, 3.0)
+    ref = one_neuron_twin(3.0, decay_rate=0.0, growth_rate=0.0, v_threshold=100.0)
     _, traces = ref.run_sample(np.ones((10, 1), dtype=bool), 10, watch="all")
     assert np.array_equal(traces[(0, 0)], np.zeros(10))
 
 
 def test_constant_drive_matches_closed_form():
-    d, g, drive = 0.2, 1.0, 4.0
-    ref = one_neuron_ref(harness.regs(decay_rate=d, growth_rate=g, v_threshold=1e9))
-    ref.write_weight(0, 0, 0, drive)
+    # Q9.7 holds 1 and 4 exactly and the threshold lies above the limit
+    # g * drive / d, about 20.5; 0.2 decodes to 25/128, the decay the twin runs.
+    g, drive = 1.0, 4.0
+    ref = one_neuron_twin(drive, decay_rate=0.2, growth_rate=g, v_threshold=250.0)
+    d = ref.cfg.registers[0].decay_rate
+    assert d == 25 / 128
     _, traces = ref.run_sample(np.ones((40, 1), dtype=bool), 40, watch="all")
     t = np.arange(1, 41)
     closed = (g * drive / d) * (1.0 - (1.0 - d) ** t)
@@ -42,7 +52,7 @@ def test_constant_drive_matches_closed_form():
 
 @pytest.mark.parametrize("model", [Core, ReferenceCore])
 def test_run_sample_rejects_bad_width_and_watch(model):
-    sim = model(CoreConfig.uniform(Q9_7, [3, 2], harness.regs()))
+    sim = programmed(model, CoreConfig.uniform(Q9_7, [3, 2], harness.regs()))
     with pytest.raises(ValueError, match=r"\[T, 3\]"):
         sim.run_sample(np.ones((4, 2), dtype=bool), 4)
     # A malformed entry used to escape as a TypeError or an unpack error;
@@ -67,38 +77,33 @@ def test_run_sample_rejects_bad_width_and_watch(model):
         sim.step_cycle([1, 0, -1])
 
 
-@pytest.mark.parametrize("model", [Core, ReferenceCore])
-def test_write_weight_rejects_an_address_outside_the_planes(model):
-    sim = model(CoreConfig.uniform(Q9_7, [3, 2], harness.regs()))
+def test_write_weight_rejects_an_address_outside_the_planes():
+    sim = Core(CoreConfig.uniform(Q9_7, [3, 2], harness.regs()))
     for layer, pre, post in ((0, -1, -2), (0, 3, 0), (0, 0, 2), (-1, 0, 0), (1, 0, 0)):
         with pytest.raises(IndexError, match=rf"layer={layer}, pre={pre}, post={post}\b"):
             sim.write_weight(layer, pre, post, 1.5)
-    weights = sim.decoded_weights() if model is Core else sim.weights
-    assert not np.any(weights[0])
+    assert not np.any(sim.decoded_weights()[0])
 
 
-@pytest.mark.parametrize("model", [Core, ReferenceCore])
-def test_a_non_integer_address_names_itself(model):
+def test_a_non_integer_address_names_itself():
     # A float index used to raise numpy's or a list's error, naming no address.
-    sim = model(CoreConfig.uniform(Q9_7, [3, 2, 2], harness.regs()))
+    sim = Core(CoreConfig.uniform(Q9_7, [3, 2, 2], harness.regs()))
     for layer, pre, post in ((0, 0.5, 0), (0.5, 0, 0), (1, 0, 1.0), (0, "1", 0), (None, 0, 0),
                              (0, True, 0), (0, 0, np.True_)):
         with pytest.raises(IndexError, match=re.escape(f"(layer={layer}, pre={pre}, post={post})")):
             sim.write_weight(layer, pre, post, 1.0)
     sim.write_weight(np.int64(1), np.int64(1), np.int32(1), 1.0)  # integers by operator.index
-    weights = sim.decoded_weights() if model is Core else sim.weights
+    weights = sim.decoded_weights()
     assert weights[1][1, 1] == 1.0 and np.count_nonzero(weights[0]) == 0
-    if model is Core:
-        with pytest.raises(IndexError, match=r"^registers of layer 0.5: no such layer$"):
-            sim.registers(0.5)
-        with pytest.raises(IndexError, match=r"^register 'v_threshold' of layer 1.0: no such"):
-            sim.write_register(1.0, "v_threshold", 2.0)
-        assert sim.registers(np.int64(1)).v_threshold.value == 10.0
+    with pytest.raises(IndexError, match=r"^registers of layer 0.5: no such layer$"):
+        sim.registers(0.5)
+    with pytest.raises(IndexError, match=r"^register 'v_threshold' of layer 1.0: no such"):
+        sim.write_register(1.0, "v_threshold", 2.0)
+    assert sim.registers(np.int64(1)).v_threshold.value == 10.0
 
 
-@pytest.mark.parametrize("model", [Core, ReferenceCore])
-def test_write_weight_to_a_masked_synapse_raises_masked_synapse_error(model):
-    sim = model(CoreConfig.uniform(Q9_7, [2, 2], harness.regs(), connectivity=ONE))
+def test_write_weight_to_a_masked_synapse_raises_masked_synapse_error():
+    sim = Core(CoreConfig.uniform(Q9_7, [2, 2], harness.regs(), connectivity=ONE))
     with pytest.raises(MaskedSynapseError, match=r"layer=0, pre=0, post=1\b") as err:
         sim.write_weight(0, 0, 1, 1.0)
     assert err.value.addr == (0, 0, 1)
@@ -106,16 +111,37 @@ def test_write_weight_to_a_masked_synapse_raises_masked_synapse_error(model):
     sim.write_weight(0, 1, 1, 1.0)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), None, "1.0"])
-def test_reference_write_weight_rejects_a_non_finite_value(value):
-    ref = ReferenceCore(CoreConfig.uniform(Q9_7, [2, 2], harness.regs()))
-    with pytest.raises(ValueError, match=r"layer=0, pre=1, post=0\b"):
-        ref.write_weight(0, 1, 0, value)
-    assert not np.any(ref.weights[0])
+def test_a_twin_is_built_only_from_a_core():
+    cfg = CoreConfig.uniform(Q9_7, [2, 2], harness.regs())
+    for arg in (cfg, "core", None):
+        with pytest.raises(ValueError, match=f"^core {re.escape(repr(arg))} is not a Core$"):
+            ReferenceCore(arg)
+    assert matched_reference is ReferenceCore
 
 
-@pytest.mark.parametrize("build", [Core, ReferenceCore,
-                                   lambda cfg: sum(int(m.sum()) for m in _masks(cfg))])
+def test_a_twin_is_a_snapshot_of_its_core():
+    # Writes to the core after the twin is built do not reach the twin.
+    cfg = CoreConfig.uniform(Q9_7, [3, 2], harness.regs(v_threshold=1.0))
+    core = programmed(Core, cfg, [(0, 0, 1, 1.0), (0, 2, 0, -0.5)])
+    ref, built_before = ReferenceCore(core), ReferenceCore(core)
+    weights = [w.copy() for w in ref.weights]
+    stim = np.random.default_rng(0).random((8, 3)) < 0.5
+    raster, traces = ref.run_sample(stim, 8, watch="all")
+    core.write_weight(0, 1, 1, 2.0)
+    core.write_weight(0, 0, 1, -1.0)
+    core.write_register(0, "v_threshold", 0.5)
+    core.write_register(0, "decay_rate", 0.5)
+    assert all(np.array_equal(a, b) for a, b in zip(ref.weights, weights))
+    after, after_traces = ref.run_sample(stim, 8, watch="all")
+    assert np.array_equal(np.hstack(after.layers), np.hstack(raster.layers))
+    assert all(np.array_equal(traces[key], after_traces[key]) for key in traces)
+    assert ref.cfg == built_before.cfg
+    assert all(np.array_equal(a, b) for a, b in zip(ref.weights, built_before.weights))
+    fresh = ReferenceCore(core)  # the writes did reach the core
+    assert fresh.cfg != ref.cfg and not np.array_equal(fresh.weights[0], weights[0])
+
+
+@pytest.mark.parametrize("build", [Core, lambda cfg: sum(int(m.sum()) for m in _masks(cfg))])
 def test_a_mask_error_names_the_layer(build):
     for conn, what in ((ONE, "one-to-one"), (Connectivity("gaussian", 0), "gaussian radius 0")):
         cfg = CoreConfig(Q9_7, (4, 4, 3), (ALL, conn), (harness.regs(),) * 2)
@@ -125,8 +151,8 @@ def test_a_mask_error_names_the_layer(build):
 
 @pytest.mark.parametrize("model", [Core, ReferenceCore])
 def test_run_sample_cuts_or_zero_pads_the_stream(model):
-    sim = model(CoreConfig.uniform(Q9_7, [3, 2], harness.regs(v_threshold=1.0)))
-    sim.write_weight(0, 0, 1, 1.0)
+    cfg = CoreConfig.uniform(Q9_7, [3, 2], harness.regs(v_threshold=1.0))
+    sim = programmed(model, cfg, [(0, 0, 1, 1.0)])
     stim = np.ones((4, 3), dtype=bool)
     padded = np.vstack([stim, np.zeros((3, 3), dtype=bool)])
     for duration, want in ((7, padded), (2, stim[:2])):
@@ -141,7 +167,7 @@ def test_run_sample_cuts_or_zero_pads_the_stream(model):
 def test_the_raster_holds_a_copy_of_the_stimulus(model):
     # A bool stimulus of at least `duration` rows used to come back as a
     # view, so that writing to the raster wrote to the caller's array.
-    sim = model(CoreConfig.uniform(Q9_7, [3, 2], harness.regs()))
+    sim = programmed(model, CoreConfig.uniform(Q9_7, [3, 2], harness.regs()))
     stim = np.ones((5, 3), dtype=bool)
     for duration in (3, 5, 7):
         raster, _ = sim.run_sample(stim, duration)
@@ -154,9 +180,8 @@ def test_the_raster_holds_a_copy_of_the_stimulus(model):
 def test_watch_is_none_or_all(model):
     # Traces are all or nothing.  (True, False) used to trace neuron (1, 0),
     # and pairs, arrays and generators were read as (layer, neuron) pairs.
-    sim = model(CoreConfig.uniform(Q9_7, [3, 2, 3], harness.regs()))
-    sim.write_weight(0, 0, 1, 1.0)
-    sim.write_weight(1, 1, 2, 0.5)
+    cfg = CoreConfig.uniform(Q9_7, [3, 2, 3], harness.regs())
+    sim = programmed(model, cfg, [(0, 0, 1, 1.0), (1, 1, 2, 0.5)])
     stim = np.ones((4, 3), dtype=bool)
     for watch in ([(True, False)], [(0, 0), (1, 2)], np.array([[0, 0], [0, 1]]),
                   ((0, j) for j in range(2)), "al"):
@@ -166,6 +191,9 @@ def test_watch_is_none_or_all(model):
     assert sim.run_sample(stim, 4)[1] == {} == sim.run_sample(stim, 4, watch=None)[1]
     _, traces = sim.run_sample(stim, 4, watch="all")
     assert list(traces) == [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)]
+    # An untraced run's {} used to reach numpy's "need at least one array to stack".
+    with pytest.raises(ValueError, match='^no traces to stack: .* only with watch="all"$'):
+        stack_traces(sim.run_sample(stim, 4)[1])
     for k, vmem in enumerate(sim._vmem):  # each trace ends at its own neuron's membrane
         assert [traces[(k, j)][-1] for j in range(len(vmem))] == (vmem * (1 / sim._one)).tolist()
 
@@ -191,7 +219,7 @@ def test_matched_reference_uses_decoded_values():
     cfg = CoreConfig.uniform(Q5_3, [2, 2], harness.regs(decay_rate=0.2), connectivity=ONE)
     core = Core(cfg)
     core.write_weight(0, 0, 0, 1.3)
-    ref = matched_reference(core)
+    ref = ReferenceCore(core)
     assert ref.cfg.registers[0].decay_rate == 0.125  # 0.2 truncated to the Q5.3 grid
     assert ref.weights[0][0, 0] == 1.25
 
@@ -206,7 +234,7 @@ def format_errors(cfg, writes, stream, formats):
         for write in writes:
             core.write_weight(*write)
         raster_q, traces_q = core.run_sample(stream, len(stream), watch="all")
-        raster_r, traces_r = matched_reference(core).run_sample(stream, len(stream), watch="all")
+        raster_r, traces_r = ReferenceCore(core).run_sample(stream, len(stream), watch="all")
         mism = sum(int(np.count_nonzero(a != b)) for a, b in zip(raster_q.layers, raster_r.layers))
         errors.append((rmse(TracePair(stack_traces(traces_q), stack_traces(traces_r))), mism))
     return errors
@@ -258,7 +286,7 @@ def test_wide_format_tracks_reference_tightly():
             core.write_weight(0, i, j, float(rng.uniform(0.0, 2.0)))
     stream = rng.random((100, 4)) < 0.4
     _, tq = core.run_sample(stream, 100, watch="all")
-    ref = matched_reference(core)
+    ref = ReferenceCore(core)
     _, tr = ref.run_sample(stream, 100, watch="all")
     err = rmse(TracePair(stack_traces(tq), stack_traces(tr)))
     assert err < 8 * Q17_15.quantum
@@ -280,7 +308,7 @@ def test_reference_mirrors_quantized_control_flow():
                 core.write_weight(k, i, j, float(rng.uniform(0.0, 3.0)))
     stream = rng.random((80, 6)) < 0.5
     raster_q, _ = core.run_sample(stream, 80)
-    raster_r, _ = matched_reference(core).run_sample(stream, 80)
+    raster_r, _ = ReferenceCore(core).run_sample(stream, 80)
     assert np.array_equal(np.hstack(raster_q.layers), np.hstack(raster_r.layers))
 
 
@@ -316,6 +344,6 @@ def test_reference_equals_core_where_the_core_is_exact(net):
         for (i, j), value in np.ndenumerate(w):
             core.write_weight(k, i, j, value)
     raster_q, traces_q = core.run_sample(stream, len(stream), watch="all")
-    raster_r, traces_r = matched_reference(core).run_sample(stream, len(stream), watch="all")
+    raster_r, traces_r = ReferenceCore(core).run_sample(stream, len(stream), watch="all")
     assert np.array_equal(np.hstack(raster_q.layers), np.hstack(raster_r.layers))
     assert all(np.array_equal(traces_q[key], traces_r[key]) for key in traces_q)

@@ -174,6 +174,10 @@ def test_write_out_of_range_address():
         mem.write(1.0, 0, encode_register(1.0, Q5_3))
     with pytest.raises(IndexError, match=r"post=0.5\) outside"):
         mem.presynaptic_weights(0.5)
+    # A column read names only the column: it used to report a pre=0 that no one passed.
+    with pytest.raises(IndexError, match=r"^column \(layer=0, post=5\) outside 3x2$") as err:
+        make_mem(m=3, n=2).presynaptic_weights(5)
+    assert "pre=" not in str(err.value)
     # A plain int is range-checked at once; an int subclass goes by operator.index.
     class Lane(int):
         pass
