@@ -25,6 +25,11 @@ def programmed(model, cfg, writes=()):
     return core if model is Core else model(core)
 
 
+def weights_seen(model, core):
+    """The weights of `core` as it decodes them, or as a twin built from it holds them."""
+    return core.decoded_weights() if model is Core else ReferenceCore(core).weights
+
+
 def one_neuron_twin(weight, **regs):
     """The twin of a Q9.7 one-neuron core of `harness.regs(**regs)`."""
     cfg = CoreConfig.uniform(Q9_7, [1, 1], harness.regs(**regs), connectivity=ONE)
@@ -77,15 +82,17 @@ def test_run_sample_rejects_bad_width_and_watch(model):
         sim.step_cycle([1, 0, -1])
 
 
-def test_write_weight_rejects_an_address_outside_the_planes():
+@pytest.mark.parametrize("model", [Core, ReferenceCore])
+def test_write_weight_rejects_an_address_outside_the_planes(model):
     sim = Core(CoreConfig.uniform(Q9_7, [3, 2], harness.regs()))
     for layer, pre, post in ((0, -1, -2), (0, 3, 0), (0, 0, 2), (-1, 0, 0), (1, 0, 0)):
         with pytest.raises(IndexError, match=rf"layer={layer}, pre={pre}, post={post}\b"):
             sim.write_weight(layer, pre, post, 1.5)
-    assert not np.any(sim.decoded_weights()[0])
+    assert not np.any(weights_seen(model, sim)[0])
 
 
-def test_a_non_integer_address_names_itself():
+@pytest.mark.parametrize("model", [Core, ReferenceCore])
+def test_a_non_integer_address_names_itself(model):
     # A float index used to raise numpy's or a list's error, naming no address.
     sim = Core(CoreConfig.uniform(Q9_7, [3, 2, 2], harness.regs()))
     for layer, pre, post in ((0, 0.5, 0), (0.5, 0, 0), (1, 0, 1.0), (0, "1", 0), (None, 0, 0),
@@ -93,7 +100,7 @@ def test_a_non_integer_address_names_itself():
         with pytest.raises(IndexError, match=re.escape(f"(layer={layer}, pre={pre}, post={post})")):
             sim.write_weight(layer, pre, post, 1.0)
     sim.write_weight(np.int64(1), np.int64(1), np.int32(1), 1.0)  # integers by operator.index
-    weights = sim.decoded_weights()
+    weights = weights_seen(model, sim)
     assert weights[1][1, 1] == 1.0 and np.count_nonzero(weights[0]) == 0
     with pytest.raises(IndexError, match=r"^registers of layer 0.5: no such layer$"):
         sim.registers(0.5)
@@ -102,13 +109,24 @@ def test_a_non_integer_address_names_itself():
     assert sim.registers(np.int64(1)).v_threshold.value == 10.0
 
 
-def test_write_weight_to_a_masked_synapse_raises_masked_synapse_error():
+@pytest.mark.parametrize("model", [Core, ReferenceCore])
+def test_write_weight_to_a_masked_synapse_raises_masked_synapse_error(model):
     sim = Core(CoreConfig.uniform(Q9_7, [2, 2], harness.regs(), connectivity=ONE))
     with pytest.raises(MaskedSynapseError, match=r"layer=0, pre=0, post=1\b") as err:
         sim.write_weight(0, 0, 1, 1.0)
     assert err.value.addr == (0, 0, 1)
     assert isinstance(err.value, ValueError)
     sim.write_weight(0, 1, 1, 1.0)
+    assert weights_seen(model, sim)[0].tolist() == [[0.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), None, "1.0"])
+def test_reference_write_weight_rejects_a_non_finite_value(value):
+    # A twin has no write path of its own: its weights pass Core.write_weight's checks.
+    core = Core(CoreConfig.uniform(Q9_7, [2, 2], harness.regs()))
+    with pytest.raises(ValueError, match=r"layer=0, pre=1, post=0\b"):
+        core.write_weight(0, 1, 0, value)
+    assert not np.any(ReferenceCore(core).weights[0])
 
 
 def test_a_twin_is_built_only_from_a_core():
