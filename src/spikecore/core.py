@@ -4,10 +4,18 @@ cycle-stepping engine.
 Layers are indexed 0..K-1 over the LIF layers; sizes[0] is the input width
 and weight plane k connects sizes[k] -> sizes[k+1].  All neurons of a layer
 share one register file (one decoder per layer).  One cycle, two number
-systems: `_Cycle` holds the LIF cycle and the run loop once.  `Core` steps
+systems: `_Cycle` holds the LIF cycle and its drivers once.  `Core` steps
 it in Qn.q on raw integer arrays, bit-identical to scalar per-neuron
 evaluation (`neuron.step_neuron`), and `reference.ReferenceCore` in
 float64, to measure the quantization error.
+
+Two drivers step the one LIF kernel: `step_cycle`, one cycle of every
+layer, and the layer-major `_scan`.  A layer's activation depends only on
+its input spikes, so `_scan` runs each layer through all its cycles before
+the next, which reads that raster one cycle late at layer_latency 1.  It
+drives `run_sample` and `run_batch` (B samples on [B, N] state).
+`Core.run_sample` still loops `step_cycle`, only because the benchmark's
+tests count one `core.step_cycle` call per cycle.
 
 Activation is event-driven, as in the hardware: a weight enters a neuron's
 sum only when its pre-synaptic line spikes.  Each cycle gathers the weight
@@ -20,12 +28,13 @@ sums, which has an exact closed form (`fixedpoint.accumulate_raw`).
 
 A plane's dtype says how its rows are summed (`topology.WeightMemory`):
 float32, float64 or object.  On a float plane a row within the
-active-line bound sums exactly, so `run_sample` computes layer 0's
-activation for every cycle as one product of the stimulus raster, known
-before the sample starts, with the plane.  WRAP wraps it; SATURATE keeps
-it where a second product, with |plane|, gives the certificate.  Cycles
-past the bound or uncertified, and object planes, take the gather, which
-sums a row past the bound in the state's integers (int64 for w <= 32).
+active-line bound sums exactly, so a driver computes a layer's activation
+for every cycle as one product of its input raster, known before the layer
+runs, with the plane: every layer's in `_scan`, layer 0's in `Core.run_sample`.
+WRAP wraps it; SATURATE keeps it where a second product, with |plane|, gives
+the certificate.  Cycles past the bound or uncertified, and object planes,
+take the gather, which sums a row past the bound in the state's integers
+(int64 for w <= 32).
 
 A register whose raw r lies in [0, 2**q] is a rate in [0, 1]: the decay
 always, and the growth when it is at most 1.  A product by such a rate
@@ -233,7 +242,8 @@ class _Cycle:
     `__init__` takes the config, one validated register file per layer
     (`NeuronRegisters` or `RealRegisters`), which the cycle reads as it
     stands, and the state dtype.  Traces scale by 1 / `_one`, a power of two.
-    `_out` latches each layer's last spikes, which drive the layer after it."""
+    `_out` latches each layer's last spikes, which drive the layer after it in
+    `step_cycle`; `_scan` is the other driver (module docstring)."""
 
     def __init__(self, cfg: CoreConfig, regs, dtype):
         self.cfg = cfg
@@ -241,14 +251,14 @@ class _Cycle:
         self._dtype = dtype
         self.reset_state()
 
-    def reset_state(self) -> None:
+    def reset_state(self, batch=()) -> None:
         """Between-sample reset: membranes, refractory counters and every layer's
-        latched spikes to zero, in fresh arrays, not by in-place zeroing: a latch
-        holds the spike vector that `step_cycle` returned to its caller."""
+        latched spikes to zero, in fresh [*batch, N] arrays, not by in-place zeroing:
+        a latch holds the spike vector that `step_cycle` returned to its caller."""
         sizes = self.cfg.sizes
-        self._vmem = [np.zeros(n, dtype=self._dtype) for n in sizes[1:]]
-        self._refr = [np.zeros(n, dtype=np.int64) for n in sizes[1:]]
-        self._out = [np.zeros(n, dtype=bool) for n in sizes[1:]]  # each layer's last spikes
+        self._vmem = [np.zeros((*batch, n), dtype=self._dtype) for n in sizes[1:]]
+        self._refr = [np.zeros((*batch, n), dtype=np.int64) for n in sizes[1:]]
+        self._out = [np.zeros((*batch, n), dtype=bool) for n in sizes[1:]]  # the latches
         # Per layer: a refractory counter may be nonzero (`_lif` keeps it).
         self._armed = [True] * self.cfg.n_layers
 
@@ -294,8 +304,8 @@ class _Cycle:
 
     def step_cycle(self, input_spikes, *, drive0=None) -> list[np.ndarray]:
         """Advance every layer by one spike-clock cycle; returns a new list of the spikes it
-        latches.  Layer 0's drive is `drive0` (from `run_sample`), else that of `input_spikes`."""
-        if drive0 is None:  # `run_sample` has checked its whole stream
+        latches.  Layer 0's drive is `drive0` (`Core.run_sample`'s), else that of `input_spikes`."""
+        if drive0 is None:  # `Core.run_sample` has checked its whole stream
             stim = np.asarray(input_spikes)
             if stim.shape != (self.cfg.sizes[0],):
                 raise ValueError(f"input width {stim.shape} != ({self.cfg.sizes[0]},)")
@@ -316,26 +326,63 @@ class _Cycle:
         maps (layer, neuron) -> float64[T] of decoded vmem at the end of
         each cycle, in (layer, neuron) order, or is {} when `watch` is None.
         """
+        dense, spikes, vmems = self._start([stream], duration, watch, batch=False)
+        self._run_sample(dense, spikes, vmems)
+        rows = [np.multiply(v.T.astype(np.float64), 1 / self._one, order="C") for v in vmems]
+        traces = {(k, j): row for k, layer in enumerate(rows) for j, row in enumerate(layer)}
+        return SpikeRaster(dense, spikes), traces
+
+    def run_batch(self, streams, duration: int, watch=None):
+        """Feed B streams at once on [B, N] state, each as `run_sample` does.
+        Returns per layer the [B, T, N] spike rasters and, when `watch` is "all",
+        the [B, T, N] float64 decoded membranes ([] when None).  Ends with `reset_state()`."""
+        dense, spikes, vmems = self._start(streams, duration, watch, batch=True)
+        self._scan(dense, spikes, vmems)
+        self.reset_state()
+        return ([s.swapaxes(0, 1) for s in spikes],
+                [v.swapaxes(0, 1).astype(np.float64, copy=False) * (1 / self._one) for v in vmems])
+
+    def _start(self, streams, duration, watch, batch: bool):
+        """Both drivers' checks of `watch`, `duration` and each stream (named by its
+        index in a batch); then a fresh state, the [T, B, N0] or [T, N0] stimulus and
+        per layer empty records of the spikes and, under `watch`, raw membranes."""
         if not (watch is None or (isinstance(watch, str) and watch == "all")):
             raise ValueError(f"watch must be None or 'all', got {watch!r}")
-        sizes = self.cfg.sizes
         duration = whole_number(duration, "duration")
-        dense = _dense_stream(stream, duration, sizes[0])
-        self.reset_state()
-        outs = [[] for _ in sizes[1:]]
-        vmems = [[] for _ in sizes[1:]] if watch else []  # each layer's membrane, per cycle
-        drive0 = self._drive(0, dense)
-        for t in range(duration):
-            for col, out in zip(outs, self.step_cycle(dense[t], drive0=drive0[t])):
-                col.append(out)
-            if watch:
-                for col, vmem in zip(vmems, self._vmem):
-                    col.append(vmem)
-        rasters = [np.array(c, dtype=bool).reshape(duration, n) for c, n in zip(outs, sizes[1:])]
-        rows = [np.multiply(np.array(c, dtype=np.float64).reshape(duration, n).T,
-                            1 / self._one, order="C") for c, n in zip(vmems, sizes[1:])]
-        traces = {(k, j): row for k, layer in enumerate(rows) for j, row in enumerate(layer)}
-        return SpikeRaster(dense, rasters), traces
+        if not len(streams):
+            raise ValueError("empty batch: run_batch needs at least one stream")
+        sizes = self.cfg.sizes
+        dense = np.zeros((len(streams), duration, sizes[0]), dtype=bool)
+        for i, stream in enumerate(streams):
+            try:
+                stream = np.asarray(stream)
+                if stream.ndim != 2 or stream.shape[1] != sizes[0]:
+                    raise ValueError(f"dense stream must be [T, {sizes[0]}], got {stream.shape}")
+                dense[i, :len(stream)] = _spikes(stream, ("cycle", "line"))[:duration]
+            except ValueError as err:
+                raise ValueError(f"stream {i}: {err}") if batch else err
+        dense = dense.swapaxes(0, 1) if batch else dense[0]
+        self.reset_state(dense.shape[1:-1])
+        shapes = [(*dense.shape[:-1], n) for n in sizes[1:]]
+        return (dense, [np.empty(shape, dtype=bool) for shape in shapes],
+                [np.empty(shape, dtype=self._dtype) for shape in shapes] if watch else [])
+
+    def _scan(self, dense: np.ndarray, spikes, vmems) -> None:
+        """The layer-major driver: per layer, one `_drive` over the [T, ..., M] input
+        raster, then T `_lif` steps latched in `_out[k]` that fill the records."""
+        x = dense
+        for k, out in enumerate(spikes):
+            if k and self.cfg.layer_latency:  # layer k-1's spikes, one cycle late
+                x = np.concatenate((np.zeros_like(x[:1]), x[:-1]))
+            drive = self._drive(k, x.reshape(-1, x.shape[-1])).reshape(out.shape)
+            for t, row in enumerate(drive):
+                out[t] = self._out[k] = self._lif(k, row)
+                if vmems:
+                    vmems[k][t] = self._vmem[k]
+            x = out
+
+    def _run_sample(self, dense: np.ndarray, spikes, vmems) -> None:
+        self._scan(dense, spikes, vmems)  # `Core` steps cycle by cycle instead (module docstring)
 
 
 class Core(_Cycle):
@@ -355,6 +402,14 @@ class Core(_Cycle):
         self._lo, self._hi = (cfg.fmt.min_raw, cfg.fmt.max_raw) if dtype is np.int64 else (0, 0)
         super().__init__(cfg, regs, dtype)
         self.planes = [WeightMemory(cfg.fmt, mask, layer=k) for k, mask in enumerate(_masks(cfg))]
+
+    def _run_sample(self, dense: np.ndarray, spikes, vmems) -> None:
+        """`run_sample`'s driver: one `step_cycle` per cycle (module docstring)."""
+        for t, drive0 in enumerate(self._drive(0, dense)):
+            for k, out in enumerate(self.step_cycle(dense[t], drive0=drive0)):
+                spikes[k][t] = out
+                if vmems:
+                    vmems[k][t] = self._vmem[k]
 
     # -- configuration ------------------------------------------------------
 
@@ -456,20 +511,6 @@ class Core(_Cycle):
 
     def close(self) -> None:
         """Does nothing; `bench/` still calls it."""
-
-
-def _dense_stream(stream, duration: int, n0: int) -> np.ndarray:
-    """A sample's stimulus as a dense [duration, n0] bool array of its own.
-
-    `stream` is a dense [T, n0] array that is cut or zero-padded to
-    `duration` cycles.
-    """
-    dense = np.asarray(stream)
-    if dense.ndim != 2 or dense.shape[1] != n0:
-        raise ValueError(f"dense stream must be [T, {n0}], got {dense.shape}")
-    out = np.zeros((duration, n0), dtype=bool)
-    out[:len(dense)] = _spikes(dense, ("cycle", "line"))[:duration]
-    return out
 
 
 def _spikes(stim: np.ndarray, axes: tuple[str, ...]) -> np.ndarray:

@@ -1,7 +1,7 @@
 """The cycle once for the tests: the cascade feed, the scalar-oracle replay,
-drawn networks, the recount of the datapath, and a core loaded, stepped
-and checked.  Spikes and raw membranes are per layer, [T, N] each; weights
-are raw [M, N] planes, per layer."""
+drawn networks, the recount of the datapath, a core loaded, stepped and
+checked, and its drivers compared.  Spikes and raw membranes are per layer,
+[T, N] each; weights are raw [M, N] planes, per layer."""
 
 from dataclasses import replace
 
@@ -87,10 +87,61 @@ def sampled(core, stimulus):
     """`mismatches` of one `run_sample` run of `core` through `stimulus`,
     replayed from the register files and planes that it held before the run."""
     registers, planes = held(core)
+    spikes, vmem = sampled_run(core, stimulus)
+    vmem = [v / core.cfg.fmt.quantum for v in vmem]
+    return mismatches(core.cfg, registers, planes, stimulus, spikes, vmem)
+
+
+def sampled_run(core, stimulus):
+    """Per layer, the [T, N] spikes and decoded membranes of one `run_sample`
+    of `core` through `stimulus`."""
     raster, traces = core.run_sample(stimulus, len(stimulus), watch="all")
-    vmem = np.split(stack_traces(traces) / core.cfg.fmt.quantum,
-                    np.cumsum(core.cfg.sizes[1:-1]), axis=1)
-    return mismatches(core.cfg, registers, planes, stimulus, raster.layers, vmem)
+    return raster.layers, np.split(stack_traces(traces), np.cumsum(core.cfg.sizes[1:-1]), axis=1)
+
+
+def stepped_run(core, stimulus):
+    """`sampled_run`'s arrays of a `stepped` run of `core` from its state now."""
+    spikes, vmem = stepped(core, stimulus)
+    return spikes, [v.astype(np.float64) * (1 / core._one) for v in vmem]
+
+
+def _same(a, b) -> bool:
+    return len(a) == len(b) and all(map(np.array_equal, a, b))
+
+
+def continued(sampled, looped, stimulus):
+    """What differs between `sampled` after a `run_sample` through `stimulus` and
+    its copy `looped` after a `stepped_run`: "spikes", "vmem" (decoded), the
+    state `_vmem`, `_refr`, `_out` and `_armed`, and "next", one more cycle."""
+    bad = [name for name, a, b in zip(("spikes", "vmem"), sampled_run(sampled, stimulus),
+                                      stepped_run(looped, stimulus)) if not _same(a, b)]
+    bad += [name for name in ("_vmem", "_refr", "_out", "_armed")
+            if not _same(getattr(sampled, name), getattr(looped, name))]
+    row = stimulus[-1]
+    if not (_same(sampled.step_cycle(row), looped.step_cycle(row))
+            and _same(sampled._vmem, looped._vmem)):
+        bad.append("next")
+    return bad
+
+
+def batched(make, streams, own):
+    """What differs between a `run_batch` of `make()` through the equally long
+    `streams` and each stream's own run, `own(make(), stream)` (`sampled_run`
+    or `stepped_run`): (stream, layer) of each row whose spikes or decoded
+    membranes differ, then "next" if a `step_cycle` after the batch differs
+    from one on a fresh `make()`."""
+    core = make()
+    spikes, vmems = core.run_batch(streams, len(streams[0]), watch="all")
+    bad = []
+    for i, stream in enumerate(streams):
+        want_spikes, want_vmems = own(make(), stream)
+        bad += [(i, k) for k in range(core.cfg.n_layers)
+                if not (np.array_equal(spikes[k][i], want_spikes[k])
+                        and np.array_equal(vmems[k][i], want_vmems[k]))]
+    fresh, row = make(), streams[0][-1]
+    if not (_same(core.step_cycle(row), fresh.step_cycle(row)) and _same(core._vmem, fresh._vmem)):
+        bad.append("next")
+    return bad
 
 
 @st.composite

@@ -4,7 +4,9 @@ Every neuron of a randomly configured core is replayed through
 `neuron.step_neuron`, fed from the core's own upstream raster, and its
 spike and membrane must match the core's on every cycle, also when
 registers are rewritten between cycles.  A core is also the cascade of
-its layers, each run alone on what it saw in the whole core.
+its layers, each run alone on what it saw in the whole core.  Its drivers
+agree: a `run_sample` with a `step_cycle` loop, and each row of a
+`run_batch` with its own run, for the core and its float twin.
 """
 
 from dataclasses import replace
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from spikecore.core import RealRegisters
 from spikecore.fixedpoint import QFormat, QWord
 from spikecore.neuron import ResetMode
-from spikecore.reference import stack_traces
+from spikecore.reference import ReferenceCore
 
 # Q2-Q9 x q0-7; Q13.11, the widest float32 format, whose planes of 1 to 4
 # lines are float32 with a bound of 2 active lines, and of 5 or 6 lines
@@ -120,22 +122,28 @@ def test_register_writes_between_cycles_match_the_scalar_oracle(data):
 @given(net=NETWORKS)
 @settings(max_examples=200, deadline=None)
 def test_run_sample_equals_a_step_cycle_loop(net):
-    # The two drivers of the one LIF kernel: `run_sample` computes layer
-    # 0's drive for every cycle up front, a `step_cycle` loop cycle by
-    # cycle.  Spikes, membranes and the state left behind must agree, so
-    # that one more cycle continues both alike.
+    # Two drivers of the one LIF kernel: `run_sample` (the core's computes
+    # layer 0's drive for every cycle up front, the twin's runs the
+    # layer-major scan) and a `step_cycle` loop.  Spikes, membranes and the
+    # state left behind must agree, so that one more cycle continues both
+    # alike.
     cfg, weights, stream = net
-    sampled, looped = harness.loaded(cfg, weights), harness.loaded(cfg, weights)
-    raster, traces = sampled.run_sample(stream, len(stream), watch="all")
-    spikes, vmem = harness.stepped(looped, stream)
-    for k in range(cfg.n_layers):
-        assert np.array_equal(raster.layers[k], spikes[k]), k
-    decoded = np.hstack(vmem).astype(np.float64) * cfg.fmt.quantum
-    assert np.array_equal(stack_traces(traces), decoded)
-    for name in ("_vmem", "_refr", "_out"):
-        for a, b in zip(getattr(sampled, name), getattr(looped, name), strict=True):
-            assert np.array_equal(a, b), name
-    for a, b in zip(sampled.step_cycle(stream[-1]), looped.step_cycle(stream[-1])):
-        assert np.array_equal(a, b)
-    for a, b in zip(sampled._vmem, looped._vmem):
-        assert np.array_equal(a, b)
+    core = harness.loaded(cfg, weights)
+    for make in (lambda: harness.loaded(cfg, weights), lambda: ReferenceCore(core)):
+        assert harness.continued(make(), make(), stream) == []
+
+
+@given(net=NETWORKS, data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_each_row_of_run_batch_equals_its_own_run(net, data):
+    # The layer-major scan on [B, N] state: row i of a batch of 1-4 streams
+    # is stream i's own run, spikes and membranes, through `Core.run_sample`
+    # for the core and a `step_cycle` loop for its twin; and a batch leaves
+    # a fresh state behind.
+    cfg, weights, stream = net
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    more = data.draw(st.integers(0, 3))
+    streams = [stream, *(rng.random(stream.shape) < 0.5 for _ in range(more))]
+    core = harness.loaded(cfg, weights)
+    assert harness.batched(lambda: harness.loaded(cfg, weights), streams, harness.sampled_run) == []
+    assert harness.batched(lambda: ReferenceCore(core), streams, harness.stepped_run) == []

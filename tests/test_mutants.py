@@ -2,7 +2,9 @@
 version of a rule of the datapath, and comes with a fixed small network,
 with register writes where it needs them, on which the scalar oracle
 (`harness.checked`, or `harness.sampled` where only `run_sample` reaches
-the rule) reports a mismatch for the mutant and none for `Core`.
+the rule) reports a mismatch for the mutant and none for `Core`.  The two
+mutants of the layer-major scan are told apart by the drivers' own
+properties instead (`harness.batched` and `harness.continued`).
 A mutant that no test tells from the core is a rule that no test holds."""
 
 from dataclasses import replace
@@ -15,6 +17,7 @@ import pytest
 from spikecore.core import Core, CoreConfig, RealRegisters
 from spikecore.fixedpoint import Q5_3, SATURATE, WRAP, QFormat
 from spikecore.neuron import ResetMode
+from spikecore.reference import ReferenceCore
 
 # Decay 0, growth 1, threshold 1, reset by subtraction: a membrane is its
 # cycle's activation until it reaches 1.0.
@@ -136,6 +139,28 @@ class DefaultResetWithoutLeak(SecondCallInLif):
         return np.zeros_like(x) if self._second("_mul") else super()._mul(r, x)
 
 
+class UnshiftedScan(Core):
+    """Feeds layer k >= 1 in the layer-major scan layer k-1's raster as it
+    is, also at layer_latency 1, where it should be one cycle late."""
+
+    def _scan(self, dense, spikes, vmems):
+        cfg, self.cfg = self.cfg, replace(self.cfg, layer_latency=0)
+        try:
+            super()._scan(dense, spikes, vmems)
+        finally:
+            self.cfg = cfg
+
+
+class ScanSkipsTheLatch(ReferenceCore):
+    """Leaves each layer's latch `_out[k]` as `reset_state` made it while the
+    layer-major scan runs, so the cycle after a run reads no spikes from it."""
+
+    def _scan(self, dense, spikes, vmems):
+        latches = list(self._out)
+        super()._scan(dense, spikes, vmems)
+        self._out[:] = latches
+
+
 def one_spike_pipeline():
     # One input spike in cycle 0 fires layer 0 at once; at latency 1 layer 1
     # sees it only in cycle 1, the mutant's layer 1 fires in cycle 0.
@@ -227,3 +252,22 @@ def test_only_a_sampled_run_tells_the_raster_mutant_from_the_core():
     assert harness.sampled(harness.loaded(cfg, planes), stimulus) == []
     for run, first in ((harness.sampled, [(0, 0, 0)]), (harness.checked, [])):
         assert run(harness.loaded(cfg, planes, RasterSkipsTheLineCount), stimulus) == first
+
+
+def test_the_batch_property_tells_the_unshifted_scan_from_the_core():
+    # Layer 1 of the mutant's batch row fires in cycle 0, with layer 0;
+    # `Core.run_sample`'s `step_cycle` loop fires it in cycle 1.
+    cfg, planes, stimulus, _ = one_spike_pipeline()
+    for cls, first in ((Core, []), (UnshiftedScan, [(0, 1)])):
+        make = partial(harness.loaded, cfg, planes, cls)
+        assert harness.batched(make, [stimulus], harness.sampled_run) == first
+
+
+def test_the_continuation_property_tells_the_latchless_scan_from_the_twin():
+    # At layer_latency 1 both layers spike in the last cycle, so the next
+    # cycle fires layer 1 from the latch of layer 0, which the mutant lost.
+    cfg = CoreConfig.uniform(Q5_3, (1, 1, 1), PLAIN, layer_latency=1)
+    core = harness.loaded(cfg, [np.array([[1 << Q5_3.q]])] * 2)
+    stimulus = np.ones((2, 1), dtype=bool)
+    for cls, first in ((ReferenceCore, []), (ScanSkipsTheLatch, ["_out", "next"])):
+        assert harness.continued(cls(core), ReferenceCore(core), stimulus) == first

@@ -80,6 +80,19 @@ def test_run_sample_rejects_bad_width_and_watch(model):
             sim.run_sample(stream, 3)
     with pytest.raises(ValueError, match=r"^stimulus line 2: -1 is not a spike \(0 or 1\)$"):
         sim.step_cycle([1, 0, -1])
+    # `run_batch` runs the same checks, and names the stream; an empty batch
+    # used to reach numpy's "need at least one array to stack".
+    with pytest.raises(ValueError, match="^empty batch: run_batch needs at least one stream$"):
+        sim.run_batch([], 4)
+    good = np.ones((4, 3), dtype=bool)
+    with pytest.raises(ValueError, match=r"^stream 2: dense stream must be \[T, 3\], got \(3,\)$"):
+        sim.run_batch([good, good, np.ones(3)], 4)
+    with pytest.raises(ValueError, match=r"^stream 1: stimulus cycle 0, line 2: 2 is not a spike"):
+        sim.run_batch([good, [[0, 1, 2]]], 4)
+    with pytest.raises(ValueError, match="^watch must be None or 'all', got 'al'$"):
+        sim.run_batch([good], 4, watch="al")
+    with pytest.raises(ValueError, match="^duration -1 is not a whole number"):
+        sim.run_batch([good], -1)
 
 
 @pytest.mark.parametrize("model", [Core, ReferenceCore])
@@ -179,6 +192,12 @@ def test_run_sample_cuts_or_zero_pads_the_stream(model):
         full, full_traces = sim.run_sample(want, duration, watch="all")
         assert np.array_equal(np.hstack(raster.layers), np.hstack(full.layers))
         assert all(np.array_equal(traces[key], full_traces[key]) for key in full_traces)
+    # A batch cuts or pads each of its streams as `run_sample` does.
+    spikes, vmems = sim.run_batch([stim, stim[:1]], 3, watch="all")
+    for i, want in enumerate((stim[:3], np.vstack([stim[:1], np.zeros((2, 3), dtype=bool)]))):
+        raster, traces = sim.run_sample(want, 3, watch="all")
+        assert all(np.array_equal(a[i], b) for a, b in zip(spikes, raster.layers))
+        assert np.array_equal(np.hstack([v[i] for v in vmems]), stack_traces(traces))
 
 
 @pytest.mark.parametrize("model", [Core, ReferenceCore])
