@@ -349,7 +349,10 @@ class _Cycle:
         if not (watch is None or (isinstance(watch, str) and watch == "all")):
             raise ValueError(f"watch must be None or 'all', got {watch!r}")
         duration = whole_number(duration, "duration")
-        if not len(streams):
+        if not hasattr(streams, "__iter__"):
+            raise ValueError(f"streams {streams!r} is not a sequence")
+        streams = list(streams)  # a generator is read once
+        if not streams:
             raise ValueError("empty batch: run_batch needs at least one stream")
         sizes = self.cfg.sizes
         dense = np.zeros((len(streams), duration, sizes[0]), dtype=bool)
@@ -386,7 +389,8 @@ class _Cycle:
 
 
 class Core(_Cycle):
-    """One core instance: a single logical timeline of spike-clock cycles."""
+    """One core instance: a single logical timeline of spike-clock cycles.  `cfg` is the
+    config it was built from: `write_register` changes `registers(k)`, not `cfg`."""
 
     def __init__(self, cfg: CoreConfig, threads: int = 1):
         """`threads` is ignored; `bench/workloads.py` still passes it."""

@@ -12,9 +12,10 @@ datapath of a fixed-width hardware adder); SATURATE clamps to the format
 range and is opt-in.  Neither applies to a real that becomes a word: that
 is `core.encode_register`, which raises out of range.
 
-The raw helpers (`wrap_raw`, `mul_raw`, ...) accept plain ints or numpy
-integer arrays and apply the same semantics elementwise; the vectorized
-core stepping is built on them.
+The raw helpers (`add_raw`, `mul_raw`, ...) are the arithmetic, on ints or
+elementwise on numpy integer arrays; a `QWord` is only a stored word.  The
+core fits int64 state in place and calls them only for object payloads and
+for a SATURATE product by a rate outside [0, 1].
 """
 
 from __future__ import annotations
@@ -34,9 +35,6 @@ __all__ = [
     "OverflowPolicy",
     "QFormat",
     "QWord",
-    "add",
-    "sub",
-    "mul",
     "wrap_raw",
     "saturate_raw",
     "fit_raw",
@@ -282,25 +280,3 @@ def encode_raw(value: float, fmt: QFormat) -> int:
     in [min_value, -min_value): the caller checks that (`encode_register`)."""
     return math.floor(value * (1 << fmt.q))
 
-
-# ---------------------------------------------------------------------------
-# Scalar QWord operations.
-
-def _check_formats(a: QWord, b: QWord):
-    if a.fmt != b.fmt:
-        raise ValueError(f"format mismatch: {a.fmt} vs {b.fmt}")
-
-
-def add(a: QWord, b: QWord, policy: OverflowPolicy = WRAP) -> QWord:
-    _check_formats(a, b)
-    return QWord(a.fmt, int(add_raw(a.raw, b.raw, a.fmt, policy)))
-
-
-def sub(a: QWord, b: QWord, policy: OverflowPolicy = WRAP) -> QWord:
-    _check_formats(a, b)
-    return QWord(a.fmt, int(sub_raw(a.raw, b.raw, a.fmt, policy)))
-
-
-def mul(a: QWord, b: QWord, policy: OverflowPolicy = WRAP) -> QWord:
-    _check_formats(a, b)
-    return QWord(a.fmt, int(mul_raw(a.raw, b.raw, a.fmt, policy)))

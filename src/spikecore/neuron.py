@@ -7,8 +7,8 @@ refractory period as a whole number of cycles (the shared parsers
 `core.Core` programs its registers through it, each word made by
 `core.encode_register`, and `core.RealRegisters` uses the same two parsers.
 
-`step_neuron` steps a `NeuronState` (membrane, refractory counter) one
-spike-clock cycle, in this order, fixed for bit-exact reproducibility:
+`step_neuron` steps a `NeuronState` one spike-clock cycle on raw payloads (the
+`fixedpoint` helpers), in this order, fixed for bit-exact reproducibility:
 
   1. accumulate this cycle's activation (weighted sum of input spikes,
      sequential adds in pre-synaptic index order),
@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fixedpoint import (WRAP, NamedEnum, OverflowPolicy, QFormat, QWord, add, mul, sub,
-                         whole_number)
+from .fixedpoint import (WRAP, NamedEnum, OverflowPolicy, QFormat, QWord, add_raw, mul_raw,
+                         sub_raw, whole_number)
 
 __all__ = [
     "ResetMode",
@@ -87,29 +87,34 @@ def step_neuron(state: NeuronState, regs: NeuronRegisters, spikes, weights,
     """One full spike-clock cycle in the canonical order; True if the neuron fires."""
     if len(spikes) != len(weights):
         raise ValueError(f"{len(spikes)} spikes vs {len(weights)} weights")
+    fmt = state.vmem.fmt
     # 1. The weighted sum of this cycle's input spikes, added in index order.
-    act = QWord(state.vmem.fmt, 0)
+    act = 0
     for fired, w in zip(spikes, weights):
         if fired:
-            act = add(act, w, policy)
+            if w.fmt != fmt:
+                raise ValueError(f"format mismatch: {fmt} vs {w.fmt}")
+            act = add_raw(act, w.raw, fmt, policy)
     # 2. An armed counter counts down; the membrane is held.
     if state.refractory_counter > 0:
         state.refractory_counter -= 1
         return False
     # 3. Membrane update, threshold compare and the configured reset.
-    leak = mul(regs.decay_rate, state.vmem, policy)
-    drive = mul(regs.growth_rate, act, policy)
-    state.vmem = add(sub(state.vmem, leak, policy), drive, policy)
-    if state.vmem.raw < regs.v_threshold.raw:
-        return False
-    mode = regs.reset_mode
-    if mode is ResetMode.TO_CONSTANT:
-        state.vmem = regs.v_reset
-    elif mode is ResetMode.TO_ZERO:
-        state.vmem = QWord(state.vmem.fmt, 0)
-    elif mode is ResetMode.BY_SUBTRACTION:
-        state.vmem = sub(state.vmem, regs.v_threshold, policy)
-    else:  # DEFAULT: one more leak step, no discrete reset; exponential decay continues
-        state.vmem = sub(state.vmem, mul(regs.decay_rate, state.vmem, policy), policy)
-    state.refractory_counter = regs.refractory_period
-    return True
+    if regs.decay_rate.fmt != fmt:  # every register word is in the decay's format
+        raise ValueError(f"format mismatch: {regs.decay_rate.fmt} vs {fmt}")
+    leak = mul_raw(regs.decay_rate.raw, state.vmem.raw, fmt, policy)
+    drive = mul_raw(regs.growth_rate.raw, act, fmt, policy)
+    vmem = add_raw(sub_raw(state.vmem.raw, leak, fmt, policy), drive, fmt, policy)
+    spike = vmem >= regs.v_threshold.raw
+    if spike:
+        if regs.reset_mode is ResetMode.TO_CONSTANT:
+            vmem = regs.v_reset.raw
+        elif regs.reset_mode is ResetMode.TO_ZERO:
+            vmem = 0
+        elif regs.reset_mode is ResetMode.BY_SUBTRACTION:
+            vmem = sub_raw(vmem, regs.v_threshold.raw, fmt, policy)
+        else:  # DEFAULT: one more leak step, no discrete reset; exponential decay continues
+            vmem = sub_raw(vmem, mul_raw(regs.decay_rate.raw, vmem, fmt, policy), fmt, policy)
+        state.refractory_counter = regs.refractory_period
+    state.vmem = QWord(fmt, vmem)
+    return spike

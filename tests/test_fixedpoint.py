@@ -16,12 +16,10 @@ from spikecore.fixedpoint import (
     QFormat,
     QWord,
     accumulate_raw,
-    add,
     add_raw,
-    mul,
     mul_raw,
     raw_dtype,
-    sub,
+    sub_raw,
 )
 
 
@@ -87,72 +85,64 @@ def test_format_validation():
     assert whole == Q5_3 and hash(whole) == hash(Q5_3) and whole.max_raw == 127
 
 
-# --- add / sub / mul spec cases ----------------------------------------------
+# --- add / sub / mul spec cases, on the raw payloads of encoded reals ------------
+
+def raw(value, fmt=Q5_3):
+    return encode_register(value, fmt).raw
+
 
 def test_add_exact():
-    assert add(encode_register(1.5, Q5_3), encode_register(2.5, Q5_3)).value == 4.0
+    assert add_raw(raw(1.5), raw(2.5), Q5_3) * Q5_3.quantum == 4.0
 
 
 def test_add_wraps():
     # 127 + 1 = 128 -> -128 on 8-bit two's complement
-    r = add(encode_register(15.875, Q5_3), encode_register(0.125, Q5_3))
-    assert r.value == -16.0
-    assert r.raw == oracle_add(127, 1, 8, saturate=False)
+    r = add_raw(raw(15.875), raw(0.125), Q5_3)
+    assert r * Q5_3.quantum == -16.0
+    assert r == oracle_add(127, 1, 8, saturate=False)
 
 
 def test_add_saturates():
-    r = add(encode_register(15.875, Q5_3), encode_register(0.125, Q5_3), SATURATE)
-    assert r.value == 15.875
-
-
-def test_add_format_mismatch():
-    with pytest.raises(ValueError, match=r"^format mismatch: Q5\.3 vs Q9\.7$"):
-        add(encode_register(1.0, Q5_3), encode_register(1.0, QFormat(9, 7)))
-
-
-@pytest.mark.parametrize("op", [sub, mul])
-def test_sub_and_mul_format_mismatch(op):
-    with pytest.raises(ValueError, match=r"^format mismatch: Q5\.3 vs Q9\.7$"):
-        op(encode_register(1.0, Q5_3), encode_register(1.0, QFormat(9, 7)))
+    assert add_raw(raw(15.875), raw(0.125), Q5_3, SATURATE) * Q5_3.quantum == 15.875
 
 
 def test_mul_exact():
-    assert mul(encode_register(1.5, Q5_3), encode_register(2.5, Q5_3)).value == 3.75
+    assert mul_raw(raw(1.5), raw(2.5), Q5_3) * Q5_3.quantum == 3.75
 
 
 def test_mul_underflow_truncates_to_zero():
-    assert mul(encode_register(0.125, Q5_3), encode_register(0.125, Q5_3)).value == 0.0
+    assert mul_raw(raw(0.125), raw(0.125), Q5_3) == 0
 
 
 def test_mul_overflow_wraps_to_zero():
     # product raw 2048, >>3 = 256, low 8 bits = 0
-    assert mul(encode_register(8.0, Q5_3), encode_register(4.0, Q5_3)).value == 0.0
+    assert mul_raw(raw(8.0), raw(4.0), Q5_3) == 0
     assert oracle_mul(64, 32, 8, 3, saturate=False) == 0
 
 
 # --- exhaustive 8-bit sweep vs oracle ----------------------------------------
 
-def test_exhaustive_q53_add_mul_vs_oracle():
-    fmt = Q5_3
+@pytest.mark.parametrize("policy", [WRAP, SATURATE])
+def test_exhaustive_q53_add_mul_vs_oracle(policy):
+    fmt, saturate = Q5_3, policy is SATURATE
     raws = range(fmt.min_raw, fmt.max_raw + 1)
     for a in raws:
-        wa = QWord(fmt, a)
         for b in raws:
-            wb = QWord(fmt, b)
-            assert add(wa, wb).raw == oracle_add(a, b, 8, False)
-            assert add(wa, wb, SATURATE).raw == oracle_add(a, b, 8, True)
-            assert mul(wa, wb).raw == oracle_mul(a, b, 8, 3, False)
-            assert mul(wa, wb, SATURATE).raw == oracle_mul(a, b, 8, 3, True)
+            assert add_raw(a, b, fmt, policy) == oracle_add(a, b, 8, saturate)
+            assert sub_raw(a, b, fmt, policy) == oracle_add(a, -b, 8, saturate)
+            assert mul_raw(a, b, fmt, policy) == oracle_mul(a, b, 8, 3, saturate)
 
 
-def test_exhaustive_q53_array_path_matches_oracle():
-    fmt = Q5_3
-    raws = np.arange(fmt.min_raw, fmt.max_raw + 1, dtype=np.int64)
-    a, b = np.meshgrid(raws, raws)
-    want_add = np.array([[oracle_add(int(x), int(y), 8, False) for y in raws] for x in raws])
-    want_mul = np.array([[oracle_mul(int(x), int(y), 8, 3, False) for y in raws] for x in raws])
-    assert np.array_equal(add_raw(a.T, b.T, fmt), want_add)
-    assert np.array_equal(mul_raw(a.T, b.T, fmt), want_mul)
+@pytest.mark.parametrize("policy", [WRAP, SATURATE])
+def test_exhaustive_q53_array_path_matches_oracle(policy):
+    fmt, saturate = Q5_3, policy is SATURATE
+    raws = range(fmt.min_raw, fmt.max_raw + 1)
+    a, b = np.meshgrid(np.arange(fmt.min_raw, fmt.max_raw + 1, dtype=np.int64), raws,
+                       indexing="ij")
+    for op, want in ((add_raw, lambda x, y: oracle_add(x, y, 8, saturate)),
+                     (sub_raw, lambda x, y: oracle_add(x, -y, 8, saturate)),
+                     (mul_raw, lambda x, y: oracle_mul(x, y, 8, 3, saturate))):
+        assert np.array_equal(op(a, b, fmt, policy), [[want(x, y) for y in raws] for x in raws])
 
 
 # --- properties ---------------------------------------------------------------
@@ -197,12 +187,12 @@ def test_in_range_arithmetic_matches_reals():
     # When operands and exact result are representable, results are exact.
     for av in (-2.0, -0.375, 0.0, 1.5, 3.25):
         for bv in (-1.5, 0.125, 2.0):
-            wa, wb = encode_register(av, Q5_3), encode_register(bv, Q5_3)
-            assert add(wa, wb).value == av + bv
-            assert sub(wa, wb).value == av - bv
+            a, b = raw(av), raw(bv)
+            assert add_raw(a, b, Q5_3) * Q5_3.quantum == av + bv
+            assert sub_raw(a, b, Q5_3) * Q5_3.quantum == av - bv
             prod = av * bv
             if prod == (prod * 8) // 1 / 8 and -16 <= prod < 16:
-                assert mul(wa, wb).value == prod
+                assert mul_raw(a, b, Q5_3) * Q5_3.quantum == prod
 
 
 # --- ordered accumulation of gathered weight rows ---------------------------
@@ -357,11 +347,10 @@ def test_qword_rejects_a_fractional_raw():
 
 def test_wide_format_scalars():
     fmt = QFormat(33, 31)
-    big = QWord(fmt, fmt.max_raw)
-    one = encode_register(2.0 ** -31, fmt)
-    assert add(big, one).raw == fmt.min_raw
-    assert add(big, one, SATURATE).raw == fmt.max_raw
-    assert mul(big, big).raw == oracle_mul(fmt.max_raw, fmt.max_raw, 64, 31, False)
+    big, one = fmt.max_raw, raw(2.0 ** -31, fmt)
+    assert add_raw(big, one, fmt) == fmt.min_raw
+    assert add_raw(big, one, fmt, SATURATE) == fmt.max_raw
+    assert mul_raw(big, big, fmt) == oracle_mul(fmt.max_raw, fmt.max_raw, 64, 31, False)
 
 
 # --- literals -----------------------------------------------------------------

@@ -37,7 +37,7 @@ file on a mismatch; all five files pass.  Regenerate (only on purpose:
 the point of the files is that they do not move) with `PYTHONPATH=src
 python tests/test_golden.py`, which writes every entry of `CASES`, or only
 the ones named after it, such as `wrap_q97`; CI runs it and fails if a
-file changes.
+file changes.  Tier-1 replays every entry of `CASES` bit for bit.
 """
 
 import json
@@ -228,7 +228,9 @@ def load(case: Case):
     return data, weights, stimulus
 
 
-def check_replay(case: Case):
+@pytest.mark.parametrize("name", CASES)
+def test_golden_trace_replays_bit_for_bit(name):
+    case = CASES[name]
     data, weights, stimulus = load(case)
     assert (data["format"], data["policy"], tuple(data["sizes"])) == (
         str(case.fmt), case.policy.value, case.sizes)
@@ -237,26 +239,6 @@ def check_replay(case: Case):
     assert len(got) == len(data["cycles"]) == CYCLES
     for t, (g, want) in enumerate(zip(got, data["cycles"])):
         assert g == want, f"cycle {t}"
-
-
-def test_golden_trace_replays_bit_for_bit():
-    check_replay(SATURATING)
-
-
-def test_wrap_golden_trace_replays_bit_for_bit():
-    check_replay(WRAPPING)
-
-
-def test_q97_saturate_golden_trace_replays_bit_for_bit():
-    check_replay(SATURATING_Q97)
-
-
-def test_q1715_three_layer_latency1_golden_trace_replays_bit_for_bit():
-    check_replay(SATURATING_Q1715)
-
-
-def test_q97_wrap_three_layer_latency1_golden_trace_replays_bit_for_bit():
-    check_replay(WRAPPING_Q97)
 
 
 @pytest.mark.parametrize("case", [SATURATING_Q1715, WRAPPING_Q97, SATURATING_Q97],

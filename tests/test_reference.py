@@ -93,6 +93,14 @@ def test_run_sample_rejects_bad_width_and_watch(model):
         sim.run_batch([good], 4, watch="al")
     with pytest.raises(ValueError, match="^duration -1 is not a whole number"):
         sim.run_batch([good], -1)
+    # `len(streams)` used to raise TypeError for 5, None and a generator; any iterable runs.
+    for streams in (5, None):
+        with pytest.raises(ValueError, match=f"^streams {streams} is not a sequence$"):
+            sim.run_batch(streams, 4)
+    got, _ = sim.run_batch((stream for stream in (good, good[:2])), 4)
+    want, _ = sim.run_batch([good, good[:2]], 4)
+    assert got[0].shape == (2, 4, 2)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
 
 @pytest.mark.parametrize("model", [Core, ReferenceCore])
