@@ -114,6 +114,16 @@ def test_step_neuron_rejects_a_word_of_another_format():
         step_neuron(state(Q9_7), regs(), [1], weights(1.0, fmt=Q9_7))
 
 
+def test_register_format_is_checked_after_the_refractory_hold():
+    # A held cycle reads no register, so a register file of another format
+    # raises only on the first cycle that updates the membrane.
+    s = state(Q9_7, vmem=2.0, refr=1)
+    assert step_neuron(s, regs(), [1], weights(1.0, fmt=Q9_7)) is False
+    assert s.refractory_counter == 0 and s.vmem.value == 2.0
+    with pytest.raises(ValueError, match=r"^format mismatch: Q5\.3 vs Q9\.7$"):
+        step_neuron(s, regs(), [1], weights(1.0, fmt=Q9_7))
+
+
 # --- membrane update (one spike whose weight is the activation) ------------------
 
 def test_update_balanced_leak_and_drive():
@@ -191,6 +201,17 @@ def test_spike_arms_refractory():
     s = state(vmem=12.0)
     quiet_step(s, regs(decay=0.0, vth=10.0, refractory=3))
     assert s.refractory_counter == 3
+
+
+def test_subthreshold_update_leaves_refractory_disarmed():
+    # Only a spike arms the counter: an update below threshold leaves it at 0,
+    # so the next cycle updates the membrane again.
+    r = regs(decay=0.0, growth=1.0, vth=10.0, refractory=3)
+    s = state(vmem=4.0)
+    assert step_neuron(s, r, [1], weights(2.0)) is False
+    assert s.refractory_counter == 0 and s.vmem.value == 6.0
+    assert step_neuron(s, r, [1], weights(2.0)) is False
+    assert s.vmem.value == 8.0
 
 
 # --- refractory -----------------------------------------------------------------
