@@ -34,7 +34,9 @@ runs, with the plane: every layer's in `_scan`, layer 0's in `Core.run_sample`.
 WRAP wraps it; SATURATE keeps it where a second product, with |plane|, gives
 the certificate.  Cycles past the bound or uncertified, and object planes,
 take the gather, which sums a row past the bound in the state's integers
-(int64 for w <= 32).
+(int64 for w <= 32).  The twin follows the same rule: it holds each plane's
+words in its dtype (float64 for an object plane), multiplies in it, and
+sums a row past the bound again in float64.
 
 A register whose raw r lies in [0, 2**q] is a rate in [0, 1]: the decay
 always, and the growth when it is at most 1.  A product by such a rate
@@ -93,7 +95,8 @@ from .fixedpoint import (
 )
 from .fixedpoint import add_raw, sub_raw  # noqa: F401  (bound for bench/spans.py to trace)
 from .neuron import NeuronRegisters, ResetMode
-from .topology import Connectivity, ConnectivityKind, WeightMemory, build_mask, valid_index
+from .topology import (Connectivity, ConnectivityKind, WeightMemory, build_mask, past_bound,
+                       valid_index)
 
 __all__ = [
     "RealRegisters",
@@ -485,7 +488,7 @@ class Core(_Cycle):
         if w.dtype.kind == "f":
             x = spikes_in.astype(w.dtype)
             out[:] = s = x @ w  # exact in float32 and float64 rows within the active-line bound
-            fail = np.count_nonzero(spikes_in, axis=1) > bound if len(w) > bound else ~fail
+            fail = past_bound(spikes_in, bound)
             if self.policy is WRAP:
                 out = self._fit(out)
             else:  # `accumulate_raw`'s certificate; |w| is plane-sized

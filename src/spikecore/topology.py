@@ -9,8 +9,9 @@ real reaches its plane as its raw payload (`core.Core.write_weight`).
 A plane holds integer payloads, and every partial sum of a row with at most
 its active-line bound of active lines is exact, in any order: in float32
 when w <= 24 and ceil(M/2) * 2**(w-1) <= 2**24 (bound 2**(25-w)), else in
-float64 when w <= 32 (bound min(M, 2**(54-w))); the core multiplies the
-stored plane.  A wider plane holds Python ints (bound M).
+float64 when w <= 32 (bound min(M, 2**(54-w))); the core and its twin
+multiply in the stored plane's dtype and sum again the rows of a raster
+that `past_bound` picks.  A wider plane holds Python ints (bound M).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "MaskedSynapseError",
     "valid_index",
     "build_mask",
+    "past_bound",
     "WeightMemory",
 ]
 
@@ -85,6 +87,13 @@ def build_mask(conn: Connectivity, m: int, n: int) -> np.ndarray:
     i = np.arange(m)[:, None] * (n - 1)
     j = np.arange(n)[None, :] * (m - 1)
     return np.abs(i - j) <= conn.radius * (max(m, n) - 1)
+
+
+def past_bound(raster: np.ndarray, bound: int) -> np.ndarray:
+    """Which rows of a [T, M] spike raster have more than `bound` active lines."""
+    if raster.shape[1] <= bound:
+        return np.zeros(len(raster), dtype=bool)
+    return np.count_nonzero(raster, axis=1) > bound
 
 
 @dataclass(eq=False)

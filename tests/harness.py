@@ -1,16 +1,19 @@
 """The cycle once for the tests: the cascade feed, the scalar-oracle replay,
-drawn networks, the recount of the datapath, a core loaded, stepped and
-checked, and its drivers compared.  Spikes and raw membranes are per layer,
-[T, N] each; weights are raw [M, N] planes, per layer."""
+drawn networks (the conformance ones among them), the recount of the
+datapath, a core loaded, stepped and checked, its drivers compared, and a
+twin's sums past a float32 plane's active-line bound.  Spikes and raw
+membranes are per layer, [T, N] each; weights are raw [M, N] planes, per
+layer."""
 
+import functools
 from dataclasses import replace
 
 import numpy as np
 from hypothesis import strategies as st
 
 from spikecore.core import Core, CoreConfig, RealRegisters
-from spikecore.fixedpoint import SATURATE, OverflowPolicy, QWord, add_raw, mul_raw
-from spikecore.neuron import NeuronState, step_neuron
+from spikecore.fixedpoint import Q9_7, SATURATE, OverflowPolicy, QFormat, QWord, add_raw, mul_raw
+from spikecore.neuron import NeuronState, ResetMode, step_neuron
 from spikecore.reference import stack_traces
 from spikecore.topology import Connectivity
 
@@ -163,6 +166,54 @@ def networks(draw, formats, registers, weights, max_cycles: int):
     return cfg, planes, stream
 
 
+# Q2-Q9 x q0-7; Q13.11, the widest float32 format, whose planes of 1 to 4
+# lines are float32 with a bound of 2 active lines, and of 5 or 6 lines
+# float64; Q17.15, the widest int64 format, whose unreduced WRAP products
+# reach 2**62; and one format wider than 32 bits (object-dtype payloads).
+# Each of the three single formats is drawn about as often as all the
+# narrow ones together.
+FORMATS = (st.sampled_from([QFormat(n, q) for n in range(2, 10) for q in range(8)])
+           | st.just(QFormat(13, 11)) | st.just(QFormat(17, 15)) | st.just(QFormat(20, 20)))
+
+
+def raw_values(fmt, lo=None, hi=None):
+    """Reals exactly representable in `fmt`, drawn over its raw range."""
+    lo = fmt.min_raw if lo is None else lo
+    hi = fmt.max_raw if hi is None else hi
+    return st.integers(lo, hi).map(lambda raw: raw * fmt.quantum)
+
+
+@functools.cache  # a strategy is validated when first drawn from: build each once
+def drawn_registers(fmt):
+    """A register file of `fmt`, every word drawn over its raw range."""
+    return st.builds(
+        RealRegisters,
+        decay_rate=raw_values(fmt, 0, min(fmt.max_raw, 1 << fmt.q)),
+        growth_rate=st.just(1.0) | raw_values(fmt),  # 1.0: `_drive` skips `_mul`
+        v_threshold=raw_values(fmt),
+        reset_mode=st.sampled_from(ResetMode),
+        v_reset=raw_values(fmt),
+        refractory_period=st.integers(0, 3),
+    )
+
+
+def end_heavy_weights(rng, fmt, shape):
+    """Raw words, about half at a range end and the rest uniform over the
+    range.  A column's end words are all min_raw or all max_raw, so that
+    they add up rather than cancel: three active max_raw words of Q13.11
+    sum to an odd value past 2**24, which float32 cannot hold, so only the
+    int64 upcast of a row past a float32 plane's active-line bound (2)
+    keeps the bits."""
+    ends = rng.choice([fmt.min_raw, fmt.max_raw], shape[1:])
+    uniform = rng.integers(fmt.min_raw, fmt.max_raw, shape, endpoint=True)
+    return np.where(rng.random(shape) < 0.5, ends, uniform)
+
+
+# Inputs spike half the time, so that SATURATE sums often clamp and then
+# come back.
+NETWORKS = networks(FORMATS, drawn_registers, end_heavy_weights, max_cycles=12)
+
+
 def fold(rows, fmt, policy=SATURATE):
     """The reference order: add_raw row by row, starting from 0."""
     acc = np.zeros(rows.shape[1:], dtype=rows.dtype)
@@ -190,3 +241,30 @@ def recount(cfg: CoreConfig, weights, stimulus, spikes, vmem):
         held = np.array([spikes[k][max(t - p, 0):t].any(axis=0) for t in range(len(active))])
         out.append((total, act, update, held))
     return out
+
+
+def float32_bound_network():
+    """(core, stimulus): a 1024-line Q9.7 core, whose float32 plane has an
+    active-line bound of 512, with a max_raw and a min_raw column, decay 1
+    and growth 1, so that a membrane before its reset is its cycle's sum;
+    and cycles of 0, 512, 513 and 1024 active lines.  513 max_raw words sum
+    to 16,809,471, odd and past 2**24, which float32 cannot hold."""
+    cfg = CoreConfig.uniform(Q9_7, (1024, 2), regs(decay_rate=1.0))
+    plane = np.tile([Q9_7.max_raw, Q9_7.min_raw], (1024, 1))
+    return loaded(cfg, [plane]), np.arange(1024) < np.array([[0], [512], [513], [1024]])
+
+
+def inexact_drivers(cls, core, stimulus):
+    """Which drivers of a one-layer twin `cls(core)` that resets by
+    subtraction, with decay 1 and growth 1, differ through `stimulus` from
+    the run that float64 sums of `core.decoded_weights()` give: "step_cycle"
+    (a `stepped_run`), "run_sample" and "run_batch" (of `stimulus` alone)."""
+    act = stimulus @ core.decoded_weights()[0]
+    vth = core.decoded_registers()[0].v_threshold
+    fired = act >= vth
+    want = [fired], [np.where(fired, act - vth, act)]
+    runs = {"step_cycle": stepped_run, "run_sample": sampled_run,
+            "run_batch": lambda twin, stream: [[layer[0] for layer in out] for out in
+                                               twin.run_batch([stream], len(stream), watch="all")]}
+    return [name for name, run in runs.items()
+            if not all(map(_same, run(cls(core), stimulus), want))]

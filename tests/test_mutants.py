@@ -4,7 +4,8 @@ with register writes where it needs them, on which the scalar oracle
 (`harness.checked`, or `harness.sampled` where only `run_sample` reaches
 the rule) reports a mismatch for the mutant and none for `Core`.  The two
 mutants of the layer-major scan are told apart by the drivers' own
-properties instead (`harness.batched` and `harness.continued`).
+properties instead (`harness.batched` and `harness.continued`), and the
+twin's mutant by float64 sums (`harness.inexact_drivers`).
 A mutant that no test tells from the core is a rule that no test holds."""
 
 from dataclasses import replace
@@ -161,6 +162,15 @@ class ScanSkipsTheLatch(ReferenceCore):
         self._out[:] = latches
 
 
+class TwinKeepsTheFloat32Sum(ReferenceCore):
+    """Keeps the float32 product of every row, also of a row past its
+    plane's active-line bound, which the twin sums again in float64."""
+
+    def _activation(self, k, spikes_in):
+        w = self.weights[k]
+        return (spikes_in.astype(w.dtype) @ w).astype(np.float64)
+
+
 def one_spike_pipeline():
     # One input spike in cycle 0 fires layer 0 at once; at latency 1 layer 1
     # sees it only in cycle 1, the mutant's layer 1 fires in cycle 0.
@@ -271,3 +281,12 @@ def test_the_continuation_property_tells_the_latchless_scan_from_the_twin():
     stimulus = np.ones((2, 1), dtype=bool)
     for cls, first in ((ReferenceCore, []), (ScanSkipsTheLatch, ["_out", "next"])):
         assert harness.continued(cls(core), ReferenceCore(core), stimulus) == first
+
+
+def test_the_float64_sums_tell_the_float32_twin_from_the_twin():
+    # 513 active max_raw words: a float32 product cannot give their sum,
+    # in a row, a raster or a batch.
+    core, stimulus = harness.float32_bound_network()
+    for cls, first in ((ReferenceCore, []),
+                       (TwinKeepsTheFloat32Sum, ["step_cycle", "run_sample", "run_batch"])):
+        assert harness.inexact_drivers(cls, core, stimulus) == first

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikecore.core import Core, CoreConfig, RealRegisters, _masks
-from spikecore.fixedpoint import Q3_1, Q5_3, Q9_7, Q17_15, QFormat
+from spikecore.fixedpoint import Q3_1, Q5_3, Q9_7, Q17_15, QFormat, raw_dtype
 from spikecore.neuron import ResetMode
 from spikecore.reference import ReferenceCore, TracePair, matched_reference, rmse, stack_traces
 from spikecore.topology import Connectivity, ConnectivityKind, MaskedSynapseError
@@ -178,6 +178,30 @@ def test_a_twin_is_a_snapshot_of_its_core():
     assert all(np.array_equal(a, b) for a, b in zip(ref.weights, built_before.weights))
     fresh = ReferenceCore(core)  # the writes did reach the core
     assert fresh.cfg != ref.cfg and not np.array_equal(fresh.weights[0], weights[0])
+
+
+@pytest.mark.parametrize("fmt, plane, dtype", [(Q5_3, np.float32, np.float32),
+                                               (Q9_7, np.float32, np.float32),
+                                               (Q17_15, np.float64, np.float64),
+                                               (QFormat(24, 40), object, np.float64)])
+def test_a_twin_holds_its_weights_in_its_planes_dtype(fmt, plane, dtype):
+    # A float32 plane's words are float32 in the twin too, half the bytes of
+    # the core's float64 decoding; an object plane's are float64.
+    cfg = CoreConfig.uniform(fmt, [3, 2], harness.regs())
+    core = programmed(Core, cfg, [(0, 0, 1, 1.3), (0, 2, 0, -0.5), (0, 1, 1, fmt.min_value)])
+    ref, decoded = ReferenceCore(core), core.decoded_weights()
+    assert core.planes[0].raw.dtype == plane and ref.weights[0].dtype == dtype
+    assert ref.weights[0].nbytes * (2 if dtype is np.float32 else 1) == decoded[0].nbytes
+    assert all(np.array_equal(a, b) for a, b in zip(ref.weights, decoded, strict=True))
+
+
+def test_the_twin_stays_exact_past_the_float32_bound():
+    # A row of more active lines than the bound is summed again in float64,
+    # in a `step_cycle` row, a `run_sample` raster and a `run_batch`.
+    core, stimulus = harness.float32_bound_network()
+    assert core.planes[0].raw.dtype == np.float32 and core.planes[0].active_bound == 512
+    assert ReferenceCore(core).weights[0].dtype == np.float32
+    assert harness.inexact_drivers(ReferenceCore, core, stimulus) == []
 
 
 @pytest.mark.parametrize("build", [Core, lambda cfg: sum(int(m.sum()) for m in _masks(cfg))])
@@ -392,3 +416,53 @@ def test_reference_equals_core_where_the_core_is_exact(net):
     raster_r, traces_r = ReferenceCore(core).run_sample(stream, len(stream), watch="all")
     assert np.array_equal(np.hstack(raster_q.layers), np.hstack(raster_r.layers))
     assert all(np.array_equal(traces_q[key], traces_r[key]) for key in traces_q)
+
+
+@given(net=harness.NETWORKS)
+@settings(max_examples=100, deadline=None)
+def test_the_core_stays_within_its_rounding_budget_of_the_twin(net):
+    # While a neuron and its twin see the same spikes and nothing overflows,
+    # they differ only in the floors of the core's products, each in [0, q):
+    # e = v_core - v_twin moves as e' = (1 - d) e + f_leak - f_drive, so
+    # |e| < B, where B <- (1 - d) B + q at each floor step: a cycle's update
+    # of a neuron not held, and a DEFAULT reset's extra leak.  The other
+    # resets keep e or set it to 0.  With growth 1 there is no drive floor,
+    # so e >= 0 and a neuron's first spike mismatch is the core firing.
+    # Checked up to each neuron's own mismatch, its layer's first upstream
+    # mismatch or first overflow: a sum, a growth product, an update or a
+    # reset by subtraction that the core would wrap or clamp.
+    cfg, planes, stream = net
+    fmt, q = cfg.fmt, cfg.fmt.quantum
+    core = harness.loaded(cfg, planes)
+    twin_spikes, twin_vmem = harness.sampled_run(ReferenceCore(core), stream)
+    spikes, vmem = harness.stepped(core, stream)
+    counted = harness.recount(cfg, [w.astype(raw_dtype(fmt)) for w in planes], stream, spikes, vmem)
+    # The twin rounds in float64 too: a few half-ulps of the range per cycle,
+    # far below the q**2 by which each floor stays under q, except in Q20.20.
+    slack = 8 * np.spacing(fmt.max_value)
+
+    def outside(x):
+        return (x < fmt.min_raw) | (x > fmt.max_raw)
+
+    for k, (total, act, update, held) in enumerate(counted):
+        r, d = core.registers(k), core.decoded_registers()[k].decay_rate
+        over = (act != total) | outside(r.growth_rate.raw * act >> fmt.q) | outside(update)
+        if r.reset_mode is ResetMode.BY_SUBTRACTION:
+            over |= spikes[k] & outside(update - r.v_threshold.raw)
+        fed = [harness.upstream(stream, s, k, cfg.layer_latency) for s in (spikes, twin_spikes)]
+        cut = (~held & over).any(axis=1) | (fed[0] != fed[1]).any(axis=1)
+        stop = int(cut.argmax()) if cut.any() else len(stream)
+        own = np.logical_or.accumulate(spikes[k] != twin_spikes[k])  # from the first mismatch on
+        e = vmem[k].astype(np.float64) * q - twin_vmem[k]
+        floors = [~held, spikes[k] & (r.reset_mode is ResetMode.DEFAULT)]
+        bound, tol = np.zeros(cfg.sizes[k + 1]), 0.0
+        growth_one = r.growth_rate.raw == 1 << fmt.q
+        for t in range(stop):
+            for step in floors:
+                bound = np.where(step[t], (1 - d) * bound + q, bound)
+            tol += slack
+            ok = (np.abs(e[t]) < bound + tol) & (e[t] >= -tol if growth_one else True)
+            assert (ok | own[t]).all(), (k, t)
+        if growth_one:  # each first mismatch within the span is the core firing
+            first = own & ~np.vstack([np.zeros_like(own[:1]), own[:-1]])
+            assert spikes[k][:stop][first[:stop]].all(), k
