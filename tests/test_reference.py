@@ -1,9 +1,11 @@
+import hashlib
 import re
 from dataclasses import replace
 
 import harness
 import numpy as np
 import pytest
+import test_golden
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -202,6 +204,40 @@ def test_the_twin_stays_exact_past_the_float32_bound():
     assert core.planes[0].raw.dtype == np.float32 and core.planes[0].active_bound == 512
     assert ReferenceCore(core).weights[0].dtype == np.float32
     assert harness.inexact_drivers(ReferenceCore, core, stimulus) == []
+
+
+# sha256 of the twin's spikes and float64 traces on each golden core's
+# stimulus (`twin_digest`), recorded before the twin ran its core's
+# activation on copies of the raw words.  The golden formats sum exactly in
+# any BLAS order, so every driver gives these bits.
+TWIN_DIGESTS = {
+    "saturate": "208819ffd230dec6e17aa2462f8b94d79c492d368963d8767e97f028dced5ae7",
+    "wrap": "0580a92593fd0c4bdda9960f98a850dfaedc8186cbf49535da803e1428af153f",
+    "saturate_q97": "c7ca7544a5e57e6a12c01f9b6ceb259b093d50d24358c9d992dfe82a5ae62799",
+    "saturate_q1715": "575dacfb07bda077586f3d8a2b1a649e178f73f1a619796c7b8c2c34070c665d",
+    "wrap_q97": "08f3041f14dd77ccf9bd69140ad11dd838aeda48d577a21ed230ffc5d3acd03c",
+}
+
+
+def twin_digest(spikes, vmems) -> str:
+    """sha256 of the bytes of per-layer [T, N] spikes, then membranes."""
+    h = hashlib.sha256()
+    for a in (*spikes, *vmems):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", test_golden.CASES)
+def test_the_twin_of_each_golden_core_keeps_its_bits(name):
+    case = test_golden.CASES[name]
+    _, weights, stimulus = test_golden.load(case)
+    core = harness.loaded(case.config(), weights)
+    spikes, vmems = ReferenceCore(core).run_batch([stimulus], len(stimulus), watch="all")
+    runs = {"run_sample": harness.sampled_run(ReferenceCore(core), stimulus),
+            "run_batch": ([s[0] for s in spikes], [v[0] for v in vmems]),
+            "step_cycle": harness.stepped_run(ReferenceCore(core), stimulus)}
+    assert {driver: twin_digest(*run) for driver, run in runs.items()} == dict.fromkeys(
+        runs, TWIN_DIGESTS[name])
 
 
 @pytest.mark.parametrize("build", [Core, lambda cfg: sum(int(m.sum()) for m in _masks(cfg))])
