@@ -4,10 +4,11 @@ cycle-stepping engine.
 Layers are indexed 0..K-1 over the LIF layers; sizes[0] is the input width
 and weight plane k connects sizes[k] -> sizes[k+1].  All neurons of a layer
 share one register file (one decoder per layer).  One cycle, two number
-systems: `_Cycle` holds the LIF cycle and its drivers once.  `Core` steps
-it in Qn.q on raw integer arrays, bit-identical to scalar per-neuron
-evaluation (`neuron.step_neuron`), and `reference.ReferenceCore` in
-float64, to measure the quantization error.
+systems: `_Cycle` holds the LIF cycle, its activation and its drivers once,
+on raw words.  `Core` steps it in Qn.q on integer arrays, bit-identical to
+scalar per-neuron evaluation (`neuron.step_neuron`), and
+`reference.ReferenceCore` on float64 copies with no rounding, to measure
+the quantization error.
 
 Two drivers step the one LIF kernel: `step_cycle`, one cycle of every
 layer, and the layer-major `_scan`.  A layer's activation depends only on
@@ -33,10 +34,8 @@ for every cycle as one product of its input raster, known before the layer
 runs, with the plane: every layer's in `_scan`, layer 0's in `Core.run_sample`.
 WRAP wraps it; SATURATE keeps it where a second product, with |plane|, gives
 the certificate.  Cycles past the bound or uncertified, and object planes,
-take the gather, which sums a row past the bound in the state's integers
-(int64 for w <= 32).  The twin follows the same rule: it holds each plane's
-words in its dtype (float64 for an object plane), multiplies in it, and
-sums a row past the bound again in float64.
+take the gather, which sums a row past the bound in the state's dtype
+(int64 for w <= 32, float64 in the twin, which has no `policy` to fold by).
 
 A register whose raw r lies in [0, 2**q] is a rate in [0, 1]: the decay
 always, and the growth when it is at most 1.  A product by such a rate
@@ -75,12 +74,12 @@ in-range values, so the fit clamps exactly where the hardware's adder does.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .fixedpoint import (
+    SATURATE,
     WRAP,
     OverflowPolicy,
     QFormat,
@@ -232,24 +231,25 @@ def _masks(cfg: CoreConfig) -> list[np.ndarray]:
 
 
 class _Cycle:
-    """The LIF cycle in `neuron.py`'s order.  Adds and subtracts are plain
-    `+` and `-`; a subclass defines the number system in four hooks:
-    `_number(word)`, a word register's value in this number system;
-    `_activation(k, spikes)`, the weighted sum of the input spikes of an
-    [M] row, or of each row of a [T, M] raster with the bits of the row;
-    `_mul(r, x)`, register r times the array x, as a fresh array; and
+    """The LIF cycle in `neuron.py`'s order, in units of the quantum: it reads
+    register words and the words of `planes` raw.  Adds and subtracts are
+    plain `+` and `-`; a subclass defines the number system in three hooks:
+    `_mul(r, x)`, raw register r times the array x, as a fresh array;
     `_fit(x)`, which brings a sum into the state's range where the cycle
-    latches or compares it and may overwrite `x`.  `_one` is the system's 1.
-    `_lif(k, drive)`, the one LIF kernel, steps layer k under drive =
-    growth x activation (the activation itself when the growth is `_one`).
-    `__init__` takes the config, one validated register file per layer
-    (`NeuronRegisters` or `RealRegisters`), which the cycle reads as it
-    stands, and the state dtype.  Traces scale by 1 / `_one`, a power of two.
+    latches or compares it and may overwrite `x`; and `policy`, SATURATE
+    to sum rows in order with their clamps, else plainly and fitted.
+    `_one` is 1.0, raw 2**q.  `_lif(k, drive)`, the one LIF kernel, steps
+    layer k under drive = growth x activation (the activation itself when
+    the growth is `_one`).  `__init__` takes the config, one validated
+    `NeuronRegisters` per layer, which the cycle reads as it stands, and
+    the state dtype.  Traces scale by 1 / `_one`, a power of two.
     `_out` latches each layer's last spikes, which drive the layer after it in
     `step_cycle`; `_scan` is the other driver (module docstring)."""
 
     def __init__(self, cfg: CoreConfig, regs, dtype):
         self.cfg = cfg
+        self.fmt = cfg.fmt
+        self._one = 1 << cfg.fmt.q  # growth 1.0, which `_drive` does not multiply by
         self._regs = regs
         self._dtype = dtype
         self.reset_state()
@@ -265,15 +265,39 @@ class _Cycle:
         # Per layer: a refractory counter may be nonzero (`_lif` keeps it).
         self._armed = [True] * self.cfg.n_layers
 
+    def _activation(self, k: int, spikes_in: np.ndarray) -> np.ndarray:
+        """Ordered sum of the weight rows of the active inputs, of one cycle's
+        [M] row or of each row of a [T, M] raster (module docstring)."""
+        w, fmt, bound = self.planes[k].raw, self.fmt, self.planes[k].active_bound
+        if spikes_in.ndim == 1:
+            lines = spikes_in.nonzero()[0]
+            rows = w[lines] if len(lines) <= bound else w[lines].astype(self._dtype)
+            if self.policy is SATURATE:
+                return accumulate_raw(rows, fmt)
+            return self._fit(np.add.reduce(rows).astype(self._dtype, copy=False))
+        out = np.empty((len(spikes_in), w.shape[1]), dtype=self._dtype)
+        fail = np.ones(len(spikes_in), dtype=bool)  # the rows that take the gather
+        if w.dtype.kind == "f":
+            x = spikes_in.astype(w.dtype)
+            out[:] = s = x @ w  # exact in float32 and float64 rows within the active-line bound
+            fail = past_bound(spikes_in, bound)
+            if self.policy is SATURATE:  # `accumulate_raw`'s certificate; |w| is plane-sized
+                fail |= (np.abs(s) + x @ np.abs(w) > 2 * fmt.max_raw).any(axis=1)
+            else:
+                out = self._fit(out)
+        for t in fail.nonzero()[0]:
+            out[t] = self._activation(k, spikes_in[t])
+        return out
+
     def _drive(self, k: int, spikes_in: np.ndarray):
         """growth x activation of layer k, for a row or a raster of input spikes."""
-        growth, act = self._number(self._regs[k].growth_rate), self._activation(k, spikes_in)
+        growth, act = self._regs[k].growth_rate.raw, self._activation(k, spikes_in)
         return act if growth == self._one else self._mul(growth, act)
 
     def _lif(self, k: int, drive) -> np.ndarray:
         """Step layer k's neurons under `drive`; returns their spikes."""
-        r, number = self._regs[k], self._number
-        decay, vth, mode = number(r.decay_rate), number(r.v_threshold), r.reset_mode
+        r = self._regs[k]
+        decay, vth, mode = r.decay_rate.raw, r.v_threshold.raw, r.reset_mode
         vmem, refr = self._vmem[k], self._refr[k]
 
         updated = self._mul(decay, vmem)
@@ -298,7 +322,7 @@ class _Cycle:
         elif mode is ResetMode.DEFAULT:  # one more leak step, no discrete reset
             np.copyto(updated, updated - self._mul(decay, updated), where=spikes)
         else:
-            after = number(r.v_reset) if mode is ResetMode.TO_CONSTANT else 0
+            after = r.v_reset.raw if mode is ResetMode.TO_CONSTANT else 0
             np.copyto(updated, after, where=spikes)
         self._vmem[k] = updated  # never written again
         if refractory:
@@ -399,11 +423,9 @@ class Core(_Cycle):
         """`threads` is ignored; `bench/workloads.py` still passes it."""
         if not isinstance(cfg, CoreConfig):
             raise ValueError(f"config {cfg!r} is not a CoreConfig")
-        self.fmt = cfg.fmt
         self.policy = cfg.policy
         regs = _per_layer(lambda r: r.quantize(cfg.fmt), cfg.registers)
         dtype = raw_dtype(cfg.fmt)
-        self._one = 1 << cfg.fmt.q  # growth 1.0, which `_drive` does not multiply by
         # On int64 state `_fit` shifts by `_spare` (WRAP) or clamps to [_lo, _hi].
         self._spare = 64 - cfg.fmt.width if self.policy is WRAP and dtype is np.int64 else 0
         self._lo, self._hi = (cfg.fmt.min_raw, cfg.fmt.max_raw) if dtype is np.int64 else (0, 0)
@@ -471,38 +493,12 @@ class Core(_Cycle):
 
     # -- number system ----------------------------------------------------------
 
-    _number = staticmethod(operator.attrgetter("raw"))  # a register word's raw payload
-
-    def _activation(self, k: int, spikes_in: np.ndarray) -> np.ndarray:
-        """Ordered sum of the weight rows of the active inputs, of one cycle's
-        [M] row or of each row of a [T, M] raster (module docstring)."""
-        w, fmt, bound = self.planes[k].raw, self.fmt, self.planes[k].active_bound
-        if spikes_in.ndim == 1:
-            lines = spikes_in.nonzero()[0]
-            rows = w[lines] if len(lines) <= bound else w[lines].astype(self._dtype)
-            if self.policy is WRAP:
-                return self._fit(np.add.reduce(rows).astype(self._dtype, copy=False))
-            return accumulate_raw(rows, fmt)
-        out = np.empty((len(spikes_in), w.shape[1]), dtype=self._dtype)
-        fail = np.ones(len(spikes_in), dtype=bool)  # the rows that take the gather
-        if w.dtype.kind == "f":
-            x = spikes_in.astype(w.dtype)
-            out[:] = s = x @ w  # exact in float32 and float64 rows within the active-line bound
-            fail = past_bound(spikes_in, bound)
-            if self.policy is WRAP:
-                out = self._fit(out)
-            else:  # `accumulate_raw`'s certificate; |w| is plane-sized
-                fail |= (np.abs(s) + x @ np.abs(w) > 2 * fmt.max_raw).any(axis=1)
-        for t in fail.nonzero()[0]:
-            out[t] = self._activation(k, spikes_in[t])
-        return out
-
     # The product runs unreduced under WRAP, where `_fit` wraps the sum, and
     # for a rate r in [0, 1]; only SATURATE with r outside [0, 1] clamps
     # (module docstring).  The raw helpers are looked up in this module per
     # call, so a tracer on `core.mul_raw` or `core.fit_raw` sees each.
     def _mul(self, r, x):
-        if self.policy is WRAP or 0 <= r <= 1 << self.fmt.q:
+        if self.policy is WRAP or 0 <= r <= self._one:
             x = r * x
             return np.right_shift(x, self.fmt.q, out=x)
         return mul_raw(r, x, self.fmt, self.policy)

@@ -1,13 +1,11 @@
 """Floating-point reference model and quantization-error comparison.
 
 `ReferenceCore` is the float twin of `core.Core`: it runs the same LIF
-cycle (`core._Cycle`) and supplies only its number system, with no
-wrapping or truncation.  Its state and arithmetic are float64; its weights
-keep the dtype of the core's planes (`topology.WeightMemory`), so that a
-float32 plane is summed by a float32 product, exact within the plane's
-active-line bound, and a row past the bound is summed again in float64.
-A twin is built from a programmed core, as a snapshot of its *decoded*
-register and weight values, so that weights reach it only through
+cycle and activation (`core._Cycle`) on copies of the core's raw words,
+in float64 state in units of the quantum, as the core does in integers,
+and supplies only its number system: no truncation, wrap or clamp.
+A twin is built from a programmed core, as a snapshot of its registers
+and weight planes, so that weights reach it only through
 `Core.write_weight`'s checks.  Pairing the core's run with its twin's
 isolates the datapath quantization error, which `rmse` measures on their
 traces.
@@ -15,15 +13,14 @@ traces.
 
 from __future__ import annotations
 
+import copy
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import Core, _Cycle
 from .topology import build_mask  # noqa: F401  (bound here so bench/spans.py can trace it)
-from .topology import past_bound
 
 __all__ = [
     "ReferenceCore",
@@ -35,33 +32,25 @@ __all__ = [
 
 
 class ReferenceCore(_Cycle):
-    """Float twin of a Core: its decoded registers as plain reals and its decoded
-    weights in the dtype of each plane, float64 for an object plane, copied when
-    the twin is built.  Later writes to the core do not reach the twin."""
+    """Float twin of a Core: its register files and copies of its planes, an object
+    plane's words in float64, taken when the twin is built.  Later writes to the core
+    do not reach the twin.  `cfg` carries the decoded registers."""
+
+    policy = None  # no sum is folded: `_activation` sums every row plainly
 
     def __init__(self, core: Core):
         if not isinstance(core, Core):
             raise ValueError(f"core {core!r} is not a Core")
-        # A float32 word is an integer below 2**24 times 2**-q: float32 holds it.
-        raw = [p.raw if p.raw.dtype.kind == "f" else p.raw.astype(np.float64) for p in core.planes]
-        self.weights = [w * core.fmt.quantum for w in raw]
-        self._bounds = [p.active_bound for p in core.planes]
+        self.planes = [copy.copy(p) for p in core.planes]  # each shares its core plane's mask
+        for p in self.planes:
+            p.raw = p.raw.astype(p.raw.dtype if p.raw.dtype.kind == "f" else np.float64)
         cfg = replace(core.cfg, registers=tuple(core.decoded_registers()))
-        super().__init__(cfg, cfg.registers, np.float64)
+        super().__init__(cfg, list(core._regs), np.float64)
 
-    def _activation(self, k: int, spikes_in: np.ndarray) -> np.ndarray:
-        """One product in the plane's dtype, as float64; a row past the plane's
-        active-line bound is summed again in float64, as the core gathers it."""
-        w = self.weights[k]
-        act = (spikes_in.astype(w.dtype) @ w).astype(np.float64, copy=False)
-        rows, sums = spikes_in.reshape(-1, len(w)), act.reshape(-1, w.shape[1])
-        for t in past_bound(rows, self._bounds[k]).nonzero()[0]:
-            sums[t] = w[rows[t]].sum(axis=0, dtype=np.float64)
-        return act
-
-    _number = staticmethod(float)
-    _mul = staticmethod(operator.mul)
-    _one = 1.0
+    # Scaling by the power of two `quantum` commutes with float64 rounding, so
+    # the product is the real product of the register and x, in units of the quantum.
+    def _mul(self, r, x):
+        return x * (r * self.fmt.quantum)
 
     @staticmethod
     def _fit(x):

@@ -411,7 +411,7 @@ def test_weight_planes_store_integer_payloads_by_width(fmt, dtype):
     assert [w.raw for w in core.planes[0].presynaptic_weights(0)] == raws
     values = [float(r) * fmt.quantum for r in raws]
     assert core.decoded_weights()[0][:, 0].tolist() == values
-    assert ReferenceCore(core).weights[0][:, 0].tolist() == values
+    assert ReferenceCore(core).planes[0].raw[:, 0].tolist() == [float(r) for r in raws]
 
 
 @pytest.mark.parametrize("fmt", [Q5_3, QFormat(20, 20)])

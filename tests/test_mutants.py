@@ -5,7 +5,8 @@ with register writes where it needs them, on which the scalar oracle
 the rule) reports a mismatch for the mutant and none for `Core`.  The two
 mutants of the layer-major scan are told apart by the drivers' own
 properties instead (`harness.batched` and `harness.continued`), and the
-twin's mutant by float64 sums (`harness.inexact_drivers`).
+twin's two mutants by float64 sums (`harness.inexact_drivers`) and by
+`test_reference.test_a_twin_is_a_snapshot_of_its_core`.
 A mutant that no test tells from the core is a rule that no test holds."""
 
 from dataclasses import replace
@@ -14,6 +15,7 @@ from functools import partial
 import harness
 import numpy as np
 import pytest
+import test_reference
 
 from spikecore.core import Core, CoreConfig, RealRegisters
 from spikecore.fixedpoint import Q5_3, SATURATE, WRAP, QFormat
@@ -163,12 +165,24 @@ class ScanSkipsTheLatch(ReferenceCore):
 
 
 class TwinKeepsTheFloat32Sum(ReferenceCore):
-    """Keeps the float32 product of every row, also of a row past its
-    plane's active-line bound, which the twin sums again in float64."""
+    """Raises the active-line bound of each of its plane copies to the line
+    count, as `BoundAtLineCount` does for the core, so that a row past the
+    real bound keeps its float32 sum."""
 
-    def _activation(self, k, spikes_in):
-        w = self.weights[k]
-        return (spikes_in.astype(w.dtype) @ w).astype(np.float64)
+    def __init__(self, core):
+        super().__init__(core)
+        for plane in self.planes:
+            plane.active_bound = len(plane.raw)
+
+
+class TwinSharesTheCorePlanes(ReferenceCore):
+    """Keeps its core's `raw` arrays in its plane copies, so that a write to
+    the core after the twin is built reaches the twin."""
+
+    def __init__(self, core):
+        super().__init__(core)
+        for mine, theirs in zip(self.planes, core.planes):
+            mine.raw = theirs.raw
 
 
 def one_spike_pipeline():
@@ -290,3 +304,10 @@ def test_the_float64_sums_tell_the_float32_twin_from_the_twin():
     for cls, first in ((ReferenceCore, []),
                        (TwinKeepsTheFloat32Sum, ["step_cycle", "run_sample", "run_batch"])):
         assert harness.inexact_drivers(cls, core, stimulus) == first
+
+
+def test_the_snapshot_test_tells_the_plane_sharing_twin_from_the_twin():
+    # The core's later writes reach the mutant's planes.
+    test_reference.test_a_twin_is_a_snapshot_of_its_core(ReferenceCore)
+    with pytest.raises(AssertionError):
+        test_reference.test_a_twin_is_a_snapshot_of_its_core(TwinSharesTheCorePlanes)
