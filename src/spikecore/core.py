@@ -251,7 +251,7 @@ class _Cycle:
         self.fmt = cfg.fmt
         self._one = 1 << cfg.fmt.q  # growth 1.0, which `_drive` does not multiply by
         self._regs = regs
-        self._dtype = dtype
+        self._dtype = np.dtype(dtype).type  # also `_lif`'s threshold type (faster than an int)
         self.reset_state()
 
     def reset_state(self, batch=()) -> None:
@@ -297,7 +297,7 @@ class _Cycle:
     def _lif(self, k: int, drive) -> np.ndarray:
         """Step layer k's neurons under `drive`; returns their spikes."""
         r = self._regs[k]
-        decay, vth, mode = r.decay_rate.raw, r.v_threshold.raw, r.reset_mode
+        decay, vth, mode = r.decay_rate.raw, self._dtype(r.v_threshold.raw), r.reset_mode
         vmem, refr = self._vmem[k], self._refr[k]
 
         updated = self._mul(decay, vmem)

@@ -515,7 +515,7 @@ def test_the_core_stays_within_its_rounding_budget_of_the_twin(net):
     stays_within_budget(net)
 
 
-@functools.cache
+@functools.cache  # a strategy is validated when first drawn from: build each once
 def budget_registers(fmt):
     """Decay over [0, 1], growth 1 about half the time and else in [0, 2],
     thresholds of 1 to 48 quanta and resets within 48 quanta of 0 (each at
@@ -533,10 +533,11 @@ def budget_registers(fmt):
 
 
 def budget_weights(rng, fmt, shape):
-    """Raw words in [-lim / 2, lim], lim = min(16, max_raw / 4M): no sum of
-    the M lines, nor growth 2 times one, reaches half the range, sums lean
-    positive, and a few quanta of drive per cycle bring a neuron's twin
-    within its rounding budget of the threshold now and then."""
+    """Raw words in [-lim / 2, lim], lim = min(16, max_raw / 4M): a sum of
+    the M lines stays within a quarter of the range, and twice it (growth 2)
+    within half; sums lean positive, and a few quanta of drive per cycle
+    bring a twin's membrane within its rounding budget of the threshold
+    now and then."""
     lim = min(16, fmt.max_raw // (4 * shape[0]))
     return rng.integers(-lim // 2, lim, shape, endpoint=True)
 
