@@ -21,21 +21,24 @@ tests count one `core.step_cycle` call per cycle.
 Activation is event-driven, as in the hardware: a weight enters a neuron's
 sum only when its pre-synaptic line spikes.  Each cycle gathers the weight
 rows of the active lines and sums them with the bits of the sequential adds
-in pre-synaptic index order.  Under WRAP that is the plain sum, which `_fit`
-wraps, because wrapping is arithmetic modulo 2**w.  SATURATE takes the
-plain sum too when a certificate shows that no prefix sum can leave the
-range, and otherwise the discrete two-sided Skorokhod map of the prefix
-sums, which has an exact closed form (`fixedpoint.accumulate_raw`).
+in pre-synaptic index order.  Under WRAP that is the plain sum, unreduced:
+it is fitted with the membrane it is added to, or by `_drive` before a
+growth product, because reduction modulo 2**w commutes with +, so
+fit(x + fit(a)) == fit(x + a).  SATURATE takes the plain sum too when a
+certificate shows that no prefix sum can leave the range, and otherwise
+the discrete two-sided Skorokhod map of the prefix sums, which has an
+exact closed form (`fixedpoint.accumulate_raw`).
 
 A plane's dtype says how its rows are summed (`topology.WeightMemory`):
 float32, float64 or object.  On a float plane a row within the
 active-line bound sums exactly, so a driver computes a layer's activation
 for every cycle as one product of its input raster, known before the layer
 runs, with the plane: every layer's in `_scan`, layer 0's in `Core.run_sample`.
-WRAP wraps it; SATURATE keeps it where a second product, with |plane|, gives
-the certificate.  Cycles past the bound or uncertified, and object planes,
-take the gather, which sums a row past the bound in the state's dtype
-(int64 for w <= 32, float64 in the twin, which has no `policy` to fold by).
+WRAP takes it as it is; SATURATE keeps it where a second product, with
+|plane|, gives the certificate.  Cycles past the bound or uncertified, and
+object planes, take the gather, which sums a row past the bound in the
+state's dtype (int64 for w <= 32, float64 in the twin, which has no
+`policy` to fold by).
 
 A register whose raw r lies in [0, 2**q] is a rate in [0, 1]: the decay
 always, and the growth when it is at most 1.  A product by such a rate
@@ -44,32 +47,34 @@ lies between min(x, 0) and max(x, 0), and neither can the leak step
 v - d*v.  So `_mul` runs that product as `(r * x) >> q` under both
 policies; the hardware's clamp or wrap would change no bit.  A growth of
 exactly 1 (`_one`, raw 2**q) is no product at all: (2**q * a) >> q == a for
-every fitted activation a, so `_drive` returns a as it is.  `_mul` keeps
-its fresh array for a decay of 1, since `_lif` overwrites it.
+every activation a, so the plan holds no growth and `_drive` returns a as
+it is.  `_mul` keeps its fresh array for a decay of 1, since `_lif`
+overwrites it.
 
 The rest of the membrane update works in place: `_mul` returns a fresh
-array, which `_lif` overwrites with the leak step, `_fit(x)` may
-overwrite the `x` its caller owns, and `_lif` holds and resets with
-masked writes into the updated membrane, which it then stores and never
-writes again, so nothing the core hands out changes later.  It fits only
-where the hardware latches or compares a value: the updated membrane
-before the threshold compare.  The BY_SUBTRACTION reset
-needs no fit while v_threshold >= 0, since a spiking neuron has
-v_threshold <= updated <= max_raw; under a negative threshold the
-membrane is fitted once more.  Under WRAP the fit reduces modulo 2**w,
-and in between, adds, subtracts and multiplies run on unreduced integers.
-That gives the bits of wrapping after every operation, because reduction
-modulo 2**w commutes with + and -, and because every multiply operand is
-already reduced (a register, the stored membrane, or the fitted
+array, which `_lif` overwrites with the leak step, `_fit(x)` may overwrite
+the `x` its caller owns, and `_lif` holds and resets with masked writes into
+the updated membrane, which it then stores and never writes again, so
+nothing the core hands out changes later.  It fits only where the hardware
+latches or compares a value: the updated membrane before the threshold
+compare, whose fit also wraps the WRAP activation added into it (modulo 2**w
+commutes with +), and a WRAP activation before a growth product in `_drive`.
+The BY_SUBTRACTION reset needs no fit while v_threshold >= 0, since a
+spiking neuron has v_threshold <= updated <= max_raw; under a negative
+threshold the membrane is fitted once more.  Under WRAP the fit reduces
+modulo 2**w, and in between, adds, subtracts and multiplies run on unreduced
+integers.  That gives the bits of wrapping after every operation, because
+reduction modulo 2**w commutes with + and -, and because every multiply
+operand is already reduced (a register, the stored membrane, or the fitted
 activation), so that `(a * b) >> q` has the low w bits of the hardware's
-truncated product.  An int64 overflow of an intermediate is harmless:
-2**w divides 2**64, so int64 arithmetic keeps every bit below position
-64, and the bits q..q+w-1 of a product are exact.  On int64 state the
-fit is the shift pair `x <<= 64 - w; x >>= 64 - w`, which drops the bits
-above the word and copies its sign bit into them.  SATURATE clamps a
-product by a register outside [0, 1] in `_mul`, and each latched sum in
-`_fit`, in place on int64 state; each sum is one add or subtract of
-in-range values, so the fit clamps exactly where the hardware's adder does.
+truncated product.  An int64 overflow of an intermediate is harmless: 2**w
+divides 2**64, so int64 arithmetic keeps every bit below position 64, and
+the bits q..q+w-1 of a product are exact.  On int64 state the fit is the
+shift pair `x <<= 64 - w; x >>= 64 - w`, which drops the bits above the word
+and copies its sign bit into them.  SATURATE clamps a product by a register
+outside [0, 1] in `_mul`, and each latched sum in `_fit`, in place on int64
+state; each sum is one add or subtract of in-range values, so the fit clamps
+exactly where the hardware's adder does.
 """
 
 from __future__ import annotations
@@ -232,17 +237,19 @@ def _masks(cfg: CoreConfig) -> list[np.ndarray]:
 
 class _Cycle:
     """The LIF cycle in `neuron.py`'s order, in units of the quantum: it reads
-    register words and the words of `planes` raw.  Adds and subtracts are
-    plain `+` and `-`; a subclass defines the number system in three hooks:
+    the words of `planes` raw, and layer k's register words raw in `_plan[k]`,
+    which `_compile(k)` decodes from `_regs[k]` at build and at each register
+    write.  Adds and subtracts are plain `+` and `-`; a subclass defines the
+    number system in three hooks:
     `_mul(r, x)`, raw register r times the array x, as a fresh array;
     `_fit(x)`, which brings a sum into the state's range where the cycle
     latches or compares it and may overwrite `x`; and `policy`, SATURATE
-    to sum rows in order with their clamps, else plainly and fitted.
+    to sum rows in order with their clamps, else plainly.
     `_one` is 1.0, raw 2**q.  `_lif(k, drive)`, the one LIF kernel, steps
     layer k under drive = growth x activation (the activation itself when
     the growth is `_one`).  `__init__` takes the config, one validated
-    `NeuronRegisters` per layer, which the cycle reads as it stands, and
-    the state dtype.  Traces scale by 1 / `_one`, a power of two.
+    `NeuronRegisters` per layer (`_regs`) and the state dtype.  Traces
+    scale by 1 / `_one`, a power of two.
     `_out` latches each layer's last spikes, which drive the layer after it in
     `step_cycle`; `_scan` is the other driver (module docstring)."""
 
@@ -251,8 +258,22 @@ class _Cycle:
         self.fmt = cfg.fmt
         self._one = 1 << cfg.fmt.q  # growth 1.0, which `_drive` does not multiply by
         self._regs = regs
-        self._dtype = np.dtype(dtype).type  # also `_lif`'s threshold type (faster than an int)
+        self._dtype = np.dtype(dtype).type  # also the plan's threshold type (faster than an int)
+        self._plan = [self._compile(k) for k in range(cfg.n_layers)]
+        # First to last, layer k reads layer k-1's spikes of this cycle.  Last to first
+        # at layer_latency 1, it reads those of the cycle before, as pipeline registers do.
+        self._order = tuple(range(cfg.n_layers))[::-1 if cfg.layer_latency else 1]
         self.reset_state()
+
+    def _compile(self, k: int) -> tuple:
+        """`_plan[k]`, layer k's registers decoded once per write: decay raw, growth
+        raw (None for `_one`), typed threshold, whether it is negative, reset mode,
+        typed value after a TO_ZERO or TO_CONSTANT reset, and refractory period."""
+        r = self._regs[k]
+        growth, vth = r.growth_rate.raw, self._dtype(r.v_threshold.raw)
+        after = r.v_reset.raw if r.reset_mode is ResetMode.TO_CONSTANT else 0
+        return (r.decay_rate.raw, None if growth == self._one else growth, vth, bool(vth < 0),
+                r.reset_mode, self._dtype(after), r.refractory_period)
 
     def reset_state(self, batch=()) -> None:
         """Between-sample reset: membranes, refractory counters and every layer's
@@ -274,7 +295,7 @@ class _Cycle:
             rows = w[lines] if len(lines) <= bound else w[lines].astype(self._dtype)
             if self.policy is SATURATE:
                 return accumulate_raw(rows, fmt)
-            return self._fit(np.add.reduce(rows).astype(self._dtype, copy=False))
+            return np.add.reduce(rows).astype(self._dtype, copy=False)
         out = np.empty((len(spikes_in), w.shape[1]), dtype=self._dtype)
         fail = np.ones(len(spikes_in), dtype=bool)  # the rows that take the gather
         if w.dtype.kind == "f":
@@ -283,21 +304,18 @@ class _Cycle:
             fail = past_bound(spikes_in, bound)
             if self.policy is SATURATE:  # `accumulate_raw`'s certificate; |w| is plane-sized
                 fail |= (np.abs(s) + x @ np.abs(w) > 2 * fmt.max_raw).any(axis=1)
-            else:
-                out = self._fit(out)
         for t in fail.nonzero()[0]:
             out[t] = self._activation(k, spikes_in[t])
         return out
 
     def _drive(self, k: int, spikes_in: np.ndarray):
         """growth x activation of layer k, for a row or a raster of input spikes."""
-        growth, act = self._regs[k].growth_rate.raw, self._activation(k, spikes_in)
-        return act if growth == self._one else self._mul(growth, act)
+        growth, act = self._plan[k][1], self._activation(k, spikes_in)
+        return act if growth is None else self._mul(growth, self._fit(act))
 
     def _lif(self, k: int, drive) -> np.ndarray:
         """Step layer k's neurons under `drive`; returns their spikes."""
-        r = self._regs[k]
-        decay, vth, mode = r.decay_rate.raw, self._dtype(r.v_threshold.raw), r.reset_mode
+        decay, _, vth, negative, mode, after, period = self._plan[k]
         vmem, refr = self._vmem[k], self._refr[k]
 
         updated = self._mul(decay, vmem)
@@ -306,7 +324,7 @@ class _Cycle:
         updated = self._fit(updated)
         # With no period and no neuron held the hold is a no-op; a period
         # written to 0 still counts down the neurons held under the old one.
-        refractory = r.refractory_period > 0 or (self._armed[k] and refr.any())
+        refractory = period > 0 or (self._armed[k] and refr.any())
         self._armed[k] = refractory
         if refractory:
             held = refr > 0
@@ -317,16 +335,15 @@ class _Cycle:
 
         if mode is ResetMode.BY_SUBTRACTION:
             np.subtract(updated, vth, out=updated, where=spikes)
-            if vth < 0:  # only then can updated - vth leave the range
+            if negative:  # only then can updated - vth leave the range
                 updated = self._fit(updated)
         elif mode is ResetMode.DEFAULT:  # one more leak step, no discrete reset
             np.copyto(updated, updated - self._mul(decay, updated), where=spikes)
         else:
-            after = r.v_reset.raw if mode is ResetMode.TO_CONSTANT else 0
             np.copyto(updated, after, where=spikes)
         self._vmem[k] = updated  # never written again
         if refractory:
-            self._refr[k] = np.where(held, refr - 1, np.where(spikes, r.refractory_period, 0))
+            self._refr[k] = np.where(held, refr - 1, np.where(spikes, period, 0))
         return spikes
 
     def step_cycle(self, input_spikes, *, drive0=None) -> list[np.ndarray]:
@@ -337,10 +354,7 @@ class _Cycle:
             if stim.shape != (self.cfg.sizes[0],):
                 raise ValueError(f"input width {stim.shape} != ({self.cfg.sizes[0]},)")
             drive0 = self._drive(0, _spikes(stim, ("line",)))
-        layers = range(self.cfg.n_layers)
-        # First to last, layer k reads layer k-1's spikes of this cycle.  Last to first
-        # at layer_latency 1, it reads those of the cycle before, as pipeline registers do.
-        for k in reversed(layers) if self.cfg.layer_latency else layers:
+        for k in self._order:  # (`__init__`)
             self._out[k] = self._lif(k, self._drive(k, self._out[k - 1]) if k else drive0)
         return list(self._out)
 
@@ -462,6 +476,7 @@ class Core(_Cycle):
         if name in _WORDS:
             value = encode_register(value, self.fmt, name)
         self._regs[layer] = replace(regs, **{name: value})
+        self._plan[layer] = self._compile(layer)
 
     def write_weight(self, layer: int, pre: int, post: int, value) -> None:
         """Program one synapse; `value` is a signed real or QWord.  The checks run

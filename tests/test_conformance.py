@@ -46,11 +46,20 @@ def test_a_core_is_a_cascade_of_isolated_layers(net):
 
 @st.composite
 def register_writes(draw, fmt, n_layers, duration):
-    """(cycle, layer, register, value) writes, in the order they are made."""
+    """(cycle, layer, register, value) writes of every register, in the order
+    they are made.  A growth of exactly 1.0 is drawn often, so that writes
+    cross `_drive`'s skip of the product both ways."""
+
+    def words(lo, hi):
+        return st.integers(lo, hi).map(lambda raw: QWord(fmt, raw))
+
     values = {
+        "decay_rate": words(0, min(fmt.max_raw, 1 << fmt.q)),
+        "growth_rate": st.just(QWord(fmt, 1 << fmt.q)) | words(fmt.min_raw, fmt.max_raw),
         "refractory_period": st.integers(0, 3),
-        "v_threshold": st.integers(fmt.min_raw, fmt.max_raw).map(lambda raw: QWord(fmt, raw)),
+        "v_threshold": words(fmt.min_raw, fmt.max_raw),
         "reset_mode": st.sampled_from(ResetMode),
+        "v_reset": words(fmt.min_raw, fmt.max_raw),
     }
     writes = []
     for _ in range(draw(st.integers(0, 8))):
@@ -64,9 +73,10 @@ def register_writes(draw, fmt, n_layers, duration):
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_register_writes_between_cycles_match_the_scalar_oracle(data):
-    # Refractory periods, thresholds and reset modes written between
-    # cycles, a period of 0 included while neurons are held, take effect
-    # in the core exactly as in the oracle given the same schedule.
+    # Every register written between cycles, a period of 0 included while
+    # neurons are held, takes effect in the core exactly as in the oracle
+    # given the same schedule: the core's per-layer plan of its registers
+    # is compiled again at each write.
     cfg, weights, stream = data.draw(harness.NETWORKS)
     writes = data.draw(register_writes(cfg.fmt, cfg.n_layers, len(stream)))
     assert harness.checked(harness.loaded(cfg, weights), stream, writes) == []

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from spikecore import core as core_module
 from spikecore.core import Core, CoreConfig, RealRegisters, SpikeRaster, encode_register
 from spikecore.fixedpoint import (
-    Q3_1, Q5_3, Q9_7, Q17_15, SATURATE, OverflowPolicy, QFormat, QWord, fit_raw, wrap_raw,
+    Q3_1, Q5_3, Q9_7, Q17_15, SATURATE, WRAP, OverflowPolicy, QFormat, QWord, fit_raw, wrap_raw,
 )
 from spikecore.neuron import ResetMode
 from spikecore.reference import ReferenceCore, TracePair
@@ -768,7 +768,8 @@ def test_raster_activation_equals_the_row_path_row_by_row(fmt, policy):
     # A 4096 x 40 plane, read in place by one product per raster.  The
     # rows: all zero, one line (a certified SATURATE sum), every line (one
     # that clamps) and random halves; Q20.20 planes take the row path.
-    # Every sum is also the hardware's fold of its column's active lines.
+    # SATURATE's sums are the hardware's fold of each column's active
+    # lines; WRAP's are their exact sums, which `_fit` brings to that fold.
     m, n = 4096, 40
     core = Core(CoreConfig.uniform(fmt, [m, n], harness.regs(), policy=policy))
     rng = np.random.default_rng(21)
@@ -783,7 +784,11 @@ def test_raster_activation_equals_the_row_path_row_by_row(fmt, policy):
     assert got.dtype == rows.dtype and np.array_equal(got, rows)
     assert core._activation(0, raster[:0]).shape == (0, n)
     for row, sums in zip(raster, got):
-        assert sums.tolist() == [python_fold(col, fmt, policy) for col in w[row].T.tolist()]
+        columns = w[row].T.tolist()
+        if policy is WRAP:  # unreduced until the membrane's fit
+            assert sums.tolist() == [sum(col) for col in columns]
+            sums = core._fit(sums.copy())
+        assert sums.tolist() == [python_fold(col, fmt, policy) for col in columns]
 
 
 def python_fold(column, fmt, policy):
@@ -812,7 +817,8 @@ def test_a_float32_plane_stays_exact_past_its_active_line_bound(policy):
     # 1024 Q9.7 lines are float32 with a bound of 512 active lines.  513
     # lines at max_raw sum to 513 * 32767 = 16 809 471, odd and above 2**24:
     # no float32 equals it, so a row past the bound must sum in int64, in
-    # one cycle's row and in a raster alike.
+    # one cycle's row and in a raster alike.  WRAP's sums are exact, and
+    # `_fit` brings them to the hardware's fold, which SATURATE's are.
     fmt, m = Q9_7, 1024
     core = Core(CoreConfig.uniform(fmt, [m, 2], harness.regs(), policy=policy))
     plane = core.planes[0]
@@ -820,11 +826,14 @@ def test_a_float32_plane_stays_exact_past_its_active_line_bound(policy):
     assert plane.raw.dtype == np.float32 and plane.active_bound == 512
     assert 513 * fmt.max_raw == 16_809_471 > 1 << 24
     raster = np.arange(m) < np.array([[0], [512], [513], [1024]])
-    want = [[python_fold([int(x) for x in plane.raw[row, j]], fmt, policy) for j in range(2)]
-            for row in raster]
+    columns = [[[int(x) for x in plane.raw[row, j]] for j in range(2)] for row in raster]
+    folds = [[python_fold(col, fmt, policy) for col in row] for row in columns]
+    want = [list(map(sum, row)) for row in columns] if policy is WRAP else folds
     for row, expected in zip(raster, want):
         assert core._activation(0, row).tolist() == expected
-    assert core._activation(0, raster).tolist() == want
+    got = core._activation(0, raster)
+    assert got.tolist() == want
+    assert core._fit(got).tolist() == folds
 
 
 @pytest.mark.parametrize("policy", list(OverflowPolicy))
@@ -833,7 +842,8 @@ def test_a_plane_past_the_float_bound_sums_in_int64(policy):
     # of every line needs 54 bits, so a float64 sum would round it: the
     # plane is float64 with an active-line bound of 2**22, one line fewer,
     # and a row past it sums in int64.  Both paths of `_activation` must
-    # give the fold's bits.  The plane is 32 MB.
+    # give the fold's bits under SATURATE, and the exact sum under WRAP,
+    # which `_fit` wraps to the fold's.  The plane is 32 MB.
     fmt, m = Q17_15, (1 << 22) + 1
     below = WeightMemory(fmt, np.broadcast_to(True, (m - 1, 1)))  # its zeros touch no page
     assert below.raw.dtype == np.float64 and below.active_bound == m - 1
@@ -841,11 +851,14 @@ def test_a_plane_past_the_float_bound_sums_in_int64(policy):
     core.planes[0].raw[...] = fmt.max_raw
     assert m * fmt.max_raw > 1 << 53 and core.planes[0].raw.dtype == np.float64
     assert core.planes[0].active_bound == 1 << 22
-    want = python_fold([fmt.max_raw] * m, fmt, policy)
+    fold = python_fold([fmt.max_raw] * m, fmt, policy)
+    want = m * fmt.max_raw if policy is WRAP else fold
     assert core._activation(0, np.ones(m, dtype=bool)).tolist() == [want]
     raster = np.zeros((2, m), dtype=bool)
     raster[1] = True
-    assert core._activation(0, raster).tolist() == [[0], [want]]
+    got = core._activation(0, raster)
+    assert got.tolist() == [[0], [want]]
+    assert core._fit(got).tolist() == [[0], [fold]]
 
 
 def test_traces_record_post_reset_value():

@@ -198,16 +198,19 @@ def test_in_range_arithmetic_matches_reals():
 # --- ordered accumulation of gathered weight rows ---------------------------
 
 def core_row_sum(rows, fmt, policy):
-    """A core's activation for one cycle in which `rows`' lines spike.
+    """A core's activation for one cycle in which `rows`' lines spike, and
+    `Core._fit` of it.
 
     The plane holds one more line, which stays silent.  Under SATURATE the
-    core calls `accumulate_raw`; under WRAP it sums and `Core._fit` wraps.
+    core calls `accumulate_raw`; under WRAP it returns the exact sum, which
+    the fit wraps.
     """
     regs = RealRegisters(decay_rate=0.0, growth_rate=1.0, v_threshold=1.0)
     core = Core(CoreConfig.uniform(fmt, [len(rows) + 1, rows.shape[1]], regs, policy=policy))
     core.planes[0].raw[:-1] = rows
     core.planes[0].raw[-1] = fmt.max_raw
-    return core._activation(0, np.arange(len(rows) + 1) < len(rows))
+    act = core._activation(0, np.arange(len(rows) + 1) < len(rows))
+    return act, core._fit(act.copy())
 
 
 @pytest.mark.parametrize("fmt", [Q5_3, QFormat(33, 31)])  # int64 and object payloads
@@ -224,9 +227,10 @@ def test_accumulate_raw_equals_sequential_fold(fmt, policy, n_rows):
             got = accumulate_raw(rows, fmt)
             assert got.dtype == ints.dtype
             assert np.array_equal(got, fold)
-    got = core_row_sum(ints, fmt, policy)
-    assert got.dtype == ints.dtype
-    assert np.array_equal(got, fold)
+    got, fitted = core_row_sum(ints, fmt, policy)
+    assert got.dtype == fitted.dtype == ints.dtype
+    assert np.array_equal(got, ints.sum(axis=0) if policy is WRAP else fold)
+    assert np.array_equal(fitted, fold)
 
 
 @st.composite
@@ -313,9 +317,9 @@ def test_accumulate_raw_saturate_of_one_column(fmt, column):
 
 
 def test_accumulate_raw_wraps_like_the_adder():
-    rows = np.array([[120], [120], [-80]])   # 160 wraps to 160 - 256
-    assert core_row_sum(rows, Q5_3, WRAP).tolist() == [-96]
-    assert core_row_sum(rows[:0], Q5_3, WRAP).tolist() == [0]
+    rows = np.array([[120], [120], [-80]])   # 160 wraps to 160 - 256 in the fit
+    assert [a.tolist() for a in core_row_sum(rows, Q5_3, WRAP)] == [[160], [-96]]
+    assert [a.tolist() for a in core_row_sum(rows[:0], Q5_3, WRAP)] == [[0], [0]]
 
 
 def test_qformat_derived_values_leave_equality_and_hash_alone():

@@ -18,7 +18,7 @@ import pytest
 import test_reference
 
 from spikecore.core import Core, CoreConfig, RealRegisters
-from spikecore.fixedpoint import Q5_3, SATURATE, WRAP, QFormat
+from spikecore.fixedpoint import Q5_3, SATURATE, WRAP, QFormat, QWord
 from spikecore.neuron import ResetMode
 from spikecore.reference import ReferenceCore
 
@@ -51,12 +51,31 @@ class BoundAtLineCount(Core):
 
 
 class GrowthOneIsRawOne(Core):
-    """Skips the growth product when the growth's raw payload is 1, one
-    quantum, instead of 1.0 (`_one`)."""
+    """Plans no growth product when the growth's raw payload is 1, one
+    quantum, as well as for 1.0 (`_one`)."""
+
+    def _compile(self, k):
+        plan = super()._compile(k)
+        return (plan[0], None, *plan[2:]) if self._regs[k].growth_rate.raw == 1 else plan
+
+
+class DriveMultipliesTheUnfittedSum(Core):
+    """Hands the unreduced WRAP sum to the growth product, so that the bits
+    above the word reach the membrane through it."""
 
     def _drive(self, k, spikes_in):
-        growth, act = self._regs[k].growth_rate.raw, self._activation(k, spikes_in)
-        return act if growth == 1 else self._mul(growth, act)
+        growth, act = self._plan[k][1], self._activation(k, spikes_in)
+        return act if growth is None else self._mul(growth, act)
+
+
+class StalePlan(Core):
+    """Keeps each layer's register plan as the core was built with, so that
+    a written register reaches `registers(k)` but not the datapath."""
+
+    def write_register(self, layer, name, value):
+        plans = list(self._plan)
+        super().write_register(layer, name, value)
+        self._plan[:] = plans
 
 
 class UnclampedGrowth(Core):
@@ -212,6 +231,21 @@ def one_quantum_growth():
     return cfg, [np.array([[Q5_3.max_raw]])], np.array([[1]], dtype=bool), ()
 
 
+def half_growth_of_a_wrapping_sum():
+    # Two lines of 15.0 sum to 240, which wraps to -16, and growth 0.5
+    # drives -8; the mutant's 0.5 x 240 = 120 fires at once.
+    cfg = CoreConfig.uniform(Q5_3, (2, 1), replace(PLAIN, growth_rate=0.5), policy=WRAP)
+    return cfg, [np.array([[120], [120]])], np.array([[1, 1]], dtype=bool), ()
+
+
+def threshold_written():
+    # Weight 1.0 fires at threshold 1.0 in cycle 0; the threshold written to
+    # 2.0 before cycle 1 holds the neuron at 1.0 there, where the mutant fires.
+    cfg = CoreConfig.uniform(Q5_3, (1, 1), PLAIN)
+    return (cfg, [np.array([[1 << Q5_3.q]])], np.ones((2, 1), dtype=bool),
+            [(1, 0, "v_threshold", QWord(Q5_3, 2 << Q5_3.q))])
+
+
 def growth_past_one():
     # Growth 1.5 under SATURATE: min_raw x 1.5 and max_raw x 1.5 clamp in
     # the core, so cycle 1 leaves -128 + 127.  The mutant's -192 clamps at
@@ -257,6 +291,8 @@ def low_end_clamp():
     (FirstToLastPipeline, one_spike_pipeline, [(1, 0, 0)]),
     (BoundAtLineCount, three_max_lines, [(0, 0, 0)]),
     (GrowthOneIsRawOne, one_quantum_growth, [(0, 0, 0)]),
+    (DriveMultipliesTheUnfittedSum, half_growth_of_a_wrapping_sum, [(0, 0, 0)]),
+    (StalePlan, threshold_written, [(0, 0, 1)]),
     (UnclampedGrowth, growth_past_one, [(0, 0, 1)]),
     (PeriodZeroReleases, period_written_to_zero, [(0, 0, 1)]),
     (NoFitUnderNegativeThreshold, partial(negative_threshold, WRAP), [(0, 0, 0)]),
