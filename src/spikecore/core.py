@@ -354,7 +354,7 @@ class _Cycle:
             if stim.shape != (self.cfg.sizes[0],):
                 raise ValueError(f"input width {stim.shape} != ({self.cfg.sizes[0]},)")
             drive0 = self._drive(0, _spikes(stim, ("line",)))
-        for k in self._order:  # (`__init__`)
+        for k in self._order:
             self._out[k] = self._lif(k, self._drive(k, self._out[k - 1]) if k else drive0)
         return list(self._out)
 
