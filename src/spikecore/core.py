@@ -59,6 +59,9 @@ nothing the core hands out changes later.  It fits only where the hardware
 latches or compares a value: the updated membrane before the threshold
 compare, whose fit also wraps the WRAP activation added into it (modulo 2**w
 commutes with +), and a WRAP activation before a growth product in `_drive`.
+A run from the zero state (`run_sample`, `run_batch`) skips the membrane
+fit of each layer that `Core.certified` proves cannot overflow; a bare
+`step_cycle` never does.
 The BY_SUBTRACTION reset needs no fit while v_threshold >= 0, since a
 spiking neuron has v_threshold <= updated <= max_raw; under a negative
 threshold the membrane is fitted once more.  Under WRAP the fit reduces
@@ -240,11 +243,13 @@ class _Cycle:
     the words of `planes` raw, and layer k's register words raw in `_plan[k]`,
     which `_compile(k)` decodes from `_regs[k]` at build and at each register
     write.  Adds and subtracts are plain `+` and `-`; a subclass defines the
-    number system in three hooks:
+    number system in four hooks:
     `_mul(r, x)`, raw register r times the array x, as a fresh array;
     `_fit(x)`, which brings a sum into the state's range where the cycle
-    latches or compares it and may overwrite `x`; and `policy`, SATURATE
-    to sum rows in order with their clamps, else plainly.
+    latches or compares it and may overwrite `x`; `certified(k)`, whether
+    layer k needs no membrane fit on a run from the zero state (`_sure[k]`
+    during one); and `policy`, SATURATE to sum rows in order with their
+    clamps, else plainly.
     `_one` is 1.0, raw 2**q.  `_lif(k, drive)`, the one LIF kernel, steps
     layer k under drive = growth x activation (the activation itself when
     the growth is `_one`).  `__init__` takes the config, one validated
@@ -260,6 +265,7 @@ class _Cycle:
         self._regs = regs
         self._dtype = np.dtype(dtype).type  # also the plan's threshold type (faster than an int)
         self._plan = [self._compile(k) for k in range(cfg.n_layers)]
+        self._sure = self._never = [False] * cfg.n_layers  # the certificates outside a run
         # First to last, layer k reads layer k-1's spikes of this cycle.  Last to first
         # at layer_latency 1, it reads those of the cycle before, as pipeline registers do.
         self._order = tuple(range(cfg.n_layers))[::-1 if cfg.layer_latency else 1]
@@ -289,7 +295,7 @@ class _Cycle:
     def _activation(self, k: int, spikes_in: np.ndarray) -> np.ndarray:
         """Ordered sum of the weight rows of the active inputs, of one cycle's
         [M] row or of each row of a [T, M] raster (module docstring)."""
-        w, fmt, bound = self.planes[k].raw, self.fmt, self.planes[k].active_bound
+        w, fmt, bound = self.planes[k]._raw, self.fmt, self.planes[k].active_bound
         if spikes_in.ndim == 1:
             lines = spikes_in.nonzero()[0]
             rows = w[lines] if len(lines) <= bound else w[lines].astype(self._dtype)
@@ -311,7 +317,9 @@ class _Cycle:
     def _drive(self, k: int, spikes_in: np.ndarray):
         """growth x activation of layer k, for a row or a raster of input spikes."""
         growth, act = self._plan[k][1], self._activation(k, spikes_in)
-        return act if growth is None else self._mul(growth, self._fit(act))
+        if growth is None:
+            return act
+        return self._mul(growth, self._fit(act) if self.policy is WRAP else act)
 
     def _lif(self, k: int, drive) -> np.ndarray:
         """Step layer k's neurons under `drive`; returns their spikes."""
@@ -321,7 +329,8 @@ class _Cycle:
         updated = self._mul(decay, vmem)
         np.subtract(vmem, updated, out=updated)  # the leak step v - d*v
         updated += drive
-        updated = self._fit(updated)
+        if not self._sure[k]:
+            updated = self._fit(updated)
         # With no period and no neuron held the hold is a no-op; a period
         # written to 0 still counts down the neurons held under the old one.
         refractory = period > 0 or (self._armed[k] and refr.any())
@@ -367,8 +376,7 @@ class _Cycle:
         maps (layer, neuron) -> float64[T] of decoded vmem at the end of
         each cycle, in (layer, neuron) order, or is {} when `watch` is None.
         """
-        dense, spikes, vmems = self._start([stream], duration, watch, batch=False)
-        self._run_sample(dense, spikes, vmems)
+        dense, spikes, vmems = self._start(self._run_sample, [stream], duration, watch, False)
         rows = [np.multiply(v.T.astype(np.float64), 1 / self._one, order="C") for v in vmems]
         traces = {(k, j): row for k, layer in enumerate(rows) for j, row in enumerate(layer)}
         return SpikeRaster(dense, spikes), traces
@@ -377,16 +385,16 @@ class _Cycle:
         """Feed B streams at once on [B, N] state, each as `run_sample` does.
         Returns per layer the [B, T, N] spike rasters and, when `watch` is "all",
         the [B, T, N] float64 decoded membranes ([] when None).  Ends with `reset_state()`."""
-        dense, spikes, vmems = self._start(streams, duration, watch, batch=True)
-        self._scan(dense, spikes, vmems)
+        dense, spikes, vmems = self._start(self._scan, streams, duration, watch, True)
         self.reset_state()
         return ([s.swapaxes(0, 1) for s in spikes],
                 [v.swapaxes(0, 1).astype(np.float64, copy=False) * (1 / self._one) for v in vmems])
 
-    def _start(self, streams, duration, watch, batch: bool):
+    def _start(self, driver, streams, duration, watch, batch: bool):
         """Both drivers' checks of `watch`, `duration` and each stream (named by its
-        index in a batch); then a fresh state, the [T, B, N0] or [T, N0] stimulus and
-        per layer empty records of the spikes and, under `watch`, raw membranes."""
+        index in a batch); then a fresh state, the [T, B, N0] or [T, N0] stimulus and per
+        layer the records of spikes and, under `watch`, raw membranes, which `driver`
+        fills under the layers' certificates (dropped when it returns)."""
         if not (watch is None or (isinstance(watch, str) and watch == "all")):
             raise ValueError(f"watch must be None or 'all', got {watch!r}")
         duration = whole_number(duration, "duration")
@@ -408,8 +416,14 @@ class _Cycle:
         dense = dense.swapaxes(0, 1) if batch else dense[0]
         self.reset_state(dense.shape[1:-1])
         shapes = [(*dense.shape[:-1], n) for n in sizes[1:]]
-        return (dense, [np.empty(shape, dtype=bool) for shape in shapes],
-                [np.empty(shape, dtype=self._dtype) for shape in shapes] if watch else [])
+        out = (dense, [np.empty(shape, dtype=bool) for shape in shapes],
+               [np.empty(shape, dtype=self._dtype) for shape in shapes] if watch else [])
+        self._sure = [self.certified(k) for k in range(self.cfg.n_layers)]
+        try:
+            driver(*out)
+        finally:
+            self._sure = self._never
+        return out
 
     def _scan(self, dense: np.ndarray, spikes, vmems) -> None:
         """The layer-major driver: per layer, one `_drive` over the [T, ..., M] input
@@ -464,6 +478,21 @@ class Core(_Cycle):
         self._check_layer(layer, "registers")
         return self._regs[layer]
 
+    def certified(self, layer: int) -> bool:
+        """Whether no membrane update of `layer` can overflow on a run from the zero state
+        (growth 1, decay d > 0, reset by subtraction, vth >= 0).  Activations lie in the
+        plane's [lo, hi] (`column_bounds`), so the membrane stays in [min(0, lo/d), H],
+        H = max(0, vth - 1, (hi + 1 - vth)/d), and the update in [lo/d, (1 - d) H + 1 + hi];
+        the +1 is the leak floor's slack.  Checked in exact integers, scaled by decay x 1.0."""
+        self._check_layer(layer, "certificate")
+        d, growth, vth, negative, mode = self._plan[layer][:5]
+        if growth is not None or not d or negative or mode is not ResetMode.BY_SUBTRACTION:
+            return False
+        (lo, hi), one, vth = self.planes[layer].column_bounds(), self._one, int(vth)
+        top = max(0, (vth - 1) * d, (hi + 1 - vth) * one)  # H x decay
+        return (lo * one >= self.fmt.min_raw * d
+                and (one - d) * top + (hi + 1) * d * one <= self.fmt.max_raw * d * one)
+
     def write_register(self, layer: int, name: str, value) -> None:
         """Program one control register; takes effect from the next cycle.
 
@@ -504,7 +533,7 @@ class Core(_Cycle):
                 for f in self._regs]
 
     def decoded_weights(self) -> list[np.ndarray]:
-        return [p.raw.astype(np.float64) * self.fmt.quantum for p in self.planes]
+        return [p._raw.astype(np.float64) * self.fmt.quantum for p in self.planes]
 
     # -- number system ----------------------------------------------------------
 

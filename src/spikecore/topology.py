@@ -12,6 +12,9 @@ when w <= 24 and ceil(M/2) * 2**(w-1) <= 2**24 (bound 2**(25-w)), else in
 float64 when w <= 32 (bound min(M, 2**(54-w))); the core and its twin
 multiply in the stored plane's dtype and sum again the rows of a raster
 that `past_bound` picks.  A wider plane holds Python ints (bound M).
+A plane caches its column sums' bounds for `core.Core.certified`, its array
+read-only meanwhile: `write` and any fetch of `raw` drop them, so a `raw`
+array held across a run raises ValueError when written until `raw` is fetched.
 """
 
 from __future__ import annotations
@@ -103,7 +106,6 @@ class WeightMemory:
     fmt: QFormat
     mask: np.ndarray
     layer: int = 0
-    raw: np.ndarray = field(init=False)
     active_bound: int = field(init=False)
 
     def __post_init__(self):
@@ -112,6 +114,27 @@ class WeightMemory:
         dtype = np.float64 if w <= 32 else object  # a float64 row is exact to 2**(54-w) lines
         self.raw = np.zeros(self.mask.shape, dtype=np.float32 if single else dtype)
         self.active_bound = 1 << (25 - w) if single else min(m, 1 << (54 - w)) if w <= 32 else m
+
+    @property
+    def raw(self) -> np.ndarray:  # a fetch drops the cached bounds (module docstring)
+        if self._bounds is not None:
+            self._bounds, self._raw.flags.writeable = None, True
+        return self._raw
+
+    @raw.setter
+    def raw(self, array: np.ndarray) -> None:
+        self._raw, self._bounds = array, None
+
+    def column_bounds(self) -> tuple[int, int]:
+        """(least column sum of negative words, greatest of positive ones), exact; cached."""
+        if self._bounds is None:
+            lo = hi = 0
+            for i in range(0, len(self._raw), 64):  # no plane-sized temporary
+                rows = self._raw[i:i + 64].astype(object if self._raw.dtype == object else np.int64)
+                lo, hi = lo + np.minimum(rows, 0).sum(axis=0), hi + np.maximum(rows, 0).sum(axis=0)
+            self._bounds = int(np.min(lo)), int(np.max(hi))
+            self._raw.flags.writeable = False
+        return self._bounds
 
     def _check(self, pre: int, post: int) -> None:
         m, n = self.mask.shape
@@ -133,11 +156,11 @@ class WeightMemory:
                              f"{weight!r} is neither a QWord nor a raw payload of {self.fmt}")
         if not self.mask[pre, post]:
             raise MaskedSynapseError(self.layer, pre, post)
-        self.raw[pre, post] = weight
+        (self._raw if self._bounds is None else self.raw)[pre, post] = weight  # `raw` drops bounds
 
     def presynaptic_weights(self, post: int) -> list[QWord]:
         """Column for one post neuron, in pre index order (accumulation order)."""
         m, n = self.mask.shape
         if not valid_index(post, n):
             raise IndexError(f"column (layer={self.layer}, post={post}) outside {m}x{n}")
-        return [QWord(self.fmt, r) for r in self.raw[:, post]]
+        return [QWord(self.fmt, r) for r in self._raw[:, post]]

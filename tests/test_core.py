@@ -762,6 +762,25 @@ def test_saturate_policy_core_runs():
     assert outs[0].all()
 
 
+@pytest.mark.parametrize("policy, fits", [(SATURATE, 0), (WRAP, 1)])
+def test_drive_fits_before_a_growth_product_only_under_wrap(monkeypatch, policy, fits):
+    # A SATURATE activation is in range already (`accumulate_raw`, or a
+    # plain sum that passes its certificate): here four lines of 15.875
+    # clamp at max_raw, one line does not, and growth 0.5 halves either.
+    regs = harness.regs(growth_rate=0.5, v_threshold=Q5_3.max_value)
+    cfg = CoreConfig.uniform(Q5_3, [4, 3], regs, policy=policy)
+    core = harness.loaded(cfg, [np.full((4, 3), Q5_3.max_raw)])
+    stimulus = np.array([[1, 1, 1, 1], [1, 0, 0, 0], [0, 0, 0, 0]] * 2, dtype=bool)
+    calls, fit = [], Core._fit
+    monkeypatch.setattr(Core, "_fit", lambda self, x: calls.append(x) or fit(self, x))
+    for spikes in (stimulus[0], stimulus[1], stimulus):
+        calls.clear()
+        core._drive(0, spikes)
+        assert len(calls) == fits
+    assert harness.checked(core, stimulus) == []
+    assert harness.sampled(core, stimulus) == []
+
+
 @pytest.mark.parametrize("fmt", [Q5_3, Q17_15, QFormat(20, 20)])
 @pytest.mark.parametrize("policy", list(OverflowPolicy))
 def test_raster_activation_equals_the_row_path_row_by_row(fmt, policy):

@@ -18,9 +18,10 @@ import pytest
 import test_reference
 
 from spikecore.core import Core, CoreConfig, RealRegisters
-from spikecore.fixedpoint import Q5_3, SATURATE, WRAP, QFormat, QWord
+from spikecore.fixedpoint import Q3_1, Q5_3, SATURATE, WRAP, QFormat, QWord
 from spikecore.neuron import ResetMode
 from spikecore.reference import ReferenceCore
+from spikecore.topology import WeightMemory
 
 # Decay 0, growth 1, threshold 1, reset by subtraction: a membrane is its
 # cycle's activation until it reaches 1.0.
@@ -123,6 +124,91 @@ class UpperOnlyCertificate(Core):
             if (s + np.abs(rows).sum(axis=0) <= 2 * self.fmt.max_raw).all():
                 return s
         return super()._activation(k, spikes_in)
+
+
+class CertificateWithoutLeakSlack(Core):
+    """Bounds the leak step v - floor(d v) by (1 - d) v, forgetting the +1 of
+    its floor, in the membrane's bound H and in the update's.  Equivalent in
+    `certificate_search.py`'s scope, and in one-line networks of every format
+    up to 10 bits with q from 2 to 6: from the zero state an integer membrane
+    never passes the fixed point (hi - v_threshold) / d that the floor's
+    slack would lift.  No test kills it."""
+
+    def certified(self, layer):
+        d, growth, vth, negative, mode = self._plan[layer][:5]
+        if growth is not None or not d or negative or mode is not ResetMode.BY_SUBTRACTION:
+            return False
+        (lo, hi), one, vth = self.planes[layer].column_bounds(), self._one, int(vth)
+        top = max(0, (vth - 1) * d, (hi - vth) * one)
+        return (lo * one >= self.fmt.min_raw * d
+                and (one - d) * top + hi * d * one <= self.fmt.max_raw * d * one)
+
+
+class CertificateWithoutResetOvershoot(Core):
+    """Bounds the membrane by v_threshold - 1 (or 0), forgetting that a reset
+    by subtraction leaves u - v_threshold, which can exceed it."""
+
+    def certified(self, layer):
+        d, growth, vth, negative, mode = self._plan[layer][:5]
+        if growth is not None or not d or negative or mode is not ResetMode.BY_SUBTRACTION:
+            return False
+        (lo, hi), one, vth = self.planes[layer].column_bounds(), self._one, int(vth)
+        top = max(0, (vth - 1) * d)
+        return (lo * one >= self.fmt.min_raw * d
+                and (one - d) * top + (hi + 1) * d * one <= self.fmt.max_raw * d * one)
+
+
+def net_column_bounds(plane):
+    """The least and greatest net column sums of `plane`: a wrong bound of the
+    activations, which a subset of a column's lines can leave."""
+    sums = plane.raw.astype(object).sum(axis=0)
+    return int(sums.min()), int(sums.max())
+
+
+class CertificateFromNetColumnSums(Core):
+    """Bounds each layer's activations by its plane's net column sums."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        for plane in self.planes:
+            plane.column_bounds = partial(net_column_bounds, plane)
+
+
+CERTIFICATE_MUTANTS = (CertificateWithoutLeakSlack, CertificateWithoutResetOvershoot,
+                       CertificateFromNetColumnSums)
+
+
+class BoundsKeptOnFetch(WeightMemory):
+    """A plane whose `raw` becomes writable when fetched but keeps the cached
+    column bounds."""
+
+    @property
+    def raw(self):
+        self._raw.flags.writeable = True
+        return self._raw
+
+
+class StaleColumnBounds(Core):
+    """Keeps each plane's column bounds across a fetch of `raw`, so that words
+    written through it after a run reach the datapath but not the certificate."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        for plane in self.planes:
+            plane.__class__ = BoundsKeptOnFetch
+
+
+class CertificateOutlivesTheRun(Core):
+    """Keeps a run's certificates live after its driver returns, so that a
+    `step_cycle` after a register write skips a fit the new registers need."""
+
+    def _start(self, driver, *args):
+        def run(*out):
+            driver(*out)
+            self._kept = self._sure
+        out = super()._start(run, *args)
+        self._sure = self._kept
+        return out
 
 
 class SecondCallInLif(Core):
@@ -347,3 +433,57 @@ def test_the_snapshot_test_tells_the_plane_sharing_twin_from_the_twin():
     test_reference.test_a_twin_is_a_snapshot_of_its_core(ReferenceCore)
     with pytest.raises(AssertionError):
         test_reference.test_a_twin_is_a_snapshot_of_its_core(TwinSharesTheCorePlanes)
+
+
+def overshooting_reset():
+    # Frozen from certificate_search.py: decay 0.5 and threshold 0, so 5
+    # spikes at once and leaves 5, which leaks to 3, and 3 + 5 = 8 wraps to
+    # -8 in Q3.1.  The mutant bounds the membrane by max(0, -1) = 0.
+    cfg = CoreConfig.uniform(Q3_1, (1, 1), replace(PLAIN, decay_rate=0.5, v_threshold=0.0))
+    return cfg, [np.array([[5]])], np.ones((2, 1), dtype=bool)
+
+
+def cancelling_column():
+    # Frozen from certificate_search.py: the column sums to -2, which the
+    # mutant takes for every activation, but lines 0 and 1 alone give -5,
+    # past Q2.1's min_raw of -4.
+    fmt = QFormat(2, 1)
+    cfg = CoreConfig.uniform(fmt, (3, 1), replace(PLAIN, decay_rate=0.5, v_threshold=0.0))
+    return cfg, [np.array([[-4], [-1], [3]])], np.array([[1, 1, 0]], dtype=bool)
+
+
+@pytest.mark.parametrize("mutant, network, first", [
+    (CertificateWithoutResetOvershoot, overshooting_reset, [(0, 0, 1)]),
+    (CertificateFromNetColumnSums, cancelling_column, [(0, 0, 0)]),
+])
+def test_a_sampled_run_tells_each_wrong_certificate_from_the_core(mutant, network, first):
+    # `checked` never certifies: only `run_sample` and `run_batch` skip fits.
+    cfg, planes, stimulus = network()
+    assert harness.sampled(harness.loaded(cfg, planes), stimulus) == []
+    assert harness.sampled(harness.loaded(cfg, planes, mutant), stimulus) == first
+
+
+def test_a_sampled_run_after_a_raw_write_tells_stale_bounds_from_the_core():
+    # Two lines of 1.0 certify; written to 12.5 through `raw` after a run,
+    # they sum to 200, which only the membrane fit wraps.
+    cfg = CoreConfig.uniform(Q5_3, (2, 1), replace(PLAIN, decay_rate=1.0,
+                                                   v_threshold=Q5_3.max_value))
+    stimulus = np.ones((1, 2), dtype=bool)
+    for cls, first in ((Core, []), (StaleColumnBounds, [(0, 0, 0)])):
+        core = harness.loaded(cfg, [np.full((2, 1), 8)], cls)
+        assert harness.sampled(core, stimulus) == []
+        core.planes[0].raw[...] = 100
+        assert harness.sampled(core, stimulus) == first
+
+
+def test_a_step_after_a_sampled_run_tells_a_live_certificate_from_the_core():
+    # 12.5 certifies under growth 1; growth written to 1.5 after the run
+    # drives 150, which only the membrane fit wraps.
+    cfg = CoreConfig.uniform(Q5_3, (1, 1), replace(PLAIN, decay_rate=1.0,
+                                                   v_threshold=Q5_3.max_value))
+    stimulus = np.ones((1, 1), dtype=bool)
+    for cls, first in ((Core, []), (CertificateOutlivesTheRun, [(0, 0, 0)])):
+        core = harness.loaded(cfg, [np.array([[100]])], cls)
+        assert harness.sampled(core, stimulus) == []
+        core.reset_state()
+        assert harness.checked(core, stimulus, [(0, 0, "growth_rate", QWord(Q5_3, 12))]) == first

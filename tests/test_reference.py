@@ -70,7 +70,7 @@ def test_run_sample_rejects_bad_width_and_watch(model):
     for entry in ((0, 1.5), (0, "a"), 5, (0,), (0, 1, 0)):
         with pytest.raises(ValueError, match="^watch must be None or 'all', got "):
             sim.run_sample(np.ones((4, 3), dtype=bool), 4, watch=[(0, 0), entry])
-    with pytest.raises(ValueError, match=r"input width \(2,\)"):
+    with pytest.raises(ValueError, match=r"^input width \(2,\) != \(3,\)$"):
         sim.step_cycle(np.ones(2, dtype=bool))
     # -1 used to raise numpy's "negative dimensions", 2.5 and "3" a TypeError.
     for duration in (-1, 2.5, "3", True):
