@@ -100,8 +100,6 @@ class OverflowPolicy(NamedEnum):
 WRAP = OverflowPolicy.WRAP
 SATURATE = OverflowPolicy.SATURATE
 
-_LITERAL_RE = re.compile(r"^Q(\d+)\.(\d+):(0[xX][0-9a-fA-F]+)$")
-
 
 @dataclass(frozen=True)
 class QFormat:
@@ -178,23 +176,6 @@ class QWord:
     @property
     def value(self) -> float:
         return self.raw * self.fmt.quantum
-
-    def to_literal(self) -> str:
-        """Hex literal 'Qn.q:0x..' over the unsigned view of the payload."""
-        u = self.raw & ((1 << self.fmt.width) - 1)
-        digits = (self.fmt.width + 3) // 4
-        return f"{self.fmt}:0x{u:0{digits}X}"
-
-    @classmethod
-    def from_literal(cls, text: str) -> "QWord":
-        m = _LITERAL_RE.match(text.strip())
-        if not m:
-            raise ValueError(f"bad fixed-point literal {text!r} (expected 'Qn.q:0xHH')")
-        fmt = QFormat(int(m.group(1)), int(m.group(2)))
-        u = int(m.group(3), 16)
-        if u >> fmt.width:
-            raise ValueError(f"literal {text!r}: payload wider than {fmt.width} bits")
-        return cls(fmt, wrap_raw(u, fmt))
 
     def __repr__(self) -> str:
         return f"QWord({self.fmt}, {self.value})"

@@ -56,11 +56,10 @@ class Connectivity:
 
 
 class MaskedSynapseError(ValueError):
-    """Write addressed a synapse the connectivity mask does not provide;
-    `addr` is its (layer, pre, post), layer the 0-based weight-plane index."""
+    """Write addressed a synapse the connectivity mask does not provide; the
+    message names its (layer, pre, post), layer the 0-based weight-plane index."""
 
     def __init__(self, layer: int, pre: int, post: int):
-        self.addr = (layer, pre, post)
         super().__init__(f"synapse (layer={layer}, pre={pre}, post={post}) is masked out")
 
 

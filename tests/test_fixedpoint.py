@@ -355,23 +355,3 @@ def test_wide_format_scalars():
     assert add_raw(big, one, fmt) == fmt.min_raw
     assert add_raw(big, one, fmt, SATURATE) == fmt.max_raw
     assert mul_raw(big, big, fmt) == oracle_mul(fmt.max_raw, fmt.max_raw, 64, 31, False)
-
-
-# --- literals -----------------------------------------------------------------
-
-def test_literal_example():
-    w = QWord.from_literal("Q5.3:0x0C")
-    assert w.value == 1.5
-    assert w.to_literal() == "Q5.3:0x0C"
-
-
-def test_literal_round_trip_negative():
-    w = encode_register(-0.125, Q5_3)
-    assert w.to_literal() == "Q5.3:0xFF"
-    assert QWord.from_literal(w.to_literal()) == w
-
-
-def test_literal_rejects_garbage():
-    for bad in ("Q5.3", "Q5.3:12", "Q5.3:0x1FF", "5.3:0x0C"):
-        with pytest.raises(ValueError):
-            QWord.from_literal(bad)

@@ -1,10 +1,12 @@
 """Frozen golden traces: five cores replayed bit for bit.
 
-Each file under `golden/` holds the weights and a 40-cycle stimulus of one
-core configured below and, per cycle, its spike raster (one bit string per
-layer) and every membrane as a `QWord.to_literal` hex string (one
-space-separated line per layer).  The first three are 64-16-4 cores with
-the same-cycle cascade.
+Each file under `golden/` holds the weights (one space-separated string
+per row) and a 40-cycle stimulus of one core configured below and, per
+cycle, its spike raster (one bit string per layer) and every membrane (one
+space-separated string per layer).  A weight or membrane is its signed raw
+payload in decimal; a load reads each through `QWord`, so a payload outside
+the file's format fails there.  The first three are 64-16-4 cores with the
+same-cycle cascade.
 
 - `saturate_q53_64_16_4.json` (SATURATE): the weights are large enough that
   activation sums clamp part way and then come back, so the file pins the
@@ -187,19 +189,15 @@ def unbits(text: str) -> list[bool]:
     return [c == "1" for c in text]
 
 
-def literal(value: float, fmt: QFormat) -> str:
-    return QWord(fmt, round(value / fmt.quantum)).to_literal()
-
-
 def replay(case: Case, core: Core, stimulus):
-    """Per-cycle (spike bit strings, membrane literals) of a `run_sample` of `core`."""
+    """Per-cycle (spike bit strings, raw membrane strings) of a `run_sample` of `core`."""
     raster, traces = core.run_sample(stimulus, len(stimulus), watch="all")
-    cycles = []
+    fmt, cycles = case.fmt, []
     for t in range(len(stimulus)):
         cycles.append({
             "spikes": [bits(layer[t]) for layer in raster.layers],
-            "vmem": [" ".join(literal(traces[(k, j)][t], case.fmt) for j in range(n))
-                     for k, n in enumerate(case.sizes[1:])],
+            "vmem": [" ".join(str(QWord(fmt, traces[(k, j)][t] / fmt.quantum).raw)
+                              for j in range(n)) for k, n in enumerate(case.sizes[1:])],
         })
     return cycles
 
@@ -208,7 +206,7 @@ def decode(case: Case, cycles):
     """Per layer, the [T, N] spikes and raw membranes of recorded cycles."""
     n = len(case.registers)
     spikes = [np.array([unbits(c["spikes"][k]) for c in cycles]) for k in range(n)]
-    vmem = [np.array([[QWord.from_literal(x).raw for x in c["vmem"][k].split()]
+    vmem = [np.array([[QWord(case.fmt, int(x)).raw for x in c["vmem"][k].split()]
                       for c in cycles]) for k in range(n)]
     return spikes, vmem
 
@@ -222,7 +220,7 @@ def oracle_mismatches(case: Case, weights, stimulus, cycles) -> list[tuple[int, 
 
 def load(case: Case):
     data = json.loads(case.path.read_text())
-    weights = [np.array([[QWord.from_literal(x).raw for x in row.split()] for row in plane])
+    weights = [np.array([[QWord(case.fmt, int(x)).raw for x in row.split()] for row in plane])
                for plane in data["weights"]]
     stimulus = np.array([unbits(row) for row in data["stimulus"]])
     return data, weights, stimulus
@@ -354,8 +352,7 @@ def record(case: Case) -> dict:
         "sizes": list(case.sizes),
         "layer_latency": case.layer_latency,
         "seed": case.seed,
-        "weights": [[" ".join(QWord(case.fmt, int(x)).to_literal() for x in row) for row in w]
-                    for w in weights],
+        "weights": [[" ".join(str(int(x)) for x in row) for row in w] for w in weights],
         "stimulus": [bits(row) for row in stimulus],
         "cycles": cycles,
     }

@@ -140,7 +140,6 @@ def test_write_weight_to_a_masked_synapse_raises_masked_synapse_error(model):
     sim = Core(CoreConfig.uniform(Q9_7, [2, 2], harness.regs(), connectivity=ONE))
     with pytest.raises(MaskedSynapseError, match=r"layer=0, pre=0, post=1\b") as err:
         sim.write_weight(0, 0, 1, 1.0)
-    assert err.value.addr == (0, 0, 1)
     assert isinstance(err.value, ValueError)
     sim.write_weight(0, 1, 1, 1.0)
     assert weights_seen(model, sim)[0].tolist() == [[0.0, 0.0], [0.0, 1.0]]
