@@ -340,6 +340,42 @@ def test_q97_wrap_golden_matches_the_scalar_oracle():
     assert oracle_mismatches(WRAPPING_Q97, weights, stimulus, data["cycles"]) == []
 
 
+def test_golden_payloads_are_canonical_decimals_within_the_format():
+    # As `record` writes them: no hex, sign only on negatives, no leading
+    # zeros, and every payload in the range of the file's format.
+    for case in CASES.values():
+        data = json.loads(case.path.read_text())
+        rows = [row for plane in data["weights"] for row in plane]
+        rows += [line for c in data["cycles"] for line in c["vmem"]]
+        payloads = [x for row in rows for x in row.split()]
+        assert all(x == str(int(x)) for x in payloads), case.path.name
+        raws = [int(x) for x in payloads]
+        assert case.fmt.min_raw <= min(raws) and max(raws) <= case.fmt.max_raw
+
+
+def test_golden_weights_and_stimulus_are_the_seeded_draw():
+    # The decimal payloads read back as exactly the raw weights `record` drew.
+    for case in CASES.values():
+        _, weights, stimulus = load(case)
+        drawn, drawn_stimulus = case.draw(np.random.default_rng(case.seed), case.sizes)
+        assert len(weights) == len(drawn)
+        assert all(np.array_equal(w, d) for w, d in zip(weights, drawn))
+        assert np.array_equal(stimulus, drawn_stimulus)
+
+
+def test_a_payload_that_is_not_a_raw_of_the_format_fails_at_decode():
+    case = SATURATING
+    first = json.loads(case.path.read_text())["cycles"][0]
+    assert decode(case, [first])[1][0].shape == (1, case.sizes[1])
+    layer0, *deeper = first["vmem"]
+    for bad, match in ((str(Q5_3.max_raw + 1), r"does not fit in Q5\.3"),
+                       (str(Q5_3.min_raw - 1), r"does not fit in Q5\.3"),
+                       ("0x0C", "invalid literal"), ("1.5", "invalid literal")):
+        vmem = [" ".join([bad, *layer0.split()[1:]]), *deeper]
+        with pytest.raises(ValueError, match=match):
+            decode(case, [dict(first, vmem=vmem)])
+
+
 def record(case: Case) -> dict:
     weights, stimulus = case.draw(np.random.default_rng(case.seed), case.sizes)
     cycles = replay(case, harness.loaded(case.config(), weights), stimulus)
