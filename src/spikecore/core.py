@@ -30,15 +30,20 @@ the discrete two-sided Skorokhod map of the prefix sums, which has an
 exact closed form (`fixedpoint.accumulate_raw`).
 
 A plane's dtype says how its rows are summed (`topology.WeightMemory`):
-float32, float64 or object.  On a float plane a row within the
-active-line bound sums exactly, so a driver computes a layer's activation
-for every cycle as one product of its input raster, known before the layer
-runs, with the plane: every layer's in `_scan`, layer 0's in `Core.run_sample`.
-WRAP takes it as it is; SATURATE keeps it where a second product, with
-|plane|, gives the certificate.  Cycles past the bound or uncertified, and
-object planes, take the gather, which sums a row past the bound in the
-state's dtype (int64 for w <= 32, float64 in the twin, which has no
-`policy` to fold by).
+float32, float64 or object.  A cycle's row gathers the weight rows of its
+active lines (`take`) and sums them in the plane's dtype, or, past the
+plane's active-line bound, in the state's (int64 for w <= 32, float64 in
+the twin, which has no `policy` to fold by).  A driver hands `_activation`
+a layer's whole [T, M] input raster, known before the layer runs: every
+layer's in `_scan`, layer 0's in `Core.run_sample`.  On a float plane a row
+within the bound sums exactly in any order, so the raster takes one of two
+kernels with the same bits, whichever `_gathers` prices lower from the
+raster's shape and active count: one product of the raster with the plane,
+T*M*N multiply-adds, or the row path per cycle, a cost per gathered word
+and per cycle, which wins on a sparse raster of a wide plane.  WRAP takes
+the product as it is; SATURATE keeps it where a second product, with
+|plane|, gives the certificate.  Cycles past the bound or uncertified take
+the row path, and so does every cycle on an object plane.
 
 A register whose raw r lies in [0, 2**q] is a rate in [0, 1]: the decay
 always, and the growth when it is at most 1.  A product by such a rate
@@ -233,6 +238,14 @@ def _per_layer(make, *columns) -> list:
     return out
 
 
+def _gathers(lines: int, n: int, cycles: int, events: int) -> bool:
+    """Whether per-cycle gathers of a [cycles, lines] raster's `events` active
+    (cycle, line) pairs cost less than its product with an [lines, n] float
+    plane.  In multiply-adds of the product, a gathered word costs 8 and a
+    cycle 100000, as `tests/kernel_costs.py` measures them."""
+    return 8 * events * n + 100_000 * cycles < cycles * lines * n
+
+
 def _masks(cfg: CoreConfig) -> list[np.ndarray]:
     """The connection mask of each weight plane."""
     return _per_layer(build_mask, cfg.connectivity, cfg.sizes[:-1], cfg.sizes[1:])
@@ -294,23 +307,27 @@ class _Cycle:
 
     def _activation(self, k: int, spikes_in: np.ndarray) -> np.ndarray:
         """Ordered sum of the weight rows of the active inputs, of one cycle's
-        [M] row or of each row of a [T, M] raster (module docstring)."""
+        [M] row or of each row of a [T, M] raster: on a float plane by one
+        product or by the row path per cycle, as `_gathers` picks (module docstring)."""
         w, fmt, bound = self.planes[k]._raw, self.fmt, self.planes[k].active_bound
         if spikes_in.ndim == 1:
             lines = spikes_in.nonzero()[0]
-            rows = w[lines] if len(lines) <= bound else w[lines].astype(self._dtype)
+            rows = w.take(lines, axis=0)
+            rows = rows if len(lines) <= bound else rows.astype(self._dtype)
             if self.policy is SATURATE:
                 return accumulate_raw(rows, fmt)
             return np.add.reduce(rows).astype(self._dtype, copy=False)
         out = np.empty((len(spikes_in), w.shape[1]), dtype=self._dtype)
-        fail = np.ones(len(spikes_in), dtype=bool)  # the rows that take the gather
-        if w.dtype.kind == "f":
+        gathered = range(len(spikes_in))  # the rows that take the row path
+        events = np.count_nonzero(spikes_in)
+        if w.dtype.kind == "f" and not _gathers(*w.shape, len(spikes_in), events):
             x = spikes_in.astype(w.dtype)
             out[:] = s = x @ w  # exact in float32 and float64 rows within the active-line bound
             fail = past_bound(spikes_in, bound)
             if self.policy is SATURATE:  # `accumulate_raw`'s certificate; |w| is plane-sized
                 fail |= (np.abs(s) + x @ np.abs(w) > 2 * fmt.max_raw).any(axis=1)
-        for t in fail.nonzero()[0]:
+            gathered = fail.nonzero()[0]
+        for t in gathered:
             out[t] = self._activation(k, spikes_in[t])
         return out
 

@@ -10,8 +10,8 @@ A plane holds integer payloads, and every partial sum of a row with at most
 its active-line bound of active lines is exact, in any order: in float32
 when w <= 24 and ceil(M/2) * 2**(w-1) <= 2**24 (bound 2**(25-w)), else in
 float64 when w <= 32 (bound min(M, 2**(54-w))); the core and its twin
-multiply in the stored plane's dtype and sum again the rows of a raster
-that `past_bound` picks.  A wider plane holds Python ints (bound M).
+sum in the stored plane's dtype, by product or gathers, and sum again the
+rows of a raster that `past_bound` picks.  A wider plane holds Python ints (bound M).
 A plane caches its column sums' bounds for `core.Core.certified`, its array
 read-only meanwhile: `write` and any fetch of `raw` drop them, so a `raw`
 array held across a run raises ValueError when written until `raw` is fetched.

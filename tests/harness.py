@@ -1,9 +1,9 @@
 """The cycle once for the tests: the cascade feed, the scalar-oracle replay,
 drawn networks (the conformance ones among them), the recount of the
-datapath, a core loaded, stepped and checked, its drivers compared, and a
-twin's sums past a float32 plane's active-line bound.  Spikes and raw
-membranes are per layer, [T, N] each; weights are raw [M, N] planes, per
-layer."""
+datapath, a core loaded, stepped and checked, the raster kernel rule's
+picks, its drivers compared, and a twin's sums past a float32 plane's
+active-line bound.  Spikes and raw membranes are per layer, [T, N] each;
+weights are raw [M, N] planes, per layer."""
 
 import functools
 from dataclasses import replace
@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import strategies as st
 
+from spikecore import core as core_module
 from spikecore.core import Core, CoreConfig, RealRegisters
 from spikecore.fixedpoint import Q9_7, SATURATE, OverflowPolicy, QFormat, QWord, add_raw, mul_raw
 from spikecore.neuron import NeuronState, ResetMode, step_neuron
@@ -73,6 +74,14 @@ def stepped(core, stimulus, writes=()):
         outs.append(core.step_cycle(row))
         vmems.append(list(core._vmem))
     return [np.array(c) for c in zip(*outs)], [np.array(c) for c in zip(*vmems)]
+
+
+def rule_picks(monkeypatch) -> list:
+    """The picks of `core._gathers`, the raster kernel rule, from now on in
+    the order made: True for the gathers, False for the product."""
+    rule, picks = core_module._gathers, []
+    monkeypatch.setattr(core_module, "_gathers", lambda *a: picks.append(rule(*a)) or picks[-1])
+    return picks
 
 
 def held(core):

@@ -1,7 +1,9 @@
 import functools
 import re
+import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import harness
 import numpy as np
@@ -17,6 +19,10 @@ from spikecore.fixedpoint import (
 from spikecore.neuron import ResetMode
 from spikecore.reference import ReferenceCore, TracePair
 from spikecore.topology import Connectivity, ConnectivityKind, MaskedSynapseError, WeightMemory
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import workloads  # noqa: E402
 
 GAUSS1 = Connectivity(ConnectivityKind.GAUSSIAN, 1)
 ONE = Connectivity(ConnectivityKind.ONE_TO_ONE)
@@ -783,12 +789,13 @@ def test_drive_fits_before_a_growth_product_only_under_wrap(monkeypatch, policy,
 
 @pytest.mark.parametrize("fmt", [Q5_3, Q17_15, QFormat(20, 20)])
 @pytest.mark.parametrize("policy", list(OverflowPolicy))
-def test_raster_activation_equals_the_row_path_row_by_row(fmt, policy):
-    # A 4096 x 40 plane, read in place by one product per raster.  The
-    # rows: all zero, one line (a certified SATURATE sum), every line (one
-    # that clamps) and random halves; Q20.20 planes take the row path.
-    # SATURATE's sums are the hardware's fold of each column's active
-    # lines; WRAP's are their exact sums, which `_fit` brings to that fold.
+def test_raster_activation_equals_the_row_path_row_by_row(monkeypatch, fmt, policy):
+    # A 4096 x 40 plane, read in place by one product per raster or by the
+    # row path per cycle, each forced.  The rows: all zero, one line (a
+    # certified SATURATE sum), every line (one that clamps) and random
+    # halves; Q20.20 planes take the row path.  SATURATE's sums are the
+    # hardware's fold of each column's active lines; WRAP's are their exact
+    # sums, which `_fit` brings to that fold.
     m, n = 4096, 40
     core = Core(CoreConfig.uniform(fmt, [m, n], harness.regs(), policy=policy))
     rng = np.random.default_rng(21)
@@ -799,15 +806,65 @@ def test_raster_activation_equals_the_row_path_row_by_row(fmt, policy):
     raster[3:] = rng.random((2, m)) < 0.5
     assert (np.maximum(w, 0).sum(axis=0) > fmt.max_raw).any()  # row 2 clamps
     rows = np.array([core._activation(0, row) for row in raster])
-    got = core._activation(0, raster)
-    assert got.dtype == rows.dtype and np.array_equal(got, rows)
+    for got in by_each_kernel(monkeypatch, core, raster):
+        assert got.dtype == rows.dtype and np.array_equal(got, rows)
     assert core._activation(0, raster[:0]).shape == (0, n)
-    for row, sums in zip(raster, got):
+    for row, sums in zip(raster, rows):
         columns = w[row].T.tolist()
         if policy is WRAP:  # unreduced until the membrane's fit
             assert sums.tolist() == [sum(col) for col in columns]
             sums = core._fit(sums.copy())
         assert sums.tolist() == [python_fold(col, fmt, policy) for col in columns]
+
+
+def by_each_kernel(monkeypatch, core, raster):
+    """Layer 0's activation of `raster` by the product, then by the row path
+    per cycle, each forced through the rule."""
+    rule, out = core_module._gathers, []
+    for gathers in (False, True):
+        monkeypatch.setattr(core_module, "_gathers", lambda *_: gathers)
+        out.append(core._activation(0, raster))
+    monkeypatch.setattr(core_module, "_gathers", rule)
+    return out
+
+
+@pytest.mark.parametrize("policy", list(OverflowPolicy))
+def test_a_sparse_raster_of_a_wide_plane_takes_the_gathers_with_the_products_bits(
+        monkeypatch, policy):
+    # 20 cycles at 10% density on a 1024 x 1024 Q9.7 float32 plane, as on
+    # deep1024_wrap: the rule prices the gathers below the product.  Words
+    # drawn over the whole range make SATURATE rows clamp.  The core and its
+    # twin sum each raster by either kernel with the bits of the row path.
+    fmt, m = Q9_7, 1024
+    core = Core(CoreConfig.uniform(fmt, [m, m], harness.regs(), policy=policy))
+    rng = np.random.default_rng(8)
+    core.planes[0].raw[...] = rng.integers(fmt.min_raw, fmt.max_raw, (m, m), endpoint=True)
+    raster = rng.random((20, m)) < 0.1
+    plain = raster @ core.planes[0].raw.astype(np.int64)
+    for cycle in (core, ReferenceCore(core)):
+        rows = np.array([cycle._activation(0, row) for row in raster])
+        assert np.array_equal(rows, plain) is (cycle.policy is not SATURATE)  # SATURATE clamps
+        picks = harness.rule_picks(monkeypatch)
+        got = cycle._activation(0, raster)
+        assert picks == [True] and got.dtype == rows.dtype and np.array_equal(got, rows)
+        for got in by_each_kernel(monkeypatch, cycle, raster):
+            assert np.array_equal(got, rows)
+
+
+@pytest.mark.parametrize("name, want", [
+    ("mlp256_wrap", [False, False]),
+    ("deep1024_wrap", [True, True, False]),
+    ("qerr256_saturate", [False, False]),
+])
+def test_which_kernel_sums_each_layer_of_the_bench_networks(monkeypatch, name, want):
+    # Per layer, the pick of the rule for the input raster of seed 0's
+    # first pool sample: only the wide planes of deep1024_wrap take the
+    # gathers, since a plane of 10 neurons costs little to multiply.
+    wl = workloads.WORKLOADS[name]
+    core, _ = workloads.build(wl, workloads.network_weights(wl))
+    picks = harness.rule_picks(monkeypatch)
+    core.run_batch([workloads.sample_stream(wl, 0, 0)], wl.cycles)  # one raster per layer
+    assert picks == want
 
 
 def python_fold(column, fmt, policy):
@@ -832,12 +889,13 @@ def test_a_plane_is_float32_while_a_half_active_row_sums_exactly(fmt, lines, dty
 
 
 @pytest.mark.parametrize("policy", list(OverflowPolicy))
-def test_a_float32_plane_stays_exact_past_its_active_line_bound(policy):
+def test_a_float32_plane_stays_exact_past_its_active_line_bound(monkeypatch, policy):
     # 1024 Q9.7 lines are float32 with a bound of 512 active lines.  513
     # lines at max_raw sum to 513 * 32767 = 16 809 471, odd and above 2**24:
     # no float32 equals it, so a row past the bound must sum in int64, in
-    # one cycle's row and in a raster alike.  WRAP's sums are exact, and
-    # `_fit` brings them to the hardware's fold, which SATURATE's are.
+    # one cycle's row and in a raster by either kernel alike.  WRAP's sums
+    # are exact, and `_fit` brings them to the hardware's fold, which
+    # SATURATE's are.
     fmt, m = Q9_7, 1024
     core = Core(CoreConfig.uniform(fmt, [m, 2], harness.regs(), policy=policy))
     plane = core.planes[0]
@@ -850,18 +908,18 @@ def test_a_float32_plane_stays_exact_past_its_active_line_bound(policy):
     want = [list(map(sum, row)) for row in columns] if policy is WRAP else folds
     for row, expected in zip(raster, want):
         assert core._activation(0, row).tolist() == expected
-    got = core._activation(0, raster)
-    assert got.tolist() == want
-    assert core._fit(got).tolist() == folds
+    for got in by_each_kernel(monkeypatch, core, raster):
+        assert got.tolist() == want
+        assert core._fit(got).tolist() == folds
 
 
 @pytest.mark.parametrize("policy", list(OverflowPolicy))
-def test_a_plane_past_the_float_bound_sums_in_int64(policy):
+def test_a_plane_past_the_float_bound_sums_in_int64(monkeypatch, policy):
     # 2**22 + 1 Q17.15 lines at max_raw: fan_in * 2**31 > 2**53, and the sum
     # of every line needs 54 bits, so a float64 sum would round it: the
     # plane is float64 with an active-line bound of 2**22, one line fewer,
-    # and a row past it sums in int64.  Both paths of `_activation` must
-    # give the fold's bits under SATURATE, and the exact sum under WRAP,
+    # and a row past it sums in int64.  The row path and both raster
+    # kernels of `_activation` must give the fold's bits under SATURATE, and the exact sum under WRAP,
     # which `_fit` wraps to the fold's.  The plane is 32 MB.
     fmt, m = Q17_15, (1 << 22) + 1
     below = WeightMemory(fmt, np.broadcast_to(True, (m - 1, 1)))  # its zeros touch no page
@@ -875,9 +933,9 @@ def test_a_plane_past_the_float_bound_sums_in_int64(policy):
     assert core._activation(0, np.ones(m, dtype=bool)).tolist() == [want]
     raster = np.zeros((2, m), dtype=bool)
     raster[1] = True
-    got = core._activation(0, raster)
-    assert got.tolist() == [[0], [want]]
-    assert core._fit(got).tolist() == [[0], [fold]]
+    for got in by_each_kernel(monkeypatch, core, raster):
+        assert got.tolist() == [[0], [want]]
+        assert core._fit(got).tolist() == [[0], [fold]]
 
 
 def test_traces_record_post_reset_value():

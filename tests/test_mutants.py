@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 import test_reference
 
+from spikecore import core as core_module
 from spikecore.core import Core, CoreConfig, RealRegisters
 from spikecore.fixedpoint import Q3_1, Q5_3, SATURATE, WRAP, QFormat, QWord
 from spikecore.neuron import ResetMode
@@ -110,6 +111,20 @@ class RasterSkipsTheLineCount(Core):
             return super()._activation(k, spikes_in)
         finally:
             plane.active_bound = bound
+
+
+class RasterGatherSumsPlainly(Core):
+    """Adds the active rows of each cycle plainly where the rule sends a
+    SATURATE raster to the gathers, instead of folding them with
+    `accumulate_raw`."""
+
+    def _activation(self, k, spikes_in):
+        w = self.planes[k]._raw
+        if (spikes_in.ndim == 2 and self.policy is SATURATE
+                and core_module._gathers(*w.shape, len(spikes_in), np.count_nonzero(spikes_in))):
+            return np.array([w.take(row.nonzero()[0], axis=0).sum(axis=0)
+                             for row in spikes_in]).astype(np.int64)
+        return super()._activation(k, spikes_in)
 
 
 class UpperOnlyCertificate(Core):
@@ -398,6 +413,27 @@ def test_only_a_sampled_run_tells_the_raster_mutant_from_the_core():
     assert harness.sampled(harness.loaded(cfg, planes), stimulus) == []
     for run, first in ((harness.sampled, [(0, 0, 0)]), (harness.checked, [])):
         assert run(harness.loaded(cfg, planes, RasterSkipsTheLineCount), stimulus) == first
+
+
+def sparse_wide_clamp():
+    # A 4096 x 32 Q5.3 SATURATE plane and three active lines in one cycle, a
+    # raster that the rule sends to the gathers.  Neuron 0's lines hold
+    # 127, 127 and -100: the fold clamps 254 to 127 and ends at 27, while
+    # the plain sum 154 reaches the membrane's fit, which clamps it to 127.
+    cfg = CoreConfig.uniform(Q5_3, (4096, 32), replace(PLAIN, v_threshold=Q5_3.max_value),
+                             policy=SATURATE)
+    plane = np.zeros((4096, 32), dtype=np.int64)
+    plane[:3, 0] = Q5_3.max_raw, Q5_3.max_raw, -100
+    return cfg, [plane], np.arange(4096)[None] < 3
+
+
+def test_a_sampled_run_tells_the_plainly_summing_raster_gathers_from_the_core(monkeypatch):
+    # `run_sample` sums layer 0's raster at once, `step_cycle` per row.
+    cfg, planes, stimulus = sparse_wide_clamp()
+    picks = harness.rule_picks(monkeypatch)
+    assert harness.sampled(harness.loaded(cfg, planes), stimulus) == [] and picks == [True]
+    mutant = harness.loaded(cfg, planes, RasterGatherSumsPlainly)
+    assert harness.sampled(mutant, stimulus) == [(0, 0, 0)]
 
 
 def test_the_batch_property_tells_the_unshifted_scan_from_the_core():
