@@ -107,8 +107,7 @@ from .fixedpoint import (
 )
 from .fixedpoint import add_raw, sub_raw  # noqa: F401  (bound for bench/spans.py to trace)
 from .neuron import NeuronRegisters, ResetMode
-from .topology import (Connectivity, ConnectivityKind, WeightMemory, build_mask, past_bound,
-                       valid_index)
+from .topology import Connectivity, ConnectivityKind, WeightMemory, build_mask, valid_index
 
 __all__ = [
     "RealRegisters",
@@ -160,7 +159,7 @@ class RealRegisters:
             object.__setattr__(self, name, finite_real(getattr(self, name), name))
         if not 0.0 <= self.decay_rate <= 1.0:
             raise ValueError(f"decay_rate {self.decay_rate} outside [0, 1]")
-        object.__setattr__(self, "reset_mode", ResetMode.from_name(self.reset_mode))
+        object.__setattr__(self, "reset_mode", ResetMode.from_name(self.reset_mode, "reset_mode"))
         object.__setattr__(self, "refractory_period",
                            whole_number(self.refractory_period, "refractory_period"))
 
@@ -204,7 +203,7 @@ class CoreConfig:
         object.__setattr__(self, "layer_latency", whole_number(self.layer_latency, "layer_latency"))
         if self.layer_latency not in (0, 1):
             raise ValueError("layer_latency must be 0 or 1")
-        object.__setattr__(self, "policy", OverflowPolicy.from_name(self.policy))
+        object.__setattr__(self, "policy", OverflowPolicy.from_name(self.policy, "policy"))
 
     @classmethod
     def uniform(cls, fmt: QFormat, sizes, registers: RealRegisters,
@@ -244,11 +243,6 @@ def _gathers(lines: int, n: int, cycles: int, events: int) -> bool:
     plane.  In multiply-adds of the product, a gathered word costs 8 and a
     cycle 100000, as `tests/kernel_costs.py` measures them."""
     return 8 * events * n + 100_000 * cycles < cycles * lines * n
-
-
-def _masks(cfg: CoreConfig) -> list[np.ndarray]:
-    """The connection mask of each weight plane."""
-    return _per_layer(build_mask, cfg.connectivity, cfg.sizes[:-1], cfg.sizes[1:])
 
 
 class _Cycle:
@@ -323,10 +317,10 @@ class _Cycle:
         if w.dtype.kind == "f" and not _gathers(*w.shape, len(spikes_in), events):
             x = spikes_in.astype(w.dtype)
             out[:] = s = x @ w  # exact in float32 and float64 rows within the active-line bound
-            fail = past_bound(spikes_in, bound)
+            fail = len(w) > bound and np.count_nonzero(spikes_in, axis=1) > bound  # rows past it
             if self.policy is SATURATE:  # `accumulate_raw`'s certificate; |w| is plane-sized
                 fail |= (np.abs(s) + x @ np.abs(w) > 2 * fmt.max_raw).any(axis=1)
-            gathered = fail.nonzero()[0]
+            gathered = np.flatnonzero(fail)
         for t in gathered:
             out[t] = self._activation(k, spikes_in[t])
         return out
@@ -475,7 +469,8 @@ class Core(_Cycle):
         self._spare = 64 - cfg.fmt.width if self.policy is WRAP and dtype is np.int64 else 0
         self._lo, self._hi = (cfg.fmt.min_raw, cfg.fmt.max_raw) if dtype is np.int64 else (0, 0)
         super().__init__(cfg, regs, dtype)
-        self.planes = [WeightMemory(cfg.fmt, mask, layer=k) for k, mask in enumerate(_masks(cfg))]
+        masks = _per_layer(build_mask, cfg.connectivity, cfg.sizes[:-1], cfg.sizes[1:])
+        self.planes = [WeightMemory(cfg.fmt, mask, layer=k) for k, mask in enumerate(masks)]
 
     def _run_sample(self, dense: np.ndarray, spikes, vmems) -> None:
         """`run_sample`'s driver: one `step_cycle` per cycle (module docstring)."""

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 import math
-import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,16 +50,15 @@ class NamedEnum(enum.Enum):
     """An enum whose config values are its members or their names."""
 
     @classmethod
-    def from_name(cls, name):
-        """A member, or the member that its name selects (after strip and lower-case)."""
+    def from_name(cls, name, field: str):
+        """A member, or the member that its name selects (after strip and lower-case);
+        else a ValueError that names `field`, the config field that holds it."""
         if isinstance(name, cls):
             return name
         members = {m.value: m for m in cls}
         key = name.strip().lower() if isinstance(name, str) else None
         if key in members:
             return members[key]
-        # The field a config names it by: ResetMode is reset_mode.
-        field = re.sub(r"(?<=[a-z])(?=[A-Z])", "_", cls.__name__).lower()
         raise ValueError(f"unknown {field.replace('_', ' ')} {name!r}: {field} must be one of: "
                          f"{', '.join(members)}")
 

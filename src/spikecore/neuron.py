@@ -65,7 +65,7 @@ class NeuronRegisters:
         if not 0 <= self.decay_rate.raw <= 1 << fmt.q:
             raise ValueError(f"decay_rate raw {self.decay_rate.raw} outside [0, 2**{fmt.q}] "
                              f"(a rate in [0, 1])")
-        object.__setattr__(self, "reset_mode", ResetMode.from_name(self.reset_mode))
+        object.__setattr__(self, "reset_mode", ResetMode.from_name(self.reset_mode, "reset_mode"))
         object.__setattr__(self, "refractory_period",
                            whole_number(self.refractory_period, "refractory_period"))
         if self.reset_mode is ResetMode.TO_CONSTANT and self.v_reset is None:

@@ -10,8 +10,8 @@ A plane holds integer payloads, and every partial sum of a row with at most
 its active-line bound of active lines is exact, in any order: in float32
 when w <= 24 and ceil(M/2) * 2**(w-1) <= 2**24 (bound 2**(25-w)), else in
 float64 when w <= 32 (bound min(M, 2**(54-w))); the core and its twin
-sum in the stored plane's dtype, by product or gathers, and sum again the
-rows of a raster that `past_bound` picks.  A wider plane holds Python ints (bound M).
+sum in the stored plane's dtype, by product or gathers, and sum the rows of
+a raster past the bound again, in the state's.  A wider plane holds Python ints (bound M).
 A plane caches its column sums' bounds for `core.Core.certified`, its array
 read-only meanwhile: `write` and any fetch of `raw` drop them, so a `raw`
 array held across a run raises ValueError when written until `raw` is fetched.
@@ -33,7 +33,6 @@ __all__ = [
     "MaskedSynapseError",
     "valid_index",
     "build_mask",
-    "past_bound",
     "WeightMemory",
 ]
 
@@ -51,7 +50,7 @@ class Connectivity:
 
     def __post_init__(self):
         """`kind` is a ConnectivityKind or its name, such as "one"."""
-        object.__setattr__(self, "kind", ConnectivityKind.from_name(self.kind))
+        object.__setattr__(self, "kind", ConnectivityKind.from_name(self.kind, "kind"))
         object.__setattr__(self, "radius", whole_number(self.radius, "radius"))
 
 
@@ -91,13 +90,6 @@ def build_mask(conn: Connectivity, m: int, n: int) -> np.ndarray:
     return np.abs(i - j) <= conn.radius * (max(m, n) - 1)
 
 
-def past_bound(raster: np.ndarray, bound: int) -> np.ndarray:
-    """Which rows of a [T, M] spike raster have more than `bound` active lines."""
-    if raster.shape[1] <= bound:
-        return np.zeros(len(raster), dtype=bool)
-    return np.count_nonzero(raster, axis=1) > bound
-
-
 @dataclass(eq=False)
 class WeightMemory:
     """Per-plane weight store with a structural connection mask; `raw` holds integer payloads."""
@@ -135,17 +127,14 @@ class WeightMemory:
             self._raw.flags.writeable = False
         return self._bounds
 
-    def _check(self, pre: int, post: int) -> None:
+    def write(self, pre: int, post: int, weight) -> None:
+        """Store one signed weight, a QWord of the plane's format or its raw payload
+        (an int in range), after checks of address, payload and format, then mask."""
         m, n = self.mask.shape
         if not (valid_index(pre, m) and valid_index(post, n)):
             raise IndexError(
                 f"synapse (layer={self.layer}, pre={pre}, post={post}) outside {m}x{n}"
             )
-
-    def write(self, pre: int, post: int, weight) -> None:
-        """Store one signed weight, a QWord of the plane's format or its raw payload
-        (an int in range), after checks of address, payload and format, then mask."""
-        self._check(pre, post)
         if isinstance(weight, QWord):
             if weight.fmt is not self.fmt and weight.fmt != self.fmt:
                 raise ValueError(f"weight format {weight.fmt} != memory format {self.fmt}")

@@ -11,6 +11,7 @@ agree: a `run_sample` with a `step_cycle` loop, and each row of a
 
 from dataclasses import replace
 
+import exhaustive
 import harness
 import numpy as np
 from hypothesis import given, settings
@@ -19,6 +20,21 @@ from hypothesis import strategies as st
 from spikecore.fixedpoint import QWord
 from spikecore.neuron import ResetMode
 from spikecore.reference import ReferenceCore
+
+# The slice of `exhaustive`'s sweep that Tier-1 runs: a negative, a rate, 1 and
+# a growth past 1; a negative, a zero and a positive threshold; every reset mode.
+SLICE = list(exhaustive.register_files(
+    growths=(-1, 1, 2, 3), thresholds=(-1, 0, 3), periods=(0, 1),
+    resets=((ResetMode.TO_ZERO, 0), (ResetMode.BY_SUBTRACTION, 0), (ResetMode.DEFAULT, 0),
+            (ResetMode.TO_CONSTANT, 3))))
+
+def test_every_q2_1_transition_of_a_register_slice_matches_the_scalar_oracle():
+    # Every (membrane, activation) pair of Q2.1 with counters 0 and 1, the
+    # counters that periods of at most 1 arm, under both policies and `_armed`
+    # both ways: one cycle of the core is the oracle's on each, so by
+    # induction every run of a 1-input core under these registers is.
+    assert exhaustive.mismatches(SLICE, counters=(0, 1)) == []
+
 
 @given(net=harness.NETWORKS)
 @settings(max_examples=300, deadline=None)

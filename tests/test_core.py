@@ -80,6 +80,20 @@ def test_policy_takes_a_member_or_its_name():
             CoreConfig.uniform(Q5_3, [2, 1], harness.regs(), policy=bad)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: CoreConfig.uniform(Q5_3, [2, 1], harness.regs(), policy="clip"),
+     "unknown policy 'clip': policy must be one of: wrap, saturate"),
+    (lambda: Connectivity("ring"),
+     "unknown kind 'ring': kind must be one of: all, one, gaussian"),
+    (lambda: harness.regs(reset_mode="sideways"),
+     "unknown reset mode 'sideways': reset_mode must be one of: constant, zero, subtract, default"),
+], ids=["policy", "kind", "reset_mode"])
+def test_an_unknown_name_is_reported_under_its_config_field(build, message):
+    # The field was once derived from the enum's class name: overflow_policy, connectivity_kind.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def test_invalid_dimensions():
     with pytest.raises(ValueError):
         CoreConfig.uniform(Q5_3, [4], harness.regs())

@@ -75,9 +75,9 @@ def test_registers_need_one_format_and_a_v_reset_to_reset_to():
 def test_reset_mode_from_name_takes_a_mode_or_its_name():
     # An int used to raise AttributeError.
     with pytest.raises(ValueError, match="reset_mode"):
-        ResetMode.from_name(3)
-    assert ResetMode.from_name(ResetMode.TO_ZERO) is ResetMode.TO_ZERO
-    assert ResetMode.from_name(" Zero") is ResetMode.TO_ZERO
+        ResetMode.from_name(3, "reset_mode")
+    assert ResetMode.from_name(ResetMode.TO_ZERO, "reset_mode") is ResetMode.TO_ZERO
+    assert ResetMode.from_name(" Zero", "reset_mode") is ResetMode.TO_ZERO
     assert regs(mode="default").reset_mode is ResetMode.DEFAULT
 
 
