@@ -10,19 +10,32 @@ steps, per register file and policy, a 1-input core whose neurons hold every
 False, and compares each neuron's spike, membrane and counter with the
 oracle's.
 
-`tests/test_conformance.py` sweeps a reduced register grid with counters and
-periods 0 and 1.  Run as a script, this sweeps the full Q2.1 register grid
-(every decay in [0, 1], growth, threshold, reset mode and TO_CONSTANT value)
-with counters and periods 0 to 2, and exits 1 on a mismatch.
+The activation is the ordered fold of the active weight rows.
+`fold_mismatches` checks every fold of up to 4 Q2.1 words under both
+policies against `harness.fold`, through `_activation`'s row path
+(`accumulate_raw` under SATURATE) and both its raster kernels, on a
+4-line core whose 4096 columns hold every 4-word tuple under a raster of
+every set of active lines.  The columns of one call share a certificate,
+which fails for every fold of 2 words or more, so the row path also sums
+each fold alone, in a 1-column core.
+
+`tests/test_conformance.py` sweeps every fold and a reduced register grid
+with counters and periods 0 and 1.  Run as a script, this sweeps every fold
+and the full Q2.1 register grid (every decay in [0, 1], growth, threshold,
+reset mode and TO_CONSTANT value) with counters and periods 0 to 2, and
+exits 1 on a mismatch.
 
 Run: PYTHONPATH=src python tests/exhaustive.py
 """
 
 import itertools
 import sys
+from unittest import mock
 
+import harness
 import numpy as np
 
+from spikecore import core as core_module
 from spikecore.core import Core, CoreConfig, RealRegisters
 from spikecore.fixedpoint import SATURATE, WRAP, QFormat, QWord
 from spikecore.neuron import NeuronState, ResetMode, step_neuron
@@ -34,6 +47,8 @@ RATES = range(0, (1 << Q2_1.q) + 1)  # the decays, rates in [0, 1]
 RESETS = ((ResetMode.TO_ZERO, 0), (ResetMode.BY_SUBTRACTION, 0), (ResetMode.DEFAULT, 0),
           *((ResetMode.TO_CONSTANT, after) for after in WORDS))
 ALL = Connectivity("all")
+TUPLES = np.array(list(itertools.product(WORDS, repeat=4))).T  # [4, 4096]: a tuple per column
+SUBSETS = np.array(list(itertools.product((False, True), repeat=4)))  # [16, 4] active lines
 
 
 def register_files(decays=RATES, growths=WORDS, thresholds=WORDS, resets=RESETS, periods=(0,)):
@@ -70,6 +85,34 @@ def mismatches(files, counters=(0,)):
     return bad
 
 
+def fold_mismatches():
+    """Every fold of `TUPLES` under `SUBSETS` that a summing path gives otherwise
+    than `harness.fold`, as (policy, path, active lines, words).  Under WRAP the
+    core's unreduced sums are compared after its `_fit`."""
+    bad = []
+    regs = RealRegisters(decay_rate=0.0, growth_rate=1.0, v_threshold=0.0)
+    for policy in (WRAP, SATURATE):
+        core, alone = (Core(CoreConfig(Q2_1, (4, n), (ALL,), (regs,), policy=policy))
+                       for n in (TUPLES.shape[1], 1))
+        core.planes[0].raw[...] = TUPLES
+        want = np.array([harness.fold(TUPLES[lines], Q2_1, policy) for lines in SUBSETS])
+        paths = {"row": np.array([core._activation(0, lines) for lines in SUBSETS])}
+        for gathers in (False, True):  # the raster's product, then its per-cycle gathers
+            with mock.patch.object(core_module, "_gathers", lambda *shape: gathers):
+                paths["gathers" if gathers else "product"] = core._activation(0, SUBSETS)
+        if policy is WRAP:
+            paths = {path: core._fit(got) for path, got in paths.items()}
+        for path, got in paths.items():
+            bad += [(policy, path, SUBSETS[i], TUPLES[:, j]) for i, j in np.argwhere(got != want)]
+        for i, lines in enumerate(SUBSETS):  # each fold alone, once: its inactive words min_raw
+            for j in np.flatnonzero((TUPLES[~lines] == Q2_1.min_raw).all(axis=0)):
+                alone.planes[0].raw[:, 0] = TUPLES[:, j]
+                got = alone._activation(0, lines)
+                if (alone._fit(got) if policy is WRAP else got)[0] != want[i, j]:
+                    bad.append((policy, "row alone", lines, TUPLES[:, j]))
+    return bad
+
+
 def main() -> int:
     periods = counters = (0, 1, 2)
     files = list(register_files(periods=periods))
@@ -79,7 +122,13 @@ def main() -> int:
     for policy, regs, armed, v, a, c in bad[:10]:
         print(f"MISMATCH: {policy.name} {regs} armed={armed}: membrane {v}, activation {a}, "
               f"counter {c}")
-    return 1 if bad else 0
+    folds = fold_mismatches()
+    print(f"{TUPLES.shape[1]} 4-word tuples x {len(SUBSETS)} sets of active lines x policies, "
+          f"through every summing path: {len(folds)} fold mismatches")
+    for policy, path, lines, words in folds[:10]:
+        print(f"MISMATCH: {policy.name} {path}: active lines {np.flatnonzero(lines).tolist()} "
+              f"of words {words.tolist()}")
+    return 1 if bad or folds else 0
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
 """The cycle once for the tests: the cascade feed, the scalar-oracle replay,
 drawn networks (the conformance ones among them), the recount of the
 datapath, a core loaded, stepped and checked, the raster kernel rule's
-picks, its drivers compared, and a twin's sums past a float32 plane's
-active-line bound.  Spikes and raw membranes are per layer, [T, N] each;
-weights are raw [M, N] planes, per layer."""
+picks, its drivers compared, a run's digest, and a twin's sums past a
+float32 plane's active-line bound.  Spikes and raw membranes are per
+layer, [T, N] each; weights are raw [M, N] planes, per layer."""
 
 import functools
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -115,6 +116,25 @@ def stepped_run(core, stimulus):
     """`sampled_run`'s arrays of a `stepped` run of `core` from its state now."""
     spikes, vmem = stepped(core, stimulus)
     return spikes, [v.astype(np.float64) * (1 / core._one) for v in vmem]
+
+
+def batch_row_run(core, stimulus):
+    """`sampled_run`'s arrays of row 0 of a `run_batch` of `core` through `stimulus` alone."""
+    spikes, vmems = core.run_batch([stimulus], len(stimulus), watch="all")
+    return [s[0] for s in spikes], [v[0] for v in vmems]
+
+
+# Per driver, `sampled_run`'s arrays of a fresh core run through a stimulus.
+DRIVERS = {"step_cycle": stepped_run, "run_sample": sampled_run, "run_batch": batch_row_run}
+
+
+def digest(spikes, vmems) -> str:
+    """sha256 of the bytes of each layer's [T, N] spikes, then each layer's
+    decoded float64 membranes, as `sampled_run` gives them."""
+    h = hashlib.sha256()
+    for a in (*spikes, *vmems):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
 
 
 def _same(a, b) -> bool:
@@ -264,16 +284,12 @@ def float32_bound_network():
 
 
 def inexact_drivers(cls, core, stimulus):
-    """Which drivers of a one-layer twin `cls(core)` that resets by
+    """Which `DRIVERS` of a one-layer twin `cls(core)` that resets by
     subtraction, with decay 1 and growth 1, differ through `stimulus` from
-    the run that float64 sums of `core.decoded_weights()` give: "step_cycle"
-    (a `stepped_run`), "run_sample" and "run_batch" (of `stimulus` alone)."""
+    the run that float64 sums of `core.decoded_weights()` give."""
     act = stimulus @ core.decoded_weights()[0]
     vth = core.decoded_registers()[0].v_threshold
     fired = act >= vth
     want = [fired], [np.where(fired, act - vth, act)]
-    runs = {"step_cycle": stepped_run, "run_sample": sampled_run,
-            "run_batch": lambda twin, stream: [[layer[0] for layer in out] for out in
-                                               twin.run_batch([stream], len(stream), watch="all")]}
-    return [name for name, run in runs.items()
+    return [name for name, run in DRIVERS.items()
             if not all(map(_same, run(cls(core), stimulus), want))]

@@ -177,9 +177,7 @@ def test_a_certified_layer_needs_no_membrane_fit_through_either_driver(net):
     cfg, planes, stream = net
     core = harness.loaded(cfg, planes)
     sure = [core.certified(k) for k in range(cfg.n_layers)]
-    runs = [harness.sampled_run(core, stream)]
-    spikes, vmems = harness.loaded(cfg, planes).run_batch([stream], len(stream), watch="all")
-    runs.append(([s[0] for s in spikes], [v[0] for v in vmems]))
+    runs = [harness.sampled_run(core, stream), harness.batch_row_run(core, stream)]
     for spikes, vmem in runs:
         fits = updates_in_range(core, planes, stream, spikes, vmem)
         assert all(fit for fit, certified in zip(fits, sure) if certified)

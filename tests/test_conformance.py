@@ -6,7 +6,9 @@ spike and membrane must match the core's on every cycle, also when
 registers are rewritten between cycles.  A core is also the cascade of
 its layers, each run alone on what it saw in the whole core.  Its drivers
 agree: a `run_sample` with a `step_cycle` loop, and each row of a
-`run_batch` with its own run, for the core and its float twin.
+`run_batch` with its own run, for the core and its float twin.  In Q2.1,
+one cycle matches the oracle on every state under a slice of the register
+files, and every fold of up to four words matches the ordered adds.
 """
 
 from dataclasses import replace
@@ -34,6 +36,13 @@ def test_every_q2_1_transition_of_a_register_slice_matches_the_scalar_oracle():
     # both ways: one cycle of the core is the oracle's on each, so by
     # induction every run of a 1-input core under these registers is.
     assert exhaustive.mismatches(SLICE, counters=(0, 1)) == []
+
+
+def test_every_fold_of_up_to_four_q2_1_words_matches_the_ordered_adds():
+    # Every set of active lines over every 4-word tuple of Q2.1, under both
+    # policies: `_activation`'s row path (`accumulate_raw` under SATURATE),
+    # on each fold alone too, and both raster kernels give the ordered adds.
+    assert exhaustive.fold_mismatches() == []
 
 
 @given(net=harness.NETWORKS)

@@ -684,24 +684,6 @@ def test_an_array_holder_compares_by_identity(make):
     assert not a == b and a not in [b]
 
 
-def test_whole_core_step_equals_isolated_layers():
-    # Isolated single-layer cores fed the recorded upstream spikes, one
-    # cycle late under layer_latency=1, give the same spikes and membranes.
-    rng = np.random.default_rng(1)
-    stim = rng.random((15, 5)) < 0.5
-    for latency in (0, 1):
-        core = toy_core(sizes=(5, 4, 3), seed=9, layer_latency=latency)
-        raster, traces = core.run_sample(stim, 15, watch="all")
-        for k in range(core.cfg.n_layers):
-            iso = harness.loaded(CoreConfig.uniform(core.cfg.fmt, core.cfg.sizes[k:k + 2],
-                                                    core.cfg.registers[k]), [core.planes[k].raw])
-            feed = harness.upstream(stim, raster.layers, k, latency)
-            iso_raster, iso_traces = iso.run_sample(feed, 15, watch="all")
-            assert np.array_equal(iso_raster.layers[0], raster.layers[k]), (latency, k)
-            for j in range(core.cfg.sizes[k + 1]):
-                assert np.array_equal(iso_traces[(0, j)], traces[(k, j)]), (latency, k, j)
-
-
 def test_state_isolation_between_samples():
     core = toy_core(sizes=(4, 3), seed=5)
     rng = np.random.default_rng(2)
@@ -713,15 +695,6 @@ def test_state_isolation_between_samples():
     fresh = toy_core(sizes=(4, 3), seed=5)
     fresh_b, _ = fresh.run_sample(b, 20)
     assert np.array_equal(np.hstack(after_a.layers), np.hstack(fresh_b.layers))
-
-
-def test_deterministic_replay():
-    rng = np.random.default_rng(4)
-    stim = rng.random((30, 4)) < 0.4
-    r1, t1 = toy_core().run_sample(stim, 30, watch="all")
-    r2, t2 = toy_core().run_sample(stim, 30, watch="all")
-    assert np.array_equal(np.hstack(r1.layers), np.hstack(r2.layers))
-    assert np.array_equal(t1[(0, 0)], t2[(0, 0)])
 
 
 def test_layer_latency_shifts_downstream_output():
