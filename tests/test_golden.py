@@ -36,13 +36,12 @@ Fresh cores from the draw give the core digest through `run_sample`, row 0
 of a `run_batch`, a `step_cycle` loop and a run split across the two, and
 the twin digest through the first three; every case also replays through
 `neuron.step_neuron` bit for bit.  A digest moves only on purpose: after a
-deliberate change of the bits, the failing test prints the digests it
-computed, which then replace the case's entry in `DIGESTS`.
+deliberate change of the bits, each failing test prints the digest it
+computed, which then takes its place in the case's entry in `DIGESTS`.
 """
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 
 import harness
 import numpy as np
@@ -206,20 +205,31 @@ def split_run(core, stimulus):
     return [[np.vstack(pair) for pair in zip(a, b, strict=True)] for a, b in zip(first, rest)]
 
 
+def drawn(name):
+    """A fresh core of case `name` and its stimulus, once the drawn weights
+    and stimulus are found to give the case's inputs digest: checked first,
+    so that a moved numpy `Generator` stream is not read as a moved datapath."""
+    weights, stimulus = CASES[name].inputs()
+    assert harness.digest(weights, [stimulus]) == DIGESTS[name][0], f"{name}: the seeded draw moved"
+    return harness.loaded(CASES[name].config(), weights), stimulus
+
+
+CORE_DRIVERS = {**harness.DRIVERS, "split": split_run}
+
+
+@pytest.mark.parametrize("driver", CORE_DRIVERS)
 @pytest.mark.parametrize("name", CASES)
-def test_each_golden_case_keeps_its_digests_through_every_driver(name):
-    case, (inputs, core, twin) = CASES[name], DIGESTS[name]
-    weights, stimulus = case.inputs()
-    # First, so that a moved numpy `Generator` stream is not read as a moved datapath.
-    assert harness.digest(weights, [stimulus]) == inputs, f"{name}: the seeded draw moved"
-    make = partial(harness.loaded, case.config(), weights)
-    runs = {driver: run(make(), stimulus) for driver, run in harness.DRIVERS.items()}
-    runs["split"] = split_run(make(), stimulus)
-    got = {driver: harness.digest(*run) for driver, run in runs.items()}
-    assert got == dict.fromkeys(runs, core), f"{name}: the core's digests are {got}"
-    got = {driver: harness.digest(*run(ReferenceCore(make()), stimulus))
-           for driver, run in harness.DRIVERS.items()}
-    assert got == dict.fromkeys(got, twin), f"{name}: the twin's digests are {got}"
+def test_each_golden_core_keeps_its_digest_through_every_driver(name, driver):
+    got = harness.digest(*CORE_DRIVERS[driver](*drawn(name)))
+    assert got == DIGESTS[name][1], f"{name}: the core's digest through {driver} is {got}"
+
+
+@pytest.mark.parametrize("driver", harness.DRIVERS)
+@pytest.mark.parametrize("name", CASES)
+def test_each_golden_twin_keeps_its_digest_through_every_driver(name, driver):
+    core, stimulus = drawn(name)
+    got = harness.digest(*harness.DRIVERS[driver](ReferenceCore(core), stimulus))
+    assert got == DIGESTS[name][2], f"{name}: the twin's digest through {driver} is {got}"
 
 
 @pytest.mark.parametrize("case", CASES.values(), ids=CASES)
