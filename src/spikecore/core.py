@@ -77,12 +77,11 @@ operand is already reduced (a register, the stored membrane, or the fitted
 activation), so that `(a * b) >> q` has the low w bits of the hardware's
 truncated product.  An int64 overflow of an intermediate is harmless: 2**w
 divides 2**64, so int64 arithmetic keeps every bit below position 64, and
-the bits q..q+w-1 of a product are exact.  On int64 state the fit is the
-shift pair `x <<= 64 - w; x >>= 64 - w`, which drops the bits above the word
-and copies its sign bit into them.  SATURATE clamps a product by a register
-outside [0, 1] in `_mul`, and each latched sum in `_fit`, in place on int64
-state; each sum is one add or subtract of in-range values, so the fit clamps
-exactly where the hardware's adder does.
+the bits q..q+w-1 of a product are exact, as are the low w bits of a sum
+that the WRAP fit, `fixedpoint.wrap_raw`, keeps.  SATURATE clamps a product
+by a register outside [0, 1] in `_mul`, and each latched sum in `_fit`, in
+place on int64 state; each sum is one add or subtract of in-range values, so
+the fit clamps exactly where the hardware's adder does.
 """
 
 from __future__ import annotations
@@ -465,9 +464,9 @@ class Core(_Cycle):
         self.policy = cfg.policy
         regs = _per_layer(lambda r: r.quantize(cfg.fmt), cfg.registers)
         dtype = raw_dtype(cfg.fmt)
-        # On int64 state `_fit` shifts by `_spare` (WRAP) or clamps to [_lo, _hi].
-        self._spare = 64 - cfg.fmt.width if self.policy is WRAP and dtype is np.int64 else 0
-        self._lo, self._hi = (cfg.fmt.min_raw, cfg.fmt.max_raw) if dtype is np.int64 else (0, 0)
+        # On int64 SATURATE state `_fit` clamps to [_lo, _hi] in place.
+        self._lo, self._hi = ((cfg.fmt.min_raw, cfg.fmt.max_raw)
+                              if self.policy is SATURATE and dtype is np.int64 else (0, 0))
         super().__init__(cfg, regs, dtype)
         masks = _per_layer(build_mask, cfg.connectivity, cfg.sizes[:-1], cfg.sizes[1:])
         self.planes = [WeightMemory(cfg.fmt, mask, layer=k) for k, mask in enumerate(masks)]
@@ -560,9 +559,6 @@ class Core(_Cycle):
         return mul_raw(r, x, self.fmt, self.policy)
 
     def _fit(self, x):
-        if self._spare:
-            x <<= self._spare
-            return np.right_shift(x, self._spare, out=x)
         if self._hi:
             np.maximum(x, self._lo, out=x)
             return np.minimum(x, self._hi, out=x)

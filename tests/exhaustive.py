@@ -17,13 +17,17 @@ policies against `harness.fold`, through `_activation`'s row path
 4-line core whose 4096 columns hold every 4-word tuple under a raster of
 every set of active lines.  The columns of one call share a certificate,
 which fails for every fold of 2 words or more, so the row path also sums
-each fold alone, in a 1-column core.
+each fold alone, in a 1-column core, and so does the raster product:
+chunks of tuples sit on a block-diagonal plane, 4 lines and a column per
+tuple, under a raster whose row (tuple, set of lines) activates only that
+tuple's lines, so that the certificate of each row sees one fold.
 
-`tests/test_conformance.py` sweeps every fold and a reduced register grid
-with counters and periods 0 and 1.  Run as a script, this sweeps every fold
-and the full Q2.1 register grid (every decay in [0, 1], growth, threshold,
-reset mode and TO_CONSTANT value) with counters and periods 0 to 2, and
-exits 1 on a mismatch.
+`tests/test_conformance.py` sweeps every fold, the raster product's folds
+alone of a slice of the chunks, and a reduced register grid with counters
+and periods 0 and 1.  Run as a script, this sweeps every fold, each alone
+through every chunk, and the full Q2.1 register grid (every decay in
+[0, 1], growth, threshold, reset mode and TO_CONSTANT value) with counters
+and periods 0 to 2, and exits 1 on a mismatch.
 
 Run: PYTHONPATH=src python tests/exhaustive.py
 """
@@ -49,6 +53,7 @@ RESETS = ((ResetMode.TO_ZERO, 0), (ResetMode.BY_SUBTRACTION, 0), (ResetMode.DEFA
 ALL = Connectivity("all")
 TUPLES = np.array(list(itertools.product(WORDS, repeat=4))).T  # [4, 4096]: a tuple per column
 SUBSETS = np.array(list(itertools.product((False, True), repeat=4)))  # [16, 4] active lines
+CHUNK = 128  # tuples per block-diagonal plane of `fold_mismatches`
 
 
 def register_files(decays=RATES, growths=WORDS, thresholds=WORDS, resets=RESETS, periods=(0,)):
@@ -85,15 +90,19 @@ def mismatches(files, counters=(0,)):
     return bad
 
 
-def fold_mismatches():
+def fold_mismatches(chunks=range(TUPLES.shape[1] // CHUNK)):
     """Every fold of `TUPLES` under `SUBSETS` that a summing path gives otherwise
-    than `harness.fold`, as (policy, path, active lines, words).  Under WRAP the
-    core's unreduced sums are compared after its `_fit`."""
+    than `harness.fold`, as (policy, path, active lines, words), the raster
+    product's folds alone for the given chunks of `CHUNK` tuples only.  Under
+    WRAP the core's unreduced sums are compared after its `_fit`."""
     bad = []
     regs = RealRegisters(decay_rate=0.0, growth_rate=1.0, v_threshold=0.0)
+    eye, own = np.eye(CHUNK, dtype=bool), np.arange(CHUNK)
+    # Row (tuple j, set i) activates lines 4j + l of set i, which only column j weighs.
+    raster = (eye[:, None, :, None] & SUBSETS[None, :, None, :]).reshape(-1, 4 * CHUNK)
     for policy in (WRAP, SATURATE):
-        core, alone = (Core(CoreConfig(Q2_1, (4, n), (ALL,), (regs,), policy=policy))
-                       for n in (TUPLES.shape[1], 1))
+        core, alone, block = (Core(CoreConfig(Q2_1, shape, (ALL,), (regs,), policy=policy))
+                              for shape in ((4, TUPLES.shape[1]), (4, 1), (4 * CHUNK, CHUNK)))
         core.planes[0].raw[...] = TUPLES
         want = np.array([harness.fold(TUPLES[lines], Q2_1, policy) for lines in SUBSETS])
         paths = {"row": np.array([core._activation(0, lines) for lines in SUBSETS])}
@@ -110,6 +119,15 @@ def fold_mismatches():
                 got = alone._activation(0, lines)
                 if (alone._fit(got) if policy is WRAP else got)[0] != want[i, j]:
                     bad.append((policy, "row alone", lines, TUPLES[:, j]))
+        for c in chunks:  # each fold alone through the raster product, on a block-diagonal plane
+            cols = slice(c * CHUNK, (c + 1) * CHUNK)
+            plane = eye[:, None, :] * TUPLES[:, cols].T[:, :, None]  # [tuple, line, column]
+            block.planes[0].raw[...] = plane.reshape(4 * CHUNK, CHUNK)
+            with mock.patch.object(core_module, "_gathers", lambda *shape: False):
+                got = block._activation(0, raster)
+            got = (block._fit(got) if policy is WRAP else got).reshape(CHUNK, -1, CHUNK)
+            bad += [(policy, "product alone", SUBSETS[i], TUPLES[:, c * CHUNK + j])
+                    for j, i in np.argwhere(got[own, :, own] != want[:, cols].T)]
     return bad
 
 
@@ -124,7 +142,7 @@ def main() -> int:
               f"counter {c}")
     folds = fold_mismatches()
     print(f"{TUPLES.shape[1]} 4-word tuples x {len(SUBSETS)} sets of active lines x policies, "
-          f"through every summing path: {len(folds)} fold mismatches")
+          f"through every summing path, and each alone: {len(folds)} fold mismatches")
     for policy, path, lines, words in folds[:10]:
         print(f"MISMATCH: {policy.name} {path}: active lines {np.flatnonzero(lines).tolist()} "
               f"of words {words.tolist()}")

@@ -1,12 +1,16 @@
 """The cycle once for the tests: the cascade feed, the scalar-oracle replay,
 drawn networks (the conformance ones among them), the recount of the
-datapath, a core loaded, stepped and checked, the raster kernel rule's
-picks, its drivers compared, a run's digest, and a twin's sums past a
-float32 plane's active-line bound.  Spikes and raw membranes are per
-layer, [T, N] each; weights are raw [M, N] planes, per layer."""
+datapath, a mutant made by editing one method's source, a core loaded,
+stepped and checked, the raster kernel rule's picks, its drivers compared,
+a run's digest, and a twin's sums past a float32 plane's active-line bound.
+Spikes and raw membranes are per layer, [T, N] each; weights are raw
+[M, N] planes, per layer."""
 
+import __future__
 import functools
 import hashlib
+import inspect
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -54,6 +58,24 @@ def regs(**kw):
     """The baseline register file: decay 0.2, growth 1, threshold 10, reset
     by subtraction, no refractory period; `kw` overrides any of them."""
     return RealRegisters(**{"decay_rate": 0.2, "growth_rate": 1.0, "v_threshold": 10.0, **kw})
+
+
+def mutant(base, method: str, *edits):
+    """A subclass of `base` whose `method` is the source of `base.method` with
+    each (old, new) text edit made in turn, each `old` found exactly once.  It
+    is compiled as `src/` is, with postponed annotations, in the method's own
+    module globals, under its file name and line numbers."""
+    fn = getattr(base, method)
+    source = textwrap.dedent(inspect.getsource(fn))
+    for old, new in edits:
+        found = source.count(old)
+        assert found == 1, f"{fn.__qualname__}: {old!r} found {found} times, not once"
+        source = source.replace(old, new)
+    code = compile("\n" * (fn.__code__.co_firstlineno - 1) + source, fn.__code__.co_filename,
+                   "exec", flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    scope = {}
+    exec(code, fn.__globals__, scope)
+    return type(base.__name__, (base,), {method: scope[method]})
 
 
 def loaded(cfg: CoreConfig, planes, cls=Core):

@@ -17,8 +17,9 @@ Run with BLAS on one thread, as the benchmark does:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/kernel_costs.py [rounds]
 
-It times, so it is not a test: pytest does not collect it, and CI does not
-run it.
+It times, so it is not a test: pytest does not collect it.  CI runs one
+round as a smoke run, so that an edit of `harness` or `bench/workloads.py`
+that breaks it shows; its figures there are not read.
 """
 
 import os

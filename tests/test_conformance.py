@@ -42,7 +42,10 @@ def test_every_fold_of_up_to_four_q2_1_words_matches_the_ordered_adds():
     # Every set of active lines over every 4-word tuple of Q2.1, under both
     # policies: `_activation`'s row path (`accumulate_raw` under SATURATE),
     # on each fold alone too, and both raster kernels give the ordered adds.
-    assert exhaustive.fold_mismatches() == []
+    # The product sums each fold alone for four chunks of 128 tuples, whose
+    # first raw words are -4, -2, 0 and 2, so that its SATURATE certificate
+    # is tried on each of their folds, not only on those of 0 or 1 word.
+    assert exhaustive.fold_mismatches(chunks=range(0, 32, 8)) == []
 
 
 @given(net=harness.NETWORKS)

@@ -969,8 +969,9 @@ def test_nothing_the_core_hands_out_changes_later(policy, mode, decay):
 
 @pytest.mark.parametrize("width", range(2, 33))
 def test_the_wrap_fit_equals_wrap_raw_across_int64(width):
-    # WRAP's unreduced Q17.15 products reach 2**62, so the shift pair must
-    # wrap any int64, not only sums near the word's range.
+    # WRAP's unreduced Q17.15 products reach 2**62, so the fit must wrap any
+    # int64, not only sums near the word's range: `wrap_raw`'s own add may
+    # overflow int64, which keeps the low w bits all the same.
     fmt = QFormat(2, width - 2)
     core = Core(CoreConfig.uniform(fmt, [1, 1], RealRegisters(0.0, 0.0, 0.0)))
     info = np.iinfo(np.int64)

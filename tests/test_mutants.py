@@ -7,8 +7,16 @@ mutants of the layer-major scan are told apart by the drivers' own
 properties instead (`harness.batched` and `harness.continued`), and the
 twin's two mutants by float64 sums (`harness.inexact_drivers`) and by
 `test_reference.test_a_twin_is_a_snapshot_of_its_core`.
-A mutant that no test tells from the core is a rule that no test holds."""
+A mutant that no test tells from the core is a rule that no test holds.
 
+A mutant that edits one method is built by `harness.mutant` from that
+method's source and one or two text edits, so it is the code it mutates
+plus its edit: a change to `src/` that removes the edited text fails this
+module's import, naming the method.  The mutants that are not one edit of
+one method are written out."""
+
+import dis
+import inspect
 from dataclasses import replace
 from functools import partial
 
@@ -29,88 +37,73 @@ from spikecore.topology import WeightMemory
 PLAIN = RealRegisters(decay_rate=0.0, growth_rate=1.0, v_threshold=1.0)
 
 
-class FirstToLastPipeline(Core):
+class FirstToLastPipeline(harness.mutant(
+        Core, "step_cycle", ("for k in self._order:", "for k in range(self.cfg.n_layers):"))):
     """Steps its layers first to last at layer_latency 1 too, so layer k
     reads the spikes that layer k-1 latched in this cycle, not in the one
     before."""
 
-    def step_cycle(self, input_spikes, *, drive0=None):
-        if drive0 is None:
-            drive0 = self._drive(0, np.asarray(input_spikes, dtype=bool))
-        for k in range(self.cfg.n_layers):
-            self._out[k] = self._lif(k, self._drive(k, self._out[k - 1]) if k else drive0)
-        return list(self._out)
+
+class BoundAtLineCount(harness.mutant(
+        Core, "_activation", ("self.planes[k].active_bound", "len(self.planes[k]._raw)"))):
+    """Takes each plane's line count for its active-line bound, so that a row
+    past the real bound stays in its float32 plane."""
 
 
-class BoundAtLineCount(Core):
-    """Raises each plane's active-line bound to its line count, so that a
-    row past the real bound stays in its float32 plane."""
-
-    def __init__(self, cfg):
-        super().__init__(cfg)
-        for plane in self.planes:
-            plane.active_bound = len(plane.raw)
-
-
-class GrowthOneIsRawOne(Core):
+class GrowthOneIsRawOne(harness.mutant(
+        Core, "_compile", ("None if growth == self._one", "None if growth in (self._one, 1)"))):
     """Plans no growth product when the growth's raw payload is 1, one
     quantum, as well as for 1.0 (`_one`)."""
 
-    def _compile(self, k):
-        plan = super()._compile(k)
-        return (plan[0], None, *plan[2:]) if self._regs[k].growth_rate.raw == 1 else plan
 
-
-class DriveMultipliesTheUnfittedSum(Core):
+class DriveMultipliesTheUnfittedSum(harness.mutant(
+        Core, "_drive", ("self._fit(act) if self.policy is WRAP else act", "act"))):
     """Hands the unreduced WRAP sum to the growth product, so that the bits
     above the word reach the membrane through it."""
 
-    def _drive(self, k, spikes_in):
-        growth, act = self._plan[k][1], self._activation(k, spikes_in)
-        return act if growth is None else self._mul(growth, act)
 
-
-class StalePlan(Core):
+class StalePlan(harness.mutant(
+        Core, "write_register", ("self._plan[layer] = self._compile(layer)", "pass"))):
     """Keeps each layer's register plan as the core was built with, so that
     a written register reaches `registers(k)` but not the datapath."""
 
-    def write_register(self, layer, name, value):
-        plans = list(self._plan)
-        super().write_register(layer, name, value)
-        self._plan[:] = plans
 
-
-class UnclampedGrowth(Core):
+class UnclampedGrowth(harness.mutant(Core, "_mul", ("0 <= r <= self._one", "0 <= r"))):
     """Takes the unclamped product for every register r >= 0, so that a
     SATURATE growth above 1 can leave the range."""
 
-    def _mul(self, r, x):
-        return np.right_shift(r * x, self.fmt.q) if r >= 0 else super()._mul(r, x)
 
-
-class PeriodZeroReleases(Core):
-    """Releases the neurons still held when the refractory period is
+class PeriodZeroReleases(harness.mutant(
+        Core, "_lif", ("period > 0 or (self._armed[k] and refr.any())", "period > 0"))):
+    """Stops holding the neurons still held when the refractory period is
     written to 0, instead of counting them down."""
 
-    def _lif(self, k, drive):
-        if self._regs[k].refractory_period == 0:
-            self._refr[k] = np.zeros_like(self._refr[k])
-        return super()._lif(k, drive)
+
+class NoFitUnderNegativeThreshold(harness.mutant(Core, "_lif", ("if negative:", "if False:"))):
+    """Skips `_lif`'s second fit, the one after a reset by subtraction under
+    a negative threshold, so that updated - v_threshold can leave the range."""
 
 
-class RasterSkipsTheLineCount(Core):
-    """Takes each plane's active-line bound for its line count in a [T, M]
-    call only, so that raster rows past the bound keep their float32 product."""
+class DefaultResetWithoutLeak(harness.mutant(
+        Core, "_lif",
+        ("np.copyto(updated, updated - self._mul(decay, updated), where=spikes)", "pass"))):
+    """Leaves out the extra leak step of a DEFAULT reset, so that a spiking
+    neuron keeps its membrane."""
 
-    def _activation(self, k, spikes_in):
-        plane = self.planes[k]
-        bound = plane.active_bound
-        if spikes_in.ndim == 2:
-            plane.active_bound = len(plane.raw)
-        try:
-            return super()._activation(k, spikes_in)
-        finally:
-            plane.active_bound = bound
+
+class RasterSkipsTheLineCount(harness.mutant(
+        Core, "_activation",
+        ("len(w) > bound and np.count_nonzero(spikes_in, axis=1) > bound",
+         "np.zeros(len(spikes_in), dtype=bool)"))):
+    """Fails no row of a [T, M] raster's product for its active-line count, so
+    that raster rows past the bound keep their float32 product."""
+
+
+class SignedRasterCertificate(harness.mutant(
+        Core, "_activation", ("np.abs(s) + x @ np.abs(w)", "s + x @ np.abs(w)"))):
+    """Certifies a SATURATE raster row of the product by s + a <= 2 max_raw,
+    forgetting the low end, as `UpperOnlyCertificate` does for one row, so
+    that a row whose prefix sums clamp at min_raw keeps its plain sum."""
 
 
 class RasterGatherSumsPlainly(Core):
@@ -141,7 +134,9 @@ class UpperOnlyCertificate(Core):
         return super()._activation(k, spikes_in)
 
 
-class CertificateWithoutLeakSlack(Core):
+class CertificateWithoutLeakSlack(harness.mutant(
+        Core, "certified", ("(hi + 1 - vth) * one", "(hi - vth) * one"),
+        ("(hi + 1) * d * one", "hi * d * one"))):
     """Bounds the leak step v - floor(d v) by (1 - d) v, forgetting the +1 of
     its floor, in the membrane's bound H and in the update's.  Equivalent in
     `certificate_search.py`'s scope, and in one-line networks of every format
@@ -149,28 +144,12 @@ class CertificateWithoutLeakSlack(Core):
     never passes the fixed point (hi - v_threshold) / d that the floor's
     slack would lift.  No test kills it."""
 
-    def certified(self, layer):
-        d, growth, vth, negative, mode = self._plan[layer][:5]
-        if growth is not None or not d or negative or mode is not ResetMode.BY_SUBTRACTION:
-            return False
-        (lo, hi), one, vth = self.planes[layer].column_bounds(), self._one, int(vth)
-        top = max(0, (vth - 1) * d, (hi - vth) * one)
-        return (lo * one >= self.fmt.min_raw * d
-                and (one - d) * top + hi * d * one <= self.fmt.max_raw * d * one)
 
-
-class CertificateWithoutResetOvershoot(Core):
+class CertificateWithoutResetOvershoot(harness.mutant(
+        Core, "certified",
+        ("max(0, (vth - 1) * d, (hi + 1 - vth) * one)", "max(0, (vth - 1) * d)"))):
     """Bounds the membrane by v_threshold - 1 (or 0), forgetting that a reset
     by subtraction leaves u - v_threshold, which can exceed it."""
-
-    def certified(self, layer):
-        d, growth, vth, negative, mode = self._plan[layer][:5]
-        if growth is not None or not d or negative or mode is not ResetMode.BY_SUBTRACTION:
-            return False
-        (lo, hi), one, vth = self.planes[layer].column_bounds(), self._one, int(vth)
-        top = max(0, (vth - 1) * d)
-        return (lo * one >= self.fmt.min_raw * d
-                and (one - d) * top + (hi + 1) * d * one <= self.fmt.max_raw * d * one)
 
 
 def net_column_bounds(plane):
@@ -213,86 +192,31 @@ class StaleColumnBounds(Core):
             plane.__class__ = BoundsKeptOnFetch
 
 
-class CertificateOutlivesTheRun(Core):
+class CertificateOutlivesTheRun(harness.mutant(
+        Core, "_start", ("self._sure = self._never", "pass"))):
     """Keeps a run's certificates live after its driver returns, so that a
     `step_cycle` after a register write skips a fit the new registers need."""
 
-    def _start(self, driver, *args):
-        def run(*out):
-            driver(*out)
-            self._kept = self._sure
-        out = super()._start(run, *args)
-        self._sure = self._kept
-        return out
 
-
-class SecondCallInLif(Core):
-    """Counts the `_fit` and `_mul` calls made inside one `_lif` call, each
-    hook on its own; a subclass skips the second."""
-
-    _calls = None  # hook name -> calls so far in this `_lif` call; None outside one
-
-    def _lif(self, k, drive):
-        self._calls = {"_fit": 0, "_mul": 0}
-        spikes = super()._lif(k, drive)
-        self._calls = None
-        return spikes
-
-    def _second(self, hook):
-        """Whether this call of `hook` is its second in the `_lif` call under way."""
-        if self._calls is None:
-            return False
-        self._calls[hook] += 1
-        return self._calls[hook] == 2
-
-
-class NoFitUnderNegativeThreshold(SecondCallInLif):
-    """Skips `_lif`'s second fit, the one after a reset by subtraction under
-    a negative threshold, so that updated - v_threshold can leave the range."""
-
-    def _fit(self, x):
-        return x if self._second("_fit") else super()._fit(x)
-
-
-class DefaultResetWithoutLeak(SecondCallInLif):
-    """Leaves out the extra leak step of a DEFAULT reset (`_lif`'s second
-    product), so that a spiking neuron keeps its membrane."""
-
-    def _mul(self, r, x):
-        return np.zeros_like(x) if self._second("_mul") else super()._mul(r, x)
-
-
-class UnshiftedScan(Core):
+class UnshiftedScan(harness.mutant(
+        Core, "_scan", ("if k and self.cfg.layer_latency:", "if False:"))):
     """Feeds layer k >= 1 in the layer-major scan layer k-1's raster as it
     is, also at layer_latency 1, where it should be one cycle late."""
 
-    def _scan(self, dense, spikes, vmems):
-        cfg, self.cfg = self.cfg, replace(self.cfg, layer_latency=0)
-        try:
-            super()._scan(dense, spikes, vmems)
-        finally:
-            self.cfg = cfg
 
-
-class ScanSkipsTheLatch(ReferenceCore):
+class ScanSkipsTheLatch(harness.mutant(
+        ReferenceCore, "_scan",
+        ("out[t] = self._out[k] = self._lif(k, row)", "out[t] = self._lif(k, row)"))):
     """Leaves each layer's latch `_out[k]` as `reset_state` made it while the
     layer-major scan runs, so the cycle after a run reads no spikes from it."""
 
-    def _scan(self, dense, spikes, vmems):
-        latches = list(self._out)
-        super()._scan(dense, spikes, vmems)
-        self._out[:] = latches
 
-
-class TwinKeepsTheFloat32Sum(ReferenceCore):
-    """Raises the active-line bound of each of its plane copies to the line
-    count, as `BoundAtLineCount` does for the core, so that a row past the
+class TwinKeepsTheFloat32Sum(harness.mutant(
+        ReferenceCore, "_activation",
+        ("self.planes[k].active_bound", "len(self.planes[k]._raw)"))):
+    """Takes the line count of each of its plane copies for its active-line
+    bound, as `BoundAtLineCount` does for the core, so that a row past the
     real bound keeps its float32 sum."""
-
-    def __init__(self, core):
-        super().__init__(core)
-        for plane in self.planes:
-            plane.active_bound = len(plane.raw)
 
 
 class TwinSharesTheCorePlanes(ReferenceCore):
@@ -303,6 +227,33 @@ class TwinSharesTheCorePlanes(ReferenceCore):
         super().__init__(core)
         for mine, theirs in zip(self.planes, core.planes):
             mine.raw = theirs.raw
+
+
+@pytest.mark.parametrize("old", ["no such statement", "updated = self._fit(updated)"])
+def test_a_mutant_edit_found_other_than_once_names_the_method(old):
+    # The second statement occurs twice in `_lif`: after the update and
+    # after a reset under a negative threshold.
+    with pytest.raises(AssertionError, match=r"^_Cycle\._lif: "):
+        harness.mutant(Core, "_lif", (old, "pass"))
+
+
+def instructions(fn):
+    """Per source line of `fn`, its (opname, argument) instructions; jump
+    targets are left out, since an edit moves every offset after it."""
+    line_at = {i: n for start, end, n in fn.__code__.co_lines() for i in range(start, end, 2)}
+    out = {}
+    for ins in dis.get_instructions(fn):
+        jump = ins.opcode in dis.hasjrel or ins.opcode in dis.hasjabs
+        out.setdefault(line_at[ins.offset], []).append((ins.opname, None if jump else ins.argval))
+    return out
+
+
+def test_a_mutant_method_differs_from_its_base_by_its_edit_alone():
+    # `GrowthOneIsRawOne` edits the line of `_compile` that plans the growth.
+    source, first = inspect.getsourcelines(Core._compile)
+    edited = first + next(i for i, line in enumerate(source) if "None if growth ==" in line)
+    base, got = instructions(Core._compile), instructions(GrowthOneIsRawOne._compile)
+    assert {n for n in base.keys() | got.keys() if base.get(n) != got.get(n)} == {edited}
 
 
 def one_spike_pipeline():
@@ -407,12 +358,37 @@ def test_the_scalar_oracle_tells_each_mutant_from_the_core(mutant, network, firs
     assert harness.checked(harness.loaded(cfg, planes, mutant), stimulus, writes) == first
 
 
-def test_only_a_sampled_run_tells_the_raster_mutant_from_the_core():
-    # A `step_cycle` loop sums [M] rows only, which the mutant leaves alone.
-    cfg, planes, stimulus, _ = three_max_lines()
+def overshooting_reset():
+    # Frozen from certificate_search.py: decay 0.5 and threshold 0, so 5
+    # spikes at once and leaves 5, which leaks to 3, and 3 + 5 = 8 wraps to
+    # -8 in Q3.1.  The mutant bounds the membrane by max(0, -1) = 0.
+    cfg = CoreConfig.uniform(Q3_1, (1, 1), replace(PLAIN, decay_rate=0.5, v_threshold=0.0))
+    return cfg, [np.array([[5]])], np.ones((2, 1), dtype=bool), ()
+
+
+def cancelling_column():
+    # Frozen from certificate_search.py: the column sums to -2, which the
+    # mutant takes for every activation, but lines 0 and 1 alone give -5,
+    # past Q2.1's min_raw of -4.
+    fmt = QFormat(2, 1)
+    cfg = CoreConfig.uniform(fmt, (3, 1), replace(PLAIN, decay_rate=0.5, v_threshold=0.0))
+    return cfg, [np.array([[-4], [-1], [3]])], np.array([[1, 1, 0]], dtype=bool), ()
+
+
+@pytest.mark.parametrize("mutant, network, first", [
+    (RasterSkipsTheLineCount, three_max_lines, [(0, 0, 0)]),
+    (SignedRasterCertificate, low_end_clamp, [(0, 0, 0)]),
+    (CertificateWithoutResetOvershoot, overshooting_reset, [(0, 0, 1)]),
+    (CertificateFromNetColumnSums, cancelling_column, [(0, 0, 0)]),
+])
+def test_only_a_sampled_run_tells_each_mutant_from_the_core(mutant, network, first):
+    # `run_sample` sums layer 0's raster at once and skips the fits that
+    # `certified` proves needless; a `step_cycle` loop sums [M] rows only, and
+    # never certifies.
+    cfg, planes, stimulus, _ = network()
     assert harness.sampled(harness.loaded(cfg, planes), stimulus) == []
-    for run, first in ((harness.sampled, [(0, 0, 0)]), (harness.checked, [])):
-        assert run(harness.loaded(cfg, planes, RasterSkipsTheLineCount), stimulus) == first
+    for run, want in ((harness.sampled, first), (harness.checked, [])):
+        assert run(harness.loaded(cfg, planes, mutant), stimulus) == want
 
 
 def sparse_wide_clamp():
@@ -469,34 +445,6 @@ def test_the_snapshot_test_tells_the_plane_sharing_twin_from_the_twin():
     test_reference.test_a_twin_is_a_snapshot_of_its_core(ReferenceCore)
     with pytest.raises(AssertionError):
         test_reference.test_a_twin_is_a_snapshot_of_its_core(TwinSharesTheCorePlanes)
-
-
-def overshooting_reset():
-    # Frozen from certificate_search.py: decay 0.5 and threshold 0, so 5
-    # spikes at once and leaves 5, which leaks to 3, and 3 + 5 = 8 wraps to
-    # -8 in Q3.1.  The mutant bounds the membrane by max(0, -1) = 0.
-    cfg = CoreConfig.uniform(Q3_1, (1, 1), replace(PLAIN, decay_rate=0.5, v_threshold=0.0))
-    return cfg, [np.array([[5]])], np.ones((2, 1), dtype=bool)
-
-
-def cancelling_column():
-    # Frozen from certificate_search.py: the column sums to -2, which the
-    # mutant takes for every activation, but lines 0 and 1 alone give -5,
-    # past Q2.1's min_raw of -4.
-    fmt = QFormat(2, 1)
-    cfg = CoreConfig.uniform(fmt, (3, 1), replace(PLAIN, decay_rate=0.5, v_threshold=0.0))
-    return cfg, [np.array([[-4], [-1], [3]])], np.array([[1, 1, 0]], dtype=bool)
-
-
-@pytest.mark.parametrize("mutant, network, first", [
-    (CertificateWithoutResetOvershoot, overshooting_reset, [(0, 0, 1)]),
-    (CertificateFromNetColumnSums, cancelling_column, [(0, 0, 0)]),
-])
-def test_a_sampled_run_tells_each_wrong_certificate_from_the_core(mutant, network, first):
-    # `checked` never certifies: only `run_sample` and `run_batch` skip fits.
-    cfg, planes, stimulus = network()
-    assert harness.sampled(harness.loaded(cfg, planes), stimulus) == []
-    assert harness.sampled(harness.loaded(cfg, planes, mutant), stimulus) == first
 
 
 def test_a_sampled_run_after_a_raw_write_tells_stale_bounds_from_the_core():
