@@ -54,34 +54,28 @@ policies; the hardware's clamp or wrap would change no bit.  A growth of
 exactly 1 (`_one`, raw 2**q) is no product at all: (2**q * a) >> q == a for
 every activation a, so the plan holds no growth and `_drive` returns a as
 it is.  `_mul` keeps its fresh array for a decay of 1, since `_lif`
-overwrites it.
+overwrites it.  A product by any other register is `mul_raw`'s, so every
+product that `_mul` returns is a word of the format.
 
 The rest of the membrane update works in place: `_mul` returns a fresh
-array, which `_lif` overwrites with the leak step, `_fit(x)` may overwrite
-the `x` its caller owns, and `_lif` holds and resets with masked writes into
-the updated membrane, which it then stores and never writes again, so
-nothing the core hands out changes later.  It fits only where the hardware
-latches or compares a value: the updated membrane before the threshold
-compare, whose fit also wraps the WRAP activation added into it (modulo 2**w
-commutes with +), and a WRAP activation before a growth product in `_drive`.
+array, which `_lif` overwrites with the leak step, and `_lif` holds and
+resets with masked writes into the updated membrane, which it then stores
+and never writes again, so nothing the core hands out changes later.  It
+fits, by `fit_raw`, only where the hardware latches or compares a value:
+the updated membrane before the threshold compare, whose fit also wraps the
+WRAP activation added into it (modulo 2**w commutes with +), and a WRAP
+activation before a growth product in `_drive`.
 A run from the zero state (`run_sample`, `run_batch`) skips the membrane
 fit of each layer that `Core.certified` proves cannot overflow; a bare
 `step_cycle` never does.
 The BY_SUBTRACTION reset needs no fit while v_threshold >= 0, since a
 spiking neuron has v_threshold <= updated <= max_raw; under a negative
-threshold the membrane is fitted once more.  Under WRAP the fit reduces
-modulo 2**w, and in between, adds, subtracts and multiplies run on unreduced
-integers.  That gives the bits of wrapping after every operation, because
-reduction modulo 2**w commutes with + and -, and because every multiply
-operand is already reduced (a register, the stored membrane, or the fitted
-activation), so that `(a * b) >> q` has the low w bits of the hardware's
-truncated product.  An int64 overflow of an intermediate is harmless: 2**w
-divides 2**64, so int64 arithmetic keeps every bit below position 64, and
-the bits q..q+w-1 of a product are exact, as are the low w bits of a sum
-that the WRAP fit, `fixedpoint.wrap_raw`, keeps.  SATURATE clamps a product
-by a register outside [0, 1] in `_mul`, and each latched sum in `_fit`, in
-place on int64 state; each sum is one add or subtract of in-range values, so
-the fit clamps exactly where the hardware's adder does.
+threshold the membrane is fitted once more.  Under WRAP only sums run
+unreduced until the fit, which gives the bits of wrapping after every add
+and subtract, since reduction modulo 2**w commutes with both; an int64
+overflow of a sum is harmless, as 2**w divides 2**64.  Under SATURATE each
+latched sum is one add or subtract of words, so the fit clamps exactly
+where the hardware's adder does.
 """
 
 from __future__ import annotations
@@ -252,10 +246,9 @@ class _Cycle:
     number system in four hooks:
     `_mul(r, x)`, raw register r times the array x, as a fresh array;
     `_fit(x)`, which brings a sum into the state's range where the cycle
-    latches or compares it and may overwrite `x`; `certified(k)`, whether
-    layer k needs no membrane fit on a run from the zero state (`_sure[k]`
-    during one); and `policy`, SATURATE to sum rows in order with their
-    clamps, else plainly.
+    latches or compares it; `certified(k)`, whether layer k needs no
+    membrane fit on a run from the zero state (`_sure[k]` during one); and
+    `policy`, SATURATE to sum rows in order with their clamps, else plainly.
     `_one` is 1.0, raw 2**q.  `_lif(k, drive)`, the one LIF kernel, steps
     layer k under drive = growth x activation (the activation itself when
     the growth is `_one`).  `__init__` takes the config, one validated
@@ -463,11 +456,7 @@ class Core(_Cycle):
             raise ValueError(f"config {cfg!r} is not a CoreConfig")
         self.policy = cfg.policy
         regs = _per_layer(lambda r: r.quantize(cfg.fmt), cfg.registers)
-        dtype = raw_dtype(cfg.fmt)
-        # On int64 SATURATE state `_fit` clamps to [_lo, _hi] in place.
-        self._lo, self._hi = ((cfg.fmt.min_raw, cfg.fmt.max_raw)
-                              if self.policy is SATURATE and dtype is np.int64 else (0, 0))
-        super().__init__(cfg, regs, dtype)
+        super().__init__(cfg, regs, raw_dtype(cfg.fmt))
         masks = _per_layer(build_mask, cfg.connectivity, cfg.sizes[:-1], cfg.sizes[1:])
         self.planes = [WeightMemory(cfg.fmt, mask, layer=k) for k, mask in enumerate(masks)]
 
@@ -548,20 +537,17 @@ class Core(_Cycle):
 
     # -- number system ----------------------------------------------------------
 
-    # The product runs unreduced under WRAP, where `_fit` wraps the sum, and
-    # for a rate r in [0, 1]; only SATURATE with r outside [0, 1] clamps
-    # (module docstring).  The raw helpers are looked up in this module per
-    # call, so a tracer on `core.mul_raw` or `core.fit_raw` sees each.
+    # A product by a rate r in [0, 1] is a shift under both policies; every
+    # other goes through `mul_raw` (module docstring).  The raw helpers are
+    # looked up in this module per call, so a tracer on `core.mul_raw` or
+    # `core.fit_raw` sees each.
     def _mul(self, r, x):
-        if self.policy is WRAP or 0 <= r <= self._one:
+        if 0 <= r <= self._one:
             x = r * x
             return np.right_shift(x, self.fmt.q, out=x)
         return mul_raw(r, x, self.fmt, self.policy)
 
     def _fit(self, x):
-        if self._hi:
-            np.maximum(x, self._lo, out=x)
-            return np.minimum(x, self._hi, out=x)
         return fit_raw(x, self.fmt, self.policy)
 
     def close(self) -> None:

@@ -14,8 +14,8 @@ is `core.encode_register`, which raises out of range.
 
 The raw helpers (`add_raw`, `mul_raw`, ...) are the arithmetic, on ints or
 elementwise on numpy integer arrays; a `QWord` is only a stored word.  The
-core fits int64 state in place and calls them only for object payloads and
-for a SATURATE product by a rate outside [0, 1].
+core steps on them: every fit is `fit_raw`, and every product but a rate's
+in [0, 1], which no fit would change, is `mul_raw`.
 """
 
 from __future__ import annotations

@@ -219,7 +219,7 @@ def networks(draw, formats, registers, weights, max_cycles: int):
 
 # Q2-Q9 x q0-7; Q13.11, the widest float32 format, whose planes of 1 to 4
 # lines are float32 with a bound of 2 active lines, and of 5 or 6 lines
-# float64; Q17.15, the widest int64 format, whose unreduced WRAP products
+# float64; Q17.15, the widest int64 format, whose full `mul_raw` products
 # reach 2**62; and one format wider than 32 bits (object-dtype payloads).
 # Each of the three single formats is drawn about as often as all the
 # narrow ones together.

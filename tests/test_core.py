@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from spikecore import core as core_module
 from spikecore.core import Core, CoreConfig, RealRegisters, SpikeRaster, encode_register
 from spikecore.fixedpoint import (
-    Q3_1, Q5_3, Q9_7, Q17_15, SATURATE, WRAP, OverflowPolicy, QFormat, QWord, fit_raw, wrap_raw,
+    Q3_1, Q5_3, Q9_7, Q17_15, SATURATE, WRAP, OverflowPolicy, QFormat, QWord, fit_raw, mul_raw,
+    wrap_raw,
 )
 from spikecore.neuron import ResetMode
 from spikecore.reference import ReferenceCore, TracePair
@@ -969,7 +970,7 @@ def test_nothing_the_core_hands_out_changes_later(policy, mode, decay):
 
 @pytest.mark.parametrize("width", range(2, 33))
 def test_the_wrap_fit_equals_wrap_raw_across_int64(width):
-    # WRAP's unreduced Q17.15 products reach 2**62, so the fit must wrap any
+    # A WRAP sum runs unreduced until its fit, so the fit must wrap any
     # int64, not only sums near the word's range: `wrap_raw`'s own add may
     # overflow int64, which keeps the low w bits all the same.
     fmt = QFormat(2, width - 2)
@@ -980,11 +981,26 @@ def test_the_wrap_fit_equals_wrap_raw_across_int64(width):
     assert core._fit(x.copy()).tolist() == wrap_raw(x.astype(object), fmt).tolist()
 
 
-def test_a_wide_wrap_core_fits_through_fit_raw(monkeypatch):
-    fmt = QFormat(20, 20)
-    core = Core(CoreConfig.uniform(fmt, [1, 1], RealRegisters(0.0, 0.0, 0.0)))
-    calls = []
-    monkeypatch.setattr(core_module, "fit_raw", lambda *args: calls.append(args) or fit_raw(*args))
-    x = np.array([1 << 45, -(1 << 45) - 3, fmt.max_raw + 1, 7], dtype=object)
-    assert core._fit(x.copy()).tolist() == wrap_raw(x, fmt).tolist()
-    assert len(calls) == 1
+@pytest.mark.parametrize("policy", list(OverflowPolicy))
+@pytest.mark.parametrize("fmt", [Q5_3, Q17_15, QFormat(20, 20)], ids=str)
+def test_each_fit_is_one_fit_raw_call(monkeypatch, fmt, policy):
+    # The core keeps no clamp or wrap of its own beside `fit_raw`, on int64
+    # and object state alike: `_fit` returns what its one call returns.
+    core = Core(CoreConfig.uniform(fmt, [1, 1], RealRegisters(0.0, 0.0, 0.0), policy=policy))
+    fits = []
+    monkeypatch.setattr(core_module, "fit_raw",
+                        lambda *args: fits.append(fit_raw(*args)) or fits[-1])
+    x = np.array([fmt.min_raw - 3, fmt.max_raw + 1, 2 * fmt.max_raw, -1, 7], dtype=core._dtype)
+    got = core._fit(x.copy())
+    assert len(fits) == 1 and got is fits[0]
+    assert got.tolist() == fit_raw(x.astype(object), fmt, policy).tolist()
+
+
+@pytest.mark.parametrize("policy", list(OverflowPolicy))
+@pytest.mark.parametrize("r", [12, -8, Q5_3.max_raw], ids=["1.5", "-1.0", "max_raw"])
+def test_a_product_by_a_register_outside_the_rates_is_mul_raw_s(policy, r):
+    # Only a rate in [0, 1] is multiplied by a shift: any other register's
+    # product is `mul_raw`'s word under WRAP as under SATURATE.
+    core = Core(CoreConfig.uniform(Q5_3, [1, 1], RealRegisters(0.0, 0.0, 0.0), policy=policy))
+    x = np.arange(Q5_3.min_raw, Q5_3.max_raw + 1)
+    assert core._mul(r, x.copy()).tolist() == mul_raw(r, x, Q5_3, policy).tolist()

@@ -461,13 +461,13 @@ def test_a_sampled_run_after_a_raw_write_tells_stale_bounds_from_the_core():
 
 
 def test_a_step_after_a_sampled_run_tells_a_live_certificate_from_the_core():
-    # 12.5 certifies under growth 1; growth written to 1.5 after the run
-    # drives 150, which only the membrane fit wraps.
+    # 12.5 certifies under decay 1; decay written to 0 after the run keeps
+    # the membrane, so two cycles drive it to 200, which only its fit wraps.
     cfg = CoreConfig.uniform(Q5_3, (1, 1), replace(PLAIN, decay_rate=1.0,
                                                    v_threshold=Q5_3.max_value))
-    stimulus = np.ones((1, 1), dtype=bool)
-    for cls, first in ((Core, []), (CertificateOutlivesTheRun, [(0, 0, 0)])):
+    stimulus = np.ones((2, 1), dtype=bool)
+    for cls, first in ((Core, []), (CertificateOutlivesTheRun, [(0, 0, 1)])):
         core = harness.loaded(cfg, [np.array([[100]])], cls)
         assert harness.sampled(core, stimulus) == []
         core.reset_state()
-        assert harness.checked(core, stimulus, [(0, 0, "growth_rate", QWord(Q5_3, 12))]) == first
+        assert harness.checked(core, stimulus, [(0, 0, "decay_rate", QWord(Q5_3, 0))]) == first
