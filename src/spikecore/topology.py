@@ -130,18 +130,19 @@ class WeightMemory:
     def write(self, pre: int, post: int, weight) -> None:
         """Store one signed weight, a QWord of the plane's format or its raw payload
         (an int in range), after checks of address, payload and format, then mask."""
-        m, n = self.mask.shape
-        if not (valid_index(pre, m) and valid_index(post, n)):
-            raise IndexError(
-                f"synapse (layer={self.layer}, pre={pre}, post={post}) outside {m}x{n}"
-            )
-        if isinstance(weight, QWord):
-            if weight.fmt is not self.fmt and weight.fmt != self.fmt:
-                raise ValueError(f"weight format {weight.fmt} != memory format {self.fmt}")
+        (m, n), fmt = self.mask.shape, self.fmt
+        if not (type(pre) is type(post) is int and 0 <= pre < m and 0 <= post < n):
+            if not (valid_index(pre, m) and valid_index(post, n)):  # numpy indices pass here
+                raise IndexError(
+                    f"synapse (layer={self.layer}, pre={pre}, post={post}) outside {m}x{n}"
+                )
+        if not (type(weight) is int and fmt.min_raw <= weight <= fmt.max_raw):
+            if not isinstance(weight, QWord):
+                raise ValueError(f"synapse (layer={self.layer}, pre={pre}, post={post}): weight "
+                                 f"{weight!r} is neither a QWord nor a raw payload of {fmt}")
+            if weight.fmt is not fmt and weight.fmt != fmt:
+                raise ValueError(f"weight format {weight.fmt} != memory format {fmt}")
             weight = weight.raw
-        elif type(weight) is not int or not self.fmt.min_raw <= weight <= self.fmt.max_raw:
-            raise ValueError(f"synapse (layer={self.layer}, pre={pre}, post={post}): weight "
-                             f"{weight!r} is neither a QWord nor a raw payload of {self.fmt}")
         if not self.mask[pre, post]:
             raise MaskedSynapseError(self.layer, pre, post)
         (self._raw if self._bounds is None else self.raw)[pre, post] = weight  # `raw` drops bounds

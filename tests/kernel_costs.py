@@ -13,6 +13,12 @@ product's nanoseconds per multiply-add, and the gathers' per gathered word
 and per cycle, also in multiply-adds of the product, the units of the
 rule's constants.
 
+Then what programming a plane costs, per synapse: on mlp256_wrap's layer 0,
+a [256, 128] Q9.7 plane, the median nanoseconds per call of
+`Core.write_weight` with each real weight, of `WeightMemory.write` with its
+raw payload, and of `encode_raw` alone, in alternating rounds.  These are
+the calls of the benchmark's set-up.
+
 Run with BLAS on one thread, as the benchmark does:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/kernel_costs.py [rounds]
@@ -32,6 +38,7 @@ import harness
 import numpy as np
 
 from spikecore import core as core_module
+from spikecore.fixedpoint import encode_raw
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
@@ -103,7 +110,34 @@ def main(rounds: int) -> int:
     print(f"fit: product {per_mac * 1e3:.4f} ns per multiply-add; gathers "
           f"{per_word * 1e3:.4f} ns per word = {per_word / per_mac:.1f} multiply-adds, "
           f"{per_cycle:.2f} us per cycle = {per_cycle / per_mac:.0f} multiply-adds")
+    write_costs(rounds)
     return 0
+
+
+def write_costs(rounds: int) -> None:
+    """Median ns per call of each step of programming mlp256_wrap's layer 0."""
+    wl = workloads.WORKLOADS["mlp256_wrap"]
+    core = core_module.Core(wl.config(), threads=wl.threads)
+    reals = [(i, j, v) for i, row in enumerate(workloads.network_weights(wl)[0].tolist())
+             for j, v in enumerate(row)]
+    calls = {
+        "Core.write_weight": (lambda i, j, v: core.write_weight(0, i, j, v), reals),
+        "WeightMemory.write": (core.planes[0].write,
+                               [(i, j, encode_raw(v, core.fmt)) for i, j, v in reals]),
+        "encode_raw": (encode_raw, [(v, core.fmt) for _, _, v in reals]),
+    }
+    times = {name: [] for name in calls}
+    for r in range(rounds + 1):  # round 0, untimed, touches the plane's pages first
+        names = list(calls)
+        for name in names[r % 3:] + names[:r % 3]:  # each runs first in turn
+            call, args = calls[name]
+            start = time.process_time()
+            for a in args:
+                call(*a)
+            if r:
+                times[name].append(time.process_time() - start)
+    print(f"programming {wl.name}/0 ({len(reals)} synapses), ns per call: " + ", ".join(
+        f"{name} {statistics.median(t) / len(reals) * 1e9:.0f}" for name, t in times.items()))
 
 
 if __name__ == "__main__":

@@ -271,6 +271,15 @@ def test_watch_is_none_or_all(model):
         assert [traces[(k, j)][-1] for j in range(len(vmem))] == (vmem * (1 / sim._one)).tolist()
 
 
+def test_stack_traces_orders_the_columns_by_key_not_by_insertion():
+    keys = [(1, 2), (0, 1), (1, 0), (0, 0), (1, 1)]
+    traces = {k: np.arange(4.0) + 10 * k[0] + k[1] for k in keys}  # [T] per neuron, as a run's
+    stacked = stack_traces(traces)
+    assert stacked.dtype == np.float64 and stacked.flags.c_contiguous
+    assert stacked.tolist() == [[t, t + 1, t + 10, t + 11, t + 12] for t in range(4)]
+    assert np.array_equal(stacked, np.stack([traces[k] for k in sorted(traces)], axis=1))
+
+
 def test_rmse_identical_traces_is_zero():
     a = np.random.default_rng(0).random((20, 3))
     assert rmse(TracePair(a, a.copy())) == 0.0

@@ -14,6 +14,8 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import spans  # noqa: E402
@@ -77,15 +79,18 @@ def test_no_test_module_binds_an_unused_import():
 def test_the_tracer_sees_every_weight_write():
     # A store that went round WeightMemory.write, or a real that went round
     # encode_raw, would blind the set-up metrics that count these spans.
+    # numpy indices take the slow address checks of both writes; each pass
+    # changes every weight, so a write that stored nothing shows.
     core = Core(CoreConfig.uniform(Q9_7, (4, 3), RealRegisters(0.2, 1.0, 4.0)))
     calls = 12
-    for value, encodes in ((0.75, calls), (QWord(Q9_7, -32), 0)):
-        tracer = spans.Tracer()
-        with spans.instrument(tracer):
-            for i in range(calls):
-                core.write_weight(0, i % 4, i % 3, value)
-        tracer.flush()
-        assert tracer.get("core.write_weight")[0] == calls
-        assert tracer.get("topology.WeightMemory.write")[0] == calls
-        assert tracer.get("fixedpoint.encode_raw")[0] == encodes
-        assert (core.decoded_weights()[0] == getattr(value, "value", value)).all()
+    for index in (int, np.int64):
+        for value, encodes in ((0.75, calls), (QWord(Q9_7, -32), 0)):
+            tracer = spans.Tracer()
+            with spans.instrument(tracer):
+                for i in range(calls):
+                    core.write_weight(index(0), index(i % 4), index(i % 3), value)
+            tracer.flush()
+            assert tracer.get("core.write_weight")[0] == calls
+            assert tracer.get("topology.WeightMemory.write")[0] == calls
+            assert tracer.get("fixedpoint.encode_raw")[0] == encodes
+            assert (core.decoded_weights()[0] == getattr(value, "value", value)).all()

@@ -144,6 +144,10 @@ def make_mem(conn=ALL, m=3, n=3):
     return WeightMemory(Q5_3, build_mask(conn, m, n))
 
 
+class Lane(int):
+    """An int subclass: an index by operator.index, yet no raw payload."""
+
+
 def test_write_excitatory():
     mem = make_mem()
     mem.write(0, 1, encode_register(1.5, Q5_3))
@@ -163,33 +167,37 @@ def test_write_to_masked_synapse_rejected():
     assert mem.raw[0, 2] == 0
 
 
-def test_write_out_of_range_address():
+@pytest.mark.parametrize("lane", [Lane, np.int64])
+def test_write_out_of_range_address(lane):
     mem = make_mem()
     with pytest.raises(IndexError):
         mem.write(3, 0, encode_register(1.0, Q5_3))
     with pytest.raises(IndexError):
         mem.presynaptic_weights(5)
-    # A non-integer index names the synapse, as an out-of-range one does.
-    with pytest.raises(IndexError, match=r"^synapse \(layer=0, pre=1.0, post=0\) outside 3x3$"):
-        mem.write(1.0, 0, encode_register(1.0, Q5_3))
+    # A non-integer index names the synapse, as an out-of-range one does, and a
+    # bool, Python's or numpy's, is no index.
+    for pre in (1.0, True, np.True_):
+        message = rf"^synapse \(layer=0, pre={pre}, post=0\) outside 3x3$"
+        with pytest.raises(IndexError, match=message):
+            mem.write(pre, 0, encode_register(1.0, Q5_3))
+    with pytest.raises(IndexError, match=r"^synapse \(layer=0, pre=0, post=True\) outside 3x3$"):
+        mem.write(0, True, 0)
     with pytest.raises(IndexError, match=r"post=0.5\) outside"):
         mem.presynaptic_weights(0.5)
     # A column read names only the column: it used to report a pre=0 that no one passed.
     with pytest.raises(IndexError, match=r"^column \(layer=0, post=5\) outside 3x2$") as err:
         make_mem(m=3, n=2).presynaptic_weights(5)
     assert "pre=" not in str(err.value)
-    # A plain int is range-checked at once; an int subclass goes by operator.index.
-    class Lane(int):
-        pass
-
+    # A plain int is range-checked at once; an int subclass or a numpy
+    # integer goes by operator.index.
     with pytest.raises(IndexError, match=rf"^synapse \(layer=0, pre={1 << 70}, post=0\) outside"):
         mem.write(1 << 70, 0, encode_register(1.0, Q5_3))
     with pytest.raises(IndexError, match=r"^synapse \(layer=0, pre=0, post=3\) outside 3x3$"):
-        mem.write(Lane(0), Lane(3), encode_register(1.0, Q5_3))
+        mem.write(lane(0), lane(3), encode_register(1.0, Q5_3))
     assert not mem.raw.any()
     assert valid_index(1 << 70, 1 << 71) and not valid_index(-(1 << 70), 3)
-    assert valid_index(Lane(2), 3) and not valid_index(Lane(3), 3)
-    mem.write(Lane(1), Lane(2), encode_register(1.0, Q5_3))
+    assert valid_index(lane(2), 3) and not valid_index(lane(3), 3)
+    mem.write(lane(1), lane(2), encode_register(1.0, Q5_3))
     assert mem.raw[1, 2] == 8 and np.count_nonzero(mem.raw) == 1
 
 
@@ -249,6 +257,7 @@ def test_write_takes_a_raw_payload_in_range():
 
 
 @pytest.mark.parametrize("payload", [0.5, np.int64(5), None, True, "1", 1.0,
+                                     pytest.param(Lane(5), id="Lane(5)"),
                                      Q5_3.max_raw + 1, Q5_3.min_raw - 1, 1 << 70])
 def test_write_rejects_a_payload_that_is_no_word_of_its_format(payload):
     # A float, numpy scalar or None used to raise AttributeError on `.fmt`,
