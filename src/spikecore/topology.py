@@ -131,11 +131,10 @@ class WeightMemory:
         """Store one signed weight, a QWord of the plane's format or its raw payload
         (an int in range), after checks of address, payload and format, then mask."""
         (m, n), fmt = self.mask.shape, self.fmt
-        if not (type(pre) is type(post) is int and 0 <= pre < m and 0 <= post < n):
-            if not (valid_index(pre, m) and valid_index(post, n)):  # numpy indices pass here
-                raise IndexError(
-                    f"synapse (layer={self.layer}, pre={pre}, post={post}) outside {m}x{n}"
-                )
+        if not (valid_index(pre, m) and valid_index(post, n)):
+            raise IndexError(
+                f"synapse (layer={self.layer}, pre={pre}, post={post}) outside {m}x{n}"
+            )
         if not (type(weight) is int and fmt.min_raw <= weight <= fmt.max_raw):
             if not isinstance(weight, QWord):
                 raise ValueError(f"synapse (layer={self.layer}, pre={pre}, post={post}): weight "

@@ -79,8 +79,8 @@ def test_no_test_module_binds_an_unused_import():
 def test_the_tracer_sees_every_weight_write():
     # A store that went round WeightMemory.write, or a real that went round
     # encode_raw, would blind the set-up metrics that count these spans.
-    # numpy indices take the slow address checks of both writes; each pass
-    # changes every weight, so a write that stored nothing shows.
+    # numpy indices take the operator.index path of both writes' address
+    # checks; each pass changes every weight, so a write that stored nothing shows.
     core = Core(CoreConfig.uniform(Q9_7, (4, 3), RealRegisters(0.2, 1.0, 4.0)))
     calls = 12
     for index in (int, np.int64):
